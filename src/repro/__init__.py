@@ -109,12 +109,13 @@ def boot(lazy: bool = True, addrmap=None,
       sanitizer; a :class:`repro.sanitize.Sanitizer` instance joins that
       one. The sanitizer observes without charging the clock, so cycle
       totals are bit-identical either way.
-    * *ncores* — simulated CPU count (repro.smp). K>1 schedules
+    * *ncores* — simulated CPU count (repro.smp). The kernel schedules
       processes onto K cores in deterministic rounds with sub-quantum
-      interleaving; K=1 (the default) is the classic uniprocessor
-      scheduler, bit-identical to every release before SMP existed.
-      None consults the REPRO_CORES environment variable, so existing
-      workloads can be rerun multi-core without touching their code.
+      interleaving; K=1 (the default) is the uniprocessor, bit-identical
+      to every release before SMP existed. None consults the REPRO_CORES
+      environment variable, so existing workloads can be rerun
+      multi-core without touching their code. Anything but an integer
+      >= 1 raises :class:`~repro.errors.KernelError`.
     """
     kernel = Kernel(addrmap=addrmap, costs=costs,
                     wide_addresses=wide_addresses, disk=disk,

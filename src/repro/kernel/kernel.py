@@ -4,13 +4,15 @@ Boot assembles the machine: physical memory, a root file system, the
 shared file system mounted at ``/shared`` (the special partition of §3),
 the syscall layer, lock/semaphore/message tables, and the clock.
 
-Scheduling is deterministic round-robin. Machine processes run a fixed
-instruction quantum; native processes run to their next ``yield``. A
-page fault suspends the faulting instruction, delivers SIGSEGV through
-the process's handler chain (the Hemlock runtime installs the handler
-that implements lazy linking and pointer chasing), and — if some handler
-resolves it — restarts the instruction. Unresolved faults kill the
-process, exactly as an unhandled SIGSEGV would.
+Scheduling is the deterministic round schedule of
+:class:`repro.kernel.smp.SmpCoordinator`, the one scheduler at every
+core count. Machine processes run a fixed instruction quantum; native
+processes run to their next ``yield``. A page fault suspends the
+faulting instruction, delivers SIGSEGV through the process's handler
+chain (the Hemlock runtime installs the handler that implements lazy
+linking and pointer chasing), and — if some handler resolves it —
+restarts the instruction. Unresolved faults kill the process, exactly
+as an unhandled SIGSEGV would.
 """
 
 from __future__ import annotations
@@ -72,14 +74,13 @@ class Kernel:
         # The simulated CPU count (repro.smp). None consults the
         # ambient REPRO_CORES so every boot in a process — including
         # the ones tools like reprorr make internally — runs SMP; the
-        # default stays 1, where self.smp is None and the classic
-        # uniprocessor scheduler runs completely unchanged.
+        # default is 1. The coordinator is the scheduler at every core
+        # count, and it alone validates the count.
         if ncores is None:
-            ncores = int(os.environ.get("REPRO_CORES", "1") or "1")
-        self.ncores = max(1, ncores)
+            ncores = os.environ.get("REPRO_CORES") or 1
+        self.smp = SmpCoordinator(self, ncores)
+        self.ncores = self.smp.ncores
         self.clock.ncores = self.ncores
-        self.smp = SmpCoordinator(self, self.ncores) \
-            if self.ncores > 1 else None
         self.rootfs = Filesystem(self.physmem, name="rootfs")
         if wide_addresses:
             # The paper's 64-bit future work (§3): per-inode address
@@ -186,12 +187,13 @@ class Kernel:
         Placement is the pure function ``pid % ncores`` — work lands on
         the same core in every run, which is half of what makes the SMP
         schedule deterministic (the other half is the round barrier).
+        A lone core has no other core to shoot down, so its address
+        spaces stay off the shootdown ledger.
         """
-        smp = self.smp
         proc.core = proc.pid % self.ncores
         space = proc.address_space
         space.core = proc.core
-        space.smp = smp
+        space.smp = self.smp if self.ncores > 1 else None
 
     def create_native_process(self, name: str, body: NativeBody,
                               uid: int = 0,
@@ -398,96 +400,13 @@ class Kernel:
                 and self.processes[pid].state is ProcessState.READY]
 
     def schedule(self, max_slices: int = 100000) -> None:
-        """Round-robin until every process exits (or deadlock)."""
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
-            sanitizer.schedule_begin(self)
-        try:
-            self._schedule(max_slices)
-        finally:
-            if sanitizer is not None:
-                sanitizer.schedule_end(self)
-
-    def _schedule(self, max_slices: int) -> None:
-        if self.smp is not None:
-            self.smp.schedule(max_slices)
-            return
-        slices = 0
-        while True:
-            ready = self.runnable()
-            if not ready:
-                blocked = [p for pid in self._runqueue
-                           for p in [self.processes.get(pid)]
-                           if p is not None
-                           and p.state is ProcessState.BLOCKED]
-                if blocked:
-                    names = ", ".join(p.name for p in blocked)
-                    raise KernelError(f"deadlock: blocked forever: {names}")
-                return
-            for proc in ready:
-                slices += 1
-                if slices > max_slices:
-                    raise KernelError("scheduler slice budget exhausted")
-                self.run_slice(proc)
-                self.clock.context_switch()
+        """Run rounds until every process exits (or deadlock)."""
+        self.smp.schedule(max_slices)
 
     def run_until_exit(self, proc: Process,
                        max_slices: int = 100000) -> int:
-        """Schedule until *proc* exits; returns its exit code."""
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
-            sanitizer.schedule_begin(self)
-        try:
-            return self._run_until_exit(proc, max_slices)
-        finally:
-            if sanitizer is not None:
-                sanitizer.schedule_end(self)
-
-    def _run_until_exit(self, proc: Process, max_slices: int) -> int:
-        if self.smp is not None:
-            return self.smp.run_until_exit(proc, max_slices)
-        slices = 0
-        while proc.alive:
-            ready = self.runnable()
-            if not ready:
-                raise KernelError(
-                    f"{proc.name} cannot finish: nothing is runnable"
-                )
-            for candidate in ready:
-                slices += 1
-                if slices > max_slices:
-                    raise KernelError("scheduler slice budget exhausted")
-                self.run_slice(candidate)
-                self.clock.context_switch()
-                if not proc.alive:
-                    break
-        assert proc.exit_code is not None
-        return proc.exit_code
-
-    def run_slice(self, proc: Process) -> None:
-        """Run one scheduling quantum of *proc*."""
-        if proc.state is not ProcessState.READY:
-            return
-        tracer = _trace.TRACER
-        if tracer.enabled:
-            with tracer.span(EventKind.SWITCH, name=proc.name,
-                             pid=proc.pid):
-                self._dispatch_slice(proc)
-        else:
-            self._dispatch_slice(proc)
-
-    def _dispatch_slice(self, proc: Process) -> None:
-        if proc.cpu is not None:
-            self._run_machine_slice(proc)
-        else:
-            self._run_native_slice(proc)
-
-    def _run_machine_slice(self, proc: Process) -> None:
-        cpu = proc.cpu
-        assert cpu is not None
-        start = cpu.instructions_executed
-        if self._run_machine_chunk(proc, start, self.quantum):
-            self.clock.instructions(cpu.instructions_executed - start)
+        """Run rounds until *proc* exits; returns its exit code."""
+        return self.smp.run_until_exit(proc, max_slices)
 
     def _run_machine_chunk(self, proc: Process, start: int,
                            target: int) -> bool:
@@ -497,11 +416,11 @@ class Kernel:
         Returns False when the quantum ended on a path that does not
         charge executed instructions (blocked in a syscall, or killed by
         a fault/trap); True otherwise — the caller charges the executed
-        count when the whole quantum is done. The SMP scheduler calls
-        this with sub-quantum targets; because the instruction counter
-        only advances on a successful step (which also resets the fault
+        count when the whole quantum is done. The scheduler calls this
+        with sub-quantum targets; because the instruction counter only
+        advances on a successful step (which also resets the fault
         streak), a chunk boundary never lands mid-fault-retry, making
-        chunked execution bit-identical to one uninterrupted slice.
+        chunked execution bit-identical to one uninterrupted quantum.
         """
         cpu = proc.cpu
         fault_streak = 0

@@ -1,4 +1,5 @@
-"""repro.smp — deterministic round-based multi-core scheduling.
+"""repro.smp — the kernel's one scheduler: deterministic round-based
+multi-core scheduling.
 
 K simulated CPUs execute one global quantum schedule: each round, every
 process that was runnable at the round boundary is planned onto its
@@ -20,16 +21,24 @@ except at kernel-mediated communication, and the round barrier is where
 the clock's parallel makespan (``Clock.elapsed``) advances by the
 slowest core's work.
 
-Single-core boots never construct a coordinator: ``Kernel.smp`` stays
-``None`` and the classic scheduler runs byte-for-byte unchanged. A
-coordinator forced onto a 1-core kernel (the differential oracle in
-tests/test_smp.py does this) produces bit-identical events and cycles
-to the classic scheduler — the chunked quantum below was built to make
-that equivalence exact:
+Every kernel has exactly one coordinator (``Kernel.smp``), whatever its
+core count, and it has two entry points: the run-to-completion loop
+behind ``Kernel.schedule``/``Kernel.run_until_exit``, and
+:meth:`SmpCoordinator.run_round`, one round that a cluster step gives
+each node. Both are one sanitizer scheduling phase.
+
+One core is the uniprocessor, byte-for-byte: the round plans the
+runnable processes in runqueue order and runs each for one full
+quantum. A lone core charges the clock serially (``current_core`` stays
+``None``), so ``core_cycles`` stays empty and ``elapsed == cycles`` at
+every charge; and no address space is bound to the shootdown ledger, so
+``Cpu.step`` records no per-frame decode cores. The chunked quantum
+below keeps the cycle and event stream independent of the sub-slice
+size:
 
 * instructions are charged once at the end of a process's quantum
   (never per chunk), and not at all when the quantum ends by blocking
-  or a kill — exactly the classic ``_run_machine_slice`` contract;
+  or a kill;
 * a chunk boundary can only fall immediately after a *successful*
   ``Cpu.step()`` (traps and faults do not advance the instruction
   counter), and a successful step resets the fault streak, so starting
@@ -38,8 +47,7 @@ that equivalence exact:
   (spans carry their entry cycle and emit one event on exit, so
   interleaved per-core spans need no nesting stack);
 * one ``context_switch`` is charged per planned process — including
-  processes that lost runnability before their turn — matching the
-  classic scheduler's per-slice charge.
+  processes that lost runnability before their turn.
 
 The coordinator also owns the cross-core invalidation ledger: TLB
 shootdowns (a mapping change initiated while a *different* core is
@@ -47,11 +55,12 @@ executing must invalidate the owning core's cached translations) and
 decoded-instruction shootdowns (a store to a text frame some other core
 has executed from). Both are accounting over the existing invalidation
 plumbing — the caches themselves are kept coherent by the same
-clear-on-write protocol that serial boots use.
+clear-on-write protocol at every core count.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from typing import List, Optional
 
@@ -94,27 +103,29 @@ class _SliceBudget:
 
 
 class SmpCoordinator:
-    """The deterministic multi-core half of one kernel."""
+    """The scheduler of one kernel, at every core count."""
 
-    def __init__(self, kernel, ncores: int) -> None:
+    def __init__(self, kernel, ncores) -> None:
+        try:
+            ncores = int(ncores)
+        except (TypeError, ValueError):
+            raise KernelError(
+                f"ncores must be an integer >= 1, got {ncores!r}"
+            ) from None
         if ncores < 1:
             raise KernelError(f"ncores must be >= 1, got {ncores}")
         self.kernel = kernel
         self.ncores = ncores
-        self.subquantum = SMP_SUBQUANTUM
+        # A lone core interleaves with nobody: it runs each quantum in
+        # one chunk and charges the clock serially (the clock meter of
+        # core i is ``_meters[i]``; None is the serial meter).
+        self.subquantum = SMP_SUBQUANTUM if ncores > 1 else sys.maxsize
+        self._meters = list(range(ncores)) if ncores > 1 else [None]
         self.rounds = 0
         #: cross-core TLB invalidations charged to each (victim) core
         self.tlb_shootdowns = {core: 0 for core in range(ncores)}
         #: cross-core decode-cache invalidations per (victim) core
         self.decode_shootdowns = {core: 0 for core in range(ncores)}
-
-    # ------------------------------------------------------------------
-    # placement
-    # ------------------------------------------------------------------
-
-    def place(self, proc: Process) -> int:
-        """Deterministic home core for *proc* (fixed for its lifetime)."""
-        return proc.pid % self.ncores
 
     # ------------------------------------------------------------------
     # cross-core invalidation ledger
@@ -156,13 +167,35 @@ class SmpCoordinator:
 
     def schedule(self, max_slices: int) -> None:
         """Rounds until every process exits (or deadlock)."""
-        self._loop(_SliceBudget(max_slices), None)
+        self._phase(self._loop, _SliceBudget(max_slices), None)
 
     def run_until_exit(self, proc: Process, max_slices: int) -> int:
         """Rounds until *proc* exits; returns its exit code."""
-        self._loop(_SliceBudget(max_slices), proc)
+        self._phase(self._loop, _SliceBudget(max_slices), proc)
         assert proc.exit_code is not None
         return proc.exit_code
+
+    def run_round(self) -> int:
+        """One round over the processes runnable now (a cluster node's
+        share of one cluster step); returns how many were planned."""
+        ready = self.kernel.runnable()
+        # A round plans each ready process once, so this budget is
+        # never exhausted.
+        self._phase(self._run_round, ready, _SliceBudget(len(ready)), None)
+        return len(ready)
+
+    def _phase(self, run, *args):
+        """Run one scheduling entry point as one sanitizer phase: the
+        barriers join every thread of this machine on entry and exit."""
+        kernel = self.kernel
+        sanitizer = kernel.sanitizer
+        if sanitizer is None:
+            return run(*args)
+        sanitizer.schedule_begin(kernel)
+        try:
+            return run(*args)
+        finally:
+            sanitizer.schedule_end(kernel)
 
     def _loop(self, budget: _SliceBudget,
               stop_proc: Optional[Process]) -> None:
@@ -238,9 +271,9 @@ class SmpCoordinator:
             if proc.state is not ProcessState.READY:
                 # It lost runnability since the round boundary (killed
                 # or blocked by someone who ran earlier in the round).
-                # The classic scheduler still charges the switch; so do
-                # we, on this core's meter.
-                clock.current_core = core
+                # Its planned slot still costs a switch, on this core's
+                # meter.
+                clock.current_core = self._meters[core]
                 try:
                     clock.context_switch()
                 finally:
@@ -263,11 +296,11 @@ class SmpCoordinator:
         kernel = self.kernel
         clock = kernel.clock
         proc = run.proc
-        clock.current_core = core
+        clock.current_core = self._meters[core]
         try:
             if proc.cpu is None:
                 # Native bodies run to their next yield — one atomic
-                # sub-slice, like one slice under the classic scheduler.
+                # sub-slice that ends the quantum.
                 kernel._run_native_slice(proc)
                 self._finish_quantum(run, charge=False)
                 return True
@@ -276,8 +309,8 @@ class SmpCoordinator:
             target = min(consumed + self.subquantum, kernel.quantum)
             charged = kernel._run_machine_chunk(proc, run.start, target)
             if not charged:
-                # Blocked or killed on a trap path: the classic slice
-                # returns without charging instructions here.
+                # Blocked or killed on a trap path: the quantum ends
+                # without charging its instructions.
                 self._finish_quantum(run, charge=False)
                 return True
             if proc.state is not ProcessState.READY \
@@ -306,7 +339,7 @@ class SmpCoordinator:
         if proc.cpu is not None:
             executed = proc.cpu.instructions_executed - run.start
             if executed:
-                clock.current_core = core
+                clock.current_core = self._meters[core]
                 try:
                     clock.instructions(executed)
                 finally:

@@ -5,10 +5,11 @@ own kernel, VM, clock, and (optionally) its own durable volume — and
 steps them under a round-based scheduler that is the cluster's single
 source of happens-before order: every round first delivers the due
 frames into NIC inboxes (in the fabric's total ``(round, seq, copy)``
-order), then gives every runnable process on every machine one slice,
-machines in node order. Two boots from the same ``(seed, fault plan)``
-therefore produce bit-identical traffic, traces, and per-node cycle
-counts.
+order), then runs one round of every machine's own scheduler (its
+:class:`~repro.kernel.smp.SmpCoordinator`, so a multi-core node runs
+its processes on its cores), machines in node order. Two boots from
+the same ``(seed, fault plan)`` therefore produce bit-identical
+traffic, traces, and per-node cycle counts.
 
 Each machine reorders its SFS free-inode list so it allocates from its
 own contiguous stripe of the 1024 global slots (``MAX_INODES //
@@ -132,21 +133,10 @@ class Machine:
         return proc
 
     def step_round(self) -> int:
-        """One slice for every currently runnable process."""
-        kernel = self.kernel
-        sanitizer = kernel.sanitizer
-        if sanitizer is not None:
-            sanitizer.schedule_begin(kernel)
-        ran = 0
-        try:
-            for proc in kernel.runnable():
-                kernel.run_slice(proc)
-                kernel.clock.context_switch()
-                ran += 1
-        finally:
-            if sanitizer is not None:
-                sanitizer.schedule_end(kernel)
-        return ran
+        """One coordinator round of this machine's kernel: every
+        currently runnable process gets one quantum, on its home core.
+        Returns how many processes were planned."""
+        return self.kernel.smp.run_round()
 
     def workload_done(self) -> bool:
         """Every non-daemon process has exited."""
@@ -248,8 +238,8 @@ class Cluster:
     # ------------------------------------------------------------------
 
     def step(self) -> None:
-        """One global round: deliver due traffic, then one slice per
-        runnable process, machines in node order."""
+        """One global round: deliver due traffic, then one scheduler
+        round per live machine, machines in node order."""
         self.round += 1
         if self.ha is not None:
             self.ha.on_round(self.round)

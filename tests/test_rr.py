@@ -281,8 +281,7 @@ class TestMaterialize:
         attach_runtime(kernel)
         proc = kernel.create_machine_process("loop", _loop_image())
         while kernel.clock.cycles < 40_000 and proc.alive:
-            kernel.run_slice(proc)
-            kernel.clock.context_switch()
+            kernel.smp.run_round()
         return kernel, proc
 
     def test_capture_is_a_fixed_point(self):

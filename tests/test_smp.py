@@ -2,13 +2,14 @@
 
 Four layers of contract:
 
-* **degenerate case**: ``boot(ncores=1)`` never constructs a
-  coordinator and stays bit-identical to the seed scheduler — the
-  module-fanout pin (2,603,166 cycles, shared with A7/A8/A9/A10/E10/
-  E11) may not move;
-* **differential oracle**: a coordinator *forced* onto a 1-core kernel
-  must produce the same events, cycles, per-category charges, and
-  outcome as the classic scheduler — the chunked quantum is an exact
+* **degenerate case**: ``boot(ncores=1)`` runs the coordinator on one
+  serially metered core and stays bit-identical to the seed scheduler
+  — the module-fanout pin (2,603,166 cycles, shared with A7/A8/A9/A10/
+  E10/E11) may not move, and bad core counts are refused with a typed
+  error;
+* **golden oracle**: a 1-core run reproduces the events, cycles,
+  per-category charges, and outcome recorded from the uniprocessor
+  scheduler the coordinator replaced — the chunked quantum is an exact
   reformulation, not an approximation;
 * **property-based oracles**: any ``(ncores, workload shape)`` runs
   byte-identically twice (traces, cycle totals, results), and the
@@ -16,11 +17,13 @@ Four layers of contract:
   the page tables across map/mprotect/COW/fork/flush traffic;
 * **ecosystem**: the race corpus has SMP-only races (clean on one
   core, firing on two), a 4-core Presto records/replays/seeks with
-  zero divergence, and the sanitizer stays cycle-invisible at K>1.
+  zero divergence, the sanitizer stays cycle-invisible at K>1, and
+  multi-core cluster nodes really run their cores.
 """
 
 from __future__ import annotations
 
+import hashlib
 from types import SimpleNamespace
 
 import pytest
@@ -33,9 +36,11 @@ from repro.bench.workloads import (
     fanout_expected_exit,
     make_shell,
 )
+from repro.disk.codec import encode_fields
 from repro.errors import KernelError
 from repro.kernel.smp import SMP_SUBQUANTUM, SmpCoordinator
 from repro.kernel.sync import WaitQueue
+from repro.net import Cluster
 from repro.rr import record_call, replay_call, seek_call
 from repro.runtime.shmalloc import (
     ArenaHeap,
@@ -66,10 +71,39 @@ from repro.vm.pages import PhysicalMemory
 
 #: The module-fanout cycle pin shared with A7/A8/A9/A10/E10/E11 — the
 #: exact total the seed scheduler produces. ``boot(ncores=1)`` must hit
-#: it, and so must a coordinator forced onto a 1-core kernel.
+#: it.
 SEED_FANOUT_CYCLES = 2_603_166
 WIDTH = 12
 USED = 12
+
+#: Everything observable about two 1-core runs, recorded from the
+#: uniprocessor round-robin scheduler the coordinator replaced: total
+#: cycles, event count, per-category charges, and the sha256 of the
+#: packed event stream (:func:`_digest`).
+UNIPROCESSOR_GOLDEN = {
+    "fanout": {
+        "cycles": SEED_FANOUT_CYCLES,
+        "events": 2_727,
+        "by_category": {
+            "syscalls": 970_800, "disk": 1_500_000, "file_io": 44_152,
+            "mappings": 60_000, "switches": 1_600, "faults": 18_000,
+            "signals": 8_400, "instructions": 214,
+        },
+        "digest": "8a39c7d4d975b33e2a1a02c6fe573a58"
+                  "2c9bd925b00dd6294ab45b6a7275fcb6",
+    },
+    "presto": {
+        "cycles": 195_640,
+        "events": 210,
+        "by_category": {
+            "syscalls": 55_200, "disk": 120_000, "file_io": 3_206,
+            "mappings": 10_000, "switches": 3_200, "instructions": 1_782,
+            "user_memory": 52, "faults": 1_500, "signals": 700,
+        },
+        "digest": "1fb404ab465051a44145dd755081e6cb"
+                  "b3d728a373cad1b211afba82bd205161",
+    },
+}
 
 
 def _pack(event) -> tuple:
@@ -77,13 +111,17 @@ def _pack(event) -> tuple:
             event.value, event.dur, event.boot)
 
 
-def _run_fanout(ncores=None, force_smp: bool = False) -> dict:
+def _digest(events) -> str:
+    """sha256 of packed events in the ``.rrr`` event encoding (the
+    field order of :func:`repro.rr.recording.pack_event`)."""
+    return hashlib.sha256(encode_fields(
+        [[int(kind), *rest] for kind, *rest in events])).hexdigest()
+
+
+def _run_fanout(ncores=None) -> dict:
     """The E2 module fanout under tracing; full observable signature."""
     system = boot(ncores=ncores)
     kernel = system.kernel
-    if force_smp:
-        assert kernel.smp is None
-        kernel.smp = SmpCoordinator(kernel, 1)
     with tracing(kernel) as tracer:
         shell = make_shell(kernel)
         graph = build_module_fanout(kernel, shell, width=WIDTH,
@@ -121,7 +159,7 @@ def _run_presto(ncores: int, nworkers: int, nitems: int,
         "core_cycles": dict(kernel.clock.core_cycles),
         "by_category": dict(kernel.clock.by_category),
         "events": events,
-        "smp": kernel.smp.stats() if kernel.smp is not None else None,
+        "smp": kernel.smp.stats(),
     }
 
 
@@ -131,11 +169,22 @@ def _run_presto(ncores: int, nworkers: int, nitems: int,
 
 
 class TestDegenerateCase:
-    def test_single_core_boot_has_no_coordinator(self):
+    def test_single_core_boot_runs_coordinator_unmetered(self):
         kernel = boot(ncores=1).kernel
         assert kernel.ncores == 1
-        assert kernel.smp is None
+        assert kernel.smp is not None
+        assert kernel.smp.ncores == 1
         assert kernel.clock.ncores == 1
+        shell = make_shell(kernel)
+        proc = kernel.create_machine_process(
+            "p", build_module_fanout(kernel, shell, width=WIDTH, used=USED,
+                                     module_dir="/shared/fan").executable)
+        # One core stays off the shootdown ledger and meters serially.
+        assert proc.address_space.smp is None
+        kernel.run_until_exit(proc)
+        assert kernel.smp.rounds > 0
+        assert kernel.clock.core_cycles == {}
+        assert kernel.clock.elapsed == kernel.clock.cycles
 
     def test_multi_core_boot_has_coordinator(self):
         kernel = boot(ncores=4).kernel
@@ -151,7 +200,7 @@ class TestDegenerateCase:
 
     def test_explicit_ncores_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CORES", "3")
-        assert boot(ncores=1).kernel.smp is None
+        assert boot(ncores=1).kernel.ncores == 1
 
     def test_fanout_pin_at_one_core(self):
         run = _run_fanout(ncores=1)
@@ -165,38 +214,41 @@ class TestDegenerateCase:
         with pytest.raises(KernelError):
             SmpCoordinator(kernel, 0)
 
+    @pytest.mark.parametrize("ncores", [0, -3])
+    def test_boot_refuses_non_positive_core_count(self, ncores):
+        with pytest.raises(KernelError, match="ncores must be >= 1"):
+            boot(ncores=ncores)
+
+    def test_boot_refuses_non_numeric_env_core_count(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CORES", "two")
+        with pytest.raises(KernelError, match="'two'"):
+            boot()
+
 
 # ---------------------------------------------------------------------------
-# the differential oracle: forced K=1 coordinator == classic scheduler
+# the golden oracle: one core == the uniprocessor scheduler it replaced
 # ---------------------------------------------------------------------------
 
 
 class TestDifferentialOracle:
-    def test_forced_smp_fanout_is_bit_identical(self):
-        classic = _run_fanout()
-        forced = _run_fanout(force_smp=True)
-        assert forced["exit"] == classic["exit"]
-        assert forced["cycles"] == classic["cycles"] \
-            == SEED_FANOUT_CYCLES
-        assert forced["by_category"] == classic["by_category"]
-        assert forced["events"] == classic["events"]
+    @staticmethod
+    def _check(run: dict, golden: dict) -> None:
+        assert run["cycles"] == golden["cycles"]
+        assert run["elapsed"] == golden["cycles"]
+        assert dict(run["by_category"]) == golden["by_category"]
+        assert len(run["events"]) == golden["events"]
+        assert _digest(run["events"]) == golden["digest"]
 
-    def test_forced_smp_presto_is_bit_identical(self):
-        classic = _run_presto(ncores=1, nworkers=3, nitems=12)
+    def test_fanout_matches_uniprocessor_golden(self):
+        run = _run_fanout(ncores=1)
+        assert run["exit"] == fanout_expected_exit(USED)
+        self._check(run, UNIPROCESSOR_GOLDEN["fanout"])
 
-        system = boot()
-        kernel = system.kernel
-        kernel.smp = SmpCoordinator(kernel, 1)
-        with tracing(kernel) as tracer:
-            shell = make_shell(kernel)
-            app = PrestoApp(kernel, shell, nitems=12)
-            result = app.run_instance(nworkers=3)
-            events = [_pack(event) for event in tracer.events()]
-        assert result.total == app.expected_total()
-        assert result.per_worker_items == list(classic["per_worker"])
-        assert kernel.clock.cycles == classic["cycles"]
-        assert dict(kernel.clock.by_category) == classic["by_category"]
-        assert events == classic["events"]
+    def test_presto_matches_uniprocessor_golden(self):
+        run = _run_presto(ncores=1, nworkers=3, nitems=12)
+        assert run["per_worker"] == (12, 0, 0)
+        assert run["core_cycles"] == {}
+        self._check(run, UNIPROCESSOR_GOLDEN["presto"])
 
 
 # ---------------------------------------------------------------------------
@@ -616,3 +668,37 @@ class TestSmpRecordReplay:
         result = seek_call(recording, target, _presto_quad_workload)
         assert result.digest_ok
         assert result.suffix_identical
+
+
+# ---------------------------------------------------------------------------
+# multi-core cluster nodes
+# ---------------------------------------------------------------------------
+
+
+def _cluster_rwho(impl: str, ncores: int):
+    from repro.apps.rwho.cluster import run_cluster_rwho, synth_statuses
+
+    cluster = Cluster(4, seed=7, ncores=ncores)
+    result = run_cluster_rwho(cluster, synth_statuses(64), impl,
+                              readers=[1, 2, 3])
+    cluster.shutdown()
+    return cluster, result
+
+
+class TestClusterNodes:
+    @pytest.mark.parametrize("impl", ["shm", "file"])
+    def test_four_core_nodes_run_their_cores(self, impl):
+        from repro.apps.rwho.cluster import single_kernel_rwho, synth_statuses
+
+        solo, _ = _cluster_rwho(impl, ncores=1)
+        quad, result = _cluster_rwho(impl, ncores=4)
+        oracle = single_kernel_rwho(synth_statuses(64))
+        assert all(result["outputs"][node] == oracle for node in (1, 2, 3))
+        # Same work on every node, whatever the core count...
+        assert quad.cycle_counts() == solo.cycle_counts()
+        # ...and every cluster step ran one round of every node's cores.
+        for machine in quad.machines:
+            assert machine.kernel.smp.ncores == 4
+            assert machine.kernel.smp.rounds == quad.round
+        server = quad.machines[0].kernel.clock
+        assert server.elapsed < server.cycles
