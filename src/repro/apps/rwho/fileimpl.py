@@ -27,7 +27,7 @@ from repro.apps.rwho.common import (
     format_ruptime_line,
     format_rwho_line,
 )
-from repro.errors import FileNotFoundSimError
+from repro.errors import FileNotFoundSimError, SimulationError
 from repro.fs.vfs import O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
@@ -36,6 +36,10 @@ _HEADER = struct.Struct(f"<{HOSTNAME_LEN}sIIiiiI")
 _USER = struct.Struct(f"<{USERNAME_LEN}s{TTY_LEN}sI")
 
 RWHO_DIR = "/var/rwho"
+
+
+class WhodFormatError(SimulationError):
+    """A blob that is not exactly one packed whod status record."""
 
 
 def pack_status(status: HostStatus) -> bytes:
@@ -47,7 +51,7 @@ def pack_status(status: HostStatus) -> bytes:
         status.load_1,
         status.load_5,
         status.load_15,
-        len(status.users),
+        min(len(status.users), MAX_USERS_PER_HOST),
     )
     for user in status.users[:MAX_USERS_PER_HOST]:
         blob += _USER.pack(
@@ -60,8 +64,16 @@ def pack_status(status: HostStatus) -> bytes:
 
 def unpack_status(blob: bytes) -> HostStatus:
     """Parse the on-disk whod format back into a status record."""
+    if len(blob) < _HEADER.size:
+        raise WhodFormatError(f"whod record of {len(blob)} bytes is "
+                              f"shorter than its {_HEADER.size}-byte "
+                              f"header")
     hostname, boot, update, l1, l5, l15, nusers = \
         _HEADER.unpack_from(blob, 0)
+    expected = _HEADER.size + nusers * _USER.size
+    if nusers > MAX_USERS_PER_HOST or len(blob) != expected:
+        raise WhodFormatError(f"whod record of {len(blob)} bytes "
+                              f"claims {nusers} user(s)")
     users = []
     offset = _HEADER.size
     for _ in range(nusers):

@@ -33,6 +33,7 @@ from repro.disk.blockdev import BLOCK_SIZE, DEFAULT_BLOCKS, BlockDevice
 from repro.disk.crash import (
     CrashMatrix,
     CrashPoint,
+    crash_points,
     run_crash_matrix,
     run_crash_point,
     scripted_workload,
@@ -56,6 +57,7 @@ __all__ = [
     "RecoveryStats",
     "attach_kernel",
     "cancel_durable",
+    "crash_points",
     "fsck",
     "fsck_image",
     "request_durable",

@@ -96,7 +96,15 @@ def _decode_count(data: bytes, offset: int,
                 raise DiskFormatError("truncated payload")
             raw = data[offset:offset + length]
             offset += length
-            fields.append(raw.decode("utf-8") if tag == b"S" else raw)
+            if tag == b"S":
+                try:
+                    raw = raw.decode("utf-8")
+                except UnicodeDecodeError as error:
+                    raise DiskFormatError(
+                        f"string field is not UTF-8: {error.reason} "
+                        f"at byte {offset - length + error.start}"
+                    ) from None
+            fields.append(raw)
         elif tag == b"L":
             if offset + 4 > len(data):
                 raise DiskFormatError("truncated list prefix")

@@ -211,6 +211,17 @@ def run_crash_point(k: int, seed: int = DEFAULT_SEED,
     )
 
 
+def crash_points(total: int, stride: int = 1,
+                 max_points: Optional[int] = None) -> List[int]:
+    """The record boundaries a crash matrix visits: every *stride*-th
+    of ``1..total``, thinned evenly to at most *max_points*."""
+    ks = list(range(1, total + 1, max(stride, 1)))
+    if max_points is not None and len(ks) > max_points:
+        step = len(ks) / max_points
+        ks = [ks[int(i * step)] for i in range(max_points)]
+    return ks
+
+
 def run_crash_matrix(seed: int = DEFAULT_SEED,
                      nblocks: int = DEFAULT_NBLOCKS,
                      stride: int = 1,
@@ -219,12 +230,8 @@ def run_crash_matrix(seed: int = DEFAULT_SEED,
                      ) -> CrashMatrix:
     """Crash at every stride-th record boundary of the workload."""
     _device, total = run_baseline(seed, nblocks, workload)
-    ks = list(range(1, total + 1, max(stride, 1)))
-    if max_points is not None and len(ks) > max_points:
-        step = len(ks) / max_points
-        ks = [ks[int(i * step)] for i in range(max_points)]
     matrix = CrashMatrix(total_records=total)
-    for k in ks:
+    for k in crash_points(total, stride, max_points):
         matrix.points.append(
             run_crash_point(k, seed=seed, nblocks=nblocks,
                             workload=workload))

@@ -6,14 +6,16 @@ the same cycles, the same per-category cycle totals per boot, the same
 checkpoint digests, the same outcome. Any mismatch is nondeterminism
 in the substrate (kernel, vm, disk, net, or inject plane) and is
 reported as the first divergent event with its cycle, which is exactly
-the information a bisection needs.
+the information a bisection needs. It is the one determinism check:
+``reprorr`` and the ``reprochaos``, ``repronet soak`` and ``reprosan
+soak`` soaks all record and replay through it.
 
 Two entry styles:
 
-* ``*_script`` — the CLI path: the workload is a Python script run
-  under ``runpy`` with a swapped ``argv``, mirroring ``reprochaos``;
-* ``*_call`` — the test path: the workload is a callable, so suites
-  can record inline workloads without touching the filesystem.
+* ``*_script`` — a Python script run under ``runpy`` with a swapped
+  ``argv`` (``reprorr``, ``reprochaos``);
+* ``*_call`` — a callable, so soaks and suites can record inline
+  workloads without touching the filesystem.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import os
 import runpy
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.rr.checkpoint import diff_states, state_digest
@@ -117,16 +119,17 @@ class SeekResult:
 # one armed run
 # ---------------------------------------------------------------------------
 
-def _capture_env() -> dict:
+def capture_env() -> dict:
+    """The host's ``REPRO_*`` environment (what a manifest records)."""
     return {key: value for key, value in os.environ.items()
             if key.startswith("REPRO_")}
 
 
 @contextlib.contextmanager
-def _applied_env(env: dict):
+def applied_env(env: dict):
     """The recorded ``REPRO_*`` environment, exactly: recorded keys
     set, extraneous ones removed, everything restored after."""
-    saved = _capture_env()
+    saved = capture_env()
     for key in saved:
         if key not in env:
             del os.environ[key]
@@ -134,10 +137,39 @@ def _applied_env(env: dict):
     try:
         yield
     finally:
-        for key in _capture_env():
+        for key in capture_env():
             if key not in saved:
                 del os.environ[key]
         os.environ.update(saved)
+
+
+def classify_run(runner: Callable[[], None]) -> Tuple[str, str]:
+    """Run *runner* with its stdout discarded and classify how it ended.
+
+    Returns ``(outcome, detail)``. Outcomes:
+
+    * ``clean`` — the workload finished (exit status 0);
+    * ``workload-failure`` — it aborted on a simulated error or a
+      failed assertion: a fault surfaced, but through the
+      simulation's own typed channels;
+    * ``kernel-death`` — a non-simulation exception escaped: the
+      simulator itself broke. Always a bug.
+    """
+    outcome, detail = "clean", ""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            runner()
+    except SystemExit as status:
+        if status.code not in (None, 0):
+            outcome = "workload-failure"
+            detail = f"exit status {status.code}"
+    except (SimulationError, AssertionError) as error:
+        outcome = "workload-failure"
+        detail = f"{type(error).__name__}: {error}"
+    except Exception as error:  # noqa: BLE001 - oracle duty
+        outcome = "kernel-death"
+        detail = f"{type(error).__name__}: {error}"
+    return outcome, detail
 
 
 def _run_once(runner: Callable[[], None], manifest: dict) -> dict:
@@ -155,22 +187,9 @@ def _run_once(runner: Callable[[], None], manifest: dict) -> dict:
     request_tracing(kinds=manifest.get("kinds"),
                     capacity=manifest.get("capacity", RECORD_CAPACITY))
     _rr.request_recording(interval=manifest.get("interval"))
-    outcome, detail, captured = "clean", "", io.StringIO()
     try:
-        with _applied_env(manifest.get("env", {})):
-            try:
-                with contextlib.redirect_stdout(captured):
-                    runner()
-            except SystemExit as status:
-                if status.code not in (None, 0):
-                    outcome = "workload-failure"
-                    detail = f"exit status {status.code}"
-            except (SimulationError, AssertionError) as error:
-                outcome = "workload-failure"
-                detail = f"{type(error).__name__}: {error}"
-            except Exception as error:  # noqa: BLE001 - oracle duty
-                outcome = "kernel-death"
-                detail = f"{type(error).__name__}: {error}"
+        with applied_env(manifest.get("env", {})):
+            outcome, detail = classify_run(runner)
     finally:
         tracer = _trace.TRACER
         events = [pack_event(event) for event in tracer.events()] \
@@ -198,14 +217,13 @@ def _run_once(runner: Callable[[], None], manifest: dict) -> dict:
             cancel_injection()
         cancel_tracing()
     return {
-        "outcome": outcome, "detail": detail, "output":
-        captured.getvalue(), "events": events, "emitted": emitted,
-        "dropped": dropped, "boots": boots, "checkpoints": checkpoints,
-        "nodes": nodes, "net_seed": net_seed,
+        "outcome": outcome, "detail": detail, "events": events,
+        "emitted": emitted, "dropped": dropped, "boots": boots,
+        "checkpoints": checkpoints, "nodes": nodes, "net_seed": net_seed,
     }
 
 
-def _script_runner(script: str, argv: Sequence[str]):
+def script_runner(script: str, argv: Sequence[str]):
     def run() -> None:
         saved_argv = sys.argv
         sys.argv = [script] + list(argv)
@@ -233,6 +251,7 @@ def _record(runner: Callable[[], None], manifest: dict) -> Recording:
         emitted=observed["emitted"],
         dropped=observed["dropped"],
         outcome=observed["outcome"],
+        detail=observed["detail"],
     )
 
 
@@ -241,7 +260,7 @@ def _build_manifest(script, argv, interval, plans, inject_seed,
     return {
         "script": script,
         "argv": list(argv),
-        "env": _capture_env(),
+        "env": capture_env(),
         "plans": [encode_plan(plan) for plan in plans],
         "inject_seed": inject_seed,
         "nodes": 0,
@@ -264,7 +283,7 @@ def record_script(script: str, argv: Sequence[str] = (), *,
                                DEFAULT_INTERVAL if interval is None
                                else interval,
                                plans, inject_seed, kinds, capacity)
-    return _record(_script_runner(script, argv), manifest)
+    return _record(script_runner(script, argv), manifest)
 
 
 def record_call(workload: Callable[[], None], *,
@@ -372,8 +391,7 @@ def replay_script(recording: Recording,
     target = script or recording.manifest.get("script")
     if not target:
         raise RRError("recording has no script; use replay_call")
-    runner = _script_runner(target,
-                            recording.manifest.get("argv", []))
+    runner = script_runner(target, recording.manifest.get("argv", []))
     return _compare(recording, _run_once(runner, recording.manifest))
 
 
@@ -426,8 +444,7 @@ def seek_script(recording: Recording, cycle: int,
     target = script or recording.manifest.get("script")
     if not target:
         raise RRError("recording has no script; use seek_call")
-    runner = _script_runner(target,
-                            recording.manifest.get("argv", []))
+    runner = script_runner(target, recording.manifest.get("argv", []))
     return _seek(recording, cycle,
                  _run_once(runner, recording.manifest))
 

@@ -102,6 +102,8 @@ class Recording:
     emitted: int = 0    # total events accepted by the tracer
     dropped: int = 0    # events lost to ring overflow (0 normally)
     outcome: str = ""   # clean | workload-failure | kernel-death
+    # why the run failed, if it did (neither saved nor compared)
+    detail: str = field(default="", compare=False)
 
     # -- manifest conveniences -------------------------------------------
 

@@ -33,10 +33,11 @@ Two tools run on the *host* instead of inside the simulation:
   hot-spot report. Also installed as the ``reprotrace`` console script.
 * :func:`reprochaos_main` — ``reprochaos [--seed N] [--runs N]
   [--planes P,P] [--rate F] script.py...`` soaks host scripts under
-  :mod:`repro.inject` fault planes: each seeded configuration runs
-  twice and the two ``INJECT`` event streams must be bit-identical
-  (replay drift fails the campaign), and no injected fault may escape
-  the simulation as a host-level crash (kernel death fails it too).
+  :mod:`repro.inject` fault planes: each seeded configuration is
+  recorded and replayed through the :mod:`repro.rr` divergence
+  oracle (replay drift fails the campaign), and no injected fault may
+  escape the simulation as a host-level crash (kernel death fails it
+  too).
   ``reprochaos --crash [--stride N] [--max-points N] [--nblocks N]
   script.py...`` instead mounts a durable :mod:`repro.disk` store
   under every kernel the script boots and runs the script once per
@@ -48,7 +49,7 @@ Two tools run on the *host* instead of inside the simulation:
   inspects the deterministic cluster topology, runs the rwho scale
   scenario over a :class:`repro.net.Cluster` with full traffic/cycle
   accounting, or soaks the cluster under NET-plane faults with the
-  same twice-run replay-drift discipline as ``reprochaos``. A
+  same record/replay drift check as ``reprochaos``. A
   ``reprochaos --net [--nodes N]`` campaign composes both: NET plans
   join the plane mix and ``REPRO_CLUSTER=N`` makes cluster-aware
   scripts boot a cluster.
@@ -60,10 +61,10 @@ Two tools run on the *host* instead of inside the simulation:
   :mod:`repro.sanitize` race detector and heap sanitizer: render the
   deterministic report for a seeded corpus case (``run CASE``, with
   ``--replay`` seeking an rr recording to the first racing access
-  pair), replay the whole corpus twice asserting byte-identical
-  reports (``soak``), or run every example armed expecting zero
-  findings (``sweep``). Also installed as the ``reprosan`` console
-  script.
+  pair), record and replay the whole corpus through the rr oracle
+  asserting byte-identical reports (``soak``), or run every example
+  armed expecting zero findings (``sweep``). Also installed as the
+  ``reprosan`` console script.
 """
 
 from __future__ import annotations
@@ -528,104 +529,27 @@ def _campaign_plans(planes: Sequence[str], rate: float) -> List:
     return plans
 
 
-def _chaos_run(script: str, plans: Sequence, seed: int,
-               kinds: Sequence[str] = ("INJECT",)) -> dict:
-    """One seeded soak run of *script*; returns outcome + trace stream.
-
-    Outcomes:
-      * ``clean`` — the script finished (exit status 0);
-      * ``workload-failure`` — the script aborted on a simulated error
-        or a failed assertion: an injected fault surfaced, but through
-        the simulation's own typed channels;
-      * ``kernel-death`` — a non-simulation exception escaped: an
-        injected fault broke the simulator itself. Always a bug.
-    """
-    import contextlib
-    import io
-
-    from repro.inject import CAMPAIGN, cancel_injection, request_injection
-    from repro.trace import tracer as trace_state
-    from repro.trace.tracer import cancel_tracing, request_tracing
-
-    request_injection(plans, seed=seed)
-    request_tracing(kinds=list(kinds))
-    saved_argv = sys.argv
-    sys.argv = [script]
-    outcome, detail, captured = "clean", "", io.StringIO()
-    try:
-        try:
-            with contextlib.redirect_stdout(captured):
-                runpy.run_path(script, run_name="__main__")
-        except SystemExit as status:
-            if status.code not in (None, 0):
-                outcome = "workload-failure"
-                detail = f"exit status {status.code}"
-        except (SimulationError, AssertionError) as error:
-            outcome = "workload-failure"
-            detail = f"{type(error).__name__}: {error}"
-        except Exception as error:  # noqa: BLE001 - the point of the soak
-            outcome = "kernel-death"
-            detail = f"{type(error).__name__}: {error}"
-    finally:
-        tracer = trace_state.TRACER
-        stream = tuple(
-            (event.boot, event.cycle, event.pid, event.addr,
-             event.name, event.value)
-            for event in tracer.events()
-        ) if tracer.enabled else ()
-        totals = {
-            "boots": len(CAMPAIGN),
-            "triggered": sum(i.stats.triggered for i in CAMPAIGN),
-            "contained": sum(i.stats.contained for i in CAMPAIGN),
-            "retries": sum(i.stats.retries for i in CAMPAIGN),
-        }
-        sys.argv = saved_argv
-        cancel_injection()
-        cancel_tracing()
-    return {"outcome": outcome, "detail": detail, "stream": stream,
-            "totals": totals, "output": captured.getvalue()}
-
-
 def _durable_run(script: str, seed: int, nblocks: int,
                  plans: Optional[Sequence] = None) -> dict:
     """Run *script* with a durable store mounted under every kernel it
     boots (and, optionally, fault plans armed). Returns the outcome and
     the attached DiskStores for post-mortem inspection."""
-    import contextlib
-    import io
-
     from repro.disk import CAMPAIGN as STORES
     from repro.disk import cancel_durable, request_durable
     from repro.inject import cancel_injection, request_injection
+    from repro.rr.oracle import classify_run, script_runner
 
     request_durable(nblocks=nblocks, seed=seed)
     if plans:
         request_injection(plans, seed=seed)
-    saved_argv = sys.argv
-    sys.argv = [script]
-    outcome, detail, captured = "clean", "", io.StringIO()
     try:
-        try:
-            with contextlib.redirect_stdout(captured):
-                runpy.run_path(script, run_name="__main__")
-        except SystemExit as status:
-            if status.code not in (None, 0):
-                outcome = "workload-failure"
-                detail = f"exit status {status.code}"
-        except (SimulationError, AssertionError) as error:
-            outcome = "workload-failure"
-            detail = f"{type(error).__name__}: {error}"
-        except Exception as error:  # noqa: BLE001 - the point of the soak
-            outcome = "kernel-death"
-            detail = f"{type(error).__name__}: {error}"
+        outcome, detail = classify_run(script_runner(script, ()))
         stores = list(STORES)
     finally:
-        sys.argv = saved_argv
         cancel_durable()
         if plans:
             cancel_injection()
-    return {"outcome": outcome, "detail": detail, "stores": stores,
-            "output": captured.getvalue()}
+    return {"outcome": outcome, "detail": detail, "stores": stores}
 
 
 def _crash_soak(script: str, seed: int, nblocks: int, stride: int,
@@ -633,7 +557,7 @@ def _crash_soak(script: str, seed: int, nblocks: int, stride: int,
     """Crash *script*'s durable store at every journal-record boundary;
     returns the list of failures (ideally empty)."""
     from repro import boot
-    from repro.disk import fsck, verify_segments
+    from repro.disk import crash_points, fsck, verify_segments
     from repro.inject import FaultKind, FaultPlan, Plane
 
     base = _durable_run(script, seed, nblocks)
@@ -645,10 +569,7 @@ def _crash_soak(script: str, seed: int, nblocks: int, stride: int,
         print(f"  {script}: wrote no journal records; nothing to crash",
               file=out)
         return []
-    ks = list(range(1, total + 1, max(stride, 1)))
-    if max_points is not None and len(ks) > max_points:
-        step = len(ks) / max_points
-        ks = [ks[int(i * step)] for i in range(max_points)]
+    ks = crash_points(total, stride, max_points)
     failures: List[str] = []
     for k in ks:
         plan = FaultPlan(Plane.DISK, FaultKind.CRASH, site="journal-*",
@@ -682,11 +603,13 @@ def reprochaos_main(argv: Sequence[str],
     ``reprochaos [--seed N] [--runs N] [--planes syscall,io,...]
     [--rate F] script.py...``
 
-    Every (script, seed) configuration is executed twice; because the
-    planes are seeded and the simulation is deterministic, the two
-    ``INJECT`` event streams must match bit-for-bit ("replay drift"
-    otherwise). Returns non-zero if any run died outside the
-    simulation's typed error channels or any replay drifted.
+    Every (script, seed) configuration is recorded and replayed
+    through the :mod:`repro.rr` oracle: all trace events, per-boot
+    cycle totals, periodic checkpoint digests and the outcome must
+    replay bit-for-bit, and a mismatch is printed as the first
+    divergent event with its cycle ("replay drift"). Returns non-zero
+    if any run died outside the simulation's typed error channels or
+    any replay drifted.
 
     ``reprochaos --crash [--seed N] [--stride N] [--max-points N]
     [--nblocks N] script.py...``
@@ -698,19 +621,20 @@ def reprochaos_main(argv: Sequence[str],
     segment reopenable by address.
 
     ``reprochaos --net [--nodes N] ...`` adds the ``net`` plane
-    (drop/dup/delay/corrupt frames) to the campaign, traces ``NET``
-    events alongside ``INJECT`` so the drift check covers frame-level
-    ordering, and exports ``REPRO_CLUSTER=N`` so cluster-aware scripts
-    boot an N-node :class:`repro.net.Cluster` instead of one kernel.
+    (drop/dup/delay/corrupt frames) to the campaign and exports
+    ``REPRO_CLUSTER=N`` so cluster-aware scripts boot an N-node
+    :class:`repro.net.Cluster` instead of one kernel.
 
     ``reprochaos --ha [--nodes N] ...`` is the availability soak: on
     top of ``--net`` it arms the ``node`` plane (seeded crashes,
-    wedges, partitions, reboots), traces ``HA`` events so the drift
-    check covers the failure schedule and the recovery protocol, and
-    exports ``REPRO_HA=1`` so cluster-aware scripts run the
-    self-healing scenario and assert re-convergence to the
-    single-kernel oracle.
+    wedges, partitions, reboots) and exports ``REPRO_HA=1`` so
+    cluster-aware scripts run the self-healing scenario and assert
+    re-convergence to the single-kernel oracle. Both variables are
+    captured into each recording's manifest, so replays inherit them.
     """
+    from repro.rr import record_script, replay_script
+    from repro.rr.oracle import applied_env, capture_env
+
     out = stdout if stdout is not None else sys.stdout
     seed = 1993
     runs = 1
@@ -814,15 +738,17 @@ def reprochaos_main(argv: Sequence[str],
         print("reprochaos: OK (every crash point recovered; fsck clean, "
               "segments reopen by address)", file=out)
         return 0
-    kinds: Sequence[str] = ("INJECT",)
+    env = {}
     if net:
         if "net" not in planes:
             planes = list(planes) + ["net"]
-        kinds = ("INJECT", "NET")
+        # Cluster-aware scripts (examples/rwho_network.py) read this to
+        # boot a cluster instead of a single kernel.
+        env["REPRO_CLUSTER"] = str(nodes)
     if ha:
         if "node" not in planes:
             planes = list(planes) + ["node"]
-        kinds = ("INJECT", "NET", "HA")
+        env["REPRO_HA"] = "1"
     try:
         plans = _campaign_plans(planes, rate)
     except ValueError as error:
@@ -835,53 +761,33 @@ def reprochaos_main(argv: Sequence[str],
     for plan in plans:
         print(f"  plan: {plan.describe()}", file=out)
 
-    saved_cluster = os.environ.get("REPRO_CLUSTER")
-    saved_ha = os.environ.get("REPRO_HA")
-    if net:
-        # Cluster-aware scripts (examples/rwho_network.py) read this to
-        # boot a cluster instead of a single kernel.
-        os.environ["REPRO_CLUSTER"] = str(nodes)
-    if ha:
-        os.environ["REPRO_HA"] = "1"
     failures = 0
-    try:
+    # The recording captures REPRO_* into its manifest, so the replay
+    # runs under the same variables.
+    with applied_env({**capture_env(), **env}):
         for script in scripts:
             for run in range(runs):
                 run_seed = seed + run
-                first = _chaos_run(script, plans, run_seed, kinds)
-                replay = _chaos_run(script, plans, run_seed, kinds)
-                drift = first["stream"] != replay["stream"] \
-                    or first["outcome"] != replay["outcome"]
-                totals = first["totals"]
-                verdict = first["outcome"]
-                if drift:
+                recording = record_script(script, plans=plans,
+                                          inject_seed=run_seed)
+                totals = _campaign_totals(plans)
+                report = replay_script(recording)
+                verdict = recording.outcome
+                if not report.ok:
                     verdict += " REPLAY-DRIFT"
-                if first["outcome"] == "kernel-death" or drift:
+                if recording.outcome == "kernel-death" or not report.ok:
                     failures += 1
                 line = (f"  {script} seed={run_seed}: {verdict} "
                         f"boots={totals['boots']} "
                         f"injected={totals['triggered']} "
                         f"contained={totals['contained']} "
                         f"retries={totals['retries']} "
-                        f"events={len(first['stream'])}")
-                if first["detail"]:
-                    line += f" [{first['detail']}]"
+                        f"events={len(recording.events)}")
+                if recording.detail:
+                    line += f" [{recording.detail}]"
                 print(line, file=out)
-                if first["outcome"] == "kernel-death":
-                    tail = first["output"].strip().splitlines()[-5:]
-                    for text in tail:
-                        print(f"    | {text}", file=out)
-    finally:
-        if net:
-            if saved_cluster is None:
-                os.environ.pop("REPRO_CLUSTER", None)
-            else:
-                os.environ["REPRO_CLUSTER"] = saved_cluster
-        if ha:
-            if saved_ha is None:
-                os.environ.pop("REPRO_HA", None)
-            else:
-                os.environ["REPRO_HA"] = saved_ha
+                if not report.ok:
+                    _print_indented(report.render(), out)
     if failures:
         print(f"reprochaos: FAILED ({failures} kernel death(s) or "
               f"replay drift(s))", file=out)
@@ -889,6 +795,24 @@ def reprochaos_main(argv: Sequence[str],
     print("reprochaos: OK (all faults contained, all replays "
           "bit-identical)", file=out)
     return 0
+
+
+def _campaign_totals(plans: Sequence) -> dict:
+    """Boot and fault counts of the injection campaign just recorded."""
+    from repro.inject import CAMPAIGN
+
+    injectors = CAMPAIGN if plans else []
+    return {
+        "boots": len(injectors),
+        "triggered": sum(i.stats.triggered for i in injectors),
+        "contained": sum(i.stats.contained for i in injectors),
+        "retries": sum(i.stats.retries for i in injectors),
+    }
+
+
+def _print_indented(text: str, out: TextIO) -> None:
+    for line in text.splitlines():
+        print(f"    {line}", file=out)
 
 
 def reprochaos_entry() -> int:
@@ -919,49 +843,6 @@ def _net_scenario(nnodes: int, seed: int, nhosts: int,
     return result
 
 
-def _net_soak_run(nnodes: int, seed: int, nhosts: int,
-                  implementation: str, plans: Sequence) -> dict:
-    """One seeded cluster soak: the rwho scenario under NET-plane
-    faults with ``NET``+``INJECT`` tracing armed. Same outcome
-    vocabulary as :func:`_chaos_run`."""
-    from repro.inject import CAMPAIGN, cancel_injection, request_injection
-    from repro.trace import tracer as trace_state
-    from repro.trace.tracer import cancel_tracing, request_tracing
-
-    request_injection(plans, seed=seed)
-    request_tracing(kinds=["NET", "INJECT"])
-    outcome, detail = "clean", ""
-    outputs: dict = {}
-    cycles: List[int] = []
-    try:
-        try:
-            result = _net_scenario(nnodes, seed, nhosts, implementation)
-            outputs = result["outputs"]
-            cycles = result["cycles"]
-        except (SimulationError, AssertionError) as error:
-            outcome = "workload-failure"
-            detail = f"{type(error).__name__}: {error}"
-        except Exception as error:  # noqa: BLE001 - the point of the soak
-            outcome = "kernel-death"
-            detail = f"{type(error).__name__}: {error}"
-    finally:
-        tracer = trace_state.TRACER
-        stream = tuple(
-            (event.boot, event.cycle, event.pid, event.addr,
-             event.name, event.value)
-            for event in tracer.events()
-        ) if tracer.enabled else ()
-        totals = {
-            "boots": len(CAMPAIGN),
-            "triggered": sum(i.stats.triggered for i in CAMPAIGN),
-            "contained": sum(i.stats.contained for i in CAMPAIGN),
-        }
-        cancel_injection()
-        cancel_tracing()
-    return {"outcome": outcome, "detail": detail, "stream": stream,
-            "outputs": outputs, "cycles": cycles, "totals": totals}
-
-
 def repronet_main(argv: Sequence[str],
                   stdout: Optional[TextIO] = None) -> int:
     """Inspect and soak the deterministic cluster.
@@ -976,11 +857,12 @@ def repronet_main(argv: Sequence[str],
 
     ``repronet soak [--nodes N] [--seed N] [--hosts N] [--rate F]
     [--runs N] [--impl shm|file]`` is the cluster replay-drift soak:
-    each seeded configuration runs twice under NET-plane faults
-    (drop/dup/delay/corrupt) with ``NET``+``INJECT`` tracing; the two
-    runs must agree bit-for-bit on reader outputs, trace streams, and
-    per-node cycle counts, and no fault may escape the simulation's
-    typed error channels.
+    each seeded configuration runs the scenario under NET-plane faults
+    (drop/dup/delay/corrupt), recorded and replayed through the
+    :mod:`repro.rr` oracle. The replay must match bit-for-bit on every
+    trace event, per-node cycle counts, checkpoint digests and the
+    outcome, the two runs' reader outputs must be equal, and no fault
+    may escape the simulation's typed error channels.
     """
     out = stdout if stdout is not None else sys.stdout
     args = list(argv)
@@ -1071,6 +953,8 @@ def repronet_main(argv: Sequence[str],
         return 0
 
     # soak
+    from repro.rr import record_call, replay_call
+
     plans = _campaign_plans(["net"], rate)
     print(f"repronet: soak, {nodes} node(s) x {hosts} host(s) x "
           f"{runs} run(s), base seed {seed}, rate {rate:g}", file=out)
@@ -1079,28 +963,38 @@ def repronet_main(argv: Sequence[str],
     failures = 0
     for run in range(runs):
         run_seed = seed + run
-        first = _net_soak_run(nodes, run_seed, hosts, implementation,
-                              plans)
-        replay = _net_soak_run(nodes, run_seed, hosts, implementation,
-                               plans)
-        drift = first["stream"] != replay["stream"] \
-            or first["outputs"] != replay["outputs"] \
-            or first["cycles"] != replay["cycles"] \
-            or first["outcome"] != replay["outcome"]
-        totals = first["totals"]
-        verdict = first["outcome"]
+        outputs: List[Optional[dict]] = []
+
+        def workload() -> None:
+            # The oracle does not record reader outputs; keep one per
+            # run (None if the scenario failed) and compare them here.
+            outputs.append(None)
+            outputs[-1] = _net_scenario(nodes, run_seed, hosts,
+                                        implementation)["outputs"]
+
+        recording = record_call(workload, plans=plans,
+                                inject_seed=run_seed)
+        totals = _campaign_totals(plans)
+        report = replay_call(recording, workload)
+        drift = not report.ok or outputs[0] != outputs[1]
+        verdict = recording.outcome
         if drift:
             verdict += " REPLAY-DRIFT"
-        if first["outcome"] == "kernel-death" or drift:
+        if recording.outcome == "kernel-death" or drift:
             failures += 1
         line = (f"  seed={run_seed}: {verdict} "
                 f"boots={totals['boots']} "
                 f"injected={totals['triggered']} "
                 f"contained={totals['contained']} "
-                f"events={len(first['stream'])}")
-        if first["detail"]:
-            line += f" [{first['detail']}]"
+                f"events={len(recording.events)}")
+        if recording.detail:
+            line += f" [{recording.detail}]"
         print(line, file=out)
+        if not report.ok:
+            _print_indented(report.render(), out)
+        elif drift:
+            print("    reader outputs differ between record and replay",
+                  file=out)
     if failures:
         print(f"repronet: FAILED ({failures} kernel death(s) or "
               f"replay drift(s))", file=out)
@@ -1300,6 +1194,7 @@ def reprorr_main(argv: Sequence[str],
         return 0 if result.digest_ok and result.suffix_identical else 1
 
     # record
+    from repro.rr.oracle import applied_env, capture_env
     from repro.rr.recorder import DEFAULT_INTERVAL
 
     output: Optional[str] = None
@@ -1361,21 +1256,13 @@ def reprorr_main(argv: Sequence[str],
     except ValueError as error:
         raise UsageError(f"reprorr: {error}")
 
-    saved_cluster = os.environ.get("REPRO_CLUSTER")
-    if nodes is not None:
-        os.environ["REPRO_CLUSTER"] = str(nodes)
-    try:
-        extra = {} if capacity is None else {"capacity": capacity}
+    env = {} if nodes is None else {"REPRO_CLUSTER": str(nodes)}
+    extra = {} if capacity is None else {"capacity": capacity}
+    with applied_env({**capture_env(), **env}):
         recording = record_script(script, script_args,
                                   interval=interval, plans=plans,
                                   inject_seed=seed, kinds=kinds,
                                   **extra)
-    finally:
-        if nodes is not None:
-            if saved_cluster is None:
-                os.environ.pop("REPRO_CLUSTER", None)
-            else:
-                os.environ["REPRO_CLUSTER"] = saved_cluster
     if output is None:
         stem = os.path.splitext(os.path.basename(script))[0]
         output = f"{stem}.rrr"
@@ -1419,30 +1306,33 @@ def _san_examples_dir() -> str:
                         "examples")
 
 
+def _san_record(case):
+    """Record one armed run of corpus *case* through the rr oracle.
+
+    Returns ``(recording, runner, reports)``: *runner* replays the case
+    and *reports* collects the sanitizer report of every run of it
+    (None where the case failed), since the oracle records no report.
+    """
+    from repro.rr import record_call
+
+    reports: list = []
+
+    def runner() -> None:
+        reports.append(None)
+        reports[-1] = case.run()
+
+    return record_call(runner), runner, reports
+
+
 def _san_replay(case, out: TextIO, output: Optional[str]) -> int:
     """Record one armed run of *case*, then time-travel to the first
     finding: seek the recording to the earliest racing access (or heap
     misuse) cycle and verify the suffix replays bit-identically."""
-    import contextlib
-    import io
+    from repro.rr import seek_call
 
-    from repro.rr import record_call, seek_call
-    from repro.sanitize import cancel_sanitize, request_sanitize
-
-    holder = {}
-
-    def runner() -> None:
-        sanitizer = request_sanitize()
-        try:
-            case.body()
-        finally:
-            cancel_sanitize()
-        holder["report"] = sanitizer.report
-
-    with contextlib.redirect_stdout(io.StringIO()):
-        recording = record_call(runner)
-    report = holder["report"]
-    if report.clean:
+    recording, runner, reports = _san_record(case)
+    report = reports[0]
+    if report is None or report.clean:
         print(f"{case.name}: no findings to replay to", file=out)
         return 1
     if report.races:
@@ -1460,8 +1350,7 @@ def _san_replay(case, out: TextIO, output: Optional[str]) -> int:
         recording.save(output)
         print(f"wrote {output} ({os.path.getsize(output)} bytes)",
               file=out)
-    with contextlib.redirect_stdout(io.StringIO()):
-        result = seek_call(recording, target, runner)
+    result = seek_call(recording, target, runner)
     print(result.render(), file=out)
     return 0 if result.digest_ok and result.suffix_identical else 1
 
@@ -1487,9 +1376,10 @@ def reprosan_main(argv: Sequence[str],
 
     ``reprosan soak``
 
-    CI's sanitize-soak: every corpus case runs **twice**; each must
-    fire its expected finding and both reports must render
-    byte-identically (replay stability). Exit 1 on any miss or drift.
+    CI's sanitize-soak: every corpus case is recorded and replayed
+    through the :mod:`repro.rr` oracle, which must report zero
+    divergence; the expected finding must fire in both runs and both
+    reports must render byte-identically. Exit 1 on any miss or drift.
 
     ``reprosan sweep [DIR]``
 
@@ -1499,7 +1389,6 @@ def reprosan_main(argv: Sequence[str],
     """
     import contextlib
     import io
-    import runpy
 
     from repro.sanitize.corpus import case_named, san_cases
 
@@ -1563,17 +1452,23 @@ def reprosan_main(argv: Sequence[str],
     if mode == "soak":
         if args:
             raise UsageError("reprosan: soak takes no arguments")
+        from repro.rr import replay_call
+
         failures = 0
         for case in san_cases():
-            with contextlib.redirect_stdout(io.StringIO()):
-                first = case.run().render()
-                second = case.run().render()
+            recording, runner, reports = _san_record(case)
+            replay = replay_call(recording, runner)
+            first, second = (report.render() if report else ""
+                             for report in reports)
             fired = case.expect in first
-            stable = first == second
+            stable = replay.ok and first == second  # fired in both
             verdict = "ok" if fired and stable else \
                 ("DRIFT" if fired else "MISSING")
-            findings = first.splitlines()[0].split(": ", 1)[1]
+            findings = (first.splitlines()[0].split(": ", 1)[1]
+                        if first else recording.outcome)
             print(f"{case.name:24s} {verdict:8s} {findings}", file=out)
+            if not replay.ok:
+                _print_indented(replay.render(), out)
             if verdict != "ok":
                 failures += 1
         print(f"soak: {len(san_cases()) - failures}/{len(san_cases())} "

@@ -12,8 +12,17 @@ from repro.apps.rwho import (
     shm_ruptime,
     shm_rwho,
 )
-from repro.apps.rwho.common import updated_status
-from repro.apps.rwho.fileimpl import pack_status, unpack_status
+from repro.apps.rwho.common import (
+    MAX_USERS_PER_HOST,
+    HostStatus,
+    UserEntry,
+    updated_status,
+)
+from repro.apps.rwho.fileimpl import (
+    WhodFormatError,
+    pack_status,
+    unpack_status,
+)
 from repro.apps.rwho.shmimpl import read_database
 from repro.util.rng import DeterministicRng
 
@@ -52,6 +61,22 @@ class TestWireFormat:
             for a, b in zip(clone.users, status.users):
                 assert (a.name, a.tty, a.idle_seconds) == \
                     (b.name, b.tty, b.idle_seconds)
+
+
+    def test_packs_at_most_the_user_cap(self):
+        host = generate_network(nhosts=1)[0]
+        user = UserEntry("extra", "ttyx", 5)
+        crowded = HostStatus(host.hostname, host.boot_time,
+                             host.update_time, host.load_1, host.load_5,
+                             host.load_15, [user] * (MAX_USERS_PER_HOST + 3))
+        clone = unpack_status(pack_status(crowded))
+        assert len(clone.users) == MAX_USERS_PER_HOST
+
+    def test_short_or_oversized_blob_is_a_typed_error(self, network):
+        blob = pack_status(network[0])
+        for bad in (b"", blob[:10], blob[:-1], blob + b"\x00"):
+            with pytest.raises(WhodFormatError):
+                unpack_status(bad)
 
 
 class TestEquivalence:

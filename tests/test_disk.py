@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import repro
 from repro.disk import (
     BlockDevice,
+    crash_points,
     fsck,
     run_crash_point,
     run_crash_matrix,
@@ -23,7 +24,7 @@ from repro.disk import (
     verify_segments,
 )
 from repro.disk.blockdev import BLOCK_SIZE
-from repro.disk.codec import encode_fields
+from repro.disk.codec import decode_fields, encode_fields
 from repro.disk.crash import run_baseline
 from repro.disk.fsck import _check_addrmap, _check_sfs, _check_tree, \
     _scratch_volume
@@ -415,7 +416,22 @@ class TestRenameAtomicity:
 # ---------------------------------------------------------------------------
 
 
+class TestCodec:
+    def test_invalid_utf8_string_is_a_typed_rejection(self):
+        blob = bytearray(encode_fields(["héllo", 7]))
+        blob[blob.index(b"\xc3")] = 0xFF  # one bad byte in the S field
+        with pytest.raises(DiskFormatError, match="not UTF-8"):
+            decode_fields(bytes(blob))
+
+
 class TestCrashMatrix:
+    def test_crash_points_stride_and_thin_evenly(self):
+        assert crash_points(5) == [1, 2, 3, 4, 5]
+        assert crash_points(10, stride=3) == [1, 4, 7, 10]
+        assert crash_points(63, max_points=4) == [1, 16, 32, 48]
+        assert crash_points(0) == []
+
+
     def test_workload_is_big_enough(self):
         device = BlockDevice(nblocks=2048, seed=0x1993)
         system = mount(device)

@@ -34,13 +34,16 @@ from repro.net import (
     FrameKind,
     Nic,
 )
+from repro.rr import record_call, replay_call
 from repro.runtime.libshared import runtime_for
 from repro.runtime.views import Mem
 from repro.sfs.sharedfs import MAX_INODES
+from repro.trace.events import EventKind
 from repro.tools.cli import (
     UsageError,
     _campaign_plans,
-    _net_soak_run,
+    _campaign_totals,
+    _net_scenario,
     repronet_main,
     reprochaos_main,
 )
@@ -425,34 +428,60 @@ class TestClusterRwho:
         assert filed["frames_sent"] >= 2 * 30
         assert filed["frames_sent"] > shm["frames_sent"]
 
+    def test_hosts_over_the_user_cap_agree(self):
+        from repro.apps.rwho.cluster import run_cluster_rwho, synth_statuses
+        from repro.apps.rwho.common import MAX_USERS_PER_HOST
+
+        statuses = synth_statuses(12, users_per_host=8)
+        outputs = {}
+        for impl in ("shm", "file"):
+            cluster = Cluster(3, seed=1993)
+            outputs[impl] = run_cluster_rwho(cluster, statuses, impl,
+                                             readers=[1])["outputs"][1]
+            cluster.shutdown()
+        assert outputs["shm"] == outputs["file"]
+        # both keep the first MAX_USERS_PER_HOST users of every host
+        assert len(outputs["file"].splitlines()) \
+            == 12 * MAX_USERS_PER_HOST
+
 
 # ----------------------------------------------------------------------
 # replay-drift regression
 # ----------------------------------------------------------------------
 
 def _soak(plans, seed):
-    return _net_soak_run(4, seed, 24, "shm", plans)
+    """Record the 4-node rwho scenario through the rr oracle and replay
+    it; returns (recording, report, faults triggered, reader outputs of
+    the record and the replay run)."""
+    outputs = []
+
+    def workload():
+        outputs.append(_net_scenario(4, seed, 24, "shm")["outputs"])
+
+    recording = record_call(workload, plans=plans, inject_seed=seed)
+    triggered = _campaign_totals(plans)["triggered"]
+    report = replay_call(recording, workload)
+    return recording, report, triggered, outputs
 
 
 class TestReplayDrift:
     def test_fault_free_replay_is_bit_identical(self):
-        first = _soak([], 1993)
-        replay = _soak([], 1993)
-        assert first["outcome"] == "clean"
-        assert first["stream"] == replay["stream"]
-        assert first["outputs"] == replay["outputs"]
-        assert first["cycles"] == replay["cycles"]
-        assert len(first["stream"]) > 0  # NET events were traced
+        recording, report, _triggered, outputs = _soak([], 1993)
+        assert recording.outcome == "clean"
+        assert report.ok, report.render()
+        assert len(outputs) == 2 and outputs[0] == outputs[1]
+        assert any(event[0] == EventKind.NET
+                   for event in recording.events)  # NET was traced
+        assert report.boots_compared == 4  # per-node cycle counts
 
     def test_faulted_replay_is_bit_identical(self):
         plans = _campaign_plans(["net"], 0.2)
-        first = _soak(plans, 1993)
-        replay = _soak(plans, 1993)
-        assert first["outcome"] != "kernel-death"
-        assert first["totals"]["triggered"] > 0
-        assert first["stream"] == replay["stream"]
-        assert first["outputs"] == replay["outputs"]
-        assert first["cycles"] == replay["cycles"]
+        recording, report, triggered, outputs = _soak(plans, 1993)
+        assert recording.outcome != "kernel-death"
+        assert triggered > 0
+        assert report.ok, report.render()
+        assert len(outputs) == 2 and outputs[0] == outputs[1]
+        assert recording.events
 
 
 # ----------------------------------------------------------------------

@@ -186,3 +186,47 @@ class TestSegls:
         assert any("[module]" in l for l in module_lines)
         assert any("[data]" in l for l in listing.splitlines()
                    if "/plain" in l)
+
+
+class TestReprochaosReplay:
+    DRIFTING = """\
+import os
+
+from repro import boot
+
+counter = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "runs.txt")
+earlier = int(open(counter).read()) if os.path.exists(counter) else 0
+with open(counter, "w") as handle:
+    handle.write(str(earlier + 1))
+
+
+def body(kernel, proc):
+    for _ in range(earlier + 1):
+        yield
+    return 0
+
+
+system = boot()
+system.kernel.create_native_process("drifter", body)
+system.kernel.schedule()
+system.kernel.shutdown()
+"""
+
+    def test_fault_free_drift_fails_the_soak(self, tmp_path):
+        """A script that does more simulated work on every run fires no
+        fault, so only a full record/replay comparison can catch it."""
+        import io
+
+        from repro.tools.cli import reprochaos_main
+
+        script = tmp_path / "drifting.py"
+        script.write_text(self.DRIFTING)
+        out = io.StringIO()
+        status = reprochaos_main(["--runs", "1", "--rate", "0",
+                                  str(script)], stdout=out)
+        text = out.getvalue()
+        assert status == 1, text
+        assert "REPLAY-DRIFT" in text
+        assert "first divergence" in text
+        assert (tmp_path / "runs.txt").read_text() == "2"
