@@ -13,6 +13,7 @@ with a corpus soak verifying reports are replay-stable.
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 from repro import boot
@@ -22,7 +23,7 @@ from repro.bench.workloads import (
     fanout_expected_exit,
     make_shell,
 )
-from repro.sanitize import cancel_sanitize, request_sanitize
+from repro.sanitize import sanitizing
 from repro.sanitize.corpus import case_named
 
 WIDTH = 12
@@ -36,8 +37,8 @@ VOLATILE_FANOUT_CYCLES = 2_603_166
 
 def run_fanout(armed: bool):
     """The E2 fanout, with or without the sanitizer watching."""
-    sanitizer = request_sanitize() if armed else None
-    try:
+    with sanitizing() if armed else contextlib.nullcontext() \
+            as sanitizer:
         system = boot()
         kernel = system.kernel
         shell = make_shell(kernel)
@@ -48,9 +49,6 @@ def run_fanout(armed: bool):
         proc = kernel.create_machine_process("p", graph.executable)
         code = kernel.run_until_exit(proc)
         wall = time.perf_counter() - wall_start
-    finally:
-        if armed:
-            cancel_sanitize()
     assert code == fanout_expected_exit(USED)
     if sanitizer is not None:
         assert sanitizer.report.clean, sanitizer.report.render()

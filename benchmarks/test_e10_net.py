@@ -16,6 +16,7 @@ same per-node cycle counts. Results land in ``BENCH_E10_NET.json``.
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 from repro import boot
@@ -25,10 +26,10 @@ from repro.bench.workloads import (
     fanout_expected_exit,
     make_shell,
 )
-from repro.inject import cancel_injection, request_injection
+from repro.inject import injecting
 from repro.tools.cli import _campaign_plans
 from repro.trace import tracer as trace_state
-from repro.trace.tracer import cancel_tracing, request_tracing
+from repro.trace.tracer import tracing
 
 WIDTH = 12
 USED = 12
@@ -69,10 +70,9 @@ def run_scale(implementation: str, plans=None):
     from repro.apps.rwho.cluster import run_cluster_rwho, synth_statuses
     from repro.net import Cluster
 
-    if plans is not None:
-        request_injection(plans, seed=SEED)
-    request_tracing(kinds=["NET", "INJECT"])
-    try:
+    faults = injecting(plans, seed=SEED) if plans is not None \
+        else contextlib.nullcontext()
+    with faults, tracing(kinds=["NET", "INJECT"]):
         cluster = Cluster(NNODES, seed=SEED)
         result = run_cluster_rwho(cluster, synth_statuses(NHOSTS),
                                   implementation, readers=READERS,
@@ -84,10 +84,6 @@ def run_scale(implementation: str, plans=None):
              event.name, event.value)
             for event in tracer.events()
         )
-    finally:
-        cancel_tracing()
-        if plans is not None:
-            cancel_injection()
     return result, stream
 
 

@@ -16,6 +16,7 @@ pay-for-use. Results land in ``BENCH_E13_HA.json``.
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 from repro import boot
@@ -31,8 +32,7 @@ from repro.inject import (
     FaultKind,
     FaultPlan,
     Plane,
-    cancel_injection,
-    request_injection,
+    injecting,
 )
 from repro.net import Cluster
 
@@ -101,9 +101,8 @@ def run_recovery(crashes: int):
     statuses = synth_statuses(NHOSTS)
     oracle = single_kernel_rwho(statuses)
     plans = SCHEDULES[crashes]
-    if plans:
-        request_injection(plans, seed=SEED)
-    try:
+    with injecting(plans, seed=SEED) if plans \
+            else contextlib.nullcontext():
         disks = [BlockDevice(seed=7) if node == 0 else None
                  for node in range(NNODES)]
         cluster = Cluster(NNODES, seed=SEED, disks=disks, ha=True)
@@ -112,9 +111,6 @@ def run_recovery(crashes: int):
         fsck_codes = tuple(
             fsck(cluster.machines[0].kernel.disk.device.reopen(),
                  subject=f"e13-home-{crashes}").report.codes())
-    finally:
-        if plans:
-            cancel_injection()
     assert result["converged"], \
         f"schedule with {crashes} crash(es) did not re-converge"
     return {

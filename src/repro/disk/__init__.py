@@ -23,12 +23,6 @@ Boot with a device to make the machine durable::
     system2 = boot(disk=device.reopen())   # recovers; segments persist
 """
 
-from repro.disk.ambient import (
-    CAMPAIGN,
-    attach_kernel,
-    cancel_durable,
-    request_durable,
-)
 from repro.disk.blockdev import BLOCK_SIZE, DEFAULT_BLOCKS, BlockDevice
 from repro.disk.crash import (
     CrashMatrix,
@@ -41,7 +35,7 @@ from repro.disk.crash import (
 )
 from repro.disk.fsck import FsckResult, FsckStats, fsck, fsck_image
 from repro.disk.journal import Journal, scan_journal
-from repro.disk.mount import DiskStore, RecoveryStats
+from repro.disk.mount import CAMPAIGN, DiskStore, RecoveryStats, durable
 
 __all__ = [
     "BLOCK_SIZE",
@@ -55,12 +49,10 @@ __all__ = [
     "FsckStats",
     "Journal",
     "RecoveryStats",
-    "attach_kernel",
-    "cancel_durable",
     "crash_points",
+    "durable",
     "fsck",
     "fsck_image",
-    "request_durable",
     "run_crash_matrix",
     "run_crash_point",
     "scan_journal",

@@ -33,8 +33,7 @@ from repro.inject import (
     FaultKind,
     FaultPlan,
     Plane,
-    cancel_injection,
-    request_injection,
+    injecting,
 )
 
 DEFAULT_SEED = 0x1993
@@ -183,16 +182,13 @@ def run_crash_point(k: int, seed: int = DEFAULT_SEED,
     plan = FaultPlan(Plane.DISK, FaultKind.CRASH, site="journal-*",
                      after=k - 1, max_faults=1)
     device = BlockDevice(nblocks=nblocks, seed=seed)
-    request_injection([plan], seed=seed)
-    try:
+    with injecting([plan], seed=seed):
         system = boot(disk=device)
         try:
             workload(system.kernel)
         except SimulationError:
             pass  # post-crash op surfaced an error; acceptable
         system.kernel.shutdown()
-    finally:
-        cancel_injection()
     survivor = device.reopen()
     check = fsck(survivor, subject=f"crash@{k}")
     system2 = boot(disk=survivor)

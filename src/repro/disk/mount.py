@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.disk.blockdev import BlockDevice
+from repro.disk.blockdev import DEFAULT_WINDOW, BlockDevice
 from repro.disk.codec import encode_fields, decode_fields
 from repro.disk.image import (
     decode_checkpoint,
@@ -53,6 +54,7 @@ from repro.disk.image import (
 from repro.disk.journal import Journal, scan_journal
 from repro.errors import DiskError, DiskFormatError, DiskFullError, \
     SimulationError
+from repro.kernel import arming
 from repro.trace import tracer as _trace
 from repro.trace.events import EventKind
 
@@ -235,7 +237,8 @@ class DiskStore:
     @classmethod
     def attach(cls, kernel, device: BlockDevice) -> "DiskStore":
         """Mount *device* into *kernel*: format a blank device, recover
-        anything else."""
+        anything else. The store becomes ``kernel.disk`` and its
+        recovery stats ``kernel.recovery``."""
         device.require_alive()
         if device.injector is None:
             device.injector = kernel.injector
@@ -244,6 +247,8 @@ class DiskStore:
             store.format()
         else:
             store.recover()
+        kernel.disk = store
+        kernel.recovery = store.recovery
         return store
 
     def _is_blank(self) -> bool:
@@ -431,3 +436,34 @@ class DiskStore:
         """Disarm journaling (shutdown teardown)."""
         for fs in self.volumes.values():
             fs.journal = None
+
+
+# ----------------------------------------------------------------------
+# durable campaigns (reprochaos --crash)
+# ----------------------------------------------------------------------
+
+#: DiskStores mounted while armed, oldest first — the campaign record.
+CAMPAIGN: List[DiskStore] = []
+
+
+@contextmanager
+def durable(nblocks: int = 8192, seed: int = 0,
+            window: Optional[int] = None) -> Iterator[List[DiskStore]]:
+    """Mount a fresh block device under every kernel booted inside the
+    block (the ``disk`` slot of :mod:`repro.kernel.arming`), so an
+    unmodified script becomes a crash-recovery workload. Every device
+    has the same geometry and seed, so reruns are bit-identical; a boot
+    given an explicit ``disk=`` mounts that instead. Yields
+    :data:`CAMPAIGN`, cleared on entry, for the caller to crash-test
+    and remount each store afterwards."""
+    CAMPAIGN.clear()
+
+    def attach(kernel) -> None:
+        device = BlockDevice(
+            nblocks=nblocks, seed=seed, name=f"disk{len(CAMPAIGN)}",
+            window=DEFAULT_WINDOW if window is None else window,
+        )
+        CAMPAIGN.append(DiskStore.attach(kernel, device))
+
+    with arming.armed("disk", attach):
+        yield CAMPAIGN

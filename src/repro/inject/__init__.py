@@ -13,11 +13,9 @@ from repro.inject.injector import (
     CAMPAIGN,
     Injector,
     InjectStats,
-    attach_kernel,
-    cancel_injection,
+    injecting,
     install_injector,
     remove_injector,
-    request_injection,
 )
 from repro.inject.plan import FaultKind, FaultPlan, Plane
 
@@ -28,9 +26,7 @@ __all__ = [
     "Injector",
     "InjectStats",
     "Plane",
-    "attach_kernel",
-    "cancel_injection",
+    "injecting",
     "install_injector",
     "remove_injector",
-    "request_injection",
 ]

@@ -20,18 +20,28 @@ Arming, like tracing, is either explicit::
 
     injector = install_injector(kernel, [FaultPlan(...)], seed=7)
 
-or ambient for every kernel booted after the request (what the
-``reprochaos`` CLI does)::
+or ambient for every kernel booted inside the block (what the
+``reprochaos`` CLI does), through the ``inject`` slot of
+:mod:`repro.kernel.arming`::
 
-    request_injection([FaultPlan(...)], seed=7)
-    system = boot()     # Kernel.__init__ attaches a fresh injector
+    with injecting([FaultPlan(...)], seed=7):
+        system = boot()     # Kernel.__init__ attaches a fresh injector
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+)
 
 from repro.errors import (
     InjectedDiskFullError,
@@ -48,6 +58,7 @@ from repro.inject.plan import (
     FaultPlan,
     Plane,
 )
+from repro.kernel import arming
 from repro.trace import tracer as _trace
 from repro.trace.events import EventKind
 from repro.util.rng import DeterministicRng
@@ -472,33 +483,22 @@ def remove_injector(kernel) -> None:
         proc.address_space.injector = None
 
 
-# Armed configuration consumed by every Kernel boot until cancelled
-# (unlike tracing, a soak campaign arms *all* boots, not just the next).
-_PENDING: Optional[dict] = None
-
 #: Injectors created while armed, oldest first — the campaign record.
 CAMPAIGN: List[Injector] = []
 
 
-def request_injection(plans: Iterable[FaultPlan], seed: int = 0) -> None:
-    """Arm injection for every kernel booted until
-    :func:`cancel_injection`; each boot gets a fresh injector with the
-    same plans and seed (so reruns of a script are bit-identical)."""
-    global _PENDING
-    _PENDING = {"plans": tuple(plans), "seed": seed}
+@contextmanager
+def injecting(plans: Iterable[FaultPlan],
+              seed: int = 0) -> Iterator[List[Injector]]:
+    """Arm injection for every kernel booted inside the block; each
+    boot gets a fresh injector with the same plans and seed (so reruns
+    of a script are bit-identical). Yields :data:`CAMPAIGN`, cleared on
+    entry; kernels keep their injectors after the block."""
+    plans = tuple(plans)
     CAMPAIGN.clear()
 
+    def attach(kernel) -> None:
+        CAMPAIGN.append(install_injector(kernel, plans, seed))
 
-def cancel_injection() -> None:
-    """Disarm :func:`request_injection` (existing kernels keep theirs)."""
-    global _PENDING
-    _PENDING = None
-
-
-def attach_kernel(kernel) -> None:
-    """Called from ``Kernel.__init__``: honour an armed request."""
-    if _PENDING is None:
-        return
-    CAMPAIGN.append(
-        install_injector(kernel, _PENDING["plans"], _PENDING["seed"])
-    )
+    with arming.armed("inject", attach):
+        yield CAMPAIGN

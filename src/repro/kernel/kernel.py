@@ -30,8 +30,8 @@ from repro.errors import (
 )
 from repro.fs.filesystem import Filesystem
 from repro.fs.vfs import Vfs
-from repro.inject import injector as _inject
 from repro.hw.cpu import ArithmeticTrap, BreakTrap, Cpu, SyscallTrap
+from repro.kernel import arming
 from repro.kernel.ipc import MessageQueueTable
 from repro.kernel.loader import load_executable
 from repro.kernel.process import (
@@ -122,46 +122,16 @@ class Kernel:
         # The race/heap sanitizer (repro.sanitize). None keeps every
         # choke point at one attribute check.
         self.sanitizer = None
-        # An armed ambient tracer (reprotrace, REPRO_TRACE=1) binds to
-        # this kernel's clock; otherwise this is a no-op.
-        _trace.attach_kernel(self)
-        # An armed injection campaign (reprochaos) attaches a fresh,
-        # identically seeded injector to every boot.
-        _inject.attach_kernel(self)
-        # An armed recording (reprorr) checkpoints this kernel
-        # periodically via the clock's checkpoint hook. Imported lazily
-        # for the same reason as repro.disk below: repro.rr pulls in
-        # the disk image layer, which imports this module.
-        from repro.rr import recorder as _rr_recorder
-
-        _rr_recorder.attach_kernel(self)
-        # An armed sanitize request (reprosan, REPRO_SAN=1) joins this
-        # kernel to the shared race/heap sanitizer. Imported lazily:
-        # repro.sanitize imports the VM layout and sfs modules.
-        from repro.sanitize import ambient as _san_ambient
-
-        _san_ambient.attach_kernel(self)
         # The durable store (repro.disk). A blank device is formatted;
         # anything else is recovered — committed journal transactions
         # replayed, the torn tail discarded, the addr↔inode table
         # rebuilt. None keeps the classic all-volatile configuration.
         self.disk = None
         self.recovery = None
-        if disk is not None:
-            from repro.disk.mount import DiskStore
-
-            self.disk = DiskStore.attach(self, disk)
-            self.recovery = self.disk.recovery
-        else:
-            # An armed durable campaign (reprochaos --crash) attaches a
-            # fresh device to every boot, like injection and tracing.
-            # Imported lazily: repro.disk pulls in repro.analyze, which
-            # itself imports this module.
-            from repro.disk import ambient as _disk_ambient
-
-            _disk_ambient.attach_kernel(self)
-            if self.disk is not None:
-                self.recovery = self.disk.recovery
+        # Whatever the tools armed (tracing, injection, recording,
+        # sanitizing, a durable campaign) attaches here, in the
+        # registry's fixed order; an explicit *disk* mounts last.
+        arming.attach(self, disk)
 
     def is_public_address(self, address: int) -> bool:
         """Does *address* fall in this machine's public region?

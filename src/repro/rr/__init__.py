@@ -19,9 +19,10 @@ Layers:
   per-boot cycle accounting, the full trace-event stream, and the
   checkpoint list, saved byte-stably via :mod:`repro.disk.codec`.
 * :mod:`repro.rr.recorder` — the ambient arming surface
-  (:func:`request_recording` / :func:`cancel_recording`) that
-  ``Kernel.__init__`` and ``Cluster`` consult, mirroring
-  :mod:`repro.trace` and :mod:`repro.inject`.
+  (:func:`repro.rr.recorder.recording`, the ``rr`` slot of
+  :mod:`repro.kernel.arming`; not re-exported here, where
+  ``recording`` names the container module) plus the per-round hooks
+  ``Cluster`` calls.
 * :mod:`repro.rr.oracle` — record a run, replay it, and report the
   first divergent event with its cycle.
 """
@@ -47,9 +48,6 @@ from repro.rr.oracle import (
 from repro.rr.recorder import (
     CAMPAIGN,
     Recorder,
-    cancel_recording,
-    recording_active,
-    request_recording,
 )
 from repro.rr.recording import Checkpoint, Recording
 
@@ -62,17 +60,14 @@ __all__ = [
     "ReplayReport",
     "RRError",
     "SeekResult",
-    "cancel_recording",
     "capture_cluster",
     "capture_machine",
     "diff_states",
     "materialize",
     "record_call",
     "record_script",
-    "recording_active",
     "replay_call",
     "replay_script",
-    "request_recording",
     "seek_call",
     "seek_script",
     "state_digest",

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.disk.codec import encode_fields
 from repro.disk.image import restore_volume, serialize_volume
 from repro.errors import RRError
+from repro.kernel import arming
 from repro.kernel.process import ProcessState
 from repro.vm.layout import PAGE_SHIFT, PAGE_SIZE
 
@@ -262,23 +263,6 @@ def diff_states(recorded: list, replayed: list) -> Optional[str]:
 # materialize
 # ---------------------------------------------------------------------------
 
-def _quiet_ambient():
-    """Pending ambient arming requests (trace/inject/rr) stashed away,
-    so the fresh kernel materialize boots does not consume or trigger
-    them. Returns a restore callable."""
-    from repro.inject import injector as _inject
-    from repro.rr import recorder as _rr
-    from repro.trace import tracer as _trace
-
-    saved = (_trace._PENDING, _inject._PENDING, _rr._PENDING)
-    _trace._PENDING = _inject._PENDING = _rr._PENDING = None
-
-    def restore():
-        _trace._PENDING, _inject._PENDING, _rr._PENDING = saved
-
-    return restore
-
-
 def materialize(state: list, costs=None, lazy: bool = True,
                 scoped: bool = True):
     """A runnable kernel rebuilt from a machine state tree.
@@ -326,12 +310,14 @@ def materialize(state: list, costs=None, lazy: bool = True,
                 f"{block_reason!r}; kernel wait objects are not "
                 f"serializable — replay from boot")
 
-    restore_pending = _quiet_ambient()
     previous_tracer = _trace.TRACER
     _trace.set_tracer(None)
     try:
         cycles, categories, elapsed, ncores, core_cycles = clock_row
-        kernel = Kernel(costs=costs, ncores=ncores)
+        # Nothing armed attaches to the rebuilt kernel: it is a copy of
+        # a captured machine, not a new boot of the armed workload.
+        with arming.suspended():
+            kernel = Kernel(costs=costs, ncores=ncores)
         attach_runtime(kernel, lazy=lazy, scoped=scoped)
         volume_table = dict(_volume_table(kernel))
         for key, record in volumes:
@@ -440,4 +426,3 @@ def materialize(state: list, costs=None, lazy: bool = True,
         return kernel
     finally:
         _trace.set_tracer(previous_tracer)
-        restore_pending()

@@ -175,22 +175,21 @@ def classify_run(runner: Callable[[], None]) -> Tuple[str, str]:
 def _run_once(runner: Callable[[], None], manifest: dict) -> dict:
     """Execute *runner* with the manifest's arming; returns the
     observed run (outcome, events, boots, checkpoints, topology)."""
-    from repro.inject.injector import cancel_injection, request_injection
-    from repro.rr import recorder as _rr
+    from repro.inject.injector import injecting
+    from repro.rr.recorder import recording
     from repro.rr.recording import decode_plan
     from repro.trace import tracer as _trace
-    from repro.trace.tracer import cancel_tracing, request_tracing
+    from repro.trace.tracer import tracing
 
     plans = [decode_plan(row) for row in manifest.get("plans", [])]
-    if plans:
-        request_injection(plans, seed=manifest.get("inject_seed") or 0)
-    request_tracing(kinds=manifest.get("kinds"),
-                    capacity=manifest.get("capacity", RECORD_CAPACITY))
-    _rr.request_recording(interval=manifest.get("interval"))
-    try:
+    faults = injecting(plans, seed=manifest.get("inject_seed") or 0) \
+        if plans else contextlib.nullcontext()
+    with faults, \
+            tracing(kinds=manifest.get("kinds"),
+                    capacity=manifest.get("capacity", RECORD_CAPACITY)), \
+            recording(interval=manifest.get("interval")) as campaign:
         with applied_env(manifest.get("env", {})):
             outcome, detail = classify_run(runner)
-    finally:
         tracer = _trace.TRACER
         events = [pack_event(event) for event in tracer.events()] \
             if tracer.enabled else []
@@ -199,7 +198,7 @@ def _run_once(runner: Callable[[], None], manifest: dict) -> dict:
         boots = []
         checkpoints = []
         nodes, net_seed = 0, None
-        for recorder in _rr.CAMPAIGN:
+        for recorder in campaign:
             clock = recorder.kernel.clock
             boots.append((clock.cycles,
                           [[name, clock.by_category[name]]
@@ -212,10 +211,6 @@ def _run_once(runner: Callable[[], None], manifest: dict) -> dict:
                 nodes = max(nodes, recorder.cluster.nnodes)
                 net_seed = recorder.cluster.seed
         checkpoints.sort(key=lambda cp: (cp.boot, cp.cycle))
-        _rr.cancel_recording()
-        if plans:
-            cancel_injection()
-        cancel_tracing()
     return {
         "outcome": outcome, "detail": detail, "events": events,
         "emitted": emitted, "dropped": dropped, "boots": boots,

@@ -1,17 +1,15 @@
 """Ambient recording: the arming surface ``reprorr`` uses.
 
-Mirrors the :mod:`repro.trace` / :mod:`repro.inject` pattern exactly:
-:func:`request_recording` arms a pending configuration,
-``Kernel.__init__`` consumes it by calling :func:`attach_kernel` (one
-:class:`Recorder` per boot, collected in :data:`CAMPAIGN`), and
-:func:`cancel_recording` disarms. ``Cluster`` additionally calls
+:func:`recording` arms the ``rr`` slot of :mod:`repro.kernel.arming`,
+so every kernel booted inside the block gets one :class:`Recorder`
+(collected in :data:`CAMPAIGN`). ``Cluster`` additionally calls
 :func:`attach_cluster` per member and :func:`on_cluster_round` per
 scheduler round, so clustered machines checkpoint at round boundaries
 — a globally consistent cut — instead of mid-round per-kernel clock
 crossings.
 
-Pay-for-use: with nothing armed, the only costs are one ``is None``
-check per boot, one integer comparison per :meth:`Clock.charge
+Pay-for-use: with nothing armed, the only costs are one empty slot per
+boot, one integer comparison per :meth:`Clock.charge
 <repro.kernel.timing.Clock.charge>`, and one empty-list check per
 cluster round. A fault-free plain boot stays pinned at its recorded
 cycle total with recording off (the E11 benchmark asserts this).
@@ -19,15 +17,14 @@ cycle total with recording off (the E11 benchmark asserts this).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
+from repro.kernel import arming
 from repro.kernel.timing import CHECKPOINT_NEVER
 
 #: Default cycles between checkpoints when recording is armed.
 DEFAULT_INTERVAL = 1_000_000
-
-# Configuration captured by request_recording(), consumed per boot.
-_PENDING: Optional[dict] = None
 
 #: One Recorder per kernel booted while armed (attach order).
 CAMPAIGN: List["Recorder"] = []
@@ -96,32 +93,21 @@ class Recorder:
         self.checkpoints.append((state, cycle, cursor, boot))
 
 
-def recording_active() -> bool:
-    """Is a recording request currently armed?"""
-    return _PENDING is not None
-
-
-def request_recording(interval: Optional[int] = DEFAULT_INTERVAL) -> None:
-    """Arm recording for every kernel booted until
-    :func:`cancel_recording`. *interval* is the cycle spacing between
-    checkpoints (None or 0 records the manifest and trace only)."""
-    global _PENDING
-    _PENDING = {"interval": interval}
+@contextmanager
+def recording(interval: Optional[int] = DEFAULT_INTERVAL
+              ) -> Iterator[List[Recorder]]:
+    """Arm recording for every kernel booted inside the block: one
+    :class:`Recorder` per boot. *interval* is the cycle spacing between
+    checkpoints (None or 0 records the manifest and trace only).
+    Yields :data:`CAMPAIGN`, cleared on entry; its data survives the
+    block for the caller to package into a Recording."""
     CAMPAIGN.clear()
 
+    def attach(kernel) -> None:
+        CAMPAIGN.append(Recorder(kernel, interval))
 
-def cancel_recording() -> None:
-    """Disarm :func:`request_recording` (campaign data survives for
-    the caller to package into a Recording)."""
-    global _PENDING
-    _PENDING = None
-
-
-def attach_kernel(kernel) -> None:
-    """Called from ``Kernel.__init__``: honour an armed request."""
-    if _PENDING is None:
-        return
-    CAMPAIGN.append(Recorder(kernel, _PENDING["interval"]))
+    with arming.armed("rr", attach):
+        yield CAMPAIGN
 
 
 def attach_cluster(cluster, kernel) -> None:

@@ -8,27 +8,19 @@ lives in :mod:`repro.analyze.sanitize` (the ``SAN*`` reprolint family).
 
 Typical use::
 
-    from repro.sanitize import request_sanitize, cancel_sanitize
+    from repro.sanitize import sanitizing
 
-    sanitizer = request_sanitize()
-    try:
+    with sanitizing() as sanitizer:
         kernel = repro.boot()        # joins the armed sanitizer
         ...                          # run the workload
-    finally:
-        cancel_sanitize()
     print(sanitizer.report.render())
 
-or, per-kernel: ``install_sanitizer(kernel)``. ``repro.boot(sanitize=
-True)`` arms ambiently for that boot. Reports are deterministic per
-seed, and the sanitizer never charges the simulated clock.
+or, per-kernel: ``install_sanitizer(kernel)``, which is what
+``repro.boot(sanitize=True)`` does for that boot. ``REPRO_SAN=1`` arms
+every boot of the process. Reports are deterministic per seed, and the
+sanitizer never charges the simulated clock.
 """
 
-from repro.sanitize.ambient import (
-    attach_kernel,
-    cancel_sanitize,
-    request_sanitize,
-    sanitizing_active,
-)
 from repro.sanitize.report import (
     AccessSite,
     HeapFinding,
@@ -39,6 +31,7 @@ from repro.sanitize.sanitizer import (
     SanStats,
     Sanitizer,
     install_sanitizer,
+    sanitizing,
     uninstall_sanitizer,
 )
 from repro.sanitize.shadow import (
@@ -59,12 +52,9 @@ __all__ = [
     "Sanitizer",
     "ThreadState",
     "WordState",
-    "attach_kernel",
-    "cancel_sanitize",
     "happens_before",
     "install_sanitizer",
-    "request_sanitize",
-    "sanitizing_active",
+    "sanitizing",
     "uninstall_sanitizer",
     "vc_join",
 ]

@@ -38,7 +38,7 @@ from typing import Callable, List, Optional
 
 from repro.runtime.shmalloc import DoubleFreeError, SegmentHeap
 from repro.runtime.views import Mem
-from repro.sanitize.ambient import cancel_sanitize, request_sanitize
+from repro.sanitize.sanitizer import sanitizing
 from repro.sanitize.report import SanReport
 
 SEG = "/shared/san.seg"
@@ -57,11 +57,8 @@ class SanCase:
 
     def run(self, report_limit: int = 256) -> SanReport:
         """Arm a fresh sanitizer, run the workload, return its report."""
-        sanitizer = request_sanitize(report_limit=report_limit)
-        try:
+        with sanitizing(report_limit=report_limit) as sanitizer:
             self.body()
-        finally:
-            cancel_sanitize()
         return sanitizer.report
 
 

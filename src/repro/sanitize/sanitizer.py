@@ -38,8 +38,11 @@ Happens-before sources (each one a release/acquire pair):
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+import os
+from contextlib import contextmanager
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
+from repro.kernel import arming
 from repro.sanitize import state as _state
 from repro.sanitize.report import (
     AccessSite,
@@ -628,3 +631,30 @@ def uninstall_sanitizer() -> None:
     """Drop the process-wide active sanitizer. Kernels already armed
     keep their reference; new boots and heap hooks see nothing."""
     _state.ACTIVE = None
+
+
+@contextmanager
+def sanitizing(report_limit: int = 256) -> Iterator[Sanitizer]:
+    """Arm a fresh sanitizer for every kernel booted inside the block
+    (the ``sanitize`` slot of :mod:`repro.kernel.arming`) and yield it.
+
+    Unlike the recorder, where each boot gets its own collector, every
+    kernel booted while armed joins ONE shared sanitizer: a cluster is
+    one shared-memory machine from the paper's point of view, and races
+    cross node boundaries. The sanitizer and its report survive the
+    block; kernels already armed stay armed.
+    """
+    sanitizer = Sanitizer(report_limit=report_limit)
+    _state.ACTIVE = sanitizer
+    try:
+        with arming.armed("sanitize", sanitizer.register_kernel):
+            yield sanitizer
+    finally:
+        _state.ACTIVE = None
+
+
+if os.environ.get("REPRO_SAN"):
+    # Every boot of the process joins one sanitizer (the env analogue
+    # of REPRO_TRACE).
+    _state.ACTIVE = Sanitizer()
+    arming.arm("sanitize", _state.ACTIVE.register_kernel)

@@ -69,6 +69,7 @@ Two tools run on the *host* instead of inside the simulation:
 
 from __future__ import annotations
 
+import contextlib
 import os
 import runpy
 import sys
@@ -363,7 +364,7 @@ def reprotrace_main(argv: Sequence[str],
     """
     from repro.trace import tracer as trace_state
     from repro.trace.events import EventKind
-    from repro.trace.tracer import cancel_tracing, request_tracing
+    from repro.trace.tracer import tracing
 
     out = stdout if stdout is not None else sys.stdout
     outdir = "."
@@ -394,10 +395,11 @@ def reprotrace_main(argv: Sequence[str],
                 )
             index += 2
         elif arg == "--capacity":
-            capacity = int(_value(args, index, "--capacity"))
+            capacity = _int_value(args, index, "--capacity", "reprotrace",
+                                  minimum=1)
             index += 2
         elif arg == "--top":
-            top = int(_value(args, index, "--top"))
+            top = _int_value(args, index, "--top", "reprotrace")
             index += 2
         elif arg.startswith("-") and script is None:
             raise UsageError(f"reprotrace: unknown option {arg!r}")
@@ -413,12 +415,12 @@ def reprotrace_main(argv: Sequence[str],
     if not os.path.isfile(script):
         raise UsageError(f"reprotrace: no such script: {script}")
 
-    request_tracing(kinds=kinds, capacity=capacity)
     saved_argv = sys.argv
     sys.argv = [script] + list(script_args)
     try:
-        runpy.run_path(script, run_name="__main__")
-        tracer = trace_state.TRACER
+        with tracing(kinds=kinds, capacity=capacity):
+            runpy.run_path(script, run_name="__main__")
+            tracer = trace_state.TRACER
         if not tracer.enabled:
             print(f"reprotrace: {script} never booted a kernel; "
                   f"no events recorded", file=out)
@@ -444,7 +446,6 @@ def reprotrace_main(argv: Sequence[str],
         return 0
     finally:
         sys.argv = saved_argv
-        cancel_tracing()
 
 
 def reprotrace_entry() -> int:
@@ -492,9 +493,9 @@ def _campaign_plans(planes: Sequence[str], rate: float) -> List:
             plans.append(FaultPlan(plane, FaultKind.SPURIOUS,
                                    probability=rate / 16.0))
         elif plane is Plane.DISK:
-            # Only fires when a durable store is mounted (REPRO_DISK
-            # or request_durable); harmless — and deterministically
-            # idle — otherwise.
+            # Only fires when a durable store is mounted (boot(disk=)
+            # or an armed durable() campaign); harmless — and
+            # deterministically idle — otherwise.
             plans.append(FaultPlan(plane, FaultKind.TORN_WRITE,
                                    site="block-write",
                                    probability=rate))
@@ -534,22 +535,15 @@ def _durable_run(script: str, seed: int, nblocks: int,
     """Run *script* with a durable store mounted under every kernel it
     boots (and, optionally, fault plans armed). Returns the outcome and
     the attached DiskStores for post-mortem inspection."""
-    from repro.disk import CAMPAIGN as STORES
-    from repro.disk import cancel_durable, request_durable
-    from repro.inject import cancel_injection, request_injection
+    from repro.disk import durable
+    from repro.inject import injecting
     from repro.rr.oracle import classify_run, script_runner
 
-    request_durable(nblocks=nblocks, seed=seed)
-    if plans:
-        request_injection(plans, seed=seed)
-    try:
+    faults = injecting(plans, seed=seed) if plans \
+        else contextlib.nullcontext()
+    with durable(nblocks=nblocks, seed=seed) as stores, faults:
         outcome, detail = classify_run(script_runner(script, ()))
-        stores = list(STORES)
-    finally:
-        cancel_durable()
-        if plans:
-            cancel_injection()
-    return {"outcome": outcome, "detail": detail, "stores": stores}
+    return {"outcome": outcome, "detail": detail, "stores": list(stores)}
 
 
 def _crash_soak(script: str, seed: int, nblocks: int, stride: int,
@@ -1287,13 +1281,10 @@ def reprorr_entry() -> int:
 
 def _san_armed_run(body) -> "tuple":
     """Run *body* with a fresh sanitizer armed; return (report, stats)."""
-    from repro.sanitize import cancel_sanitize, request_sanitize
+    from repro.sanitize import sanitizing
 
-    sanitizer = request_sanitize()
-    try:
+    with sanitizing() as sanitizer:
         body()
-    finally:
-        cancel_sanitize()
     return sanitizer.report, sanitizer.stats
 
 
@@ -1529,6 +1520,19 @@ def _value(args: List[str], index: int, flag: str) -> str:
     if index + 1 >= len(args):
         raise UsageError(f"lds: {flag} needs a value")
     return args[index + 1]
+
+
+def _int_value(args: List[str], index: int, flag: str, tool: str,
+               minimum: int = 0) -> int:
+    raw = _value(args, index, flag)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = minimum - 1
+    if value < minimum:
+        raise UsageError(
+            f"{tool}: {flag} needs an integer >= {minimum}, got {raw!r}")
+    return value
 
 
 def _one_output_one_input(argv: Sequence[str], tool: str,

@@ -29,10 +29,6 @@ from repro.trace.tracer import (
     NULL_TRACER,
     NullTracer,
     Tracer,
-    attach_kernel,
-    cancel_tracing,
-    get_tracer,
-    request_tracing,
     set_tracer,
     tracing,
 )
@@ -47,10 +43,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Tracer",
-    "attach_kernel",
-    "cancel_tracing",
-    "get_tracer",
-    "request_tracing",
     "set_tracer",
     "tracing",
 ]

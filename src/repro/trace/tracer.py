@@ -18,26 +18,38 @@ Design constraints, in order:
    drops the oldest events but the per-kind/per-name counters keep
    counting, so top-N reports stay exact even for long runs.
 
-Enable tracing either explicitly::
+Enable tracing for one kernel::
 
-    t = Tracer(kernel.clock)
-    set_tracer(t)
-    ...            # run the workload
-    set_tracer(None)
+    with tracing(kernel) as t:
+        ...        # run the workload
 
-or ambiently for everything booted after the request (what the
-``reprotrace`` CLI and the ``REPRO_TRACE=1`` environment variable do)::
+or ambiently for every kernel booted inside the block (what the
+``reprotrace`` CLI does, and what ``REPRO_TRACE=1`` does for the life
+of the process) through the ``trace`` slot of
+:mod:`repro.kernel.arming`::
 
-    request_tracing(kinds=["FAULT", "LINK_RESOLVE"])
-    system = boot()        # Kernel.__init__ binds the tracer's clock
+    with tracing(kinds=["FAULT", "LINK_RESOLVE"]):
+        system = boot()    # creates the tracer, bound to this clock
+        events = TRACER.events()
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from contextlib import contextmanager
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
-from repro.errors import TraceCursorError
+from repro.errors import KernelError, TraceCursorError
+from repro.kernel import arming
 from repro.trace.events import (
     ALL_MASK,
     Event,
@@ -122,13 +134,12 @@ class Tracer:
 
     def __init__(self, clock=None, capacity: int = DEFAULT_CAPACITY,
                  kinds: Optional[Iterable[Union[EventKind, str]]] = None,
-                 autobind: bool = False) -> None:
+                 ) -> None:
         if capacity <= 0:
             raise ValueError("tracer capacity must be positive")
         self._clock = clock                  # anything with .cycles
         self.capacity = capacity
         self.mask = ALL_MASK if kinds is None else kinds_mask(kinds)
-        self.autobind = autobind
         self.boot_index = 0
         self._ring: List[Event] = []
         self._head = 0                       # next write slot once full
@@ -269,14 +280,6 @@ class Tracer:
 #: rather than import the object.
 TRACER: Union[Tracer, NullTracer] = NULL_TRACER
 
-# Configuration captured by request_tracing() / REPRO_TRACE, consumed by
-# the first Kernel boot after the request.
-_PENDING: Optional[dict] = None
-
-
-def get_tracer() -> Union[Tracer, NullTracer]:
-    return TRACER
-
 
 def set_tracer(tracer: Optional[Union[Tracer, NullTracer]]) -> None:
     """Install *tracer* globally (None restores the no-op tracer)."""
@@ -284,66 +287,68 @@ def set_tracer(tracer: Optional[Union[Tracer, NullTracer]]) -> None:
     TRACER = tracer if tracer is not None else NULL_TRACER
 
 
-def request_tracing(kinds: Optional[Iterable[Union[EventKind, str]]] = None,
-                    capacity: int = DEFAULT_CAPACITY) -> None:
-    """Arm tracing for the next booted kernel (and rebind on later
-    boots), without needing the kernel to exist yet."""
-    global _PENDING
-    _PENDING = {"kinds": kinds, "capacity": capacity}
+def _bind_on_boot(make: Callable[[], Tracer]) -> Callable[[object], None]:
+    """The trace slot's hook: the first boot installs ``make()``; later
+    boots rebind it to their clock while it stays installed."""
+    tracer: Optional[Tracer] = None
 
-
-def cancel_tracing() -> None:
-    """Disarm :func:`request_tracing` and restore the no-op tracer."""
-    global _PENDING
-    _PENDING = None
-    set_tracer(None)
-
-
-def attach_kernel(kernel) -> None:
-    """Called from ``Kernel.__init__``: honour a pending tracing
-    request, or rebind an auto-bound tracer to the new kernel's clock."""
-    global TRACER, _PENDING
-    if _PENDING is not None:
-        config = _PENDING
-        _PENDING = None
-        TRACER = Tracer(clock=None, capacity=config["capacity"],
-                        kinds=config["kinds"], autobind=True)
-    if TRACER.enabled and getattr(TRACER, "autobind", False):
-        TRACER.bind_clock(kernel.clock)
-
-
-class tracing:
-    """``with tracing(kernel) as t:`` — scoped tracing of one kernel."""
-
-    def __init__(self, kernel=None,
-                 kinds: Optional[Iterable[Union[EventKind, str]]] = None,
-                 capacity: int = DEFAULT_CAPACITY) -> None:
-        clock = kernel.clock if kernel is not None else None
-        self.tracer = Tracer(clock=clock, capacity=capacity, kinds=kinds)
-        self._previous: Union[Tracer, NullTracer] = NULL_TRACER
-
-    def __enter__(self) -> Tracer:
+    def attach(kernel) -> None:
+        nonlocal tracer
         global TRACER
-        self._previous = TRACER
-        TRACER = self.tracer
-        return self.tracer
-
-    def __exit__(self, *exc) -> None:
-        global TRACER
-        TRACER = self._previous
+        if tracer is None:
+            tracer = TRACER = make()
+        if TRACER is tracer:
+            tracer.bind_clock(kernel.clock)
+    return attach
 
 
-def _arm_from_environment() -> None:
-    """REPRO_TRACE=1 arms ambient tracing for any python entry point;
-    REPRO_TRACE_KINDS=FAULT,LINK_RESOLVE and REPRO_TRACE_CAPACITY=N
-    narrow it."""
-    if not os.environ.get("REPRO_TRACE"):
+@contextmanager
+def tracing(kernel=None,
+            kinds: Optional[Iterable[Union[EventKind, str]]] = None,
+            capacity: int = DEFAULT_CAPACITY) -> Iterator[Optional[Tracer]]:
+    """``with tracing(kernel) as t:`` — scoped tracing of one kernel.
+
+    Without a kernel it is the ambient arm (``reprotrace``): the tracer
+    is created at the first boot inside the block, rebound to each
+    later boot's clock (the events' ``boot`` field tells boots apart),
+    and read back through :data:`TRACER`; the no-op tracer is restored
+    on exit.
+    """
+    global TRACER
+    if kernel is None:
+        try:
+            with arming.armed("trace", _bind_on_boot(
+                    lambda: Tracer(capacity=capacity, kinds=kinds))):
+                yield None
+        finally:
+            TRACER = NULL_TRACER
         return
+    tracer = Tracer(clock=kernel.clock, capacity=capacity, kinds=kinds)
+    previous, TRACER = TRACER, tracer
+    try:
+        yield tracer
+    finally:
+        TRACER = previous
+
+
+def _environment_tracer() -> Tracer:
+    """The tracer REPRO_TRACE_KINDS=FAULT,LINK_RESOLVE and
+    REPRO_TRACE_CAPACITY=N describe; bad values are a KernelError."""
     kinds_env = os.environ.get("REPRO_TRACE_KINDS", "")
     kinds = [k for k in kinds_env.split(",") if k.strip()] or None
-    capacity = int(os.environ.get("REPRO_TRACE_CAPACITY",
-                                  str(DEFAULT_CAPACITY)))
-    request_tracing(kinds=kinds, capacity=capacity)
+    capacity = os.environ.get("REPRO_TRACE_CAPACITY",
+                              str(DEFAULT_CAPACITY))
+    try:
+        return Tracer(capacity=int(capacity), kinds=kinds)
+    except KeyError as error:
+        raise KernelError(
+            f"REPRO_TRACE_KINDS: unknown event kind {error}") from None
+    except ValueError:
+        raise KernelError(
+            f"REPRO_TRACE_CAPACITY must be a positive integer, "
+            f"got {capacity!r}") from None
 
 
-_arm_from_environment()
+# REPRO_TRACE=1 arms ambient tracing for every boot of the process.
+if os.environ.get("REPRO_TRACE"):
+    arming.arm("trace", _bind_on_boot(_environment_tracer))

@@ -370,22 +370,18 @@ class TestRenameAtomicity:
                 FaultKind,
                 FaultPlan,
                 Plane,
-                cancel_injection,
-                request_injection,
+                injecting,
             )
-            request_injection(
-                [FaultPlan(Plane.DISK, FaultKind.CRASH,
-                           site="journal-*", after=record - 1,
-                           max_faults=1)], seed=31)
-            try:
+            with injecting(
+                    [FaultPlan(Plane.DISK, FaultKind.CRASH,
+                               site="journal-*", after=record - 1,
+                               max_faults=1)], seed=31):
                 system = mount(point_device)
                 try:
                     _rename_overwrite_workload(system.kernel)
                 except SimulationError:
                     pass
                 system.kernel.shutdown()
-            finally:
-                cancel_injection()
             check = fsck(point_device.reopen(), subject=f"rename@{record}")
             assert len(check.report) == 0, \
                 f"record {record}: {check.report.render()}"

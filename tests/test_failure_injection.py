@@ -202,7 +202,7 @@ class TestDiskPlaneContainment:
     def test_read_bit_rot_during_recovery_is_contained(self):
         import repro
         from repro.disk import BlockDevice
-        from repro.inject import cancel_injection, request_injection
+        from repro.inject import injecting
 
         device = BlockDevice(nblocks=2048, seed=22)
         system = repro.boot(disk=device)
@@ -210,18 +210,15 @@ class TestDiskPlaneContainment:
         system.kernel.crash()
 
         survivor = device.reopen()
-        request_injection(
-            [FaultPlan(Plane.DISK, FaultKind.CORRUPT,
-                       site="block-read", probability=0.1,
-                       max_faults=5)], seed=7)
-        try:
+        with injecting(
+                [FaultPlan(Plane.DISK, FaultKind.CORRUPT,
+                           site="block-read", probability=0.1,
+                           max_faults=5)], seed=7):
             try:
                 recovered = repro.boot(disk=survivor)
                 assert "cycles=" in recovered.kernel.stats()
             except SimulationError:
                 pass  # rot in a structural block: typed refusal
-        finally:
-            cancel_injection()
 
 
 class TestAtRestCorruption:

@@ -23,8 +23,7 @@ from repro.inject import (
     FaultKind,
     FaultPlan,
     Plane,
-    cancel_injection,
-    request_injection,
+    injecting,
 )
 from repro.net import Cluster, Frame, FrameKind, HaConfig
 from repro.net.link import DEDUPE_WINDOW, _SenderWindow
@@ -305,11 +304,8 @@ class TestFaults:
             FaultPlan(Plane.NODE, FaultKind.REBOOT, site="reboot",
                       probability=1.0, after=5, max_faults=1),
         ]
-        request_injection(plans, seed=5)
-        try:
+        with injecting(plans, seed=5):
             cluster, result = _ha_rwho(4, 8, seed=42)
-        finally:
-            cancel_injection()
         assert result["converged"]
         assert result["ha"]["crashes"] == 1
         assert result["ha"]["reboots"] == 1
@@ -324,22 +320,19 @@ class TestFaults:
     def test_campaign_counters_survive_reboots(self):
         """A capped CRASH plan must not re-arm when its victim reboots
         with a fresh kernel: the campaign is cluster-scoped."""
-        request_injection([
-            FaultPlan(Plane.NODE, FaultKind.CRASH, site="crash",
-                      match="node1", probability=1.0, after=2,
-                      max_faults=1),
-            FaultPlan(Plane.NODE, FaultKind.REBOOT, site="reboot",
-                      probability=1.0, after=4),
-        ], seed=9)
-        try:
+        with injecting([
+                FaultPlan(Plane.NODE, FaultKind.CRASH, site="crash",
+                          match="node1", probability=1.0, after=2,
+                          max_faults=1),
+                FaultPlan(Plane.NODE, FaultKind.REBOOT, site="reboot",
+                          probability=1.0, after=4),
+            ], seed=9):
             cluster = Cluster(3, seed=42, ha=True)
             for _ in range(60):
                 cluster.step()
             assert cluster.ha.stats.crashes == 1
             assert cluster.ha.stats.reboots == 1
             cluster.shutdown()
-        finally:
-            cancel_injection()
 
 
 # ----------------------------------------------------------------------
@@ -352,11 +345,8 @@ class TestEndToEnd:
         home), >=1 partition, >=1 reboot, a wedge for good measure —
         the cluster completes without deadlock and a post-heal probe's
         database equals the single-kernel oracle."""
-        request_injection(E2E_PLANS, seed=1234)
-        try:
+        with injecting(E2E_PLANS, seed=1234):
             cluster, result = _ha_rwho(8, 24, seed=42)
-        finally:
-            cancel_injection()
         ha = result["ha"]
         assert ha["crashes"] >= 1
         assert ha["partitions"] >= 1
@@ -413,11 +403,8 @@ class TestEndToEnd:
         ]
 
         def once():
-            request_injection(plans, seed=seed)
-            try:
+            with injecting(plans, seed=seed):
                 cluster, result = _ha_rwho(4, 8, seed=42)
-            finally:
-                cancel_injection()
             stats = cluster.fabric.stats
             fingerprint = (result["rounds"], result["epochs"],
                            result["ha"], stats.frames_sent,

@@ -22,8 +22,7 @@ from repro.inject import (
     FaultKind,
     FaultPlan,
     Plane,
-    cancel_injection,
-    request_injection,
+    injecting,
 )
 from repro.kernel.timing import Clock
 from repro.net import (
@@ -326,8 +325,7 @@ class TestCoherence:
         plans = [FaultPlan(Plane.NET, kind, site=site,
                            probability=1.0, max_faults=nfaults)] \
             if nfaults else []
-        request_injection(plans, seed=seed)
-        try:
+        with injecting(plans, seed=seed):
             cluster = Cluster(3, seed=(seed % 65521) + 1)
             cluster.spawn(0, "creator", creator_body(PROP_SEG))
             cluster.run()
@@ -346,8 +344,6 @@ class TestCoherence:
             expected = [model.get(slot, 0) for slot in range(4)]
             assert views == {0: expected, 1: expected, 2: expected}
             cluster.shutdown()
-        finally:
-            cancel_injection()
 
     def test_rpc_exhaustion_is_contained(self):
         """Dropping every rpc frame exhausts the retransmit budget: the
@@ -355,8 +351,7 @@ class TestCoherence:
         the cluster survive."""
         plans = [FaultPlan(Plane.NET, FaultKind.DROP, site="rpc",
                            probability=1.0)]
-        request_injection(plans, seed=3)
-        try:
+        with injecting(plans, seed=3):
             cluster = Cluster(2, seed=8)
             cluster.spawn(0, "creator", creator_body(PROP_SEG))
             cluster.run()
@@ -376,8 +371,6 @@ class TestCoherence:
             cluster.run()
             assert views[0][0] == 0
             cluster.shutdown()
-        finally:
-            cancel_injection()
 
 
 # ----------------------------------------------------------------------

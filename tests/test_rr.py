@@ -330,6 +330,41 @@ class TestMaterialize:
         with pytest.raises(RRError):
             materialize(state)
 
+    # A rebuilt kernel is a copy of a captured machine, not a new boot
+    # of the armed workload: nothing armed may attach to it.
+
+    def _fresh_state(self):
+        from repro import boot
+
+        return capture_machine(boot().kernel)
+
+    def test_durable_campaign_does_not_attach(self):
+        from repro.disk import durable
+
+        state = self._fresh_state()
+        with durable(nblocks=2048) as stores:
+            clones = [materialize(state), materialize(state)]
+        assert [clone.disk for clone in clones] == [None, None]
+        assert stores == []
+
+    def test_armed_sanitizer_does_not_attach(self):
+        from repro.sanitize import sanitizing
+
+        state = self._fresh_state()
+        with sanitizing():
+            clones = [materialize(state), materialize(state)]
+        assert [clone.sanitizer for clone in clones] == [None, None]
+
+    def test_injection_campaign_does_not_attach(self):
+        from repro.inject import injecting
+
+        state = self._fresh_state()
+        with injecting([FaultPlan(Plane.SYSCALL, FaultKind.ERROR,
+                                  probability=1.0)], seed=1) as injectors:
+            clones = [materialize(state), materialize(state)]
+        assert [clone.injector for clone in clones] == [None, None]
+        assert injectors == []
+
 
 # ---------------------------------------------------------------------------
 # seek

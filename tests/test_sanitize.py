@@ -34,7 +34,7 @@ from repro.analyze.corpus import broken_objects
 from repro.analyze.pipeline import analyze_object
 from repro.runtime.libshared import runtime_for
 from repro.runtime.views import Mem
-from repro.sanitize import cancel_sanitize, request_sanitize
+from repro.sanitize import sanitizing
 from repro.sanitize.corpus import SEG, san_cases, case_named
 from repro.tools.cli import UsageError, reprosan_main
 from repro.vm.address_space import PROT_READ, PROT_RW
@@ -156,11 +156,8 @@ class TestDeterminism:
 
     def test_arming_never_charges_the_clock(self):
         disarmed = _store_loop_cycles()
-        sanitizer = request_sanitize()
-        try:
+        with sanitizing() as sanitizer:
             armed = _store_loop_cycles()
-        finally:
-            cancel_sanitize()
         assert armed == disarmed
         assert sanitizer.stats.accesses > 0
 
@@ -182,8 +179,7 @@ class TestShadowConsistency:
         a pool of public segments keeps the incrementally maintained
         tracked-page index equal to the from-scratch recomputation —
         checked after every single operation."""
-        sanitizer = request_sanitize()
-        try:
+        with sanitizing() as sanitizer:
             kernel = boot().kernel
 
             def driver(kern, proc):
@@ -215,8 +211,6 @@ class TestShadowConsistency:
 
             kernel.create_native_process("hyp", driver)
             kernel.schedule()
-        finally:
-            cancel_sanitize()
         assert sanitizer.tracked_index() == sanitizer.recomputed_index()
 
     def test_fork_and_cow_keep_index_consistent(self):
@@ -226,8 +220,7 @@ class TestShadowConsistency:
         from repro.linker.baseline_ld import link_static
         from repro.toyc import compile_source
 
-        sanitizer = request_sanitize()
-        try:
+        with sanitizing() as sanitizer:
             kernel = boot().kernel
             obj = compile_source("""
                 int main() {
@@ -241,8 +234,6 @@ class TestShadowConsistency:
             parent = kernel.create_machine_process("parent", image)
             kernel.schedule()
             assert parent.exit_code == 7
-        finally:
-            cancel_sanitize()
         assert sanitizer.tracked_index() == sanitizer.recomputed_index()
         assert sanitizer.report.clean
 
@@ -250,11 +241,8 @@ class TestShadowConsistency:
         """FETCH/INVALIDATE traffic maps, unmaps, and reprotects the
         per-node replicas; the index must survive all of it."""
         case = case_named("cluster-stale-read")
-        sanitizer = request_sanitize()
-        try:
+        with sanitizing() as sanitizer:
             case.body()
-        finally:
-            cancel_sanitize()
         assert sanitizer.tracked_index() == sanitizer.recomputed_index()
         assert sanitizer.report.races      # and the seeded race fired
 
@@ -269,12 +257,9 @@ class TestNoFalsePositives:
         "script",
         sorted(path.name for path in EXAMPLES_DIR.glob("*.py")))
     def test_example_is_clean(self, script, capsys):
-        sanitizer = request_sanitize()
-        try:
+        with sanitizing() as sanitizer:
             runpy.run_path(str(EXAMPLES_DIR / script),
                            run_name="__main__")
-        finally:
-            cancel_sanitize()
         capsys.readouterr()
         assert sanitizer.report.clean, \
             f"{script}:\n{sanitizer.report.render()}"

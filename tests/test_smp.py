@@ -50,7 +50,7 @@ from repro.runtime.shmalloc import (
     SegmentHeapError,
 )
 from repro.runtime.views import Mem
-from repro.sanitize.ambient import cancel_sanitize, request_sanitize
+from repro.sanitize import sanitizing
 from repro.sanitize.corpus import (
     _SMP_NITEMS,
     _SMP_SHARED,
@@ -612,13 +612,10 @@ class TestSmpRaceCorpus:
     def test_clean_on_one_core(self):
         for worker, shared in ((_RACY_TOTAL_WORKER, None),
                                (_SMP_MERGE_WORKER, _SMP_SHARED)):
-            sanitizer = request_sanitize(report_limit=256)
-            try:
+            with sanitizing(report_limit=256) as sanitizer:
                 kwargs = {"shared_source": shared} if shared else {}
                 _racy_presto(worker, nitems=_SMP_NITEMS, nworkers=2,
                              ncores=1, **kwargs)
-            finally:
-                cancel_sanitize()
             assert sanitizer.report.clean, sanitizer.report.render()
 
     def test_reports_replay_identically(self):
@@ -627,11 +624,8 @@ class TestSmpRaceCorpus:
 
     def test_sanitizer_is_cycle_invisible_at_two_cores(self):
         disarmed = _run_presto(ncores=2, nworkers=2, nitems=8)
-        sanitizer = request_sanitize()
-        try:
+        with sanitizing() as sanitizer:
             armed = _run_presto(ncores=2, nworkers=2, nitems=8)
-        finally:
-            cancel_sanitize()
         assert armed["cycles"] == disarmed["cycles"]
         assert armed["elapsed"] == disarmed["elapsed"]
         assert armed["by_category"] == disarmed["by_category"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -413,6 +414,18 @@ class TestReprotraceCli:
 
         with pytest.raises(UsageError, match="no such script"):
             reprotrace_main(["/no/such/script.py"])
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--capacity", "big"), ("--capacity", "0"), ("--top", "big")])
+    def test_bad_number_is_a_usage_error(self, flag, value, monkeypatch,
+                                         capsys):
+        from repro.tools.cli import reprotrace_entry
+
+        script = str(REPO_ROOT / "examples" / "quickstart.py")
+        monkeypatch.setattr(sys, "argv",
+                            ["reprotrace", flag, value, script])
+        assert reprotrace_entry() == 2
+        assert f"{flag} needs an integer" in capsys.readouterr().err
 
 
 class TestClockPerturbation:
