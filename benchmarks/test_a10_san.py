@@ -56,13 +56,18 @@ def run_fanout(armed: bool):
 
 
 def run_corpus_soak():
-    """One seeded race case, twice: reports must be byte-identical."""
-    case = case_named("counter-unsync")
+    """One seeded race case, recorded and replayed through the rr
+    oracle (the ``reprosan soak`` runner): the replay may not diverge
+    and the two reports must be byte-identical."""
+    from repro.rr import replay_call
+    from repro.tools.cli import _san_record
+
     wall_start = time.perf_counter()
-    first = case.run()
-    second = case.run()
+    recording, runner, reports = _san_record(case_named("counter-unsync"))
+    replay = replay_call(recording, runner)
     wall = time.perf_counter() - wall_start
-    return wall, first, second
+    first, second = reports
+    return wall, first, second, replay
 
 
 def test_a10_sanitizer_is_cycle_neutral(report, benchmark):
@@ -75,7 +80,7 @@ def test_a10_sanitizer_is_cycle_neutral(report, benchmark):
     off, on, soak = benchmark.pedantic(run, rounds=1, iterations=1)
     wall_off, cycles_off, categories_off = off
     wall_on, cycles_on, categories_on = on
-    soak_wall, first, second = soak
+    soak_wall, first, second, replay = soak
 
     experiment = Experiment(
         "A10_SAN",
@@ -97,8 +102,8 @@ def test_a10_sanitizer_is_cycle_neutral(report, benchmark):
     experiment.add("soak races found", len(first.races),
                    detail="counter-unsync seeded corpus case")
     experiment.add("soak replay-stable",
-                   1 if first.render() == second.render() else 0,
-                   unit="ok")
+                   1 if replay.ok and first.render() == second.render()
+                   else 0, unit="ok")
     report(experiment)
 
     write_bench_json(experiment, wall_seconds={
@@ -113,4 +118,5 @@ def test_a10_sanitizer_is_cycle_neutral(report, benchmark):
     assert categories_on == categories_off
     # The seeded case fires, deterministically.
     assert first.races
+    assert replay.ok, replay.render()
     assert first.render() == second.render()

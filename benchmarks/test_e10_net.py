@@ -7,16 +7,16 @@ whole database once; the file baseline pays one LIST plus one GET round
 trip *per host*, so its traffic scales with the fleet while the shared
 segment's does not.
 
-Also the cluster's A-series guard: a kernel booted without ``net=`` is
+Also the cluster's A-series guard: a plain (unclustered) boot is
 bit-identical to the seed pin (no "net" cycle category exists), and the
 whole scale scenario — fault-free or under a fixed-seed NET fault plan
-— replays bit-identically: same trace streams, same reader outputs,
-same per-node cycle counts. Results land in ``BENCH_E10_NET.json``.
+— is recorded and replayed through the rr oracle with zero divergence:
+same trace streams, same reader outputs, same per-node cycle counts.
+Results land in ``BENCH_E10_NET.json``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
 
 from repro import boot
@@ -26,10 +26,8 @@ from repro.bench.workloads import (
     fanout_expected_exit,
     make_shell,
 )
-from repro.inject import injecting
+from repro.rr import record_call, replay_call
 from repro.tools.cli import _campaign_plans
-from repro.trace import tracer as trace_state
-from repro.trace.tracer import tracing
 
 WIDTH = 12
 USED = 12
@@ -61,50 +59,55 @@ def run_fanout():
     return wall, kernel.clock.cycles, dict(kernel.clock.by_category)
 
 
-def run_scale(implementation: str, plans=None):
-    """The rwho scale scenario on an N-node cluster, traced.
-
-    Returns the scenario result dict plus the (boot, cycle, pid, addr,
-    name, value) trace stream — everything two runs must agree on.
-    """
+def run_scale(implementation: str):
+    """The rwho scale scenario on an N-node cluster; returns the
+    scenario result dict."""
     from repro.apps.rwho.cluster import run_cluster_rwho, synth_statuses
     from repro.net import Cluster
 
-    faults = injecting(plans, seed=SEED) if plans is not None \
-        else contextlib.nullcontext()
-    with faults, tracing(kinds=["NET", "INJECT"]):
-        cluster = Cluster(NNODES, seed=SEED)
-        result = run_cluster_rwho(cluster, synth_statuses(NHOSTS),
-                                  implementation, readers=READERS,
-                                  max_rounds=500_000)
-        cluster.shutdown()
-        tracer = trace_state.TRACER
-        stream = tuple(
-            (event.boot, event.cycle, event.pid, event.addr,
-             event.name, event.value)
-            for event in tracer.events()
-        )
-    return result, stream
+    cluster = Cluster(NNODES, seed=SEED)
+    result = run_cluster_rwho(cluster, synth_statuses(NHOSTS),
+                              implementation, readers=READERS,
+                              max_rounds=500_000)
+    cluster.shutdown()
+    return result
+
+
+def replay_scale(plans=()):
+    """The shared-segment scale scenario recorded (NET and INJECT
+    events, no checkpoints) and replayed through the rr oracle.
+
+    Returns both runs' result dicts and the oracle's report, which
+    compares the event streams and the per-node cycle accounting.
+    """
+    results = []
+
+    def workload():
+        results.append(run_scale("shm"))
+
+    recording = record_call(workload, interval=0, plans=plans,
+                            inject_seed=SEED, kinds=["NET", "INJECT"])
+    report = replay_call(recording, workload)
+    return results[0], results[1], report
 
 
 def test_e10_cluster_rwho(report, benchmark):
     def run():
         wall_start = time.perf_counter()
         fanout = run_fanout()
-        shm_a = run_scale("shm")
-        shm_b = run_scale("shm")
-        filed = run_scale("file")
-        plans = _campaign_plans(["net"], FAULT_RATE)
-        faulted_a = run_scale("shm", plans)
-        faulted_b = run_scale("shm", plans)
+        shm_a, shm_b, shm_replay = replay_scale()
+        filed_result = run_scale("file")
+        faulted_a, faulted_b, faulted_replay = replay_scale(
+            _campaign_plans(["net"], FAULT_RATE))
         wall = time.perf_counter() - wall_start
-        return fanout, shm_a, shm_b, filed, faulted_a, faulted_b, wall
+        return (fanout, shm_a, shm_b, shm_replay, filed_result,
+                faulted_a, faulted_b, faulted_replay, wall)
 
-    fanout, shm_a, shm_b, filed, faulted_a, faulted_b, wall = \
+    (fanout, shm_a, shm_b, shm_replay, filed_result, faulted_a,
+     faulted_b, faulted_replay, wall) = \
         benchmark.pedantic(run, rounds=1, iterations=1)
     fanout_wall, fanout_cycles, fanout_categories = fanout
-    shm, shm_stream = shm_a
-    filed_result, _ = filed
+    shm = shm_a
 
     experiment = Experiment(
         "E10_NET",
@@ -138,9 +141,9 @@ def test_e10_cluster_rwho(report, benchmark):
                          / shm["frames_sent"], 2), unit="x")
     experiment.add("server net cycles", shm["net_cycles"][0])
     experiment.note(
-        "two fault-free runs and two runs under a fixed-seed NET fault "
-        "plan each produced bit-identical trace streams, reader "
-        "outputs, and per-node cycle counts")
+        "a fault-free run and a run under a fixed-seed NET fault plan "
+        "each replayed through the rr oracle with bit-identical trace "
+        "streams, reader outputs, and per-node cycle counts")
     report(experiment)
 
     write_bench_json(experiment, wall_seconds={
@@ -168,9 +171,9 @@ def test_e10_cluster_rwho(report, benchmark):
     assert filed_result["frames_sent"] > 2 * shm["frames_sent"]
 
     # Bit-identical replay, fault-free and faulted.
-    assert shm_a[1] == shm_b[1]
-    assert shm_a[0]["outputs"] == shm_b[0]["outputs"]
-    assert shm_a[0]["cycles"] == shm_b[0]["cycles"]
-    assert faulted_a[1] == faulted_b[1]
-    assert faulted_a[0]["outputs"] == faulted_b[0]["outputs"]
-    assert faulted_a[0]["cycles"] == faulted_b[0]["cycles"]
+    assert shm_replay.ok, shm_replay.render()
+    assert shm_a["outputs"] == shm_b["outputs"]
+    assert shm_a["cycles"] == shm_b["cycles"]
+    assert faulted_replay.ok, faulted_replay.render()
+    assert faulted_a["outputs"] == faulted_b["outputs"]
+    assert faulted_a["cycles"] == faulted_b["cycles"]

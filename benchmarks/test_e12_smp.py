@@ -57,7 +57,7 @@ def run_instance_phase(ncores: int):
         "per_worker": tuple(result.per_worker_items),
         "results": tuple(result.results),
         "by_category": dict(kernel.clock.by_category),
-        "rounds": kernel.smp.rounds if kernel.smp is not None else 0,
+        "rounds": kernel.smp.rounds,
     }
 
 

@@ -83,7 +83,7 @@ def boot(lazy: bool = True, addrmap=None,
          wide_addresses: bool = False,
          scoped: bool = True,
          verify: Optional[bool] = None,
-         disk=None, net=None, sanitize=None,
+         disk=None,
          ncores: Optional[int] = None) -> System:
     """Boot a fresh simulated machine.
 
@@ -100,15 +100,6 @@ def boot(lazy: bool = True, addrmap=None,
     * *disk* — a :class:`repro.disk.BlockDevice` to mount as the durable
       store: blank devices are formatted, used ones are recovered
       (journal replay + addr↔inode rebuild). None boots all-volatile.
-    * *net* — a cluster attachment (one :class:`repro.net.Cluster` slot)
-      wiring this machine's NIC and coherence agent. None (the default)
-      boots the classic stand-alone machine; :class:`repro.net.Cluster`
-      passes this internally, so user code rarely supplies it.
-    * *sanitize* — install the race/heap sanitizer (repro.sanitize) on
-      this machine. True creates (or joins) the process-wide active
-      sanitizer; a :class:`repro.sanitize.Sanitizer` instance joins that
-      one. The sanitizer observes without charging the clock, so cycle
-      totals are bit-identical either way.
     * *ncores* — simulated CPU count (repro.smp). The kernel schedules
       processes onto K cores in deterministic rounds with sub-quantum
       interleaving; K=1 (the default) is the uniprocessor, bit-identical
@@ -116,17 +107,15 @@ def boot(lazy: bool = True, addrmap=None,
       environment variable, so existing workloads can be rerun
       multi-core without touching their code. Anything but an integer
       >= 1 raises :class:`~repro.errors.KernelError`.
+
+    Every boot is a stand-alone machine. A :class:`repro.net.Cluster`
+    boots its members through this same call and then wires each one's
+    NIC and coherence agent itself; whatever the tools armed (tracing,
+    injection, recording, the sanitizer, a durable campaign) attaches
+    inside ``Kernel.__init__`` through :mod:`repro.kernel.arming`.
     """
     kernel = Kernel(addrmap=addrmap, costs=costs,
                     wide_addresses=wide_addresses, disk=disk,
                     ncores=ncores)
     attach_runtime(kernel, lazy=lazy, scoped=scoped, verify=verify)
-    system = System(kernel=kernel, lds=Lds(kernel, verify=verify))
-    if net is not None:
-        net.attach(kernel)
-    if sanitize:
-        from repro.sanitize import install_sanitizer
-
-        install_sanitizer(kernel, sanitize if sanitize is not True
-                          else None)
-    return system
+    return System(kernel=kernel, lds=Lds(kernel, verify=verify))

@@ -109,16 +109,14 @@ class Kernel:
         # The fault injector (repro.inject). None keeps every plane
         # silent at the cost of one attribute check per choke point.
         self.injector = None
-        # The cluster half (repro.net): this machine's NIC, node id,
-        # and coherence agent. All None/0 on a single-machine boot, so
-        # the classic configuration pays one attribute check per public
-        # fault and nothing else.
+        # The cluster half (repro.net): this machine's NIC and
+        # coherence agent, wired in by the Cluster that booted it. Both
+        # None on a single-machine boot, so the classic configuration
+        # pays one attribute check per public fault and nothing else.
         self.nic = None
-        self.node_id = 0
         self.coherence = None
-        # The cluster's HA manager (repro.net.ha), shared by every
-        # member kernel when the cluster arms it; None otherwise.
-        self.ha = None
+        # The checkpoint recorder (repro.rr) when recording is armed.
+        self.recorder = None
         # The race/heap sanitizer (repro.sanitize). None keeps every
         # choke point at one attribute check.
         self.sanitizer = None

@@ -14,7 +14,7 @@ public fault, and an un-armed HA plane a single ``is None`` check per
 frame.
 """
 
-from repro.net.cluster import Cluster, Machine, NodePort
+from repro.net.cluster import Cluster, Machine
 from repro.net.ha import HA_PORT, HaConfig, HaManager, HaStats
 from repro.net.coherence import (
     COHERENCE_PORT,
@@ -36,7 +36,6 @@ from repro.net.link import (
 __all__ = [
     "Cluster",
     "Machine",
-    "NodePort",
     "HA_PORT",
     "HaConfig",
     "HaManager",

@@ -55,15 +55,15 @@ def _netd_body(kernel, proc):
     inbox nobody drains), so injected syscall faults are absorbed: the
     frame stays on a backlog and the forward retries next round."""
     nic = kernel.nic
+    ha = nic.fabric.ha
     sys = kernel.syscalls
     backlog = []
     while True:
         for frame in nic.poll(proc):
             if frame.kind is FrameKind.DATA:
                 backlog.append(frame)
-            elif frame.kind is FrameKind.HEARTBEAT \
-                    and kernel.ha is not None:
-                kernel.ha.on_heartbeat_frame(frame)
+            elif frame.kind is FrameKind.HEARTBEAT and ha is not None:
+                ha.on_heartbeat_frame(frame)
         while backlog:
             frame = backlog[0]
             try:
@@ -82,18 +82,6 @@ def _netd_body(kernel, proc):
         yield
 
 
-class NodePort:
-    """The ``boot(net=...)`` attachment for one cluster slot: carries
-    just enough identity for the booting kernel to wire itself in."""
-
-    def __init__(self, cluster: "Cluster", node_id: int) -> None:
-        self.cluster = cluster
-        self.node_id = node_id
-
-    def attach(self, kernel) -> None:
-        self.cluster._attach(self.node_id, kernel)
-
-
 class Machine:
     """One cluster member: a booted kernel plus its NIC, coherence
     agent, and network daemon."""
@@ -105,7 +93,6 @@ class Machine:
         self.kernel = kernel
         self.nic = nic
         self.agent = agent
-        self.system = None  # the repro.System, filled in after boot()
         self.crashed = False  # set by HaManager.crash, never cleared —
         # a reboot replaces the whole Machine object
         self._stripe_inos(cluster.nnodes)
@@ -169,7 +156,6 @@ class Cluster:
             raise NetError("disks must give one device per node")
         if not 0 <= home < nnodes:
             raise NetError(f"directory home {home} is not a node")
-        from repro import boot
 
         self.nnodes = nnodes
         self.seed = seed
@@ -177,9 +163,8 @@ class Cluster:
         self.fabric = Fabric(nnodes, seed, base_delay=base_delay,
                              jitter=jitter)
         self.directory = SegmentDirectory(home=home)
-        #: boot() kwargs replayed verbatim when a node reboots
+        #: repro.boot kwargs, replayed verbatim when a node reboots
         self.boot_args = dict(boot_args)
-        self.disks = disks
         # ha=True arms the failure model with default HaConfig;
         # pass an HaConfig to tune it. None keeps HA entirely out of
         # the cluster: no manager, no heartbeats, and the fabric hooks
@@ -193,30 +178,42 @@ class Cluster:
             self.ha = HaManager(self, HaConfig())
         self.fabric.ha = self.ha
         self.machines: List[Machine] = []
+        #: the lead rr Recorder: the first member booted while
+        #: recording was armed, kept across that member's reboot
+        self._recorder = None
+        # Every node boots, in node order, before any had spawns:
+        # sanitizer thread ids and trace order follow creation order.
         for node in range(nnodes):
-            args = dict(boot_args)
-            if disks is not None:
-                args["disk"] = disks[node]
-            system = boot(net=NodePort(self, node), **args)
-            self.machines[node].system = system
+            self._boot_member(node, None if disks is None
+                              else disks[node])
         if self.ha is not None:
             for node in range(nnodes):
                 self.machines[node].add_daemon(
                     "had", _had_body(self.ha, node))
 
-    def _attach(self, node_id: int, kernel) -> None:
-        rebooting = node_id < len(self.machines) \
-            and self.machines[node_id].crashed
-        if not rebooting and len(self.machines) != node_id:
-            raise NetError(f"node {node_id} attached out of order")
+    def _boot_member(self, node_id: int, disk) -> Machine:
+        """Boot member *node_id* with the cluster's boot args and wire
+        it in: its NIC on the fabric, its coherence agent, and its
+        :class:`Machine` (netd). The one boot path of a member: the
+        initial boot appends the node, a reboot (from
+        :meth:`HaManager.reboot <repro.net.ha.HaManager.reboot>`)
+        replaces the crashed one and reattaches its NIC, bumping the
+        node's boot generation."""
+        from repro import boot
+
+        args = dict(self.boot_args)
+        if disk is not None:
+            args["disk"] = disk
+        kernel = boot(**args).kernel
+        if self._recorder is None:
+            self._recorder = kernel.recorder
+        rebooting = node_id < len(self.machines)
         nic = Nic(self.fabric, node_id, kernel)
         if rebooting:
             self.fabric.reattach(node_id, nic)
         else:
             self.fabric.attach(node_id, nic)
         kernel.nic = nic
-        kernel.node_id = node_id
-        kernel.ha = self.ha
         agent = CoherenceAgent(self, node_id, kernel, nic,
                                self.directory)
         kernel.coherence = agent
@@ -226,12 +223,7 @@ class Cluster:
             self.machines[node_id] = machine
         else:
             self.machines.append(machine)
-        # An armed recording (reprorr) must checkpoint cluster members
-        # at round boundaries — a globally consistent cut — not at
-        # per-kernel clock crossings that land mid-round.
-        from repro.rr import recorder as _rr_recorder
-
-        _rr_recorder.attach_cluster(self, kernel)
+        return machine
 
     # ------------------------------------------------------------------
     # the round scheduler
@@ -250,10 +242,8 @@ class Cluster:
             machine.step_round()
         # Round boundary: every due frame delivered, every runnable
         # process sliced — the consistent cut reprorr checkpoints at.
-        from repro.rr import recorder as _rr_recorder
-
-        if _rr_recorder.CAMPAIGN:
-            _rr_recorder.on_cluster_round(self)
+        if self._recorder is not None:
+            self._recorder.cut(self)
 
     def idle(self) -> bool:
         """Nothing left to do: no wire traffic, no queued datagrams, no

@@ -339,20 +339,18 @@ class HaManager:
 
     def reboot(self, node: int) -> None:
         """Re-boot a crashed node from its durable volume (volatile if
-        it had none), bump its boot generation, recover the directory
-        when it is the home, and run the scenario's re-spawn hooks."""
-        from repro import boot
-        from repro.net.cluster import NodePort
-
+        it had none) through the cluster's one member boot path, which
+        bumps its boot generation; recover the directory when it is
+        the home, and run the scenario's re-spawn hooks. The order —
+        boot, ``resume_from``, replica sweep, directory recovery,
+        ``had``, hooks — fixes process creation order, which sanitizer
+        thread ids, trace order and ``.rrr`` bytes depend on."""
         cluster = self.cluster
         old_kernel = cluster.machines[node].kernel
         del self.crashed[node]
-        args = dict(cluster.boot_args)
-        if old_kernel.disk is not None:
-            args["disk"] = old_kernel.disk.device.reopen()
-        system = boot(net=NodePort(cluster, node), **args)
-        machine = cluster.machines[node]
-        machine.system = system
+        machine = cluster._boot_member(
+            node, None if old_kernel.disk is None
+            else old_kernel.disk.device.reopen())
         if old_kernel.injector is not None \
                 and machine.kernel.injector is not None:
             # the fault campaign is cluster-scoped: `after` offsets and

@@ -276,7 +276,7 @@ class ObjectFile:
             raise ObjectFormatError(
                 f"bad magic {magic!r}; not a HOF object"
             )
-        kind = ObjectKind(reader.u8())
+        kind = reader.enum(ObjectKind)
         obj = cls(reader.string(), kind)
         entry = reader.string()
         obj.entry_symbol = entry or None
@@ -285,11 +285,17 @@ class ObjectFile:
         obj.bss_size = reader.u32()
         obj.heap_size = reader.u32()
 
+        previous = None
         for _ in range(reader.u32()):
             name = reader.string()
+            if previous is not None and name <= previous:
+                # to_bytes writes the table sorted by name, one row each
+                raise ObjectFormatError(
+                    f"symbol {name!r} out of order or duplicated")
+            previous = name
             section = reader.string()
             value = reader.u32()
-            binding = SymBinding(reader.u8())
+            binding = reader.enum(SymBinding)
             size = reader.u32()
             kind = reader.string()
             obj.symbols[name] = Symbol(name, section, value, binding,
@@ -298,7 +304,7 @@ class ObjectFile:
         for _ in range(reader.u32()):
             section = reader.string()
             roffset = reader.u32()
-            rtype = RelocType(reader.u8())
+            rtype = reader.enum(RelocType)
             symbol = reader.string()
             addend = reader.i32()
             obj.relocations.append(
@@ -314,9 +320,13 @@ class ObjectFile:
 
         for _ in range(reader.u32()):
             name = reader.string()
+            if name in obj.layout:
+                raise ObjectFormatError(f"section {name!r} laid out twice")
             base = reader.u32()
             size = reader.u32()
             obj.layout[name] = SectionLayout(name, base, size)
+        if not reader.at_end():
+            raise ObjectFormatError("trailing bytes after object")
         return obj
 
     def clone(self) -> "ObjectFile":

@@ -89,7 +89,19 @@ class BinaryReader:
 
     def string(self) -> str:
         length = self.u16()
-        return self._take(length).decode("utf-8")
+        try:
+            return self._take(length).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ObjectFormatError("string is not valid UTF-8") from None
+
+    def enum(self, kind):
+        """One u8 as a member of the enum *kind*."""
+        code = self.u8()
+        try:
+            return kind(code)
+        except ValueError:
+            raise ObjectFormatError(
+                f"unknown {kind.__name__} code {code}") from None
 
     def blob(self) -> bytes:
         length = self.u32()

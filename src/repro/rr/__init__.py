@@ -21,8 +21,9 @@ Layers:
 * :mod:`repro.rr.recorder` — the ambient arming surface
   (:func:`repro.rr.recorder.recording`, the ``rr`` slot of
   :mod:`repro.kernel.arming`; not re-exported here, where
-  ``recording`` names the container module) plus the per-round hooks
-  ``Cluster`` calls.
+  ``recording`` names the container module) and the
+  :class:`~repro.rr.recorder.Recorder` whose round-boundary ``cut``
+  ``Cluster.step`` calls.
 * :mod:`repro.rr.oracle` — record a run, replay it, and report the
   first divergent event with its cycle.
 """

@@ -207,9 +207,10 @@ def _run_once(runner: Callable[[], None], manifest: dict) -> dict:
                 checkpoints.append(Checkpoint(
                     boot=boot, cycle=cycle, cursor=cursor,
                     digest=state_digest(state), state=state))
-            if recorder.cluster is not None:
-                nodes = max(nodes, recorder.cluster.nnodes)
-                net_seed = recorder.cluster.seed
+            if recorder.kernel.nic is not None:
+                fabric = recorder.kernel.nic.fabric
+                nodes = max(nodes, fabric.nnodes)
+                net_seed = fabric.seed
         checkpoints.sort(key=lambda cp: (cp.boot, cp.cycle))
     return {
         "outcome": outcome, "detail": detail, "events": events,

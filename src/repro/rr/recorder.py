@@ -2,17 +2,20 @@
 
 :func:`recording` arms the ``rr`` slot of :mod:`repro.kernel.arming`,
 so every kernel booted inside the block gets one :class:`Recorder`
-(collected in :data:`CAMPAIGN`). ``Cluster`` additionally calls
-:func:`attach_cluster` per member and :func:`on_cluster_round` per
-scheduler round, so clustered machines checkpoint at round boundaries
-— a globally consistent cut — instead of mid-round per-kernel clock
-crossings.
+(collected in :data:`CAMPAIGN`, and set as ``kernel.recorder``). A
+stand-alone kernel checkpoints when its clock crosses the interval. A
+cluster member (its NIC attached) ignores clock crossings, which land
+mid-round: ``Cluster.step`` calls :meth:`Recorder.cut` on its lead
+recorder after every round, so the cluster checkpoints at round
+boundaries, a globally consistent cut. The lead is the recorder of the
+first member the cluster booted with recording armed (node 0's
+original boot), and it stays the lead across that node's reboot.
 
 Pay-for-use: with nothing armed, the only costs are one empty slot per
 boot, one integer comparison per :meth:`Clock.charge
-<repro.kernel.timing.Clock.charge>`, and one empty-list check per
-cluster round. A fault-free plain boot stays pinned at its recorded
-cycle total with recording off (the E11 benchmark asserts this).
+<repro.kernel.timing.Clock.charge>`, and one is-None check per cluster
+round. A fault-free plain boot stays pinned at its recorded cycle
+total with recording off (the E11 benchmark asserts this).
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
 from repro.kernel import arming
-from repro.kernel.timing import CHECKPOINT_NEVER
 
 #: Default cycles between checkpoints when recording is armed.
 DEFAULT_INTERVAL = 1_000_000
@@ -37,17 +39,16 @@ class Recorder:
         self.kernel = kernel
         self.interval = interval
         self.checkpoints: List[tuple] = []  # (state, cycle, cursor, boot)
-        self.cluster = None
+        kernel.recorder = self
         if interval:
             kernel.clock.on_checkpoint = self._on_clock
             kernel.clock.checkpoint_at = kernel.clock.cycles + interval
 
-    # -- single-machine path ---------------------------------------------
-
     def _on_clock(self, clock) -> None:
-        # Clustered members checkpoint at round boundaries instead;
-        # leave the clock hook disarmed once the NIC is attached.
-        if self.cluster is not None:
+        # A cluster member checkpoints at round boundaries instead
+        # (cut); once its NIC is attached, leave the clock hook
+        # disarmed.
+        if self.kernel.nic is not None:
             return
         self.take_checkpoint()
         clock.checkpoint_at = clock.cycles + self.interval
@@ -59,30 +60,19 @@ class Recorder:
         self._store(capture_machine(self.kernel),
                     self.kernel.clock.cycles)
 
-    # -- cluster path ----------------------------------------------------
+    def cut(self, cluster) -> None:
+        """Called by ``Cluster.step`` on its lead recorder after every
+        round: capture the whole cluster once this machine's clock has
+        crossed the interval since the last checkpoint, so one crossing
+        yields one checkpoint, not N."""
+        if not self.interval:
+            return
+        last = self.checkpoints[-1][1] if self.checkpoints else 0
+        if self.kernel.clock.cycles >= last + self.interval:
+            from repro.rr.checkpoint import capture_cluster
 
-    def attach_cluster(self, cluster) -> None:
-        self.cluster = cluster
-        self.kernel.clock.checkpoint_at = CHECKPOINT_NEVER
-
-    def cluster_due(self) -> bool:
-        return bool(self.interval) \
-            and self.kernel.clock.cycles >= self._next_due
-
-    def take_cluster_checkpoint(self) -> None:
-        from repro.rr.checkpoint import capture_cluster
-
-        self._store(capture_cluster(self.cluster),
-                    self.kernel.clock.cycles)
-
-    # -- shared ----------------------------------------------------------
-
-    @property
-    def _next_due(self) -> int:
-        if not self.checkpoints:
-            return self.interval or CHECKPOINT_NEVER
-        return self.checkpoints[-1][1] + (self.interval
-                                          or CHECKPOINT_NEVER)
+            self._store(capture_cluster(cluster),
+                        self.kernel.clock.cycles)
 
     def _store(self, state: list, cycle: int) -> None:
         from repro.trace import tracer as _trace
@@ -108,23 +98,3 @@ def recording(interval: Optional[int] = DEFAULT_INTERVAL
 
     with arming.armed("rr", attach):
         yield CAMPAIGN
-
-
-def attach_cluster(cluster, kernel) -> None:
-    """Called from ``Cluster._attach`` for each member kernel: switch
-    its recorder (if any) to round-boundary checkpointing."""
-    for recorder in CAMPAIGN:
-        if recorder.kernel is kernel:
-            recorder.attach_cluster(cluster)
-
-
-def on_cluster_round(cluster) -> None:
-    """Called from ``Cluster.step`` after the per-machine slices: take
-    one cluster-wide checkpoint when the lead member's clock crosses
-    its interval. Node 0's recorder owns the cluster capture so one
-    crossing yields one checkpoint, not N."""
-    for recorder in CAMPAIGN:
-        if recorder.cluster is cluster:
-            if recorder.cluster_due():
-                recorder.take_cluster_checkpoint()
-            return

@@ -15,10 +15,11 @@ Typical use::
         ...                          # run the workload
     print(sanitizer.report.render())
 
-or, per-kernel: ``install_sanitizer(kernel)``, which is what
-``repro.boot(sanitize=True)`` does for that boot. ``REPRO_SAN=1`` arms
-every boot of the process. Reports are deterministic per seed, and the
-sanitizer never charges the simulated clock.
+``sanitizing()`` arms the ``sanitize`` slot of
+:mod:`repro.kernel.arming`, the one way a kernel gets a sanitizer;
+``REPRO_SAN=1`` arms it for every boot of the process. Reports are
+deterministic per seed, and the sanitizer never charges the simulated
+clock.
 """
 
 from repro.sanitize.report import (
@@ -30,9 +31,7 @@ from repro.sanitize.report import (
 from repro.sanitize.sanitizer import (
     SanStats,
     Sanitizer,
-    install_sanitizer,
     sanitizing,
-    uninstall_sanitizer,
 )
 from repro.sanitize.shadow import (
     Access,
@@ -53,8 +52,6 @@ __all__ = [
     "ThreadState",
     "WordState",
     "happens_before",
-    "install_sanitizer",
     "sanitizing",
-    "uninstall_sanitizer",
     "vc_join",
 ]

@@ -614,25 +614,6 @@ class Sanitizer:
 # installation
 # ----------------------------------------------------------------------
 
-def install_sanitizer(kernel, sanitizer: Optional[Sanitizer] = None,
-                      report_limit: int = 256) -> Sanitizer:
-    """Install a sanitizer on *kernel* (creating one if needed) and make
-    it the process-wide active sanitizer for shmalloc/runtime hooks."""
-    if sanitizer is None:
-        active = _state.ACTIVE
-        sanitizer = active if isinstance(active, Sanitizer) \
-            else Sanitizer(report_limit=report_limit)
-    _state.ACTIVE = sanitizer
-    sanitizer.register_kernel(kernel)
-    return sanitizer
-
-
-def uninstall_sanitizer() -> None:
-    """Drop the process-wide active sanitizer. Kernels already armed
-    keep their reference; new boots and heap hooks see nothing."""
-    _state.ACTIVE = None
-
-
 @contextmanager
 def sanitizing(report_limit: int = 256) -> Iterator[Sanitizer]:
     """Arm a fresh sanitizer for every kernel booted inside the block

@@ -121,16 +121,16 @@ def lds_main(kernel: Kernel, proc: Process,
     while index < len(args):
         arg = args[index]
         if arg == "-o":
-            output = _value(args, index, "-o")
+            output = _value(args, index, "-o", "lds")
             index += 2
         elif arg == "-L":
-            search_dirs.append(_value(args, index, "-L"))
+            search_dirs.append(_value(args, index, "-L", "lds"))
             index += 2
         elif arg == "-e":
-            entry = _value(args, index, "-e")
+            entry = _value(args, index, "-e", "lds")
             index += 2
         elif arg == "-l":
-            path = _value(args, index, "-l")
+            path = _value(args, index, "-l", "lds")
             archives.append(load_archive(kernel, proc, path))
             index += 2
         elif arg == "--no-crt0":
@@ -149,7 +149,7 @@ def lds_main(kernel: Kernel, proc: Process,
             verify = False
             index += 1
         elif arg in _CLASS_FLAGS:
-            module = _value(args, index, arg)
+            module = _value(args, index, arg, "lds")
             requests.append(LinkRequest(module, _CLASS_FLAGS[arg]))
             index += 2
         elif arg.startswith("-"):
@@ -280,7 +280,7 @@ def reprolint_main(kernel: Kernel, proc: Process,
             quiet = True
             index += 1
         elif arg == "--only":
-            names = _value(args, index, "--only")
+            names = _value(args, index, "--only", "reprolint")
             only = [name.strip() for name in names.split(",")
                     if name.strip()]
             known = {name for name, _check in CHECKS}
@@ -379,10 +379,10 @@ def reprotrace_main(argv: Sequence[str],
     while index < len(args):
         arg = args[index]
         if arg == "-o":
-            outdir = _value(args, index, "-o")
+            outdir = _value(args, index, "-o", "reprotrace")
             index += 2
         elif arg == "--kinds":
-            names = _value(args, index, "--kinds")
+            names = _value(args, index, "--kinds", "reprotrace")
             kinds = [name for name in names.split(",") if name.strip()]
             try:
                 for name in kinds:
@@ -649,31 +649,33 @@ def reprochaos_main(argv: Sequence[str],
     while index < len(args):
         arg = args[index]
         if arg == "--seed":
-            seed = int(_value(args, index, "--seed"))
+            seed = _int_value(args, index, "--seed", "reprochaos",
+                              minimum=None)
             index += 2
         elif arg == "--runs":
-            runs = int(_value(args, index, "--runs"))
+            runs = _int_value(args, index, "--runs", "reprochaos")
             index += 2
         elif arg == "--planes":
-            names = _value(args, index, "--planes")
+            names = _value(args, index, "--planes", "reprochaos")
             planes = [name.strip() for name in names.split(",")
                       if name.strip()]
             planes_given = True
             index += 2
         elif arg == "--rate":
-            rate = float(_value(args, index, "--rate"))
+            rate = _float_value(args, index, "--rate", "reprochaos")
             index += 2
         elif arg == "--crash":
             crash = True
             index += 1
         elif arg == "--stride":
-            stride = int(_value(args, index, "--stride"))
+            stride = _int_value(args, index, "--stride", "reprochaos")
             index += 2
         elif arg == "--max-points":
-            max_points = int(_value(args, index, "--max-points"))
+            max_points = _int_value(args, index, "--max-points",
+                                    "reprochaos", minimum=1)
             index += 2
         elif arg == "--nblocks":
-            nblocks = int(_value(args, index, "--nblocks"))
+            nblocks = _int_value(args, index, "--nblocks", "reprochaos")
             index += 2
         elif arg == "--net":
             net = True
@@ -682,7 +684,7 @@ def reprochaos_main(argv: Sequence[str],
             ha = True
             index += 1
         elif arg == "--nodes":
-            nodes = int(_value(args, index, "--nodes"))
+            nodes = _int_value(args, index, "--nodes", "reprochaos")
             index += 2
         elif arg.startswith("-"):
             raise UsageError(f"reprochaos: unknown option {arg!r}")
@@ -878,26 +880,32 @@ def repronet_main(argv: Sequence[str],
     while index < len(args):
         arg = args[index]
         if arg == "--nodes":
-            nodes = int(_value(args, index, "--nodes"))
+            nodes = _int_value(args, index, "--nodes", "repronet")
             index += 2
         elif arg == "--seed":
-            seed = int(_value(args, index, "--seed"))
+            seed = _int_value(args, index, "--seed", "repronet",
+                              minimum=None)
             index += 2
         elif arg == "--hosts":
-            hosts = int(_value(args, index, "--hosts"))
+            hosts = _int_value(args, index, "--hosts", "repronet")
             index += 2
         elif arg == "--impl":
-            implementation = _value(args, index, "--impl")
+            implementation = _value(args, index, "--impl", "repronet")
             index += 2
         elif arg == "--readers":
-            names = _value(args, index, "--readers")
-            readers = [int(name) for name in names.split(",") if name]
+            names = _value(args, index, "--readers", "repronet")
+            try:
+                readers = [int(name) for name in names.split(",")
+                           if name]
+            except ValueError:
+                raise UsageError(f"repronet: --readers needs node "
+                                 f"numbers, got {names!r}") from None
             index += 2
         elif arg == "--rate":
-            rate = float(_value(args, index, "--rate"))
+            rate = _float_value(args, index, "--rate", "repronet")
             index += 2
         elif arg == "--runs":
-            runs = int(_value(args, index, "--runs"))
+            runs = _int_value(args, index, "--runs", "repronet")
             index += 2
         else:
             raise UsageError(f"repronet: unknown option {arg!r}")
@@ -1156,10 +1164,10 @@ def reprorr_main(argv: Sequence[str],
         while index < len(args):
             arg = args[index]
             if arg == "--script":
-                script = _value(args, index, "--script")
+                script = _value(args, index, "--script", "reprorr")
                 index += 2
             elif arg == "--cycle" and mode == "seek":
-                cycle = int(_value(args, index, "--cycle"))
+                cycle = _int_value(args, index, "--cycle", "reprorr")
                 index += 2
             elif arg.startswith("-"):
                 raise UsageError(f"reprorr: unknown option {arg!r}")
@@ -1205,31 +1213,33 @@ def reprorr_main(argv: Sequence[str],
     while index < len(args):
         arg = args[index]
         if arg == "-o":
-            output = _value(args, index, "-o")
+            output = _value(args, index, "-o", "reprorr")
             index += 2
         elif arg == "--interval":
-            interval = int(_value(args, index, "--interval"))
+            interval = _int_value(args, index, "--interval", "reprorr")
             index += 2
         elif arg == "--planes":
-            names = _value(args, index, "--planes")
+            names = _value(args, index, "--planes", "reprorr")
             planes = [name.strip() for name in names.split(",")
                       if name.strip()]
             index += 2
         elif arg == "--rate":
-            rate = float(_value(args, index, "--rate"))
+            rate = _float_value(args, index, "--rate", "reprorr")
             index += 2
         elif arg == "--seed":
-            seed = int(_value(args, index, "--seed"))
+            seed = _int_value(args, index, "--seed", "reprorr",
+                              minimum=None)
             index += 2
         elif arg == "--kinds":
-            names = _value(args, index, "--kinds")
+            names = _value(args, index, "--kinds", "reprorr")
             kinds = [name for name in names.split(",") if name.strip()]
             index += 2
         elif arg == "--capacity":
-            capacity = int(_value(args, index, "--capacity"))
+            capacity = _int_value(args, index, "--capacity", "reprorr",
+                                  minimum=1)
             index += 2
         elif arg == "--nodes":
-            nodes = int(_value(args, index, "--nodes"))
+            nodes = _int_value(args, index, "--nodes", "reprorr")
             index += 2
         elif arg.startswith("-") and script is None:
             raise UsageError(f"reprorr: unknown option {arg!r}")
@@ -1406,13 +1416,13 @@ def reprosan_main(argv: Sequence[str],
         while index < len(args):
             arg = args[index]
             if arg == "--limit":
-                limit = int(_value(args, index, "--limit"))
+                limit = _int_value(args, index, "--limit", "reprosan")
                 index += 2
             elif arg == "--replay":
                 replay = True
                 index += 1
             elif arg == "-o":
-                output = _value(args, index, "-o")
+                output = _value(args, index, "-o", "reprosan")
                 index += 2
             elif arg.startswith("-"):
                 raise UsageError(f"reprosan: unknown option {arg!r}")
@@ -1516,23 +1526,36 @@ def _load_any(kernel: Kernel, proc: Process, path: str) -> ObjectFile:
         raise LinkError(f"{path!r} is not a HOF object: {error}")
 
 
-def _value(args: List[str], index: int, flag: str) -> str:
+def _value(args: List[str], index: int, flag: str, tool: str) -> str:
     if index + 1 >= len(args):
-        raise UsageError(f"lds: {flag} needs a value")
+        raise UsageError(f"{tool}: {flag} needs a value")
     return args[index + 1]
 
 
 def _int_value(args: List[str], index: int, flag: str, tool: str,
-               minimum: int = 0) -> int:
-    raw = _value(args, index, flag)
+               minimum: Optional[int] = 0) -> int:
+    """*flag*'s value as an integer (>= *minimum* unless that is None);
+    anything else is a :class:`UsageError` naming *tool*."""
+    raw = _value(args, index, flag, tool)
     try:
         value = int(raw)
     except ValueError:
-        value = minimum - 1
-    if value < minimum:
-        raise UsageError(
-            f"{tool}: {flag} needs an integer >= {minimum}, got {raw!r}")
+        value = None
+    if value is None or (minimum is not None and value < minimum):
+        wanted = "an integer" if minimum is None \
+            else f"an integer >= {minimum}"
+        raise UsageError(f"{tool}: {flag} needs {wanted}, got {raw!r}")
     return value
+
+
+def _float_value(args: List[str], index: int, flag: str,
+                 tool: str) -> float:
+    raw = _value(args, index, flag, tool)
+    try:
+        return float(raw)
+    except ValueError:
+        raise UsageError(
+            f"{tool}: {flag} needs a number, got {raw!r}") from None
 
 
 def _one_output_one_input(argv: Sequence[str], tool: str,
@@ -1543,7 +1566,7 @@ def _one_output_one_input(argv: Sequence[str], tool: str,
     index = 0
     while index < len(args):
         if args[index] == "-o":
-            output = _value(args, index, "-o")
+            output = _value(args, index, "-o", tool)
             index += 2
         elif args[index].startswith("-"):
             raise UsageError(f"{tool}: unknown option {args[index]!r}")

@@ -151,7 +151,7 @@ class AddressSpace:
         self.tlb_invalidations = 0
         self.tlb_flushes = 0
         self.injector = None  # set by repro.inject.install_injector
-        self.sanitizer = None  # set by repro.sanitize.install_sanitizer
+        self.sanitizer = None  # set by Sanitizer.register_process
         self.smp = None  # SmpCoordinator on multi-core boots
         self.core = 0  # owning process's home core (repro.smp)
 

@@ -123,8 +123,6 @@ class TestArming:
         cluster = Cluster(2, seed=3)
         assert cluster.ha is None
         assert cluster.fabric.ha is None
-        for machine in cluster.machines:
-            assert machine.kernel.ha is None
         cluster.run()
         assert cluster.fabric.stats.by_kind.get("HEARTBEAT", 0) == 0
         cluster.shutdown()
@@ -378,6 +376,35 @@ class TestEndToEnd:
         ]
         recording = record_call(workload, interval=30_000, plans=plans,
                                 inject_seed=5)
+        report = replay_call(recording, workload)
+        assert report.ok, report.render()
+
+    def test_rr_cut_owner_survives_home_reboot(self):
+        """The consistent cut stays owned by node 0's *original*
+        recorder across a node-0 reboot. Golden (cycle, boot) pairs
+        from the boot-time lead: boot 1 is the single-kernel oracle
+        (clock checkpoints), the cluster cuts carry node 0's original
+        clock, which stops at the crash — a lead that moved to the
+        rebooted kernel would add cuts after the reboot."""
+        from repro.rr import record_call, replay_call
+
+        def workload():
+            cluster, result = _ha_rwho(3, 6, seed=42)
+            assert result["converged"]
+            assert result["ha"]["reboots"] == 1
+            cluster.shutdown()
+
+        plans = [
+            FaultPlan(Plane.NODE, FaultKind.CRASH, site="crash",
+                      match="node0", probability=1.0, after=2,
+                      max_faults=1),
+            FaultPlan(Plane.NODE, FaultKind.REBOOT, site="reboot",
+                      probability=1.0, after=5, max_faults=1),
+        ]
+        recording = record_call(workload, interval=20_000, plans=plans,
+                                inject_seed=5)
+        assert [(cp.cycle, cp.boot) for cp in recording.checkpoints] \
+            == [(30400, 1), (50400, 1), (46760, 4), (69420, 4)]
         report = replay_call(recording, workload)
         assert report.ok, report.render()
 

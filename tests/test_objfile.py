@@ -100,6 +100,70 @@ class TestSerialization:
         assert set(clone.symbols) == set(names)
 
 
+def _mod3_bytes() -> bytes:
+    from repro.bench.workloads import _module_source
+
+    return assemble(_module_source(3, "/lib/m"), "mod3.o").to_bytes()
+
+
+def _parses_exactly_or_rejects(data: bytes) -> bool:
+    """True when *data* decodes to an object that re-encodes to the
+    same bytes; False on an ObjectFormatError. Anything else escapes."""
+    try:
+        obj = ObjectFile.from_bytes(data)
+    except ObjectFormatError:
+        return False
+    assert obj.to_bytes() == data
+    return True
+
+
+class TestMutatedBytes:
+    """Every byte mutant of a real object is an exact parse or an
+    ObjectFormatError — never a raw UnicodeDecodeError/ValueError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutation_property(self, data):
+        blob = bytearray(_mod3_bytes())
+        for _ in range(data.draw(st.integers(1, 4), label="count")):
+            index = data.draw(st.integers(0, len(blob) - 1),
+                              label="index")
+            blob[index] = data.draw(st.integers(0, 255), label="byte")
+        _parses_exactly_or_rejects(bytes(blob))
+
+    def test_seeded_mutants(self):
+        import random
+
+        blob = _mod3_bytes()
+        rng = random.Random(1993)
+        parsed = 0
+        for _ in range(3000):
+            mutant = bytearray(blob)
+            for _ in range(rng.randint(1, 4)):
+                mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+            parsed += _parses_exactly_or_rejects(bytes(mutant))
+        assert 0 < parsed < 3000
+
+    @pytest.mark.parametrize("mutant", [
+        lambda: _mod3_bytes() + b"\x00",
+        lambda: _mod3_bytes().replace(b"func_3", b"\xff\xfeunc3"),
+        lambda: _mod3_bytes()[:4] + b"\x09" + _mod3_bytes()[5:],
+        lambda: _mod3_bytes().replace(b"func_3", b"zunc_3"),
+        lambda: _section_laid_out_twice(),
+    ], ids=["trailing-byte", "bad-utf8", "unknown-kind",
+            "unsorted-symbols", "section-twice"])
+    def test_typed_rejections(self, mutant):
+        with pytest.raises(ObjectFormatError):
+            ObjectFile.from_bytes(mutant())
+
+
+def _section_laid_out_twice() -> bytes:
+    obj = ObjectFile("a.out", ObjectKind.EXECUTABLE)
+    obj.layout["text"] = SectionLayout("text", 0x400000, 16)
+    obj.layout["tex2"] = SectionLayout("tex2", 0x500000, 16)
+    return obj.to_bytes().replace(b"tex2", b"text")
+
+
 class TestSymbols:
     def test_defined_over_undefined(self):
         obj = ObjectFile("x.o")

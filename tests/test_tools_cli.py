@@ -230,3 +230,36 @@ system.kernel.shutdown()
         assert "REPLAY-DRIFT" in text
         assert "first divergence" in text
         assert (tmp_path / "runs.txt").read_text() == "2"
+
+
+class TestNumericOptions:
+    """A malformed or missing option value is a UsageError (exit 2)
+    that names the tool being run, never a raw ValueError."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["reprochaos", "--seed", "big", "x.py"],
+         "reprochaos: --seed needs an integer"),
+        (["repronet", "soak", "--seed", "big"],
+         "repronet: --seed needs an integer"),
+        (["reprorr", "record", "--interval", "big", "x.py"],
+         "reprorr: --interval needs an integer"),
+        (["reprosan", "run", "x", "--limit", "big"],
+         "reprosan: --limit needs an integer"),
+        (["reprochaos", "--rate", "often", "x.py"],
+         "reprochaos: --rate needs a number"),
+        (["repronet", "soak", "--runs"],
+         "repronet: --runs needs a value"),
+        (["reprorr", "record", "--interval"],
+         "reprorr: --interval needs a value"),
+        (["reprosan", "run", "x", "--limit"],
+         "reprosan: --limit needs a value"),
+    ])
+    def test_bad_value_is_a_usage_error(self, argv, message,
+                                        monkeypatch, capsys):
+        import sys
+
+        from repro.tools import cli
+
+        monkeypatch.setattr(sys, "argv", argv)
+        assert getattr(cli, f"{argv[0]}_entry")() == 2
+        assert capsys.readouterr().err.startswith(message)
