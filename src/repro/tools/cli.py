@@ -24,59 +24,49 @@ system):
   findings raise :class:`repro.errors.LintError`; ``--strict``
   promotes WARNINGs to failures too.
 
-Two tools run on the *host* instead of inside the simulation:
+Six tools run on the *host* instead of inside the simulation, each
+also installed as a console script of the same name; each ``*_main``
+docstring gives its command line:
 
-* :func:`reprotrace_main` — ``reprotrace [-o dir] [--kinds K,K]
-  [--capacity N] [--top N] script.py [args...]`` runs any example (or
-  other host script) with kernel-wide tracing armed, then writes a
-  JSONL event log and a ``chrome://tracing`` file and prints the top-N
-  hot-spot report. Also installed as the ``reprotrace`` console script.
-* :func:`reprochaos_main` — ``reprochaos [--seed N] [--runs N]
-  [--planes P,P] [--rate F] script.py...`` soaks host scripts under
-  :mod:`repro.inject` fault planes: each seeded configuration is
-  recorded and replayed through the :mod:`repro.rr` divergence
-  oracle (replay drift fails the campaign), and no injected fault may
-  escape the simulation as a host-level crash (kernel death fails it
-  too).
-  ``reprochaos --crash [--stride N] [--max-points N] [--nblocks N]
-  script.py...`` instead mounts a durable :mod:`repro.disk` store
-  under every kernel the script boots and runs the script once per
-  journal-record boundary, crashing the disk mid-record each time;
-  every surviving image must pass ``reprofsck`` with zero findings and
-  remount with all public segments reopenable by address.
-* :func:`repronet_main` — ``repronet topo|run|soak [--nodes N]
-  [--seed N] [--hosts N] [--impl shm|file] [--rate F] [--runs N]``
-  inspects the deterministic cluster topology, runs the rwho scale
-  scenario over a :class:`repro.net.Cluster` with full traffic/cycle
-  accounting, or soaks the cluster under NET-plane faults with the
-  same record/replay drift check as ``reprochaos``. A
-  ``reprochaos --net [--nodes N]`` campaign composes both: NET plans
-  join the plane mix and ``REPRO_CLUSTER=N`` makes cluster-aware
-  scripts boot a cluster.
-* :func:`reprofsck_main` — ``reprofsck [--verbose] image...`` checks
-  saved device images (``BlockDevice.save``) for damage, rendering
-  stable ``DSK###`` findings; exit status 1 when any image has
-  findings. Also installed as the ``reprofsck`` console script.
-* :func:`reprosan_main` — ``reprosan list|run|soak|sweep`` drives the
-  :mod:`repro.sanitize` race detector and heap sanitizer: render the
-  deterministic report for a seeded corpus case (``run CASE``, with
-  ``--replay`` seeking an rr recording to the first racing access
-  pair), record and replay the whole corpus through the rr oracle
-  asserting byte-identical reports (``soak``), or run every example
-  armed expecting zero findings (``sweep``). Also installed as the
-  ``reprosan`` console script.
+* :func:`reprotrace_main` runs a host script with kernel-wide tracing
+  armed and exports the event stream;
+* :func:`reprochaos_main` soaks host scripts under :mod:`repro.inject`
+  fault planes, through the :mod:`repro.rr` divergence oracle, or
+  (``--crash``) crashes a durable :mod:`repro.disk` store at every
+  journal-record boundary;
+* :func:`repronet_main` inspects, runs and soaks a
+  :class:`repro.net.Cluster`;
+* :func:`reprofsck_main` checks saved device images for damage;
+* :func:`reprorr_main` records, replays and seeks inside runs;
+* :func:`reprosan_main` drives the :mod:`repro.sanitize` race detector
+  and heap sanitizer.
+
+Every tool but ``lds`` reads its argv through one option table: a
+:class:`_Parser` (stdlib :mod:`argparse` with no ``-h`` and no
+abbreviated flags) and one set of value types. A seed is any integer,
+a count is >= 0, ``--max-points``/``--capacity``/``--nodes`` are >= 1,
+``--rate`` is a number in [0, 1], and ``--planes``/``--kinds``/
+``--only`` are comma lists checked against the known names. Any bad
+argv is a :class:`UsageError` naming the tool; the console scripts
+print it and exit with status 2. ``lds`` keeps a hand loop because its
+module order is link order (see :func:`lds_main`).
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import math
 import os
+import re
 import runpy
 import sys
-from typing import List, Optional, Sequence, TextIO
+from typing import Callable, List, NoReturn, Optional, Sequence, TextIO, \
+    Tuple
 
 from repro.errors import LinkError, SimulationError
 from repro.hw.asm import assemble
+from repro.inject.plan import Plane
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.linker.classes import SharingClass
@@ -86,6 +76,7 @@ from repro.objfile.archive import Archive
 from repro.objfile.format import ObjectFile
 from repro.objfile.inspect import nm, objdump
 from repro.toyc import compile_source
+from repro.trace.events import EventKind
 
 _CLASS_FLAGS = {
     "--static-private": SharingClass.STATIC_PRIVATE,
@@ -103,9 +94,103 @@ class UsageError(SimulationError):
     """Bad command-line arguments."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse held to the tools' conventions.
+
+    A tool accepts exactly the flags it declares: there is no ``-h``
+    and no abbreviated ``--se`` for ``--seed``. Every error is a
+    :class:`UsageError` worded ``tool: --flag needs ...`` (a subcommand
+    reports under its tool's name too), followed by the usage line.
+    """
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+
+    def error(self, message: str) -> NoReturn:
+        # argparse words a bad value "argument --seed: expected one
+        # argument"; the tools say "--seed needs a value".
+        message = re.sub(r"^argument (\S+): ", r"\1 ", message)
+        message = message.replace("expected one argument", "needs a value")
+        tool = self.prog.split()[0]
+        raise UsageError(f"{tool}: {message}\n"
+                         f"{self.format_usage().rstrip()}")
+
+
+def _integer(minimum: Optional[int]) -> Callable[[str], int]:
+    """The option type of an integer >= *minimum* (any if None)."""
+    wanted = "an integer" if minimum is None \
+        else f"an integer >= {minimum}"
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = None
+        if value is None or (minimum is not None and value < minimum):
+            raise argparse.ArgumentTypeError(
+                f"needs {wanted}, got {raw!r}")
+        return value
+
+    return parse
+
+
+_seed = _integer(None)
+_count = _integer(0)
+_positive = _integer(1)
+
+
+def _rate(raw: str) -> float:
+    """The option type of a fault trigger probability."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"needs a number in [0, 1], got {raw!r}")
+    return value
+
+
+def _names(what: str, known: Sequence[str]) -> Callable[[str], List[str]]:
+    """The option type of a comma list of *known* names, matched in any
+    case and returned as spelled in *known*."""
+    spelling = {name.upper(): name for name in known}
+
+    def parse(raw: str) -> List[str]:
+        names = [name.strip() for name in raw.split(",") if name.strip()]
+        for name in names:
+            if name.upper() not in spelling:
+                raise argparse.ArgumentTypeError(
+                    f"unknown {what} {name!r} (known: {', '.join(known)})")
+        return [spelling[name.upper()] for name in names]
+
+    return parse
+
+
+_planes = _names("injection plane", [plane.value for plane in Plane])
+_kinds = _names("event kind", [kind.name for kind in EventKind])
+
+
+def _script(parser: _Parser,
+            command: List[str]) -> Tuple[str, List[str]]:
+    """The script and its arguments, from a ``command`` positional with
+    ``nargs=REMAINDER``. Everything after the script, ``--`` included,
+    passes through verbatim: one positional holds the script and its
+    arguments because a separate script positional would swallow a
+    ``--`` right after it."""
+    if not command:
+        parser.error("no script given")
+    if not os.path.isfile(command[0]):
+        parser.error(f"no such script: {command[0]}")
+    return command[0], command[1:]
+
+
 def lds_main(kernel: Kernel, proc: Process,
              argv: Sequence[str]) -> LinkResult:
     """Run an lds command line; returns the LinkResult."""
+    # Not argparse: module order on the command line is link order, and
+    # argparse cannot keep positional modules and -dp/-sp modules in
+    # their relative argv order.
     output = "a.out"
     search_dirs: List[str] = []
     archives: List[Archive] = []
@@ -265,50 +350,24 @@ def reprolint_main(kernel: Kernel, proc: Process,
     from repro.analyze.pipeline import CHECKS
     from repro.analyze.report import Report, Severity
 
-    strict = False
-    quiet = False
-    only: Optional[List[str]] = None
-    paths: List[str] = []
-    args = list(argv)
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if arg == "--strict":
-            strict = True
-            index += 1
-        elif arg == "--quiet":
-            quiet = True
-            index += 1
-        elif arg == "--only":
-            names = _value(args, index, "--only", "reprolint")
-            only = [name.strip() for name in names.split(",")
-                    if name.strip()]
-            known = {name for name, _check in CHECKS}
-            unknown = [name for name in only if name not in known]
-            if unknown:
-                raise UsageError(
-                    f"reprolint: unknown categories {unknown} "
-                    f"(known: {', '.join(sorted(known))})"
-                )
-            index += 2
-        elif arg.startswith("-"):
-            raise UsageError(f"reprolint: unknown option {arg!r}")
-        else:
-            paths.append(arg)
-            index += 1
-    if not paths:
-        raise UsageError("reprolint: no input files")
+    parser = _Parser(prog="reprolint")
+    parser.add_argument("--strict", action="store_true")
+    parser.add_argument("--quiet", action="store_true")
+    parser.add_argument("--only", type=_names(
+        "category", sorted(name for name, _check in CHECKS)))
+    parser.add_argument("paths", nargs="+")
+    args = parser.parse_intermixed_args(argv)
 
-    combined = Report(subject=", ".join(paths))
+    combined = Report(subject=", ".join(args.paths))
     pieces: List[str] = []
-    for path in paths:
-        report = _lint_path(kernel, proc, path, only)
+    for path in args.paths:
+        report = _lint_path(kernel, proc, path, args.only)
         combined.merge(report)
         pieces.append(report.render(
-            Severity.WARNING if quiet else Severity.INFO
+            Severity.WARNING if args.quiet else Severity.INFO
         ))
     text = "\n".join(pieces)
-    threshold = Severity.WARNING if strict else Severity.ERROR
+    threshold = Severity.WARNING if args.strict else Severity.ERROR
     combined.raise_if(threshold)
     return text
 
@@ -363,62 +422,22 @@ def reprotrace_main(argv: Sequence[str],
     Exports are deterministic: identical runs produce identical bytes.
     """
     from repro.trace import tracer as trace_state
-    from repro.trace.events import EventKind
     from repro.trace.tracer import tracing
 
+    parser = _Parser(prog="reprotrace")
+    parser.add_argument("-o", dest="outdir", default=".")
+    parser.add_argument("--kinds", type=_kinds)
+    parser.add_argument("--capacity", type=_positive, default=1 << 16)
+    parser.add_argument("--top", type=_count, default=10)
+    parser.add_argument("command", nargs=argparse.REMAINDER)
+    args = parser.parse_args(argv)
+    script, script_args = _script(parser, args.command)
     out = stdout if stdout is not None else sys.stdout
-    outdir = "."
-    kinds: Optional[List[str]] = None
-    capacity = 1 << 16
-    top = 10
-    script: Optional[str] = None
-    script_args: List[str] = []
-
-    args = list(argv)
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if arg == "-o":
-            outdir = _value(args, index, "-o", "reprotrace")
-            index += 2
-        elif arg == "--kinds":
-            names = _value(args, index, "--kinds", "reprotrace")
-            kinds = [name for name in names.split(",") if name.strip()]
-            try:
-                for name in kinds:
-                    EventKind[name.strip().upper()]
-            except KeyError:
-                known = ", ".join(k.name for k in EventKind)
-                raise UsageError(
-                    f"reprotrace: unknown event kind {name!r} "
-                    f"(known: {known})"
-                )
-            index += 2
-        elif arg == "--capacity":
-            capacity = _int_value(args, index, "--capacity", "reprotrace",
-                                  minimum=1)
-            index += 2
-        elif arg == "--top":
-            top = _int_value(args, index, "--top", "reprotrace")
-            index += 2
-        elif arg.startswith("-") and script is None:
-            raise UsageError(f"reprotrace: unknown option {arg!r}")
-        else:
-            script = arg
-            script_args = args[index + 1:]
-            break
-    if script is None:
-        raise UsageError(
-            "reprotrace: usage: reprotrace [-o dir] [--kinds K,K] "
-            "[--capacity N] [--top N] script.py [args...]"
-        )
-    if not os.path.isfile(script):
-        raise UsageError(f"reprotrace: no such script: {script}")
 
     saved_argv = sys.argv
-    sys.argv = [script] + list(script_args)
+    sys.argv = [script] + script_args
     try:
-        with tracing(kinds=kinds, capacity=capacity):
+        with tracing(kinds=args.kinds, capacity=args.capacity):
             runpy.run_path(script, run_name="__main__")
             tracer = trace_state.TRACER
         if not tracer.enabled:
@@ -431,30 +450,21 @@ def reprotrace_main(argv: Sequence[str],
             write_jsonl,
         )
 
-        os.makedirs(outdir, exist_ok=True)
+        os.makedirs(args.outdir, exist_ok=True)
         stem = os.path.splitext(os.path.basename(script))[0]
-        jsonl_path = os.path.join(outdir, f"{stem}.trace.jsonl")
-        chrome_path = os.path.join(outdir, f"{stem}.chrome.json")
+        jsonl_path = os.path.join(args.outdir, f"{stem}.trace.jsonl")
+        chrome_path = os.path.join(args.outdir, f"{stem}.chrome.json")
         events = tracer.events()
         write_jsonl(events, jsonl_path)
         write_chrome(events, chrome_path)
         print(file=out)
-        print(top_report(tracer, top=top), file=out)
+        print(top_report(tracer, top=args.top), file=out)
         print(f"\nwrote {len(events)} events to {jsonl_path}", file=out)
         print(f"wrote chrome trace to {chrome_path} "
               f"(open in chrome://tracing)", file=out)
         return 0
     finally:
         sys.argv = saved_argv
-
-
-def reprotrace_entry() -> int:
-    """Console-script entry point (``reprotrace ...``)."""
-    try:
-        return reprotrace_main(sys.argv[1:])
-    except UsageError as error:
-        print(error, file=sys.stderr)
-        return 2
 
 
 # ----------------------------------------------------------------------
@@ -629,102 +639,38 @@ def reprochaos_main(argv: Sequence[str],
     from repro.rr import record_script, replay_script
     from repro.rr.oracle import applied_env, capture_env
 
-    out = stdout if stdout is not None else sys.stdout
-    seed = 1993
-    runs = 1
-    planes: Sequence[str] = _CHAOS_PLANES
-    rate = 0.005
-    planes_given = False
-    crash = False
-    stride = 1
-    max_points: Optional[int] = None
-    nblocks = 2048
-    net = False
-    ha = False
-    nodes = 4
-    scripts: List[str] = []
-
-    args = list(argv)
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if arg == "--seed":
-            seed = _int_value(args, index, "--seed", "reprochaos",
-                              minimum=None)
-            index += 2
-        elif arg == "--runs":
-            runs = _int_value(args, index, "--runs", "reprochaos")
-            index += 2
-        elif arg == "--planes":
-            names = _value(args, index, "--planes", "reprochaos")
-            planes = [name.strip() for name in names.split(",")
-                      if name.strip()]
-            planes_given = True
-            index += 2
-        elif arg == "--rate":
-            rate = _float_value(args, index, "--rate", "reprochaos")
-            index += 2
-        elif arg == "--crash":
-            crash = True
-            index += 1
-        elif arg == "--stride":
-            stride = _int_value(args, index, "--stride", "reprochaos")
-            index += 2
-        elif arg == "--max-points":
-            max_points = _int_value(args, index, "--max-points",
-                                    "reprochaos", minimum=1)
-            index += 2
-        elif arg == "--nblocks":
-            nblocks = _int_value(args, index, "--nblocks", "reprochaos")
-            index += 2
-        elif arg == "--net":
-            net = True
-            index += 1
-        elif arg == "--ha":
-            ha = True
-            index += 1
-        elif arg == "--nodes":
-            nodes = _int_value(args, index, "--nodes", "reprochaos")
-            index += 2
-        elif arg.startswith("-"):
-            raise UsageError(f"reprochaos: unknown option {arg!r}")
-        else:
-            scripts.append(arg)
-            index += 1
-    if not scripts:
-        raise UsageError(
-            "reprochaos: usage: reprochaos [--seed N] [--runs N] "
-            "[--planes P,P] [--rate F] [--crash [--stride N] "
-            "[--max-points N] [--nblocks N]] [--net|--ha [--nodes N]] "
-            "script.py..."
-        )
-    for script in scripts:
+    parser = _Parser(prog="reprochaos")
+    parser.add_argument("--seed", type=_seed, default=1993)
+    parser.add_argument("--runs", type=_count, default=1)
+    parser.add_argument("--planes", type=_planes)
+    parser.add_argument("--rate", type=_rate, default=0.005)
+    parser.add_argument("--crash", action="store_true")
+    parser.add_argument("--stride", type=_count, default=1)
+    parser.add_argument("--max-points", type=_positive)
+    parser.add_argument("--nblocks", type=_count, default=2048)
+    parser.add_argument("--net", action="store_true")
+    parser.add_argument("--ha", action="store_true")
+    parser.add_argument("--nodes", type=_positive, default=4)
+    parser.add_argument("scripts", nargs="+")
+    args = parser.parse_intermixed_args(argv)
+    for script in args.scripts:
         if not os.path.isfile(script):
-            raise UsageError(f"reprochaos: no such script: {script}")
-    if net and crash:
-        raise UsageError("reprochaos: --net and --crash are separate "
-                         "soaks; pick one")
-    if ha and crash:
-        raise UsageError("reprochaos: --ha and --crash are separate "
-                         "soaks; pick one")
-    if ha:
-        net = True  # --ha layers the node plane on the net soak
-        if not planes_given:
-            # The availability soak targets the failure model: the
-            # default syscall/io fuzz would kill the differential
-            # oracle before recovery is ever exercised.
-            planes = []
+            parser.error(f"no such script: {script}")
+    if args.crash and (args.net or args.ha):
+        parser.error("--net/--ha and --crash are separate soaks; pick one")
+    out = stdout if stdout is not None else sys.stdout
 
-    if crash:
-        print(f"reprochaos: crash soak, {len(scripts)} script(s), "
-              f"seed {seed}, stride {stride}"
-              + (f", max {max_points} point(s)" if max_points else ""),
+    if args.crash:
+        print(f"reprochaos: crash soak, {len(args.scripts)} script(s), "
+              f"seed {args.seed}, stride {args.stride}"
+              + (f", max {args.max_points} point(s)"
+                 if args.max_points else ""),
               file=out)
         failures: List[str] = []
-        for script in scripts:
+        for script in args.scripts:
             failures.extend(
-                _crash_soak(script, seed, nblocks, stride, max_points,
-                            out))
+                _crash_soak(script, args.seed, args.nblocks, args.stride,
+                            args.max_points, out))
         if failures:
             for text in failures[:20]:
                 print(f"  FAIL {text}", file=out)
@@ -734,26 +680,30 @@ def reprochaos_main(argv: Sequence[str],
         print("reprochaos: OK (every crash point recovered; fsck clean, "
               "segments reopen by address)", file=out)
         return 0
+    net = args.net or args.ha  # --ha layers the node plane on --net
+    planes = args.planes
+    if planes is None:
+        # The availability soak targets the failure model: the default
+        # syscall/io fuzz would kill the differential oracle before
+        # recovery is ever exercised.
+        planes = [] if args.ha else list(_CHAOS_PLANES)
     env = {}
     if net:
         if "net" not in planes:
-            planes = list(planes) + ["net"]
+            planes.append("net")
         # Cluster-aware scripts (examples/rwho_network.py) read this to
         # boot a cluster instead of a single kernel.
-        env["REPRO_CLUSTER"] = str(nodes)
-    if ha:
+        env["REPRO_CLUSTER"] = str(args.nodes)
+    if args.ha:
         if "node" not in planes:
-            planes = list(planes) + ["node"]
+            planes.append("node")
         env["REPRO_HA"] = "1"
-    try:
-        plans = _campaign_plans(planes, rate)
-    except ValueError as error:
-        raise UsageError(f"reprochaos: {error}")
+    plans = _campaign_plans(planes, args.rate)
 
-    print(f"reprochaos: {len(scripts)} script(s) x {runs} run(s), "
-          f"base seed {seed}, rate {rate:g}"
-          + (f", cluster of {nodes}" if net else "")
-          + (" (HA armed)" if ha else ""), file=out)
+    print(f"reprochaos: {len(args.scripts)} script(s) x {args.runs} "
+          f"run(s), base seed {args.seed}, rate {args.rate:g}"
+          + (f", cluster of {args.nodes}" if net else "")
+          + (" (HA armed)" if args.ha else ""), file=out)
     for plan in plans:
         print(f"  plan: {plan.describe()}", file=out)
 
@@ -761,9 +711,9 @@ def reprochaos_main(argv: Sequence[str],
     # The recording captures REPRO_* into its manifest, so the replay
     # runs under the same variables.
     with applied_env({**capture_env(), **env}):
-        for script in scripts:
-            for run in range(runs):
-                run_seed = seed + run
+        for script in args.scripts:
+            for run in range(args.runs):
+                run_seed = args.seed + run
                 recording = record_script(script, plans=plans,
                                           inject_seed=run_seed)
                 totals = _campaign_totals(plans)
@@ -811,15 +761,6 @@ def _print_indented(text: str, out: TextIO) -> None:
         print(f"    {line}", file=out)
 
 
-def reprochaos_entry() -> int:
-    """Console-script entry point (``reprochaos ...``)."""
-    try:
-        return reprochaos_main(sys.argv[1:])
-    except UsageError as error:
-        print(error, file=sys.stderr)
-        return 2
-
-
 # ----------------------------------------------------------------------
 # repronet — deterministic cluster runs and soaks
 # ----------------------------------------------------------------------
@@ -860,59 +801,24 @@ def repronet_main(argv: Sequence[str],
     outcome, the two runs' reader outputs must be equal, and no fault
     may escape the simulation's typed error channels.
     """
+    parser = _Parser(prog="repronet")
+    parser.add_argument("command", choices=("topo", "run", "soak"))
+    parser.add_argument("--nodes", type=_positive, default=4)
+    parser.add_argument("--seed", type=_seed, default=1993)
+    parser.add_argument("--hosts", type=_count, default=64)
+    parser.add_argument("--impl", choices=("shm", "file"), default="shm")
+    parser.add_argument("--readers", type=lambda raw: [
+        _count(node) for node in raw.split(",") if node])
+    parser.add_argument("--rate", type=_rate, default=0.01)
+    parser.add_argument("--runs", type=_count, default=1)
+    args = parser.parse_args(argv)
+    nodes, seed = args.nodes, args.seed
+    if args.readers and max(args.readers) >= nodes:
+        parser.error(f"--readers needs node numbers below --nodes "
+                     f"{nodes}, got {max(args.readers)}")
     out = stdout if stdout is not None else sys.stdout
-    args = list(argv)
-    if not args or args[0] not in ("topo", "run", "soak"):
-        raise UsageError(
-            "repronet: usage: repronet topo|run|soak [--nodes N] "
-            "[--seed N] [--hosts N] [--impl shm|file] [--readers a,b] "
-            "[--rate F] [--runs N]")
-    command = args[0]
-    nodes = 4
-    seed = 1993
-    hosts = 64
-    implementation = "shm"
-    readers: Optional[List[int]] = None
-    rate = 0.01
-    runs = 1
 
-    index = 1
-    while index < len(args):
-        arg = args[index]
-        if arg == "--nodes":
-            nodes = _int_value(args, index, "--nodes", "repronet")
-            index += 2
-        elif arg == "--seed":
-            seed = _int_value(args, index, "--seed", "repronet",
-                              minimum=None)
-            index += 2
-        elif arg == "--hosts":
-            hosts = _int_value(args, index, "--hosts", "repronet")
-            index += 2
-        elif arg == "--impl":
-            implementation = _value(args, index, "--impl", "repronet")
-            index += 2
-        elif arg == "--readers":
-            names = _value(args, index, "--readers", "repronet")
-            try:
-                readers = [int(name) for name in names.split(",")
-                           if name]
-            except ValueError:
-                raise UsageError(f"repronet: --readers needs node "
-                                 f"numbers, got {names!r}") from None
-            index += 2
-        elif arg == "--rate":
-            rate = _float_value(args, index, "--rate", "repronet")
-            index += 2
-        elif arg == "--runs":
-            runs = _int_value(args, index, "--runs", "repronet")
-            index += 2
-        else:
-            raise UsageError(f"repronet: unknown option {arg!r}")
-    if implementation not in ("shm", "file"):
-        raise UsageError(f"repronet: unknown --impl {implementation!r}")
-
-    if command == "topo":
+    if args.command == "topo":
         from repro.net import Fabric, mix_seed
         from repro.sfs.sharedfs import MAX_INODES
 
@@ -932,10 +838,10 @@ def repronet_main(argv: Sequence[str],
                   file=out)
         return 0
 
-    if command == "run":
-        result = _net_scenario(nodes, seed, hosts, implementation,
-                               readers)
-        print(f"repronet: {implementation} rwho over {nodes} node(s), "
+    if args.command == "run":
+        result = _net_scenario(nodes, seed, args.hosts, args.impl,
+                               args.readers)
+        print(f"repronet: {args.impl} rwho over {nodes} node(s), "
               f"{result['nhosts']} host(s), seed {seed}", file=out)
         print(f"  rounds: {result['broadcast_rounds']} broadcast + "
               f"{result['read_rounds']} read", file=out)
@@ -957,13 +863,14 @@ def repronet_main(argv: Sequence[str],
     # soak
     from repro.rr import record_call, replay_call
 
-    plans = _campaign_plans(["net"], rate)
-    print(f"repronet: soak, {nodes} node(s) x {hosts} host(s) x "
-          f"{runs} run(s), base seed {seed}, rate {rate:g}", file=out)
+    plans = _campaign_plans(["net"], args.rate)
+    print(f"repronet: soak, {nodes} node(s) x {args.hosts} host(s) x "
+          f"{args.runs} run(s), base seed {seed}, rate {args.rate:g}",
+          file=out)
     for plan in plans:
         print(f"  plan: {plan.describe()}", file=out)
     failures = 0
-    for run in range(runs):
+    for run in range(args.runs):
         run_seed = seed + run
         outputs: List[Optional[dict]] = []
 
@@ -971,8 +878,8 @@ def repronet_main(argv: Sequence[str],
             # The oracle does not record reader outputs; keep one per
             # run (None if the scenario failed) and compare them here.
             outputs.append(None)
-            outputs[-1] = _net_scenario(nodes, run_seed, hosts,
-                                        implementation)["outputs"]
+            outputs[-1] = _net_scenario(nodes, run_seed, args.hosts,
+                                        args.impl)["outputs"]
 
         recording = record_call(workload, plans=plans,
                                 inject_seed=run_seed)
@@ -1006,15 +913,6 @@ def repronet_main(argv: Sequence[str],
     return 0
 
 
-def repronet_entry() -> int:
-    """Console-script entry point (``repronet ...``)."""
-    try:
-        return repronet_main(sys.argv[1:])
-    except UsageError as error:
-        print(error, file=sys.stderr)
-        return 2
-
-
 # ----------------------------------------------------------------------
 # reprofsck — offline disk-image checking
 # ----------------------------------------------------------------------
@@ -1036,24 +934,16 @@ def reprofsck_main(argv: Sequence[str],
     from repro.disk import fsck_image
     from repro.errors import DiskError
 
+    parser = _Parser(prog="reprofsck")
+    parser.add_argument("-v", "--verbose", action="store_true")
+    parser.add_argument("images", nargs="+")
+    args = parser.parse_intermixed_args(argv)
     out = stdout if stdout is not None else sys.stdout
-    verbose = False
-    paths: List[str] = []
-    for arg in argv:
-        if arg in ("--verbose", "-v"):
-            verbose = True
-        elif arg.startswith("-"):
-            raise UsageError(f"reprofsck: unknown option {arg!r}")
-        else:
-            paths.append(arg)
-    if not paths:
-        raise UsageError("reprofsck: usage: reprofsck [--verbose] "
-                         "image...")
 
     dirty = 0
-    for path in paths:
+    for path in args.images:
         if not os.path.isfile(path):
-            raise UsageError(f"reprofsck: no such image: {path}")
+            parser.error(f"no such image: {path}")
         try:
             result = fsck_image(path)
         except DiskError as error:
@@ -1066,7 +956,7 @@ def reprofsck_main(argv: Sequence[str],
             print(result.report.render(), file=out)
         else:
             print(f"{path}: clean", file=out)
-        if verbose:
+        if args.verbose:
             inodes = ", ".join(f"{key}={count}" for key, count
                                in sorted(stats.inodes.items()))
             print(f"  generation {stats.generation}, applied txn "
@@ -1078,15 +968,6 @@ def reprofsck_main(argv: Sequence[str],
             print(f"  inodes: {inodes}; {stats.segments} public "
                   f"segment(s)", file=out)
     return 1 if dirty else 0
-
-
-def reprofsck_entry() -> int:
-    """Console-script entry point (``reprofsck ...``)."""
-    try:
-        return reprofsck_main(sys.argv[1:])
-    except UsageError as error:
-        print(error, file=sys.stderr)
-        return 2
 
 
 # ----------------------------------------------------------------------
@@ -1140,133 +1021,61 @@ def reprorr_main(argv: Sequence[str],
     ``reprorr info recording.rrr`` prints the manifest summary.
     """
     from repro.rr import record_script, replay_script, seek_script
+    from repro.rr.oracle import applied_env, capture_env
+    from repro.rr.recorder import DEFAULT_INTERVAL
 
+    parser = _Parser(prog="reprorr")
+    modes = parser.add_subparsers(dest="mode", required=True)
+    record = modes.add_parser("record")
+    record.add_argument("-o", dest="output")
+    record.add_argument("--interval", type=_count, default=DEFAULT_INTERVAL)
+    record.add_argument("--planes", type=_planes, default=[])
+    record.add_argument("--rate", type=_rate, default=0.005)
+    record.add_argument("--seed", type=_seed, default=1993)
+    record.add_argument("--kinds", type=_kinds)
+    record.add_argument("--capacity", type=_positive)
+    record.add_argument("--nodes", type=_positive)
+    record.add_argument("command", nargs=argparse.REMAINDER)
+    replay, seek = modes.add_parser("replay"), modes.add_parser("seek")
+    for mode in (replay, seek):
+        mode.add_argument("--script")
+        mode.add_argument("recording")
+    seek.add_argument("--cycle", type=_count, required=True)
+    modes.add_parser("info").add_argument("recording")
+    args = parser.parse_args(argv)
     out = stdout if stdout is not None else sys.stdout
-    args = list(argv)
-    if not args or args[0] not in ("record", "replay", "seek", "info"):
-        raise UsageError(
-            "reprorr: usage: reprorr record|replay|seek|info ..."
-        )
-    mode, args = args[0], args[1:]
 
-    if mode == "info":
-        if len(args) != 1:
-            raise UsageError("reprorr: usage: reprorr info "
-                             "recording.rrr")
-        print(_rr_load(args[0]).describe(), file=out)
+    if args.mode == "info":
+        print(_rr_load(args.recording).describe(), file=out)
         return 0
 
-    if mode in ("replay", "seek"):
-        script: Optional[str] = None
-        cycle: Optional[int] = None
-        paths: List[str] = []
-        index = 0
-        while index < len(args):
-            arg = args[index]
-            if arg == "--script":
-                script = _value(args, index, "--script", "reprorr")
-                index += 2
-            elif arg == "--cycle" and mode == "seek":
-                cycle = _int_value(args, index, "--cycle", "reprorr")
-                index += 2
-            elif arg.startswith("-"):
-                raise UsageError(f"reprorr: unknown option {arg!r}")
-            else:
-                paths.append(arg)
-                index += 1
-        if len(paths) != 1:
-            raise UsageError(f"reprorr: {mode} takes exactly one "
-                             f"recording")
-        if mode == "seek" and cycle is None:
-            raise UsageError("reprorr: seek requires --cycle N")
-        recording = _rr_load(paths[0])
-        if script is None and recording.manifest.get("script") \
+    if args.mode in ("replay", "seek"):
+        recording = _rr_load(args.recording)
+        if args.script is None and recording.manifest.get("script") \
                 and not os.path.isfile(recording.manifest["script"]):
             raise UsageError(
                 f"reprorr: recorded script "
                 f"{recording.manifest['script']!r} not found; "
                 f"pass --script"
             )
-        if mode == "replay":
-            report = replay_script(recording, script)
+        if args.mode == "replay":
+            report = replay_script(recording, args.script)
             print(report.render(), file=out)
             return 0 if report.ok else 1
-        result = seek_script(recording, cycle, script)
+        result = seek_script(recording, args.cycle, args.script)
         print(result.render(), file=out)
         return 0 if result.digest_ok and result.suffix_identical else 1
 
-    # record
-    from repro.rr.oracle import applied_env, capture_env
-    from repro.rr.recorder import DEFAULT_INTERVAL
-
-    output: Optional[str] = None
-    interval = DEFAULT_INTERVAL
-    planes: List[str] = []
-    rate = 0.005
-    seed = 1993
-    kinds: Optional[List[str]] = None
-    capacity: Optional[int] = None
-    nodes: Optional[int] = None
-    script = None
-    script_args: List[str] = []
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if arg == "-o":
-            output = _value(args, index, "-o", "reprorr")
-            index += 2
-        elif arg == "--interval":
-            interval = _int_value(args, index, "--interval", "reprorr")
-            index += 2
-        elif arg == "--planes":
-            names = _value(args, index, "--planes", "reprorr")
-            planes = [name.strip() for name in names.split(",")
-                      if name.strip()]
-            index += 2
-        elif arg == "--rate":
-            rate = _float_value(args, index, "--rate", "reprorr")
-            index += 2
-        elif arg == "--seed":
-            seed = _int_value(args, index, "--seed", "reprorr",
-                              minimum=None)
-            index += 2
-        elif arg == "--kinds":
-            names = _value(args, index, "--kinds", "reprorr")
-            kinds = [name for name in names.split(",") if name.strip()]
-            index += 2
-        elif arg == "--capacity":
-            capacity = _int_value(args, index, "--capacity", "reprorr",
-                                  minimum=1)
-            index += 2
-        elif arg == "--nodes":
-            nodes = _int_value(args, index, "--nodes", "reprorr")
-            index += 2
-        elif arg.startswith("-") and script is None:
-            raise UsageError(f"reprorr: unknown option {arg!r}")
-        else:
-            script = arg
-            script_args = args[index + 1:]
-            break
-    if script is None:
-        raise UsageError(
-            "reprorr: usage: reprorr record [-o file] [--interval N] "
-            "[--planes P,P] [--rate F] [--seed N] [--kinds K,K] "
-            "[--capacity N] [--nodes N] script.py [args...]"
-        )
-    if not os.path.isfile(script):
-        raise UsageError(f"reprorr: no such script: {script}")
-    try:
-        plans = _campaign_plans(planes, rate) if planes else []
-    except ValueError as error:
-        raise UsageError(f"reprorr: {error}")
-
-    env = {} if nodes is None else {"REPRO_CLUSTER": str(nodes)}
-    extra = {} if capacity is None else {"capacity": capacity}
+    script, script_args = _script(record, args.command)
+    plans = _campaign_plans(args.planes, args.rate)
+    env = {} if args.nodes is None else {"REPRO_CLUSTER": str(args.nodes)}
+    extra = {} if args.capacity is None else {"capacity": args.capacity}
     with applied_env({**capture_env(), **env}):
         recording = record_script(script, script_args,
-                                  interval=interval, plans=plans,
-                                  inject_seed=seed, kinds=kinds,
+                                  interval=args.interval, plans=plans,
+                                  inject_seed=args.seed, kinds=args.kinds,
                                   **extra)
+    output = args.output
     if output is None:
         stem = os.path.splitext(os.path.basename(script))[0]
         output = f"{stem}.rrr"
@@ -1278,15 +1087,6 @@ def reprorr_main(argv: Sequence[str],
           f"{recording.outcome}", file=out)
     print(f"wrote {output} ({size} bytes)", file=out)
     return 0 if recording.outcome != "kernel-death" else 1
-
-
-def reprorr_entry() -> int:
-    """Console-script entry point (``reprorr ...``)."""
-    try:
-        return reprorr_main(sys.argv[1:])
-    except UsageError as error:
-        print(error, file=sys.stderr)
-        return 2
 
 
 def _san_armed_run(body) -> "tuple":
@@ -1388,71 +1188,45 @@ def reprosan_main(argv: Sequence[str],
     every ``*.py`` under DIR) with the sanitizer armed and fails if
     *anything* fires — the examples are race-free by construction.
     """
-    import contextlib
     import io
 
     from repro.sanitize.corpus import case_named, san_cases
 
+    parser = _Parser(prog="reprosan")
+    modes = parser.add_subparsers(dest="mode", required=True)
+    modes.add_parser("list")
+    run = modes.add_parser("run")
+    run.add_argument("case")
+    run.add_argument("--limit", type=_count, default=256)
+    run.add_argument("--replay", action="store_true")
+    run.add_argument("-o", dest="output")
+    modes.add_parser("soak")
+    modes.add_parser("sweep").add_argument("directory", nargs="?")
+    args = parser.parse_args(argv)
     out = stdout if stdout is not None else sys.stdout
-    args = list(argv)
-    if not args or args[0] not in ("list", "run", "soak", "sweep"):
-        raise UsageError(
-            "reprosan: usage: reprosan list|run|soak|sweep ..."
-        )
-    mode, args = args[0], args[1:]
 
-    if mode == "list":
+    if args.mode == "list":
         for case in san_cases():
             print(f"{case.name:24s} [{case.kind}] {case.title}",
                   file=out)
         return 0
 
-    if mode == "run":
-        limit = 256
-        replay = False
-        output: Optional[str] = None
-        name: Optional[str] = None
-        index = 0
-        while index < len(args):
-            arg = args[index]
-            if arg == "--limit":
-                limit = _int_value(args, index, "--limit", "reprosan")
-                index += 2
-            elif arg == "--replay":
-                replay = True
-                index += 1
-            elif arg == "-o":
-                output = _value(args, index, "-o", "reprosan")
-                index += 2
-            elif arg.startswith("-"):
-                raise UsageError(f"reprosan: unknown option {arg!r}")
-            elif name is None:
-                name = arg
-                index += 1
-            else:
-                raise UsageError("reprosan: run takes exactly one CASE")
-        if name is None:
-            raise UsageError("reprosan: usage: reprosan run CASE "
-                             "[--limit N] [--replay] [-o FILE]")
+    if args.mode == "run":
         try:
-            case = case_named(name)
-        except KeyError:
-            known = ", ".join(c.name for c in san_cases())
-            raise UsageError(f"reprosan: no corpus case {name!r} "
-                             f"(known: {known})")
-        if replay:
-            return _san_replay(case, out, output)
+            case = case_named(args.case)
+        except KeyError as error:
+            run.error(error.args[0])
+        if args.replay:
+            return _san_replay(case, out, args.output)
         with contextlib.redirect_stdout(io.StringIO()):
-            report = case.run(report_limit=limit)
+            report = case.run(report_limit=args.limit)
         print(report.render(), file=out)
         fired = case.expect in report.render()
         print(f"expected {case.expect!r}: "
               f"{'fired' if fired else 'MISSING'}", file=out)
         return 0 if fired else 1
 
-    if mode == "soak":
-        if args:
-            raise UsageError("reprosan: soak takes no arguments")
+    if args.mode == "soak":
         from repro.rr import replay_call
 
         failures = 0
@@ -1477,15 +1251,13 @@ def reprosan_main(argv: Sequence[str],
         return 0 if failures == 0 else 1
 
     # sweep
-    if len(args) > 1:
-        raise UsageError("reprosan: usage: reprosan sweep [DIR]")
-    directory = args[0] if args else _san_examples_dir()
+    directory = args.directory or _san_examples_dir()
     if not os.path.isdir(directory):
-        raise UsageError(f"reprosan: no such directory: {directory}")
+        parser.error(f"no such directory: {directory}")
     scripts = sorted(entry for entry in os.listdir(directory)
                      if entry.endswith(".py"))
     if not scripts:
-        raise UsageError(f"reprosan: no *.py scripts in {directory}")
+        parser.error(f"no *.py scripts in {directory}")
     dirty = 0
     for script in scripts:
         path = os.path.join(directory, script)
@@ -1503,15 +1275,6 @@ def reprosan_main(argv: Sequence[str],
     print(f"sweep: {len(scripts) - dirty}/{len(scripts)} script(s) "
           f"clean", file=out)
     return 0 if dirty == 0 else 1
-
-
-def reprosan_entry() -> int:
-    """Console-script entry point (``reprosan ...``)."""
-    try:
-        return reprosan_main(sys.argv[1:])
-    except UsageError as error:
-        print(error, file=sys.stderr)
-        return 2
 
 
 def load_archive(kernel: Kernel, proc: Process, path: str) -> Archive:
@@ -1532,70 +1295,52 @@ def _value(args: List[str], index: int, flag: str, tool: str) -> str:
     return args[index + 1]
 
 
-def _int_value(args: List[str], index: int, flag: str, tool: str,
-               minimum: Optional[int] = 0) -> int:
-    """*flag*'s value as an integer (>= *minimum* unless that is None);
-    anything else is a :class:`UsageError` naming *tool*."""
-    raw = _value(args, index, flag, tool)
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or (minimum is not None and value < minimum):
-        wanted = "an integer" if minimum is None \
-            else f"an integer >= {minimum}"
-        raise UsageError(f"{tool}: {flag} needs {wanted}, got {raw!r}")
-    return value
-
-
-def _float_value(args: List[str], index: int, flag: str,
-                 tool: str) -> float:
-    raw = _value(args, index, flag, tool)
-    try:
-        return float(raw)
-    except ValueError:
-        raise UsageError(
-            f"{tool}: {flag} needs a number, got {raw!r}") from None
-
-
 def _one_output_one_input(argv: Sequence[str], tool: str,
                           extension: str) -> "tuple[str, str]":
-    args = list(argv)
-    output = None
-    inputs = []
-    index = 0
-    while index < len(args):
-        if args[index] == "-o":
-            output = _value(args, index, "-o", tool)
-            index += 2
-        elif args[index].startswith("-"):
-            raise UsageError(f"{tool}: unknown option {args[index]!r}")
-        else:
-            inputs.append(args[index])
-            index += 1
-    if len(inputs) != 1:
-        raise UsageError(f"{tool}: exactly one input file required")
-    if output is None:
-        source = inputs[0]
-        base = source[: -len(extension)] if source.endswith(extension) \
-            else source
-        output = base + ".o"
-    return output, inputs[0]
+    parser = _Parser(prog=tool)
+    parser.add_argument("-o", dest="output")
+    parser.add_argument("source")
+    args = parser.parse_args(argv)
+    if args.output is not None:
+        return args.output, args.source
+    source = args.source
+    base = source[: -len(extension)] if source.endswith(extension) \
+        else source
+    return base + ".o", source
+
+
+def _entry(main: Callable[[Sequence[str]], int]) -> Callable[[], int]:
+    """A console-script entry point: *main* on ``sys.argv[1:]``, with a
+    :class:`UsageError` printed to stderr as exit status 2."""
+
+    def entry() -> int:
+        try:
+            return main(sys.argv[1:])
+        except UsageError as error:
+            print(error, file=sys.stderr)
+            return 2
+
+    return entry
+
+
+reprotrace_entry = _entry(reprotrace_main)
+reprochaos_entry = _entry(reprochaos_main)
+repronet_entry = _entry(repronet_main)
+reprofsck_entry = _entry(reprofsck_main)
+reprorr_entry = _entry(reprorr_main)
+reprosan_entry = _entry(reprosan_main)
 
 
 if __name__ == "__main__":  # pragma: no cover - console convenience
-    # ``python -m repro.tools.cli [reprotrace|reprochaos|reprofsck]``
-    # — the host-side tools; the rest run inside the simulation.
+    # ``python -m repro.tools.cli [TOOL] args...`` runs one host-side
+    # tool, reprotrace when TOOL is omitted; the rest run inside the
+    # simulation.
     _ENTRIES = {"reprotrace": reprotrace_entry,
                 "reprochaos": reprochaos_entry,
                 "repronet": repronet_entry,
                 "reprofsck": reprofsck_entry,
                 "reprorr": reprorr_entry,
                 "reprosan": reprosan_entry}
-    _args = sys.argv[1:]
-    _entry = reprotrace_entry
-    if _args and _args[0] in _ENTRIES:
-        _entry = _ENTRIES[_args[0]]
-        _args = _args[1:]
-    sys.argv = [sys.argv[0]] + _args
-    sys.exit(_entry())
+    if sys.argv[1:2] and sys.argv[1] in _ENTRIES:
+        sys.exit(_ENTRIES[sys.argv.pop(1)]())
+    sys.exit(reprotrace_entry())

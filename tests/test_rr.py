@@ -516,6 +516,14 @@ class TestReprorrCli:
         with pytest.raises(UsageError):  # seek without --cycle
             reprorr_main(["seek", str(recording)])
 
+    def test_script_args_pass_through_verbatim(self, tmp_path):
+        """Everything after the script, ``--`` included, is its argv."""
+        script = self._script(tmp_path)
+        out = str(tmp_path / "run.rrr")
+        assert reprorr_main(["record", "-o", out, script,
+                             "--", "--seed", "3"]) == 0
+        assert Recording.load(out).manifest["argv"] == ["--", "--seed", "3"]
+
     def test_replay_missing_script_wants_override(self, tmp_path):
         script = self._script(tmp_path)
         out = str(tmp_path / "run.rrr")

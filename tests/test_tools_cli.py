@@ -1,5 +1,9 @@
 """The toolchain command-line front ends (the lds wrapper surface)."""
 
+import io
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.tools.cli import (
@@ -253,6 +257,10 @@ class TestNumericOptions:
          "reprorr: --interval needs a value"),
         (["reprosan", "run", "x", "--limit"],
          "reprosan: --limit needs a value"),
+        (["repronet", "soak", "--rate", "nan"],
+         "repronet: --rate needs a number"),
+        (["repronet", "soak", "--rate", "5"],
+         "repronet: --rate needs a number"),
     ])
     def test_bad_value_is_a_usage_error(self, argv, message,
                                         monkeypatch, capsys):
@@ -263,3 +271,76 @@ class TestNumericOptions:
         monkeypatch.setattr(sys, "argv", argv)
         assert getattr(cli, f"{argv[0]}_entry")() == 2
         assert capsys.readouterr().err.startswith(message)
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+
+class TestRefusals:
+    """Argv the tools used to crash on, or to run as something other
+    than what was asked, is a UsageError (exit 2)."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["repronet", "topo", "--nodes", "0"],
+         "repronet: --nodes needs an integer >= 1"),
+        (["reprochaos", "--net", "--nodes", "0",
+          str(EXAMPLES / "rwho_network.py")],
+         "reprochaos: --nodes needs an integer >= 1"),
+        (["reprorr", "record", "--nodes", "0",
+          str(EXAMPLES / "quickstart.py")],
+         "reprorr: --nodes needs an integer >= 1"),
+        (["repronet", "run", "--nodes", "2", "--readers", "9"],
+         "repronet: --readers needs node numbers below --nodes 2"),
+        (["reprorr", "record", "--kinds", "NOPE",
+          str(EXAMPLES / "quickstart.py")],
+         "reprorr: --kinds unknown event kind 'NOPE'"),
+    ])
+    def test_bad_argv_is_a_usage_error(self, argv, message, monkeypatch,
+                                       capsys):
+        from repro.tools import cli
+
+        monkeypatch.setattr(sys, "argv", argv)
+        assert getattr(cli, f"{argv[0]}_entry")() == 2
+        assert capsys.readouterr().err.startswith(message)
+
+
+class TestReprofsck:
+    @pytest.fixture
+    def image(self, tmp_path):
+        from repro import boot
+        from repro.disk import BlockDevice
+
+        device = BlockDevice(nblocks=512)
+        boot(disk=device).kernel.shutdown()
+        path = str(tmp_path / "clean.hdsk")
+        device.save(path)
+        return path
+
+    def test_clean_image(self, image):
+        from repro.tools.cli import reprofsck_main
+
+        out = io.StringIO()
+        assert reprofsck_main([image], stdout=out) == 0
+        assert out.getvalue() == f"{image}: clean\n"
+
+    def test_verbose_prints_the_generation(self, image):
+        from repro.tools.cli import reprofsck_main
+
+        out = io.StringIO()
+        assert reprofsck_main(["--verbose", image], stdout=out) == 0
+        assert "  generation " in out.getvalue()
+
+    def test_garbage_image_is_unreadable(self, tmp_path):
+        from repro.tools.cli import reprofsck_main
+
+        path = tmp_path / "bad.hdsk"
+        path.write_bytes(b"garbage")
+        out = io.StringIO()
+        assert reprofsck_main([str(path)], stdout=out) == 1
+        assert out.getvalue().startswith(f"{path}: unreadable: ")
+
+    def test_no_image_is_a_usage_error(self):
+        from repro.tools.cli import reprofsck_main
+
+        with pytest.raises(UsageError):
+            reprofsck_main([])
