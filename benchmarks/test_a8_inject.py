@@ -5,29 +5,20 @@ subsystem. An installed injector whose plans never fire must leave every
 simulated number — total cycles and the per-category breakdown —
 bit-identical to a run with no injector at all: the planes decide, they
 never charge (backoff cycles are charged by the *hardened retry layers*,
-and only when a fault actually triggers). The host-side cost of a short
-seeded ``reprochaos`` soak is recorded in ``BENCH_A8_INJECT.json`` so
-successive runs leave a trajectory.
+and only when a fault actually triggers). A short seeded
+``reprochaos`` soak must contain every fault and replay bit-identically.
 """
 
 from __future__ import annotations
 
 import io
 import os
-import time
 
 from repro import boot
-from repro.bench.harness import Experiment, write_bench_json
-from repro.bench.workloads import (
-    build_module_fanout,
-    fanout_expected_exit,
-    make_shell,
-)
+from repro.bench.harness import Experiment
+from repro.bench.workloads import FANOUT_WIDTH, run_fanout
 from repro.inject import FaultKind, FaultPlan, Plane, install_injector
 from repro.tools.cli import reprochaos_main
-
-WIDTH = 12
-USED = 12
 
 #: A plan that matches nothing: the planes run their full decision path
 #: (the armed, worst case) without ever actually injecting.
@@ -40,55 +31,46 @@ INERT_PLANS = (
 )
 
 
-def run_fanout(armed: bool):
-    """The E2 fanout with inert fault planes armed or absent."""
+def run_planes(armed: bool):
+    """The fanout with inert fault planes armed or absent."""
     system = boot()
     kernel = system.kernel
-    shell = make_shell(kernel)
     injector = install_injector(kernel, INERT_PLANS, seed=1993) \
         if armed else None
-    wall_start = time.perf_counter()
-    graph = build_module_fanout(kernel, shell, width=WIDTH, used=USED,
-                                module_dir="/shared/fan")
-    proc = kernel.create_machine_process("p", graph.executable)
-    code = kernel.run_until_exit(proc)
-    wall = time.perf_counter() - wall_start
-    assert code == fanout_expected_exit(USED)
+    run_fanout(system)
     if injector is not None:
         assert injector.stats.checked > 0, "planes never consulted"
         assert injector.stats.triggered == 0, "inert plan fired"
-    return wall, kernel.clock.cycles, dict(kernel.clock.by_category)
+    return kernel.clock.cycles, dict(kernel.clock.by_category)
 
 
 def run_soak():
-    """A short seeded reprochaos campaign (host-side wall clock)."""
+    """A short seeded reprochaos campaign."""
     examples = os.path.join(os.path.dirname(__file__), "..", "examples")
     script = os.path.normpath(os.path.join(examples, "quickstart.py"))
     out = io.StringIO()
-    wall_start = time.perf_counter()
     status = reprochaos_main(
         ["--seed", "1993", "--runs", "2", "--rate", "0.02", script],
         stdout=out,
     )
-    wall = time.perf_counter() - wall_start
-    return wall, status, out.getvalue()
+    return status, out.getvalue()
 
 
 def test_a8_inject_planes_are_cycle_neutral(report, benchmark):
     def run():
-        off = run_fanout(armed=False)
-        on = run_fanout(armed=True)
+        off = run_planes(armed=False)
+        on = run_planes(armed=True)
         soak = run_soak()
         return off, on, soak
 
     off, on, soak = benchmark.pedantic(run, rounds=1, iterations=1)
-    wall_off, cycles_off, categories_off = off
-    wall_on, cycles_on, categories_on = on
-    soak_wall, soak_status, soak_out = soak
+    cycles_off, categories_off = off
+    cycles_on, categories_on = on
+    soak_status, soak_out = soak
 
     experiment = Experiment(
         "A8_INJECT",
-        f"inert fault planes over a {WIDTH}-module fanout",
+        f"inert fault planes over a {FANOUT_WIDTH}-module fanout",
         "the injection planes decide but never charge: armed-but-inert "
         "plans add zero simulated cycles; a seeded reprochaos soak "
         "contains every fault and replays bit-identically",
@@ -101,12 +83,6 @@ def test_a8_inject_planes_are_cycle_neutral(report, benchmark):
                    unit="ok",
                    detail="reprochaos: contained + replay-identical")
     report(experiment)
-
-    write_bench_json(experiment, wall_seconds={
-        "fanout_planes_absent": wall_off,
-        "fanout_planes_inert": wall_on,
-        "reprochaos_soak": soak_wall,
-    })
 
     # The tentpole guarantee: armed planes perturb nothing the simulated
     # machine can observe until a fault actually triggers.

@@ -7,67 +7,44 @@ the seed repo — the journaling hooks in every FS/SFS mutator are a
 single ``journal is None`` test, and journal cycles are charged only
 when a store is actually mounted. The disk-attached run reports the
 journaling overhead (the "journal" cycle category) and the full
-crash-at-every-record matrix is replayed and its verdict recorded in
-``BENCH_A9_DISK.json``.
+crash-at-every-record matrix is replayed and its verdict recorded.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro import boot
-from repro.bench.harness import Experiment, write_bench_json
-from repro.bench.workloads import (
-    build_module_fanout,
-    fanout_expected_exit,
-    make_shell,
-)
+from repro.bench.harness import Experiment
+from repro.bench.workloads import FANOUT_CYCLES, FANOUT_WIDTH, run_fanout
 from repro.disk import BlockDevice, run_crash_matrix
 
-WIDTH = 12
-USED = 12
 
-#: The armed-but-idle pin shared with A7/A8: the exact simulated cycle
-#: count of the module fanout on a freshly booted, all-volatile machine.
-VOLATILE_FANOUT_CYCLES = 2_603_166
-
-
-def run_fanout(durable: bool):
-    """The E2 fanout, volatile or with a durable store mounted."""
+def run_store(durable: bool):
+    """The fanout, volatile or with a durable store mounted."""
     device = BlockDevice(nblocks=32768, seed=9) if durable else None
     system = boot(disk=device)
     kernel = system.kernel
-    shell = make_shell(kernel)
-    wall_start = time.perf_counter()
-    graph = build_module_fanout(kernel, shell, width=WIDTH, used=USED,
-                                module_dir="/shared/fan")
-    proc = kernel.create_machine_process("p", graph.executable)
-    code = kernel.run_until_exit(proc)
-    wall = time.perf_counter() - wall_start
-    assert code == fanout_expected_exit(USED)
+    run_fanout(system)
     if durable:
         kernel.shutdown()
-    return wall, kernel.clock.cycles, dict(kernel.clock.by_category)
+    return kernel.clock.cycles, dict(kernel.clock.by_category)
 
 
 def test_a9_disk_journaling_off_is_cycle_identical(report, benchmark):
     def run():
-        volatile = run_fanout(durable=False)
-        durable = run_fanout(durable=True)
-        wall_start = time.perf_counter()
+        volatile = run_store(durable=False)
+        durable = run_store(durable=True)
         matrix = run_crash_matrix(stride=8)
-        matrix_wall = time.perf_counter() - wall_start
-        return volatile, durable, matrix, matrix_wall
+        return volatile, durable, matrix
 
-    volatile, durable, matrix, matrix_wall = benchmark.pedantic(
+    volatile, durable, matrix = benchmark.pedantic(
         run, rounds=1, iterations=1)
-    wall_off, cycles_off, categories_off = volatile
-    wall_on, cycles_on, categories_on = durable
+    cycles_off, categories_off = volatile
+    cycles_on, categories_on = durable
     journal_cycles = categories_on.get("journal", 0)
 
     experiment = Experiment(
         "A9_DISK",
-        f"durable store under a {WIDTH}-module fanout",
+        f"durable store under a {FANOUT_WIDTH}-module fanout",
         "journaling is pay-for-use: a volatile boot is bit-identical "
         "to the seed repo, a mounted store charges explicit 'journal' "
         "cycles, and a crash at any journal record boundary recovers "
@@ -87,14 +64,8 @@ def test_a9_disk_journaling_off_is_cycle_identical(report, benchmark):
                    "segment reopens by address")
     report(experiment)
 
-    write_bench_json(experiment, wall_seconds={
-        "fanout_volatile": wall_off,
-        "fanout_durable": wall_on,
-        "crash_matrix": matrix_wall,
-    })
-
     # The tentpole guarantee: no disk, no new cycles — the exact pin.
-    assert cycles_off == VOLATILE_FANOUT_CYCLES
+    assert cycles_off == FANOUT_CYCLES
     assert "journal" not in categories_off
     # A mounted store charges its keep through the journal category
     # and nowhere else unaccounted: the delta IS the journal cycles.

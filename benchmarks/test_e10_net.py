@@ -12,51 +12,21 @@ bit-identical to the seed pin (no "net" cycle category exists), and the
 whole scale scenario — fault-free or under a fixed-seed NET fault plan
 — is recorded and replayed through the rr oracle with zero divergence:
 same trace streams, same reader outputs, same per-node cycle counts.
-Results land in ``BENCH_E10_NET.json``.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro import boot
-from repro.bench.harness import Experiment, write_bench_json
-from repro.bench.workloads import (
-    build_module_fanout,
-    fanout_expected_exit,
-    make_shell,
-)
+from repro.bench.harness import Experiment
+from repro.bench.workloads import FANOUT_CYCLES, run_fanout
 from repro.rr import record_call, replay_call
 from repro.tools.cli import _campaign_plans
-
-WIDTH = 12
-USED = 12
-
-#: The armed-but-idle pin shared with A7/A8/A9: the exact simulated
-#: cycle count of the module fanout on a freshly booted, unclustered
-#: machine. The cluster hooks may not move it by a single cycle.
-VOLATILE_FANOUT_CYCLES = 2_603_166
 
 NNODES = 8
 NHOSTS = 2048
 READERS = [1, 3, 5, 7]
 FAULT_RATE = 0.002
 SEED = 1993
-
-
-def run_fanout():
-    """The E2 fanout on a plain (unclustered) boot."""
-    system = boot()
-    kernel = system.kernel
-    shell = make_shell(kernel)
-    wall_start = time.perf_counter()
-    graph = build_module_fanout(kernel, shell, width=WIDTH, used=USED,
-                                module_dir="/shared/fan")
-    proc = kernel.create_machine_process("p", graph.executable)
-    code = kernel.run_until_exit(proc)
-    wall = time.perf_counter() - wall_start
-    assert code == fanout_expected_exit(USED)
-    return wall, kernel.clock.cycles, dict(kernel.clock.by_category)
 
 
 def run_scale(implementation: str):
@@ -93,20 +63,18 @@ def replay_scale(plans=()):
 
 def test_e10_cluster_rwho(report, benchmark):
     def run():
-        wall_start = time.perf_counter()
-        fanout = run_fanout()
+        plain = boot()  # no cluster: the fanout pin must hold
+        run_fanout(plain)
         shm_a, shm_b, shm_replay = replay_scale()
         filed_result = run_scale("file")
         faulted_a, faulted_b, faulted_replay = replay_scale(
             _campaign_plans(["net"], FAULT_RATE))
-        wall = time.perf_counter() - wall_start
-        return (fanout, shm_a, shm_b, shm_replay, filed_result,
-                faulted_a, faulted_b, faulted_replay, wall)
+        return (plain.kernel.clock, shm_a, shm_b, shm_replay,
+                filed_result, faulted_a, faulted_b, faulted_replay)
 
-    (fanout, shm_a, shm_b, shm_replay, filed_result, faulted_a,
-     faulted_b, faulted_replay, wall) = \
+    (fanout_clock, shm_a, shm_b, shm_replay, filed_result, faulted_a,
+     faulted_b, faulted_replay) = \
         benchmark.pedantic(run, rounds=1, iterations=1)
-    fanout_wall, fanout_cycles, fanout_categories = fanout
     shm = shm_a
 
     experiment = Experiment(
@@ -117,7 +85,7 @@ def test_e10_cluster_rwho(report, benchmark):
         "exchange, while the file baseline pays a round trip per host "
         "— and the entire cluster is bit-identical per (seed, plan)",
     )
-    experiment.add("simulated cycles (no cluster)", fanout_cycles,
+    experiment.add("simulated cycles (no cluster)", fanout_clock.cycles,
                    detail="must equal the A7/A8/A9 pin exactly")
     experiment.add("frames (shared segment)", shm["frames_sent"],
                    unit="frames",
@@ -146,15 +114,10 @@ def test_e10_cluster_rwho(report, benchmark):
         "streams, reader outputs, and per-node cycle counts")
     report(experiment)
 
-    write_bench_json(experiment, wall_seconds={
-        "fanout_volatile": fanout_wall,
-        "e10_total": wall,
-    })
-
     # The tentpole guarantee: no cluster, no new cycles — the exact
     # pin, and the "net" category must not exist at all.
-    assert fanout_cycles == VOLATILE_FANOUT_CYCLES
-    assert "net" not in fanout_categories
+    assert fanout_clock.cycles == FANOUT_CYCLES
+    assert "net" not in fanout_clock.by_category
 
     # Every reader saw the complete database, both implementations.
     assert set(shm["outputs"]) == set(READERS)

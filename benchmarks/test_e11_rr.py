@@ -17,7 +17,7 @@ The reprorr subsystem's three promises, measured:
    spacing shrinks the re-execution distance (the checkpoint-to-target
    gap), which is the whole point of paying for checkpoints.
 
-Results land in ``BENCH_E11_RR.json``.
+The host-time cost of recording is printed as a note.
 """
 
 from __future__ import annotations
@@ -25,21 +25,9 @@ from __future__ import annotations
 import time
 
 from repro import boot
-from repro.bench.harness import Experiment, write_bench_json
-from repro.bench.workloads import (
-    build_module_fanout,
-    fanout_expected_exit,
-    make_shell,
-)
+from repro.bench.harness import Experiment
+from repro.bench.workloads import FANOUT_CYCLES, run_fanout
 from repro.rr import record_call, replay_call, seek_call
-
-WIDTH = 12
-USED = 12
-
-#: The armed-but-idle pin shared with A7/A8/A9/E10: the exact simulated
-#: cycle count of the module fanout with recording disarmed. The
-#: clock's checkpoint hook may not move it by a single cycle.
-VOLATILE_FANOUT_CYCLES = 2_603_166
 
 #: Checkpoint spacings compared: the sparse one is the reprorr
 #: default's scale, the dense one pays ~2x the checkpoints.
@@ -50,30 +38,16 @@ DENSE_INTERVAL = 500_000
 SEEK_CYCLE = 1_700_000
 
 
-def run_fanout():
-    """The E2 fanout on a plain boot (recording disarmed)."""
-    system = boot()
-    kernel = system.kernel
-    shell = make_shell(kernel)
-    graph = build_module_fanout(kernel, shell, width=WIDTH, used=USED,
-                                module_dir="/shared/fan")
-    proc = kernel.create_machine_process("p", graph.executable)
-    code = kernel.run_until_exit(proc)
-    assert code == fanout_expected_exit(USED)
-    return kernel.clock.cycles, dict(kernel.clock.by_category)
-
-
 def fanout_workload():
-    """The same fanout as a recordable callable."""
-    run_fanout()
+    """The fanout on a plain boot, as a recordable callable."""
+    run_fanout(boot())
 
 
 def test_e11_record_replay(report, benchmark):
     def run():
-        wall_start = time.perf_counter()
-
         plain_start = time.perf_counter()
-        plain_cycles, plain_categories = run_fanout()
+        plain = boot()  # recording disarmed
+        run_fanout(plain)
         plain_wall = time.perf_counter() - plain_start
 
         sparse_start = time.perf_counter()
@@ -83,24 +57,15 @@ def test_e11_record_replay(report, benchmark):
         dense = record_call(fanout_workload, interval=DENSE_INTERVAL)
         dense_wall = time.perf_counter() - dense_start
 
-        replay_start = time.perf_counter()
         verdict = replay_call(dense, fanout_workload)
-        replay_wall = time.perf_counter() - replay_start
+        seeks = {label: seek_call(recording, SEEK_CYCLE, fanout_workload)
+                 for label, recording in (("sparse", sparse),
+                                          ("dense", dense))}
+        return (plain.kernel.clock.cycles, plain_wall, sparse,
+                sparse_wall, dense, dense_wall, verdict, seeks)
 
-        seeks = {}
-        for label, recording in (("sparse", sparse), ("dense", dense)):
-            seek_start = time.perf_counter()
-            result = seek_call(recording, SEEK_CYCLE, fanout_workload)
-            seeks[label] = (result, time.perf_counter() - seek_start)
-
-        wall = time.perf_counter() - wall_start
-        return (plain_cycles, plain_categories, plain_wall, sparse,
-                sparse_wall, dense, dense_wall, verdict, replay_wall,
-                seeks, wall)
-
-    (plain_cycles, plain_categories, plain_wall, sparse, sparse_wall,
-     dense, dense_wall, verdict, replay_wall, seeks, wall) = \
-        benchmark.pedantic(run, rounds=1, iterations=1)
+    (plain_cycles, plain_wall, sparse, sparse_wall, dense, dense_wall,
+     verdict, seeks) = benchmark.pedantic(run, rounds=1, iterations=1)
 
     experiment = Experiment(
         "E11_RR",
@@ -125,8 +90,8 @@ def test_e11_record_replay(report, benchmark):
                    unit="bytes")
     experiment.add("recording size (dense)", len(dense.to_bytes()),
                    unit="bytes")
-    sparse_result, _sparse_seek_wall = seeks["sparse"]
-    dense_result, _dense_seek_wall = seeks["dense"]
+    sparse_result = seeks["sparse"]
+    dense_result = seeks["dense"]
     experiment.add("seek gap (sparse)",
                    SEEK_CYCLE - sparse_result.checkpoint_cycle,
                    detail="checkpoint-to-target re-execution distance")
@@ -134,34 +99,25 @@ def test_e11_record_replay(report, benchmark):
                    SEEK_CYCLE - dense_result.checkpoint_cycle,
                    detail="denser checkpoints land closer to the "
                           "target")
-    experiment.add("record overhead (sparse)",
-                   round(sparse_wall / plain_wall, 2), unit="x",
-                   detail="wall time vs the unrecorded run")
-    experiment.add("record overhead (dense)",
-                   round(dense_wall / plain_wall, 2), unit="x")
     experiment.note(
         "replay of the dense recording compared "
         f"{verdict.events_compared} event(s), "
         f"{verdict.checkpoints_compared} checkpoint digest(s), and the "
         "outcome: bit-identical")
+    experiment.note(
+        f"record overhead: {sparse_wall / plain_wall:.2f}x sparse, "
+        f"{dense_wall / plain_wall:.2f}x dense (host wall time vs the "
+        f"unrecorded run)")
     report(experiment)
 
-    write_bench_json(experiment, wall_seconds={
-        "fanout_volatile": plain_wall,
-        "record_sparse": sparse_wall,
-        "record_dense": dense_wall,
-        "replay": replay_wall,
-        "e11_total": wall,
-    })
-
     # Promise 1: pay for use — the exact pin, recording off.
-    assert plain_cycles == VOLATILE_FANOUT_CYCLES
+    assert plain_cycles == FANOUT_CYCLES
 
     # Promise 2: observation does not perturb. The recorded runs hit
     # the same simulated total, and both recordings captured the whole
     # machine periodically.
-    assert sparse.boots[0][0] == VOLATILE_FANOUT_CYCLES
-    assert dense.boots[0][0] == VOLATILE_FANOUT_CYCLES
+    assert sparse.boots[0][0] == FANOUT_CYCLES
+    assert dense.boots[0][0] == FANOUT_CYCLES
     assert sparse.outcome == "clean" and dense.outcome == "clean"
     assert len(sparse.checkpoints) >= 2
     assert len(dense.checkpoints) > len(sparse.checkpoints)
@@ -170,7 +126,7 @@ def test_e11_record_replay(report, benchmark):
     # Promise 3: both seeks restore digest-verified state with a
     # bit-identical suffix, and the dense recording restores closer to
     # the target.
-    for result, _ in seeks.values():
+    for result in seeks.values():
         assert result.digest_ok, result.render()
         assert result.suffix_identical, result.render()
         assert result.checkpoint_cycle is not None

@@ -10,17 +10,14 @@ sum of per-round maxima) drops with the core count. Every point on the
 curve is a pure function of ``(workload, ncores)``: the elapsed totals
 are pinned exactly, and the 4-core run is replayed twice to assert the
 whole observable signature (results, cycles, per-category charges) is
-byte-identical. ``BENCH_E12_SMP.json`` records the speedup curve plus
-host wall-clock so successive runs leave a trajectory.
+byte-identical.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro import boot
 from repro.apps.presto import PrestoApp
-from repro.bench.harness import Experiment, write_bench_json
+from repro.bench.harness import Experiment
 from repro.bench.workloads import make_shell
 
 NITEMS = 64
@@ -46,12 +43,9 @@ def run_instance_phase(ncores: int):
                     compute_iters=COMPUTE_ITERS)
     cycles_start = kernel.clock.cycles
     elapsed_start = kernel.clock.elapsed
-    wall_start = time.perf_counter()
     result = app.run_instance(nworkers=NWORKERS)
-    wall = time.perf_counter() - wall_start
     assert result.total == app.expected_total()
     return {
-        "wall": wall,
         "work": kernel.clock.cycles - cycles_start,
         "elapsed": kernel.clock.elapsed - elapsed_start,
         "per_worker": tuple(result.per_worker_items),
@@ -92,18 +86,9 @@ def test_e12_smp_speedup_curve(report, benchmark):
                    round(base["elapsed"] / curve[4]["elapsed"], 2),
                    unit="x", detail="acceptance floor: 2.0x")
     experiment.add("replay-stable at 4 cores",
-                   1 if repeat == curve[4] or (
-                       {k: v for k, v in repeat.items() if k != "wall"}
-                       == {k: v for k, v in curve[4].items()
-                           if k != "wall"}) else 0,
-                   unit="ok",
+                   1 if repeat == curve[4] else 0, unit="ok",
                    detail="same-seed rerun, full observable signature")
     report(experiment)
-
-    write_bench_json(experiment, wall_seconds={
-        f"presto_{ncores}core": curve[ncores]["wall"]
-        for ncores in CORE_COUNTS
-    })
 
     # One core is the degenerate case: serial work, makespan == work.
     assert base["elapsed"] == base["work"]
@@ -113,6 +98,5 @@ def test_e12_smp_speedup_curve(report, benchmark):
         assert curve[ncores]["per_worker"] == (8,) * NWORKERS
     # The tentpole acceptance criterion: >= 2x at 4 cores.
     assert base["elapsed"] / curve[4]["elapsed"] >= 2.0
-    # Byte-identical rerun (host wall-clock excluded, obviously).
-    assert {k: v for k, v in repeat.items() if k != "wall"} \
-        == {k: v for k, v in curve[4].items() if k != "wall"}
+    # Byte-identical rerun.
+    assert repeat == curve[4]

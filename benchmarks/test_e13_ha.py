@@ -11,21 +11,16 @@ epochs, rounds, fault counters and reader output.
 Also the A-series guard extended to the failure model: a kernel booted
 without a cluster — and therefore without leases, heartbeats or a
 membership view — is bit-identical to the seed pin. Availability is
-pay-for-use. Results land in ``BENCH_E13_HA.json``.
+pay-for-use.
 """
 
 from __future__ import annotations
 
 import contextlib
-import time
 
 from repro import boot
-from repro.bench.harness import Experiment, write_bench_json
-from repro.bench.workloads import (
-    build_module_fanout,
-    fanout_expected_exit,
-    make_shell,
-)
+from repro.bench.harness import Experiment
+from repro.bench.workloads import FANOUT_CYCLES, run_fanout
 from repro.disk import BlockDevice
 from repro.disk.fsck import fsck
 from repro.inject import (
@@ -35,14 +30,6 @@ from repro.inject import (
     injecting,
 )
 from repro.net import Cluster
-
-WIDTH = 12
-USED = 12
-
-#: The armed-but-idle pin shared with A7/A8/A9/E10: the exact simulated
-#: cycle count of the module fanout on a freshly booted, unclustered
-#: machine. The HA hooks may not move it by a single cycle.
-VOLATILE_FANOUT_CYCLES = 2_603_166
 
 NNODES = 6
 NHOSTS = 48
@@ -69,21 +56,6 @@ SCHEDULES = {
                   probability=1.0, after=6),
     ],
 }
-
-
-def run_fanout():
-    """The E2 fanout on a plain (unclustered, lease-free) boot."""
-    system = boot()
-    kernel = system.kernel
-    shell = make_shell(kernel)
-    wall_start = time.perf_counter()
-    graph = build_module_fanout(kernel, shell, width=WIDTH, used=USED,
-                                module_dir="/shared/fan")
-    proc = kernel.create_machine_process("p", graph.executable)
-    code = kernel.run_until_exit(proc)
-    wall = time.perf_counter() - wall_start
-    assert code == fanout_expected_exit(USED)
-    return wall, kernel.clock.cycles, dict(kernel.clock.by_category)
 
 
 def run_recovery(crashes: int):
@@ -126,19 +98,17 @@ def run_recovery(crashes: int):
 
 def test_e13_ha_recovery(report, benchmark):
     def run():
-        wall_start = time.perf_counter()
-        fanout = run_fanout()
+        plain = boot()  # no cluster, no leases: the fanout pin must hold
+        run_fanout(plain)
         clean = run_recovery(0)
         one_a = run_recovery(1)
         one_b = run_recovery(1)
         two_a = run_recovery(2)
         two_b = run_recovery(2)
-        wall = time.perf_counter() - wall_start
-        return fanout, clean, one_a, one_b, two_a, two_b, wall
+        return plain.kernel.clock, clean, one_a, one_b, two_a, two_b
 
-    fanout, clean, one_a, one_b, two_a, two_b, wall = \
+    fanout_clock, clean, one_a, one_b, two_a, two_b = \
         benchmark.pedantic(run, rounds=1, iterations=1)
-    fanout_wall, fanout_cycles, fanout_categories = fanout
 
     experiment = Experiment(
         "E13_HA",
@@ -148,7 +118,7 @@ def test_e13_ha_recovery(report, benchmark):
         "re-converges to the single-kernel oracle on a schedule that "
         "is a pure function of (seed, crash plan)",
     )
-    experiment.add("simulated cycles (no cluster)", fanout_cycles,
+    experiment.add("simulated cycles (no cluster)", fanout_clock.cycles,
                    detail="must equal the A7/A8/A9/E10 pin exactly")
     for label, outcome in (("no faults", clean),
                            ("1 crash (home)", one_a),
@@ -172,14 +142,9 @@ def test_e13_ha_recovery(report, benchmark):
         "the rebooted home's device is fsck-clean after every run")
     report(experiment)
 
-    write_bench_json(experiment, wall_seconds={
-        "fanout_volatile": fanout_wall,
-        "e13_total": wall,
-    })
-
     # Pay-for-use: no cluster, no new cycles — the exact pin.
-    assert fanout_cycles == VOLATILE_FANOUT_CYCLES
-    assert "net" not in fanout_categories
+    assert fanout_clock.cycles == FANOUT_CYCLES
+    assert "net" not in fanout_clock.by_category
 
     # The fault-free scenario converges in a single epoch; recovery
     # costs extra epochs and pump rounds, never divergence.

@@ -1,20 +1,20 @@
 """Experiment bookkeeping and report formatting.
 
 Each benchmark measures *simulated cycles* (the deterministic cost-model
-clock) for the comparison the paper makes, and lets pytest-benchmark
-time the simulation itself for regression tracking. The
-:class:`Experiment` helper collects labelled measurements and renders
-the table the paper's row would show.
+clock) for the comparison the paper makes. The :class:`Experiment`
+helper collects labelled measurements, renders the table the paper's
+row would show, and renders the canonical JSON that
+``benchmarks/expected/`` commits as the experiment's behaviour lock.
+Host timings are never measurements: they go into notes, which print
+in the report but stay out of the committed JSON.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
-from repro.kernel.timing import Clock
 from repro.util.tables import format_table
 
 
@@ -47,12 +47,6 @@ class Experiment:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
-    def value(self, label: str) -> float:
-        for measurement in self.measurements:
-            if measurement.label == label:
-                return measurement.value
-        raise KeyError(label)
-
     def report(self) -> str:
         lines = [
             f"== {self.experiment_id}: {self.title} ==",
@@ -65,39 +59,19 @@ class Experiment:
         lines.extend(f"note: {note}" for note in self.notes)
         return "\n".join(lines)
 
-    def print_report(self) -> None:
-        print()
-        print(self.report())
-
-
-def write_bench_json(experiment: "Experiment",
-                     wall_seconds: Optional[Dict[str, float]] = None,
-                     directory: str = ".") -> str:
-    """Persist *experiment* as ``BENCH_<id>.json`` in *directory*.
-
-    Simulated measurements are deterministic; *wall_seconds* carries the
-    host-timing numbers (baseline vs. optimized) that give successive
-    runs of the same benchmark a wall-clock trajectory to compare.
-    Returns the path written.
-    """
-    path = os.path.join(directory,
-                        f"BENCH_{experiment.experiment_id}.json")
-    document = {
-        "experiment": experiment.experiment_id,
-        "title": experiment.title,
-        "paper_claim": experiment.paper_claim,
-        "measurements": [
-            {"label": m.label, "value": m.value, "unit": m.unit,
-             "detail": m.detail}
-            for m in experiment.measurements
-        ],
-        "wall_clock_seconds": dict(wall_seconds or {}),
-        "notes": list(experiment.notes),
-    }
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(document, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    return path
+    def canonical_json(self) -> str:
+        """The deterministic content (no notes) as canonical JSON."""
+        document = {
+            "experiment": self.experiment_id,
+            "title": self.title,
+            "paper_claim": self.paper_claim,
+            "measurements": [
+                {"label": m.label, "value": m.value, "unit": m.unit,
+                 "detail": m.detail}
+                for m in self.measurements
+            ],
+        }
+        return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def ratio(numerator: float, denominator: float) -> float:
@@ -105,32 +79,6 @@ def ratio(numerator: float, denominator: float) -> float:
     if denominator == 0:
         return float("inf")
     return numerator / denominator
-
-
-class CycleTimer:
-    """Measure simulated-cycle intervals on a kernel clock."""
-
-    def __init__(self, clock: Clock) -> None:
-        self.clock = clock
-        self._start: Optional[int] = None
-
-    def __enter__(self) -> "CycleTimer":
-        self._start = self.clock.snapshot()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        assert self._start is not None
-        self.elapsed = self.clock.snapshot() - self._start
-
-    elapsed: int = 0
-
-
-def categories_delta(clock: Clock, before: Dict[str, int]) -> Dict[str, int]:
-    """Per-category cycle deltas since *before* (a by_category copy)."""
-    return {
-        key: clock.by_category.get(key, 0) - before.get(key, 0)
-        for key in set(clock.by_category) | set(before)
-    }
 
 
 def _fmt(value: float) -> str:

@@ -10,12 +10,16 @@ Two generators mirror the paper's stories:
 * :func:`build_module_chain` — the recursive inclusion chain of
   Figure 2: module i's code calls into module i+1, discovered through
   scoped linking when module i is first touched.
+
+:func:`run_fanout` runs the full-width fanout on an already booted
+system; every A-series guard compares its cycles with
+:data:`FANOUT_CYCLES`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from repro.hw.asm import assemble
 from repro.kernel.kernel import Kernel
@@ -23,6 +27,18 @@ from repro.kernel.process import Process
 from repro.linker.classes import SharingClass
 from repro.linker.lds import Lds, LinkRequest, store_object
 from repro.objfile.format import ObjectFile
+
+if TYPE_CHECKING:
+    from repro import System
+
+#: Width of the fanout the A-series guards run, every module used.
+FANOUT_WIDTH = 12
+
+#: The exact simulated cycle count of :func:`run_fanout` on a freshly
+#: booted, unarmed, one-core machine. Arming lint, injection, the
+#: sanitizer or recording, or booting next to a cluster, may not move
+#: it by a single cycle.
+FANOUT_CYCLES = 2_603_166
 
 
 def make_shell(kernel: Kernel, name: str = "shell") -> Process:
@@ -127,6 +143,24 @@ def build_module_fanout(kernel: Kernel, shell: Process, width: int,
 def fanout_expected_exit(used: int) -> int:
     """main's expected return: func_i returns helper_i() + i = 100 + 2i."""
     return sum(100 + 2 * index for index in range(used))
+
+
+def run_fanout(system: "System") -> Process:
+    """Build the :data:`FANOUT_WIDTH`-module fanout on *system*, run
+    main (every module used) to exit, and return the toolchain shell.
+
+    The caller boots and arms *system* (lint, injector, sanitizer,
+    disk) and reads the clock afterwards.
+    """
+    kernel = system.kernel
+    shell = make_shell(kernel)
+    graph = build_module_fanout(kernel, shell, width=FANOUT_WIDTH,
+                                used=FANOUT_WIDTH,
+                                module_dir="/shared/fan")
+    proc = kernel.create_machine_process("p", graph.executable)
+    code = kernel.run_until_exit(proc)
+    assert code == fanout_expected_exit(FANOUT_WIDTH), code
+    return shell
 
 
 def build_module_chain(kernel: Kernel, shell: Process, depth: int,

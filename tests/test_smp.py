@@ -32,6 +32,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import boot
 from repro.apps.presto import PrestoApp
 from repro.bench.workloads import (
+    FANOUT_CYCLES,
+    FANOUT_WIDTH,
     build_module_fanout,
     fanout_expected_exit,
     make_shell,
@@ -69,12 +71,8 @@ from repro.vm.address_space import (
 from repro.vm.layout import PAGE_SHIFT, PAGE_SIZE
 from repro.vm.pages import PhysicalMemory
 
-#: The module-fanout cycle pin shared with A7/A8/A9/A10/E10/E11 — the
-#: exact total the seed scheduler produces. ``boot(ncores=1)`` must hit
-#: it.
-SEED_FANOUT_CYCLES = 2_603_166
-WIDTH = 12
-USED = 12
+#: The fanout shape whose cycle total ``FANOUT_CYCLES`` pins.
+WIDTH = USED = FANOUT_WIDTH
 
 #: Everything observable about two 1-core runs, recorded from the
 #: uniprocessor round-robin scheduler the coordinator replaced: total
@@ -82,7 +80,7 @@ USED = 12
 #: packed event stream (:func:`_digest`).
 UNIPROCESSOR_GOLDEN = {
     "fanout": {
-        "cycles": SEED_FANOUT_CYCLES,
+        "cycles": FANOUT_CYCLES,
         "events": 2_727,
         "by_category": {
             "syscalls": 970_800, "disk": 1_500_000, "file_io": 44_152,
@@ -205,7 +203,7 @@ class TestDegenerateCase:
     def test_fanout_pin_at_one_core(self):
         run = _run_fanout(ncores=1)
         assert run["exit"] == fanout_expected_exit(USED)
-        assert run["cycles"] == SEED_FANOUT_CYCLES
+        assert run["cycles"] == FANOUT_CYCLES
         # Serial execution: the parallel makespan is the total work.
         assert run["elapsed"] == run["cycles"]
 
