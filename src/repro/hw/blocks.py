@@ -1,0 +1,394 @@
+"""Superblock translation: hot straight-line code as one Python function.
+
+A *block* is the maximal run of consecutive instructions, on one page,
+that are already in the frame's decoded-instruction cache
+(:attr:`repro.vm.pages.Frame.decode`), up to :data:`BLOCK_CAP`. It ends
+at a branch, jump, ``jr``/``jalr``, ``syscall`` or ``break`` (that
+instruction included), before an invalid word, or at the page end; a
+run that reaches an undecoded offset first is not a block yet.
+Because a block is built only from offsets that are already decoded,
+code is translated on its second visit, and every fetch the block
+stands for would have been a TLB hit and a decode hit in
+:meth:`Cpu.step <repro.hw.cpu.Cpu.step>`.
+
+The block is generated as Python source, with the start ``pc`` as a
+parameter, and compiled once: :func:`translate` memoizes the function
+by the tuple of instruction words, process-wide and bounded by
+:data:`MEMO_CAP`, so every kernel and frame holding the same code reuses
+it. Each frame keeps its own ``offset -> Block`` cache in
+:attr:`Frame.blocks <repro.vm.pages.Frame.blocks>`, dropped with the
+decode cache by :meth:`Frame.drop_code <repro.vm.pages.Frame.drop_code>`.
+A :class:`Block` is compiled (or fetched from the memo) the first time
+it runs, so a block that never fits a chunk's budget costs no compile.
+
+A block function ``block(cpu, space, entry, pc)`` is exact against the
+single-step reference:
+
+* **Counters.** A completed block adds its length to
+  ``instructions_executed``, to ``tlb_hits`` and to ``decode_hits``.
+  An exception at block index ``i`` leaves ``pc`` at that instruction
+  and adds ``i`` retired instructions and ``i + 1`` fetch hits (the
+  trapping fetch was counted), so faults and traps stay precise.
+* **Data accesses.** ``lw``/``sw`` take the TLB fast path of
+  :meth:`AddressSpace.load_word` / :meth:`AddressSpace.store_word` and
+  fall back to those methods; byte and half accesses call the same
+  methods ``step`` does. Sanitized (exec-only) and COW pages therefore
+  take the same slow paths.
+* **Self-modifying text.** After each store that is not the block's
+  last instruction, the block checks that its frame's decode cache is
+  non-empty and that ``space.tlb`` still holds the entry it started
+  from; otherwise it retires through the store and returns. The first
+  check catches a store into its own page (through any mapping), the
+  second a COW break or remap of the text page, which leaves the old
+  frame's decode cache intact.
+"""
+
+from __future__ import annotations
+
+import struct
+from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.errors import AlignmentError
+from repro.hw import isa
+from repro.vm.address_space import PROT_READ, PROT_WRITE
+from repro.vm.layout import PAGE_SHIFT, PAGE_SIZE
+
+#: Longest block, in instructions.
+BLOCK_CAP = 64
+#: Most compiled blocks kept in the process-wide memo (oldest evicted).
+MEMO_CAP = 2048
+
+BlockFunction = Callable[..., None]
+
+_WORD = struct.Struct("<I")
+_MASK = 0xFFFFFFFF
+_PAGE_MASK = PAGE_SIZE - 1
+
+_BRANCH_OPS = frozenset({isa.OP_REGIMM, isa.OP_J, isa.OP_JAL, isa.OP_BEQ,
+                         isa.OP_BNE, isa.OP_BLEZ, isa.OP_BGTZ})
+_END_FUNCTS = frozenset({isa.FN_JR, isa.FN_JALR, isa.FN_SYSCALL,
+                         isa.FN_BREAK})
+_FUNCTS = frozenset({isa.FN_ADD, isa.FN_SUB, isa.FN_AND, isa.FN_OR,
+                     isa.FN_XOR, isa.FN_NOR, isa.FN_SLT, isa.FN_SLTU,
+                     isa.FN_MUL, isa.FN_DIV, isa.FN_REM, isa.FN_SLL,
+                     isa.FN_SRL, isa.FN_SRA, isa.FN_SLLV, isa.FN_SRLV,
+                     isa.FN_SRAV}) | _END_FUNCTS
+_SHIFT_IMM_FUNCTS = frozenset({isa.FN_SLL, isa.FN_SRL, isa.FN_SRA})
+_OPS = frozenset({isa.OP_ADDI, isa.OP_SLTI, isa.OP_SLTIU, isa.OP_ANDI,
+                  isa.OP_ORI, isa.OP_XORI, isa.OP_LUI, isa.OP_LW,
+                  isa.OP_LH, isa.OP_LHU, isa.OP_LB, isa.OP_LBU,
+                  isa.OP_SW, isa.OP_SH, isa.OP_SB}) | _BRANCH_OPS
+
+_memo: Dict[Tuple[int, ...], BlockFunction] = {}
+
+
+def _ends_block(word: int) -> bool:
+    op = word >> 26
+    if op == isa.OP_SPECIAL:
+        return word & 0x3F in _END_FUNCTS
+    return op in _BRANCH_OPS
+
+
+class Block:
+    """One block of a frame: its length and, once it first runs, its
+    compiled function. ``run(cpu, space, entry, pc)`` translates on the
+    first call, so a block that never fits a budget is never compiled."""
+
+    __slots__ = ("length", "words", "run")
+
+    def __init__(self, words: Tuple[int, ...]) -> None:
+        self.length = len(words)
+        self.words = words
+        self.run: BlockFunction = self._translate
+
+    def _translate(self, cpu, space, entry, pc: int) -> None:
+        self.run = translate(self.words)
+        self.run(cpu, space, entry, pc)
+
+
+def build(decode: Dict[int, tuple], offset: int) -> Optional[Block]:
+    """The block starting at page *offset*, or None when there is none
+    yet: the word there is invalid, or the run reaches an offset that
+    has not been decoded before it ends (that code has not run once; a
+    later visit builds the whole block)."""
+    words: List[int] = []
+    while offset < PAGE_SIZE and len(words) < BLOCK_CAP:
+        decoded = decode.get(offset)
+        if decoded is None:
+            return None
+        word = decoded[0]
+        op = decoded[1]
+        if op == isa.OP_SPECIAL:
+            if word & 0x3F not in _FUNCTS:
+                break
+            words.append(word)
+            if word & 0x3F in _END_FUNCTS:
+                break
+        elif op in _OPS:
+            words.append(word)
+            if op in _BRANCH_OPS:
+                break
+        else:
+            break
+        offset += 4
+    return Block(tuple(words)) if words else None
+
+
+def translate(words: Tuple[int, ...]) -> BlockFunction:
+    """The compiled block function for *words* (memoized)."""
+    run = _memo.get(words)
+    if run is None:
+        if len(_memo) >= MEMO_CAP:
+            del _memo[next(iter(_memo))]
+        run = _memo[words] = _compile(words)
+    return run
+
+
+# ---------------------------------------------------------------------------
+# code generation
+# ---------------------------------------------------------------------------
+
+def _signed(expr: str) -> str:
+    return f"(({expr} ^ 0x80000000) - 0x80000000)"
+
+
+class _Emitter:
+    """Python source for one block, instruction by instruction."""
+
+    def __init__(self, length: int) -> None:
+        self.length = length
+        self.body: List[str] = []
+        self.used = set()
+        self.written = set()
+        self.memory = False
+        #: some store is followed by a self-modification check
+        self.stores = False
+
+    def reg(self, index: int) -> str:
+        """The local holding register *index*, loaded at block entry."""
+        self.used.add(index)
+        return f"r{index}"
+
+    def set(self, index: int, expr: str) -> None:
+        if index != isa.REG_ZERO:
+            self.used.add(index)
+            self.written.add(index)
+            self.body.append(f"r{index} = {expr}")
+
+    def line(self, text: str) -> None:
+        self.body.append(text)
+
+    def writeback(self, indent: str) -> List[str]:
+        return [f"{indent}regs[{r}] = r{r}" for r in sorted(self.written)]
+
+    def retire(self, indent: str, count: int, next_pc: str) -> List[str]:
+        """Lines that retire *count* instructions and set the PC."""
+        return self.writeback(indent) + [
+            f"{indent}cpu.pc = {next_pc}",
+            f"{indent}cpu.instructions_executed += {count}",
+            f"{indent}space.tlb_hits += {count}"
+            + (" + h" if self.memory else ""),
+            f"{indent}cpu.decode_hits += {count}",
+        ]
+
+
+def _emit(out: _Emitter, i: int, word: int) -> None:
+    """Append the source of instruction *i* (*word*) to *out*."""
+    op = word >> 26
+    rs = (word >> 21) & 31
+    rt = (word >> 16) & 31
+    last = i == out.length - 1
+    here = f"pc + {4 * i}" if i else "pc"
+    after = f"(pc + {4 * i + 4}) & {_MASK}"
+    if op == isa.OP_SPECIAL:
+        _emit_special(out, i, word, here, after)
+        return
+    if op == isa.OP_REGIMM or op in (isa.OP_BEQ, isa.OP_BNE, isa.OP_BLEZ,
+                                     isa.OP_BGTZ):
+        simm = _sext16(word)
+        if op == isa.OP_REGIMM:
+            cond = (f"{_signed(out.reg(rs))} < 0" if rt == isa.RT_BLTZ
+                    else f"{_signed(out.reg(rs))} >= 0")
+        elif op == isa.OP_BEQ:
+            cond = f"{out.reg(rs)} == {out.reg(rt)}"
+        elif op == isa.OP_BNE:
+            cond = f"{out.reg(rs)} != {out.reg(rt)}"
+        elif op == isa.OP_BLEZ:
+            cond = f"{_signed(out.reg(rs))} <= 0"
+        else:
+            cond = f"{_signed(out.reg(rs))} > 0"
+        target = f"(pc + {4 * i + 4 + (simm << 2)}) & {_MASK}"
+        out.line(f"npc = {target} if {cond} else {after}")
+        return
+    if op in (isa.OP_J, isa.OP_JAL):
+        if op == isa.OP_JAL:
+            out.set(isa.REG_RA, after)
+        out.line(f"npc = ((pc + {4 * i + 4}) & 0xF0000000) | "
+                 f"{(word & 0x3FFFFFF) << 2}")
+        return
+    imm = word & 0xFFFF
+    simm = _sext16(word)
+    if op == isa.OP_ADDI:
+        out.set(rt, f"({out.reg(rs)} + {simm}) & {_MASK}")
+    elif op == isa.OP_SLTI:
+        out.set(rt, f"1 if {_signed(out.reg(rs))} < {simm} else 0")
+    elif op == isa.OP_SLTIU:
+        out.set(rt, f"1 if {out.reg(rs)} < {simm & _MASK} else 0")
+    elif op == isa.OP_ANDI:
+        out.set(rt, f"{out.reg(rs)} & {imm}")
+    elif op == isa.OP_ORI:
+        out.set(rt, f"{out.reg(rs)} | {imm}")
+    elif op == isa.OP_XORI:
+        out.set(rt, f"{out.reg(rs)} ^ {imm}")
+    elif op == isa.OP_LUI:
+        out.set(rt, str((imm << 16) & _MASK))
+    else:
+        _emit_memory(out, i, op, rs, rt, simm, last)
+
+
+def _sext16(word: int) -> int:
+    return ((word & 0xFFFF) ^ 0x8000) - 0x8000
+
+
+def _emit_special(out: _Emitter, i: int, word: int, here: str,
+                  after: str) -> None:
+    rs = (word >> 21) & 31
+    rt = (word >> 16) & 31
+    rd = (word >> 11) & 31
+    shamt = (word >> 6) & 31
+    funct = word & 0x3F
+    if funct in (isa.FN_JR, isa.FN_JALR):
+        out.line(f"i = {i}")
+        out.line(f"npc = {out.reg(rs)}")
+        out.line("if npc & 3: raise AlignmentError(npc, 4)")
+        if funct == isa.FN_JALR:
+            out.set(rd, after)
+        return
+    if funct == isa.FN_SYSCALL or funct == isa.FN_BREAK:
+        trap = "SyscallTrap" if funct == isa.FN_SYSCALL else "BreakTrap"
+        out.line(f"i = {i}")
+        out.line(f"raise {trap}({here})")
+        return
+    b = out.reg(rt)
+    a = f"r{rs}" if funct in _SHIFT_IMM_FUNCTS else out.reg(rs)
+    if funct == isa.FN_DIV or funct == isa.FN_REM:
+        out.line(f"i = {i}")
+        out.line(f"if {b} == 0: raise ArithmeticTrap({here})")
+        out.line(f"x = {_signed(a)}")
+        out.line(f"y = {_signed(b)}")
+        if funct == isa.FN_DIV:
+            out.set(rd, f"int(x / y) & {_MASK}")
+        else:
+            out.set(rd, f"(x - int(x / y) * y) & {_MASK}")
+        return
+    expr = {
+        isa.FN_ADD: f"({a} + {b}) & {_MASK}",
+        isa.FN_SUB: f"({a} - {b}) & {_MASK}",
+        isa.FN_AND: f"{a} & {b}",
+        isa.FN_OR: f"{a} | {b}",
+        isa.FN_XOR: f"{a} ^ {b}",
+        isa.FN_NOR: f"~({a} | {b}) & {_MASK}",
+        isa.FN_SLT: f"1 if {_signed(a)} < {_signed(b)} else 0",
+        isa.FN_SLTU: f"1 if {a} < {b} else 0",
+        # The low 32 bits of a product are the same signed or unsigned.
+        isa.FN_MUL: f"({a} * {b}) & {_MASK}",
+        isa.FN_SLL: f"({b} << {shamt}) & {_MASK}",
+        isa.FN_SRL: f"{b} >> {shamt}",
+        isa.FN_SRA: f"({_signed(b)} >> {shamt}) & {_MASK}",
+        isa.FN_SLLV: f"({b} << ({a} & 31)) & {_MASK}",
+        isa.FN_SRLV: f"{b} >> ({a} & 31)",
+        isa.FN_SRAV: f"({_signed(b)} >> ({a} & 31)) & {_MASK}",
+    }[funct]
+    out.set(rd, expr)
+
+
+def _emit_memory(out: _Emitter, i: int, op: int, rs: int, rt: int,
+                 simm: int, last: bool) -> None:
+    out.memory = True
+    out.line(f"i = {i}")
+    out.line(f"a = ({out.reg(rs)} + {simm}) & {_MASK}")
+    if op == isa.OP_LW or op == isa.OP_SW:
+        out.line("if a & 3: raise AlignmentError(a, 4)")
+        out.line(f"e = tlb_get(a >> {PAGE_SHIFT})")
+    elif op in (isa.OP_LH, isa.OP_LHU, isa.OP_SH):
+        out.line("if a & 1: raise AlignmentError(a, 2)")
+    if op == isa.OP_LW:
+        out.line(f"if e is not None and e[1] & {PROT_READ}:")
+        out.line("    h += 1")
+        out.line(f"    v = unpack_from(e[0], a & {_PAGE_MASK})[0]")
+        out.line("else:")
+        out.line("    v = space.load_word(a)")
+        out.set(rt, "v")
+        return
+    if op in (isa.OP_LH, isa.OP_LHU):
+        out.line("v = space.load_half(a)")
+        out.set(rt, "((v ^ 0x8000) - 0x8000) & 0xFFFFFFFF"
+                if op == isa.OP_LH else "v")
+        return
+    if op in (isa.OP_LB, isa.OP_LBU):
+        out.line("v = space.load_byte(a)")
+        out.set(rt, "((v ^ 0x80) - 0x80) & 0xFFFFFFFF"
+                if op == isa.OP_LB else "v")
+        return
+    value = out.reg(rt)
+    if op == isa.OP_SW:
+        out.line(f"if e is not None and e[1] & {PROT_WRITE}:")
+        out.line("    h += 1")
+        out.line("    f = e[2]")
+        out.line("    if f.decode: f.drop_code(space.smp)")
+        out.line(f"    pack_into(e[0], a & {_PAGE_MASK}, {value})")
+        out.line("else:")
+        out.line(f"    space.store_word(a, {value})")
+    elif op == isa.OP_SH:
+        out.line(f"space.write_bytes(a, ({value} & 0xFFFF)"
+                 ".to_bytes(2, 'little'))")
+    else:
+        out.line(f"space.write_bytes(a, bytes(({value} & 0xFF,)))")
+    if not last:
+        # The store may have rewritten or remapped this very page.
+        out.stores = True
+        out.line("if not decode or tlb_get(vpn) is not entry:")
+        out.body.extend(out.retire("    ", i + 1, f"pc + {4 * i + 4}"))
+        out.line("    return")
+
+
+def _compile(words: Tuple[int, ...]) -> BlockFunction:
+    from repro.hw.cpu import ArithmeticTrap, BreakTrap, SyscallTrap
+
+    length = len(words)
+    out = _Emitter(length)
+    for i, word in enumerate(words):
+        _emit(out, i, word)
+    if not _ends_block(words[-1]):
+        out.line(f"npc = (pc + {4 * length}) & {_MASK}")
+    head = ["def block(cpu, space, entry, pc):", "    regs = cpu.regs"]
+    if out.memory:
+        head += ["    tlb_get = space.tlb.get", "    h = 0"]
+    if out.stores:
+        head += ["    decode = entry[2].decode",
+                 f"    vpn = pc >> {PAGE_SHIFT}"]
+    head += [f"    r{r} = regs[{r}]" for r in sorted(out.used)]
+    head += ["    i = 0", "    try:"]
+    body = [f"        {line}" for line in out.body]
+    fail = ["    except BaseException:"]
+    fail += out.writeback("        ")
+    fail += [
+        "        cpu.pc = pc + 4 * i",
+        "        cpu.instructions_executed += i",
+        "        space.tlb_hits += i + 1" + (" + h" if out.memory else ""),
+        "        cpu.decode_hits += i + 1",
+        "        raise",
+    ]
+    tail = out.retire("    ", length, "npc")
+    source = "\n".join(head + body + fail + tail) + "\n"
+    namespace = {
+        "AlignmentError": AlignmentError,
+        "ArithmeticTrap": ArithmeticTrap,
+        "BreakTrap": BreakTrap,
+        "SyscallTrap": SyscallTrap,
+        "unpack_from": _WORD.unpack_from,
+        "pack_into": _WORD.pack_into,
+    }
+    exec(compile(source, f"<block {words[0]:08x}+{length}>", "exec"),
+         namespace)
+    return namespace["block"]

@@ -1,6 +1,9 @@
 """The CPU interpreter with precise, restartable faults.
 
-The interpreter executes one instruction per :meth:`Cpu.step`. All memory
+The interpreter executes one instruction per :meth:`Cpu.step`, the
+reference semantics. :meth:`Cpu.execute` runs a translated superblock
+(:mod:`repro.hw.blocks`) when one fits, with the same architectural
+state and counters as the equivalent run of steps. All memory
 accesses go through the attached :class:`~repro.vm.AddressSpace`; a
 :class:`~repro.vm.PageFaultError` propagates out of ``step`` *before* any
 architectural state (registers, PC) is updated, so the kernel can run a
@@ -24,7 +27,7 @@ from repro.errors import (
 from repro.util.bits import sign_extend, to_signed32
 from repro.vm.address_space import PROT_EXEC, AddressSpace
 from repro.vm.layout import PAGE_SHIFT, PAGE_SIZE
-from repro.hw import isa
+from repro.hw import blocks, isa
 
 _WORD = struct.Struct("<I")
 _PAGE_MASK = PAGE_SIZE - 1
@@ -293,13 +296,44 @@ class Cpu:
         self.pc = next_pc
         self.instructions_executed += 1
 
+    def execute(self, budget: int) -> None:
+        """Execute one translated block of at most *budget* instructions,
+        or else exactly one :meth:`step`.
+
+        A block runs when the PC hits an executable TLB entry, the frame
+        has (or can build from its decode cache) a block at that offset,
+        and the block is no longer than *budget*. Faults and traps are as
+        precise as :meth:`step`'s: the PC names the faulting instruction
+        and every instruction before it has retired.
+        """
+        space = self.address_space
+        if space is not None:
+            pc = self.pc
+            entry = space.tlb.get(pc >> PAGE_SHIFT)
+            if entry is not None and entry[1] & PROT_EXEC:
+                frame = entry[2]
+                offset = pc & _PAGE_MASK
+                block = frame.blocks.get(offset)
+                if block is None and offset in frame.decode:
+                    block = blocks.build(frame.decode, offset)
+                    if block is not None:
+                        frame.blocks[offset] = block
+                if block is not None and block.length <= budget:
+                    if space.smp is not None:
+                        frame.decode_cores.add(space.core)
+                    block.run(self, space, entry, pc)
+                    return
+        self.step()
+
     def run(self, max_instructions: int = 1_000_000) -> None:
-        """Step until a trap or fault propagates, or the budget runs out.
+        """Execute until a trap or fault propagates, or the budget runs
+        out.
 
         Convenience for bare-metal tests that run without a kernel.
         """
-        for _ in range(max_instructions):
-            self.step()
+        end = self.instructions_executed + max_instructions
+        while self.instructions_executed < end:
+            self.execute(end - self.instructions_executed)
         raise ExecutionBudgetExceeded(
             f"no trap within {max_instructions} instructions "
             f"(pc=0x{self.pc:08x})"

@@ -378,32 +378,42 @@ class Kernel:
 
     def _run_machine_chunk(self, proc: Process, start: int,
                            target: int) -> bool:
-        """Step *proc* until it has executed *target* instructions past
+        """Run *proc* until it has executed *target* instructions past
         *start*, leaves READY, or hits a slice-ending trap.
 
         Returns False when the quantum ended on a path that does not
         charge executed instructions (blocked in a syscall, or killed by
         a fault/trap); True otherwise — the caller charges the executed
         count when the whole quantum is done. The scheduler calls this
-        with sub-quantum targets; because the instruction counter only
-        advances on a successful step (which also resets the fault
-        streak), a chunk boundary never lands mid-fault-retry, making
+        with sub-quantum targets. Each ``Cpu.execute`` gets the
+        instructions left in the chunk as its budget, so a block never
+        crosses the target. The instruction counter only advances by
+        retired instructions, and every retired instruction resets the
+        fault streak, whether a single step retired it or a block did
+        before faulting (the reference resets it on every successful
+        step), so a chunk boundary never lands mid-fault-retry, making
         chunked execution bit-identical to one uninterrupted quantum.
         """
         cpu = proc.cpu
         fault_streak = 0
-        while cpu.instructions_executed - start < target \
+        end = start + target
+        while cpu.instructions_executed < end \
                 and proc.state is ProcessState.READY:
+            executed = cpu.instructions_executed
             try:
-                cpu.step()
+                cpu.execute(end - executed)
                 fault_streak = 0
             except SyscallTrap:
+                if cpu.instructions_executed != executed:
+                    fault_streak = 0
                 try:
                     self.syscalls.dispatch_machine(proc)
                 except WouldBlock:
                     self._block(proc, "syscall")
                     return False
             except PageFaultError as fault:
+                if cpu.instructions_executed != executed:
+                    fault_streak = 0
                 if self.deliver_fault(proc, fault):
                     fault_streak += 1
                     if fault_streak > MAX_FAULT_RETRIES:

@@ -32,17 +32,20 @@ runnable processes in runqueue order and runs each for one full
 quantum. A lone core charges the clock serially (``current_core`` stays
 ``None``), so ``core_cycles`` stays empty and ``elapsed == cycles`` at
 every charge; and no address space is bound to the shootdown ledger, so
-``Cpu.step`` records no per-frame decode cores. The chunked quantum
+``Cpu.execute`` records no per-frame decode cores. The chunked quantum
 below keeps the cycle and event stream independent of the sub-slice
 size:
 
 * instructions are charged once at the end of a process's quantum
   (never per chunk), and not at all when the quantum ends by blocking
   or a kill;
-* a chunk boundary can only fall immediately after a *successful*
-  ``Cpu.step()`` (traps and faults do not advance the instruction
-  counter), and a successful step resets the fault streak, so starting
-  each chunk with a zero streak is exact, not approximate;
+* a chunk boundary can only fall immediately after a *retired*
+  instruction (traps and faults do not advance the instruction
+  counter, and ``Cpu.execute`` runs a translated block only when it
+  fits the instructions left in the chunk), and every retired
+  instruction resets the fault streak — including those a block
+  retires before it faults — so starting each chunk with a zero streak
+  is exact, not approximate;
 * the SWITCH span opens at quantum start and closes at quantum end
   (spans carry their entry cycle and emit one event on exit, so
   interleaved per-core spans need no nesting stack);

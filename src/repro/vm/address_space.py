@@ -332,7 +332,8 @@ class AddressSpace:
     #   * COW break        -> drop the vpn (the frame changed identity)
     #   * fork             -> flush the parent (private pages became COW)
     #   * MemoryObject truncate/replace_page/free -> flush every watcher
-    #   * stores           -> clear the target frame's decode cache (the
+    #   * stores           -> Frame.drop_code on the target frame: its
+    #                         decode cache and translated blocks (the
     #                         frame bytearray itself is aliased, so data
     #                         entries stay coherent automatically)
     #
@@ -523,12 +524,7 @@ class AddressSpace:
                 self._break_cow(pte, vpn)
             frame = pte.frame
             assert frame is not None
-            if frame.decode:
-                frame.decode.clear()
-                if frame.decode_cores:
-                    if self.smp is not None:
-                        self.smp.decode_shootdown(frame)
-                    frame.decode_cores.clear()
+            frame.drop_code(self.smp)
             frame.data[page_off: page_off + chunk] = data[pos: pos + chunk]
             if self._tlb_enabled and vpn not in self.tlb:
                 self._tlb_fill(vpn, pte)
@@ -566,11 +562,7 @@ class AddressSpace:
                 self.tlb_hits += 1
                 frame = entry[2]
                 if frame.decode:
-                    frame.decode.clear()
-                    if frame.decode_cores:
-                        if self.smp is not None:
-                            self.smp.decode_shootdown(frame)
-                        frame.decode_cores.clear()
+                    frame.drop_code(self.smp)
                 _WORD.pack_into(entry[0], address & _PAGE_MASK,
                                 value & 0xFFFFFFFF)
                 return

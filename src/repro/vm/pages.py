@@ -31,14 +31,19 @@ class Frame:
     execute — the property self-modifying text (PLT patching, ``ldl``
     jump-slot fixups) depends on.
 
+    ``blocks`` caches the superblocks built from ``decode`` (page
+    offset → :class:`repro.hw.blocks.Block`).
+
     ``decode_cores`` is the SMP shadow of ``decode``: the set of cores
     that have executed from this frame since the cache was last
     cleared. Only populated on multi-core boots (the CPU fast path
     checks ``space.smp``); a write that clears ``decode`` clears it
     too, counting one decode shootdown per *other* core in the set.
+
+    :meth:`drop_code` is the one place that clears all three.
     """
 
-    __slots__ = ("data", "refcount", "decode", "decode_cores")
+    __slots__ = ("data", "refcount", "decode", "blocks", "decode_cores")
 
     def __init__(self, data: Optional[bytes] = None) -> None:
         if data is None:
@@ -50,7 +55,21 @@ class Frame:
             self.data[: len(data)] = data
         self.refcount = 1
         self.decode: Dict[int, tuple] = {}
+        self.blocks: Dict[int, object] = {}
         self.decode_cores: set = set()
+
+    def drop_code(self, smp=None) -> None:
+        """The bytes are about to change: forget every decoded
+        instruction and translated block of this frame. *smp* (the
+        writer's coordinator, if any) books a decode shootdown for each
+        other core that executed from the frame."""
+        if self.decode:
+            self.decode.clear()
+            self.blocks.clear()
+            if self.decode_cores:
+                if smp is not None:
+                    smp.decode_shootdown(self)
+                self.decode_cores.clear()
 
 
 class PhysicalMemory:
@@ -188,10 +207,7 @@ class MemoryObject:
             page_index, page_off = divmod(addr, PAGE_SIZE)
             chunk = min(length - pos, PAGE_SIZE - page_off)
             frame = self.ensure_page(page_index)
-            if frame.decode:
-                frame.decode.clear()
-                if frame.decode_cores:
-                    frame.decode_cores.clear()
+            frame.drop_code()
             frame.data[page_off: page_off + chunk] = data[pos: pos + chunk]
             pos += chunk
         self.size = max(self.size, offset + length)
@@ -210,10 +226,7 @@ class MemoryObject:
                 self._physmem.release(self._pages.pop(boundary_page))
             elif boundary_page in self._pages:
                 frame = self._pages[boundary_page]
-                if frame.decode:
-                    frame.decode.clear()
-                    if frame.decode_cores:
-                        frame.decode_cores.clear()
+                frame.drop_code()
                 frame.data[boundary_off:] = bytes(PAGE_SIZE - boundary_off)
             self._notify_invalidate()
         self.size = new_size

@@ -1,0 +1,436 @@
+"""Superblock translation (repro.hw.blocks) against the single-step
+reference.
+
+Every property here runs the same program twice on twin address
+spaces: once as a ``Cpu.step()`` loop (the reference) and once as a
+``Cpu.execute(budget)`` loop, which runs translated blocks. After every
+``execute`` call and every exception the two must agree on the PC,
+registers, memory, exception, retired instructions, TLB hits/misses and
+decode hits/misses.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import (
+    AlignmentError,
+    ExecutionBudgetExceeded,
+    InvalidInstructionError,
+)
+from repro.hw import blocks, isa
+from repro.hw.asm import assemble
+from repro.hw.cpu import ArithmeticTrap, BreakTrap, Cpu, SyscallTrap
+from repro.kernel.kernel import MAX_FAULT_RETRIES, Kernel
+from repro.kernel.signals import Signal
+from repro.linker.baseline_ld import link_static
+from repro.vm.address_space import PROT_RW, PROT_RWX, AddressSpace
+from repro.vm.faults import AccessKind, PageFaultError
+from repro.vm.layout import PAGE_SIZE
+from repro.vm.pages import PhysicalMemory
+
+TEXT = 0x10000
+SCRATCH_PAGES = 8        # RW pages on each side of the text page
+DATA = 0x40000           # two pages: DATA and DATA + PAGE_SIZE
+UNMAPPED = 0x60000       # mapped by the harness on first touch
+MAX_EXTRA_PAGES = 8
+MAX_FORKS = 3
+
+# Register roles. Random ALU traffic only writes ALU_REGS.
+ALU_REGS = [0, 8, 9, 10, 11, 12, 13]   # zero, t0..t5
+T6 = 14                                # address temp of the loop stores
+S_DATA, S_TEXT, S_UNMAPPED, S_COUNT = 16, 17, 18, 19
+# (S_COUNT << 12) + S_LAST is the text page on the last iteration and
+# a scratch page above it before; (S_COUNT << 12) + S_FIRST is the text
+# page on the first iteration and a scratch page below it after.
+S_LAST, S_FIRST = 20, 21
+
+_R_FUNCTS = [isa.FN_ADD, isa.FN_SUB, isa.FN_AND, isa.FN_OR, isa.FN_XOR,
+             isa.FN_NOR, isa.FN_SLT, isa.FN_SLTU, isa.FN_MUL, isa.FN_DIV,
+             isa.FN_REM, isa.FN_SLL, isa.FN_SRL, isa.FN_SRA, isa.FN_SLLV,
+             isa.FN_SRLV, isa.FN_SRAV]
+_I_OPS = [isa.OP_ADDI, isa.OP_SLTI, isa.OP_SLTIU, isa.OP_ANDI, isa.OP_ORI,
+          isa.OP_XORI, isa.OP_LUI]
+_MEM_OPS = [isa.OP_LW, isa.OP_LH, isa.OP_LHU, isa.OP_LB, isa.OP_LBU,
+            isa.OP_SW, isa.OP_SH, isa.OP_SB]
+_STORE_OPS = [isa.OP_SW, isa.OP_SH, isa.OP_SB]
+_BRANCH_OPS = [isa.OP_BEQ, isa.OP_BNE, isa.OP_BLEZ, isa.OP_BGTZ,
+               isa.OP_REGIMM]
+
+_reg = st.sampled_from(ALU_REGS)
+_any_reg = st.sampled_from(ALU_REGS + [S_DATA, S_TEXT, S_UNMAPPED, S_COUNT])
+
+_alu = st.one_of(
+    st.tuples(st.just("r"), st.sampled_from(_R_FUNCTS), _reg, _any_reg,
+              _any_reg, st.integers(0, 31)),
+    st.tuples(st.just("i"), st.sampled_from(_I_OPS), _reg, _any_reg,
+              st.integers(0, 0xFFFF)),
+)
+# data accesses: mostly aligned into the data pages, some unmapped,
+# some through a random register, some misaligned
+_mem = st.tuples(st.just("mem"), st.sampled_from(_MEM_OPS), _reg,
+                 st.sampled_from([S_DATA] * 5 + [S_UNMAPPED, 8]),
+                 st.one_of(st.integers(0, PAGE_SIZE // 2).map(
+                     lambda k: 4 * k), st.integers(-8, 2 * PAGE_SIZE + 8)))
+# a store into the executing text page, past the program, on the first
+# or the last iteration (into a scratch page on the others), so the last
+# one runs inside a block and the first one clears blocks that later
+# rebuild
+_text_store = st.tuples(st.just("text"), st.sampled_from(_STORE_OPS), _reg,
+                        st.sampled_from([S_LAST, S_FIRST]),
+                        st.integers(0x800, 0xFFC))
+_control = st.one_of(
+    st.tuples(st.just("branch"), st.sampled_from(_BRANCH_OPS), _any_reg,
+              _any_reg, st.integers(0, 1), st.integers(0, 4)),
+    st.tuples(st.just("jal"), st.integers(0, 3)),
+    st.tuples(st.just("trap"), st.sampled_from(["syscall", "break"])),
+)
+# an indirect forward jump through T6, sometimes misaligned
+_jr = st.tuples(st.just("jr"), st.sampled_from([isa.FN_JR, isa.FN_JALR]),
+                st.sampled_from([0, 0, 0, 2]), st.integers(0, 4))
+_spec = st.one_of(_alu, _alu, _alu, _mem, _mem, _control, _text_store, _jr)
+
+
+def _encode(body):
+    """The instruction words of *body* specs. Branches and ``jal`` skip
+    forward over whole specs, at most to the end of the body."""
+    size = {"text": 3, "jr": 2}
+    starts = [0]
+    for spec in body:
+        starts.append(starts[-1] + size.get(spec[0], 1))
+    words = []
+    for number, spec in enumerate(body):
+        kind = spec[0]
+        index = len(words)
+        target = starts[min(number + 1 + spec[-1], len(body))] \
+            if kind in ("branch", "jal", "jr") else None
+        if kind == "r":
+            _, funct, rd, rs, rt, shamt = spec
+            words.append(isa.encode_r(funct, rd=rd, rs=rs, rt=rt,
+                                      shamt=shamt))
+        elif kind == "i":
+            _, op, rt, rs, imm = spec
+            words.append(isa.encode_i(op, rs=rs, rt=rt, imm=imm))
+        elif kind == "mem":
+            _, op, rt, base, offset = spec
+            if base == S_DATA:
+                offset -= 8
+            offset = max(-0x8000, min(0x7FFF, offset))
+            words.append(isa.encode_i(op, rs=base, rt=rt, imm=offset))
+        elif kind == "text":
+            _, op, rt, base, offset = spec
+            words.append(isa.encode_r(isa.FN_SLL, rd=T6, rt=S_COUNT,
+                                      shamt=12))
+            words.append(isa.encode_r(isa.FN_ADD, rd=T6, rs=T6, rt=base))
+            words.append(isa.encode_i(op, rs=T6, rt=rt, imm=offset))
+        elif kind == "branch":
+            _, op, rs, rt, which, _skip = spec
+            if op == isa.OP_REGIMM:
+                rt = isa.RT_BGEZ if which else isa.RT_BLTZ
+            words.append(isa.encode_i(op, rs=rs, rt=rt,
+                                      imm=target - index - 1))
+        elif kind == "jal":
+            words.append(isa.encode_j(isa.OP_JAL,
+                                      isa.jump_field(TEXT + 4 * target)))
+        elif kind == "jr":
+            _, funct, misalign, _skip = spec
+            words.append(isa.encode_i(isa.OP_ADDI, rs=S_TEXT, rt=T6,
+                                      imm=4 * target + misalign))
+            words.append(isa.encode_r(funct, rd=isa.REG_RA, rs=T6))
+        else:
+            funct = isa.FN_SYSCALL if spec[1] == "syscall" else isa.FN_BREAK
+            words.append(isa.encode_r(funct))
+    return words
+
+
+def _loop(body_words):
+    """*body_words* inside a countdown loop over S_COUNT, placed at
+    TEXT; returns the words and the address of the final ``syscall``."""
+    words = list(body_words)
+    words.append(isa.encode_i(isa.OP_ADDI, rs=S_COUNT, rt=S_COUNT, imm=-1))
+    words.append(isa.encode_i(isa.OP_BGTZ, rs=S_COUNT,
+                              imm=-(len(words) + 1)))
+    end = TEXT + 4 * len(words)
+    words.append(isa.encode_r(isa.FN_SYSCALL))
+    return words, end
+
+
+def _registers(loops, values=()):
+    regs = [0] * 32
+    regs[8:8 + len(values)] = values
+    regs[S_DATA], regs[S_TEXT] = DATA, TEXT
+    regs[S_UNMAPPED], regs[S_COUNT] = UNMAPPED, loops
+    regs[S_LAST] = TEXT - PAGE_SIZE
+    regs[S_FIRST] = TEXT - loops * PAGE_SIZE
+    return regs
+
+
+class _Machine:
+    """One twin: an address space holding the program, and a CPU."""
+
+    def __init__(self, words, regs, data: bytes) -> None:
+        self.space = AddressSpace(PhysicalMemory(), name="twin",
+                                  tlb_enabled=True)
+        scratch = SCRATCH_PAGES * PAGE_SIZE
+        self.space.map(TEXT - scratch, scratch, prot=PROT_RW, name="lo")
+        self.space.map(TEXT, PAGE_SIZE, prot=PROT_RWX, name="text")
+        self.space.map(TEXT + PAGE_SIZE, scratch, prot=PROT_RW, name="hi")
+        self.space.map(DATA, 2 * PAGE_SIZE, prot=PROT_RW, name="data")
+        self.space.write_bytes(
+            TEXT, b"".join(w.to_bytes(4, "little") for w in words))
+        self.space.write_bytes(DATA, data)
+        self.cpu = Cpu(self.space)
+        self.cpu.pc = TEXT
+        self.cpu.regs[:] = regs
+        self.children = []
+        #: instructions retired by execute calls that ran a block of
+        #: more than one instruction
+        self.block_retired = 0
+
+    def fork(self) -> None:
+        self.children.append(self.space.fork("child"))
+
+    def state(self):
+        cpu, space = self.cpu, self.space
+        memory = [
+            {vpn: bytes(pte.frame.data)
+             for vpn, pte in sorted(s._pages.items())
+             if pte.frame is not None}
+            for s in [space] + self.children
+        ]
+        return (cpu.pc, list(cpu.regs), cpu.instructions_executed,
+                cpu.decode_hits, cpu.decode_misses, space.tlb_hits,
+                space.tlb_misses, space.tlb_fills, memory)
+
+
+def _outcome(error):
+    if error is None:
+        return None
+    if isinstance(error, PageFaultError):
+        return (type(error), error.address, error.access, error.present)
+    if isinstance(error, AlignmentError):
+        return (type(error), error.address, error.alignment)
+    return (type(error), getattr(error, "pc", None))
+
+
+_HANDLED = (SyscallTrap, BreakTrap, ArithmeticTrap, AlignmentError,
+            InvalidInstructionError, PageFaultError)
+
+
+def _differential(words, end, regs, data, rng, max_retired=1500):
+    """Run the program on twins (reference steps vs budgeted execute),
+    comparing after every execute call. Returns the block twin."""
+    ref, fast = _Machine(words, regs, data), _Machine(words, regs, data)
+    extra_pages = 0
+    for _ in range(6000):
+        if fast.cpu.instructions_executed >= max_retired:
+            break
+        budget = rng.choice([1, 3, 8, 21, 64, 250, 10 ** 6, 10 ** 6])
+        before = fast.cpu.instructions_executed
+        error = None
+        try:
+            fast.cpu.execute(budget)
+        except _HANDLED as exc:
+            error = exc
+        retired = fast.cpu.instructions_executed - before
+        if retired > 1:
+            fast.block_retired += retired
+        assert retired <= budget
+        assert error is None or retired < budget
+        for _ in range(retired):
+            ref.cpu.step()
+        if error is not None:
+            with pytest.raises(type(error)) as caught:
+                ref.cpu.step()
+            assert _outcome(caught.value) == _outcome(error)
+        assert fast.state() == ref.state()
+        if error is None:
+            continue
+        # Service the exception identically on both twins.
+        if isinstance(error, SyscallTrap) and error.pc == end:
+            break
+        if isinstance(error, PageFaultError):
+            if error.access is AccessKind.EXEC or error.present \
+                    or extra_pages >= MAX_EXTRA_PAGES:
+                break
+            extra_pages += 1
+            for twin in (ref, fast):
+                twin.space.map(error.address & ~(PAGE_SIZE - 1), PAGE_SIZE,
+                               prot=PROT_RW, name="extra")
+            continue
+        if isinstance(error, BreakTrap) and len(fast.children) < MAX_FORKS:
+            ref.fork()
+            fast.fork()
+        for twin in (ref, fast):
+            twin.cpu.pc += 4
+    return fast
+
+
+class TestDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_spec, min_size=6, max_size=40),
+           st.lists(st.integers(0, 0xFFFFFFFF), min_size=6, max_size=6),
+           st.integers(2, SCRATCH_PAGES - 1),
+           st.binary(min_size=64, max_size=64),
+           st.randoms(use_true_random=False))
+    def test_execute_matches_step(self, body, values, loops, data, rng):
+        words, end = _loop(_encode(body))
+        _differential(words, end, _registers(loops, values), data * 64, rng)
+
+
+_EDGE_VALUES = [0, 1, 2, 7, 0x7FFFFFFF, 0x80000000, 0xFFFFFFF9,
+                0xFFFFFFFE, 0xFFFFFFFF]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("funct", _R_FUNCTS)
+    def test_every_register_op_on_edge_values(self, funct):
+        # The operands start at edge values and change every iteration;
+        # the op runs inside a block from the second iteration on (a
+        # zero divisor traps and is skipped).
+        body = [isa.encode_r(funct, rd=13, rs=8, rt=9, shamt=31),
+                isa.encode_r(funct, rd=12, rs=9, rt=8, shamt=1),
+                isa.encode_r(isa.FN_OR, rd=8, rs=9, rt=0),
+                isa.encode_r(isa.FN_ADD, rd=9, rs=10, rt=13)]
+        for x in _EDGE_VALUES:
+            words, end = _loop(body)
+            regs = _registers(len(_EDGE_VALUES), [x, 0x80000000, 0xFFFFFFF9])
+            fast = _differential(words, end, regs, bytes(64),
+                                 random.Random(x))
+            assert fast.cpu.pc == end and fast.block_retired
+
+    @pytest.mark.parametrize("op", _I_OPS)
+    def test_every_immediate_op_on_edge_values(self, op):
+        for x in _EDGE_VALUES:
+            body = [isa.encode_i(op, rs=8, rt=9, imm=0x8001),
+                    isa.encode_i(op, rs=8, rt=10, imm=0x7FFF),
+                    isa.encode_i(op, rs=9, rt=8, imm=0xFFFF)]
+            words, end = _loop(body)
+            fast = _differential(words, end, _registers(4, [x]), bytes(64),
+                                 random.Random(x))
+            assert fast.cpu.pc == end and fast.block_retired
+
+    def test_second_visit_runs_one_block_per_iteration(self):
+        body = [isa.encode_i(isa.OP_ADDI, rs=8, rt=8, imm=3),
+                isa.encode_i(isa.OP_LW, rs=S_DATA, rt=9, imm=0),
+                isa.encode_r(isa.FN_ADD, rd=9, rs=9, rt=8),
+                isa.encode_i(isa.OP_SW, rs=S_DATA, rt=9, imm=0)]
+        words, end = _loop(body)
+        fast = _differential(words, end, _registers(6), bytes(64),
+                             random.Random(0))
+        frame = fast.space.tlb[TEXT >> 12][2]
+        block = frame.blocks[0]
+        assert block.length == len(body) + 2
+        assert block.run is blocks.translate(block.words)
+        assert fast.cpu.regs[9] == 3 * (1 + 2 + 3 + 4 + 5 + 6)
+
+    def test_store_rewrites_the_rest_of_its_own_block(self):
+        # On the last iteration the sw lands on the text page and turns
+        # the next instruction (addi t1, t1, 1) into addi t1, t1, 100.
+        patched = isa.encode_i(isa.OP_ADDI, rs=9, rt=9, imm=100)
+        body = [isa.encode_r(isa.FN_SLL, rd=T6, rt=S_COUNT, shamt=12),
+                isa.encode_r(isa.FN_ADD, rd=T6, rs=T6, rt=S_LAST),
+                isa.encode_i(isa.OP_SW, rs=T6, rt=10, imm=12),
+                isa.encode_i(isa.OP_ADDI, rs=9, rt=9, imm=1)]
+        words, end = _loop(body)
+        regs = _registers(4, [0, 0, patched])
+        fast = _differential(words, end, regs, bytes(64),
+                             random.Random(1))
+        assert fast.cpu.regs[9] == 3 + 100
+        assert fast.block_retired
+        assert fast.cpu.pc == end
+
+    def test_store_to_cow_text_page_leaves_the_block(self):
+        # After a fork the text page is COW; the store breaks it inside
+        # a block and the block must exit through the changed TLB entry.
+        body = [isa.encode_r(isa.FN_SLL, rd=T6, rt=S_COUNT, shamt=12),
+                isa.encode_r(isa.FN_ADD, rd=T6, rs=T6, rt=S_LAST),
+                isa.encode_i(isa.OP_SW, rs=T6, rt=10, imm=0x800),
+                isa.encode_i(isa.OP_ADDI, rs=9, rt=9, imm=1),
+                isa.encode_i(isa.OP_BEQ, rs=S_COUNT, rt=0, imm=0),
+                isa.encode_r(isa.FN_BREAK)]
+        words, end = _loop(body)
+        regs = _registers(4, [0, 0, 0xABCD])
+        fast = _differential(words, end, regs, bytes(64),
+                             random.Random(2))
+        assert fast.children and fast.block_retired
+        assert fast.cpu.regs[9] == 4
+        assert fast.space.load_word(TEXT + 0x800) == 0xABCD
+        assert fast.children[0].load_word(TEXT + 0x800) == 0
+
+    def test_budget_is_never_exceeded(self):
+        body = [isa.encode_i(isa.OP_ADDI, rs=8, rt=8, imm=1)] * 20
+        words, _end = _loop(body)
+        machine = _Machine(words, _registers(3), bytes(64))
+        for _ in range(22):
+            machine.cpu.step()        # first visit decodes everything
+        machine.cpu.execute(21)       # loop head: 22-instruction block
+        assert machine.cpu.instructions_executed == 23
+        machine.cpu.pc = TEXT
+        machine.cpu.execute(22)
+        assert machine.cpu.instructions_executed == 45
+
+    def test_memo_reuses_functions_across_frames(self):
+        words, _end = _loop([isa.encode_i(isa.OP_ADDI, rs=8, rt=8, imm=7)])
+        runs = []
+        for _ in range(2):
+            machine = _Machine(words, _registers(3), bytes(64))
+            with pytest.raises(SyscallTrap):
+                machine.cpu.run(100)
+            runs.append(machine.space.tlb[TEXT >> 12][2].blocks[0].run)
+        assert runs[0] is runs[1]
+
+    def test_run_keeps_budget_contract_with_blocks(self):
+        words, _end = _loop([isa.encode_i(isa.OP_ADDI, rs=8, rt=8, imm=1)])
+        machine = _Machine(words, _registers(1000), bytes(64))
+        with pytest.raises(ExecutionBudgetExceeded):
+            machine.cpu.run(100)
+        assert machine.cpu.instructions_executed == 100
+
+
+class TestFaultStreak:
+    def test_blocks_that_progress_then_fault_reset_the_streak(self):
+        # Every load faults: the handler maps its page and unmaps the
+        # other one. From the second iteration on each retry runs a
+        # block that retires one load and faults on the next, so the
+        # streak must restart after every block, as it does after
+        # every successful step.
+        loads = MAX_FAULT_RETRIES + 8
+        body = "\n".join(
+            f"lw t0, 0({'a0' if n % 2 == 0 else 'a1'})"
+            for n in range(loads))
+        source = f"""
+            .text
+            .globl main
+        main:
+            li a0, 0x20000000
+            li a1, 0x20001000
+            li s0, 3
+        loop:
+            {body}
+            addi s0, s0, -1
+            bgtz s0, loop
+            li v0, 7
+            jr ra
+        """
+        kernel = Kernel()
+        proc = kernel.create_machine_process(
+            "p", link_static([assemble(source, "m.o")]))
+        pages = [0x20000000, 0x20001000]
+
+        def swap(process, info):
+            page = info.address & ~(PAGE_SIZE - 1)
+            if page not in pages:
+                return False
+            space = process.address_space
+            other = pages[1 - pages.index(page)]
+            if space.is_mapped(other):
+                space.unmap(other, PAGE_SIZE)
+            space.map(page, PAGE_SIZE, prot=PROT_RW)
+            return True
+
+        proc.push_handler(Signal.SIGSEGV, swap)
+        assert kernel.run_until_exit(proc) == 7, proc.death_reason

@@ -224,6 +224,11 @@ class TestControlFlow:
         cpu.step()
         assert cpu.pc == (4 - 64) & 0xFFFFFFFF  # 0xFFFFFFC4, not -60
         assert cpu.pc >= 0
+        cpu.pc = 0
+        cpu.execute(1)  # second visit: the translated block
+        assert cpu.pc == (4 - 64) & 0xFFFFFFFF
+        if space.tlb_enabled:
+            assert space.tlb[0][2].blocks
 
     def test_backward_regimm_branch_near_zero_wraps_pc(self):
         pm = PhysicalMemory()
@@ -239,6 +244,11 @@ class TestControlFlow:
         cpu.step()
         assert cpu.pc == (4 - 64) & 0xFFFFFFFF
         assert cpu.pc >= 0
+        cpu.pc = 0
+        cpu.execute(1)  # second visit: the translated block
+        assert cpu.pc == (4 - 64) & 0xFFFFFFFF
+        if space.tlb_enabled:
+            assert space.tlb[0][2].blocks
 
     def test_beq_bne(self):
         cpu, _ = run_program("""
