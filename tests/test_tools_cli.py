@@ -276,6 +276,28 @@ class TestNumericOptions:
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
+class TestCrashSoak:
+    def test_ci_invocation_prints_exactly(self, monkeypatch):
+        """The CI crash soak, run from the repository root as CI runs
+        it: sampled crash points per script, every one clean."""
+        from repro.tools.cli import reprochaos_main
+
+        monkeypatch.chdir(EXAMPLES.parent)
+        out = io.StringIO()
+        status = reprochaos_main(
+            ["--crash", "--seed", "1993", "--max-points", "12",
+             "examples/quickstart.py", "examples/admin_database.py"],
+            stdout=out)
+        assert status == 0
+        assert out.getvalue() == (
+            "reprochaos: crash soak, 2 script(s), seed 1993, stride 1, "
+            "max 12 point(s)\n"
+            "  examples/quickstart.py: 12/63 crash point(s): clean\n"
+            "  examples/admin_database.py: 12/27 crash point(s): clean\n"
+            "reprochaos: OK (every crash point recovered; fsck clean, "
+            "segments reopen by address)\n")
+
+
 class TestRefusals:
     """Argv the tools used to crash on, or to run as something other
     than what was asked, is a UsageError (exit 2)."""
@@ -328,7 +350,27 @@ class TestReprofsck:
 
         out = io.StringIO()
         assert reprofsck_main(["--verbose", image], stdout=out) == 0
-        assert "  generation " in out.getvalue()
+        assert out.getvalue() == (
+            f"{image}: clean\n"
+            "  generation 2, applied txn 0, 0 committed txn(s) in the "
+            "journal (0 beyond the checkpoint), 0 torn-tail record(s) "
+            "discarded\n"
+            "  inodes: root=2, sfs=1; 0 public segment(s)\n")
+
+    def test_verbose_on_a_crashed_image_is_exact(self, tmp_path):
+        from repro.tools.cli import reprofsck_main
+        from tests.test_disk import _crashed_image
+
+        path = str(tmp_path / "crashed.hdsk")
+        _crashed_image().save(path)
+        out = io.StringIO()
+        assert reprofsck_main(["--verbose", path], stdout=out) == 0
+        assert out.getvalue() == (
+            f"{path}: clean\n"
+            "  generation 1, applied txn 0, 4 committed txn(s) in the "
+            "journal (4 beyond the checkpoint), 0 torn-tail record(s) "
+            "discarded\n"
+            "  inodes: root=2, sfs=3; 1 public segment(s)\n")
 
     def test_garbage_image_is_unreadable(self, tmp_path):
         from repro.tools.cli import reprofsck_main
