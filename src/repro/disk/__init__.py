@@ -29,11 +29,11 @@ from repro.disk.crash import (
     CrashPoint,
     crash_points,
     run_crash_matrix,
-    run_crash_point,
     scripted_workload,
+    soak_crashes,
     verify_segments,
 )
-from repro.disk.fsck import FsckResult, FsckStats, fsck, fsck_image
+from repro.disk.fsck import FsckResult, fsck
 from repro.disk.journal import Journal, scan_journal
 from repro.disk.mount import CAMPAIGN, DiskStore, RecoveryStats, durable
 
@@ -46,16 +46,14 @@ __all__ = [
     "DEFAULT_BLOCKS",
     "DiskStore",
     "FsckResult",
-    "FsckStats",
     "Journal",
     "RecoveryStats",
     "crash_points",
     "durable",
     "fsck",
-    "fsck_image",
     "run_crash_matrix",
-    "run_crash_point",
     "scan_journal",
     "scripted_workload",
+    "soak_crashes",
     "verify_segments",
 ]

@@ -59,11 +59,9 @@ class BlockDevice:
         self._pending: List[Tuple[int, bytes]] = []
         self._rng = DeterministicRng(seed or 0xD15C_0001)
         # Counters (observability + tests).
-        self.reads = 0
         self.writes = 0
         self.barriers = 0
         self.dropped_writes = 0   # writes ignored post-crash or injected
-        self.torn_writes = 0
         # Optional append-only write log for crash-prefix properties.
         self.history: Optional[List[Tuple[int, bytes]]] = \
             [] if record_history else None
@@ -106,7 +104,6 @@ class BlockDevice:
                 return
             if len(block) < self.block_size:
                 # Torn block: the prefix lands over the old contents.
-                self.torn_writes += 1
                 block = block + self._read_durable(index)[len(block):]
         self.writes += 1
         if self.history is not None:
@@ -122,7 +119,6 @@ class BlockDevice:
     def read(self, index: int) -> bytes:
         """Read one block; sees pending (acknowledged) writes."""
         self._check_index(index)
-        self.reads += 1
         block = None
         for pend_index, pend_block in reversed(self._pending):
             if pend_index == index:
@@ -162,7 +158,6 @@ class BlockDevice:
             index, block = survivors[-1]
             keep = self._rng.randint(0, self.block_size)
             if keep < self.block_size:
-                self.torn_writes += 1
                 survivors[-1] = (
                     index, block[:keep] + self._read_durable(index)[keep:]
                 )

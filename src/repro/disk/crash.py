@@ -2,17 +2,19 @@
 
 The strongest claim ``repro.disk`` makes is not "recovery usually
 works" but "there is **no** record boundary at which a crash loses
-consistency". This module makes that claim executable:
+consistency". One crash loop, :func:`soak_crashes`, makes that claim
+executable for the A9 matrix (:func:`run_crash_matrix`) and for
+``reprochaos --crash`` alike:
 
-1. a baseline run of a scripted workload (~50+ metadata operations over
-   both volumes, including a rename over an existing destination)
+1. a baseline run under :func:`~repro.disk.mount.durable` (each kernel
+   the workload boots mounts a fresh, identically seeded device)
    counts the journal records it writes, N;
-2. for each k in 1..N, a fresh identically-seeded boot runs the same
-   workload with a ``DISK``-plane CRASH plan armed to fire at the k-th
-   record — power dies mid-write, the device's pending-write window
-   resolves under its seed, and the rest of the workload runs against
-   a dead disk (writes silently lost, exactly like hardware);
-3. the surviving image is checked by ``reprofsck`` (zero findings
+2. for each sampled k in 1..N, the same workload runs again with a
+   ``DISK``-plane CRASH plan armed to fire at the k-th record — power
+   dies mid-write, the device's pending-write window resolves under its
+   seed, and the rest of the workload runs against a dead disk (writes
+   silently lost, exactly like hardware);
+3. every surviving image is checked by ``reprofsck`` (zero findings
    required — a torn tail is designed behaviour, not damage), then
    remounted: recovery must replay the committed prefix, and every
    public segment that survived must reopen *by address* through the
@@ -23,11 +25,12 @@ consistency". This module makes that claim executable:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from repro.disk.blockdev import BlockDevice
 from repro.disk.fsck import fsck
+from repro.disk.mount import RecoveryStats, durable
 from repro.errors import SimulationError
 from repro.inject import (
     FaultKind,
@@ -123,7 +126,8 @@ def verify_segments(kernel) -> List[str]:
 
 @dataclass
 class CrashPoint:
-    """One cell of the matrix: crash at record *k*, then recover."""
+    """One cell of the matrix: crash at record *k*, then recover (one
+    per store the workload mounted)."""
 
     record: int
     crashed: bool
@@ -142,69 +146,24 @@ class CrashPoint:
 @dataclass
 class CrashMatrix:
     total_records: int
+    #: The record boundaries crashed at (see :func:`crash_points`).
+    sampled: List[int] = field(default_factory=list)
     points: List[CrashPoint] = field(default_factory=list)
+    #: Runs where an exception escaped the simulation's typed errors.
+    deaths: List[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return all(p.clean for p in self.points)
+        return not self.deaths and all(p.clean for p in self.points)
 
     def failures(self) -> List[str]:
-        out = []
+        out = list(self.deaths)
         for point in self.points:
             for text in point.findings:
                 out.append(f"record {point.record}: fsck: {text}")
             for text in point.seg_failures:
                 out.append(f"record {point.record}: segment: {text}")
         return out
-
-
-def run_baseline(seed: int = DEFAULT_SEED,
-                 nblocks: int = DEFAULT_NBLOCKS,
-                 workload: Callable = scripted_workload
-                 ) -> Tuple[BlockDevice, int]:
-    """One uncrashed run; returns (device, journal records written)."""
-    from repro import boot
-
-    device = BlockDevice(nblocks=nblocks, seed=seed)
-    system = boot(disk=device)
-    workload(system.kernel)
-    records = system.kernel.disk.journal.records_written
-    system.kernel.shutdown()
-    return device, records
-
-
-def run_crash_point(k: int, seed: int = DEFAULT_SEED,
-                    nblocks: int = DEFAULT_NBLOCKS,
-                    workload: Callable = scripted_workload) -> CrashPoint:
-    """Crash at the k-th journal record, remount, verify everything."""
-    from repro import boot
-
-    plan = FaultPlan(Plane.DISK, FaultKind.CRASH, site="journal-*",
-                     after=k - 1, max_faults=1)
-    device = BlockDevice(nblocks=nblocks, seed=seed)
-    with injecting([plan], seed=seed):
-        system = boot(disk=device)
-        try:
-            workload(system.kernel)
-        except SimulationError:
-            pass  # post-crash op surfaced an error; acceptable
-        system.kernel.shutdown()
-    survivor = device.reopen()
-    check = fsck(survivor, subject=f"crash@{k}")
-    system2 = boot(disk=survivor)
-    recovery = system2.kernel.recovery
-    seg_failures = verify_segments(system2.kernel)
-    system2.kernel.shutdown()
-    return CrashPoint(
-        record=k,
-        crashed=device.crashed,
-        findings=[str(f) for f in check.report],
-        seg_failures=seg_failures,
-        replayed_txns=recovery.replayed_txns,
-        discarded_records=recovery.discarded_records,
-        segments=recovery.addrmap_segments,
-        trail=tuple(recovery.trail),
-    )
 
 
 def crash_points(total: int, stride: int = 1,
@@ -218,17 +177,82 @@ def crash_points(total: int, stride: int = 1,
     return ks
 
 
+def _durable_run(run: Callable[[], None], seed: int, nblocks: int,
+                 plans: List[FaultPlan]) -> Tuple[str, list]:
+    """Run *run* with a durable store under every kernel it boots and
+    *plans* armed; returns (kernel-death detail or "", the stores)."""
+    from repro.rr.oracle import classify_run
+
+    faults = injecting(plans, seed=seed) if plans else nullcontext()
+    with durable(nblocks=nblocks, seed=seed) as stores, faults:
+        outcome, detail = classify_run(run)
+    return (detail if outcome == "kernel-death" else ""), list(stores)
+
+
+def _check_store(k: int, store) -> CrashPoint:
+    """fsck the store's surviving image, then remount it and reopen
+    every segment by address."""
+    from repro import boot
+
+    survivor = store.device.reopen()
+    findings = [str(item) for item in fsck(survivor).report]
+    recovery, seg_failures = RecoveryStats(), []
+    if not findings:
+        system = boot(disk=survivor)
+        recovery = system.kernel.recovery
+        seg_failures = verify_segments(system.kernel)
+        system.kernel.shutdown()
+    return CrashPoint(
+        record=k,
+        crashed=store.device.crashed,
+        findings=findings,
+        seg_failures=seg_failures,
+        replayed_txns=recovery.replayed_txns,
+        discarded_records=recovery.discarded_records,
+        segments=recovery.addrmap_segments,
+        trail=tuple(recovery.trail),
+    )
+
+
+def soak_crashes(run: Callable[[], None], seed: int = DEFAULT_SEED,
+                 nblocks: int = DEFAULT_NBLOCKS, stride: int = 1,
+                 max_points: Optional[int] = None) -> CrashMatrix:
+    """The crash loop: crash *run* at every sampled journal record
+    boundary and check every store it mounted (module docstring)."""
+    death, stores = _durable_run(run, seed, nblocks, [])
+    if death:
+        return CrashMatrix(0, deaths=[f"baseline: kernel death: {death}"])
+    matrix = CrashMatrix(max((store.journal.records_written
+                              for store in stores), default=0))
+    matrix.sampled = crash_points(matrix.total_records, stride,
+                                  max_points)
+    for k in matrix.sampled:
+        plan = FaultPlan(Plane.DISK, FaultKind.CRASH, site="journal-*",
+                         after=k - 1, max_faults=1)
+        death, stores = _durable_run(run, seed, nblocks, [plan])
+        if death:
+            matrix.deaths.append(f"record {k}: kernel death: {death}")
+        else:
+            matrix.points.extend(_check_store(k, store) for store in stores)
+    return matrix
+
+
 def run_crash_matrix(seed: int = DEFAULT_SEED,
                      nblocks: int = DEFAULT_NBLOCKS,
                      stride: int = 1,
                      max_points: Optional[int] = None,
                      workload: Callable = scripted_workload
                      ) -> CrashMatrix:
-    """Crash at every stride-th record boundary of the workload."""
-    _device, total = run_baseline(seed, nblocks, workload)
-    matrix = CrashMatrix(total_records=total)
-    for k in crash_points(total, stride, max_points):
-        matrix.points.append(
-            run_crash_point(k, seed=seed, nblocks=nblocks,
-                            workload=workload))
-    return matrix
+    """Crash *workload* (run on one booted kernel) at every stride-th
+    record boundary."""
+    def run() -> None:
+        from repro import boot
+
+        system = boot()
+        try:
+            workload(system.kernel)
+        except SimulationError:
+            pass  # post-crash op surfaced an error; acceptable
+        system.kernel.shutdown()
+
+    return soak_crashes(run, seed, nblocks, stride, max_points)

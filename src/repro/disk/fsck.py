@@ -1,78 +1,54 @@
 """``reprofsck``: the offline disk-image consistency checker.
 
-Read-only: the checker reconstructs the image's state in *scratch*
-volumes (never the mounted kernel's) and reports findings with stable
-``DSK###`` codes from the shared :mod:`repro.analyze.report` catalogue.
-A healthy image — including one produced by a crash at any journal
-record boundary — yields an empty report: a torn journal tail is the
-*designed* crash outcome and is surfaced through :class:`FsckStats`,
-not as a finding. Findings mean actual damage: checksum failures,
-structural violations, or disagreement between the kernel's stored
-address map and the SFS inode table it was derived from (§3's
-boot-time rebuild exists precisely because the map must be
-reconstructible from — and therefore consistent with — the inodes).
+fsck is the mount's own recovery
+(:func:`repro.disk.mount.recover_volumes`) run into scratch volumes —
+never the mounted kernel's; the device is only read — plus invariant
+checks, reported with stable ``DSK###`` codes from the shared
+:mod:`repro.analyze.report` catalogue. A healthy image — including one
+produced by a crash at any journal record boundary — yields an empty
+report: a torn journal tail is the *designed* crash outcome and shows
+in :class:`RecoveryStats`, not as a finding. Findings mean actual
+damage: checksum failures, structural violations, or disagreement
+between the kernel's stored address map and the SFS inode table it
+was derived from (§3's boot-time rebuild exists precisely because the
+map must be reconstructible from — and therefore consistent with — the
+inodes).
 
-Checks, in order (later phases are skipped when earlier ones fail):
+Checks, in order (a recovery stage that refuses the image ends the
+check with its code):
 
-1. superblock validity + geometry (DSK001, DSK002);
+1. superblock validity and fit (DSK001); backup used (DSK002);
 2. checkpoint decodability and checksum (DSK003);
-3. journal structure: mid-stream damage vs honest torn tail (DSK004),
+3. the stored address map ↔ inode cross-checks, before replay
+   (DSK021–DSK023);
+4. journal structure: mid-stream damage vs honest torn tail (DSK004),
    ops outside their transaction (DSK005);
-4. replay of committed transactions onto the scratch tree (DSK006);
-5. tree invariants: dangling dirents (DSK010), link counts (DSK011),
+5. replay of committed transactions onto the scratch tree (DSK006);
+6. tree invariants: dangling dirents (DSK010), link counts (DSK011),
    orphans (DSK012), empty symlinks (DSK013);
-6. shared-volume invariants: limits (DSK020) and the stored
-   address-map ↔ inode cross-checks (DSK021–DSK024).
+7. shared-volume invariants: limits (DSK020), overlaps (DSK024).
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analyze.report import Report, finding
 from repro.disk.blockdev import BlockDevice
-from repro.disk.image import decode_checkpoint, restore_volume
-from repro.disk.journal import scan_journal
-from repro.disk.mount import (
-    VOLUME_KEYS,
-    apply_journal_op,
-    read_checkpoint_blob,
-    read_superblock,
-)
-from repro.errors import DiskFormatError, FsckError, SimulationError
+from repro.disk.mount import RecoveryStats, recover_volumes
+from repro.errors import RecoveryError
 from repro.fs.filesystem import Filesystem
 from repro.vm.pages import PhysicalMemory
 
-
-@dataclass
-class FsckStats:
-    """Non-finding observations (a torn tail is normal after a crash)."""
-
-    generation: int = 0
-    applied_txid: int = 0
-    committed_txns: int = 0
-    replayed_txns: int = 0
-    discarded_records: int = 0
-    inodes: Dict[str, int] = field(default_factory=dict)
-    segments: int = 0
+#: The finding for each recovery stage that can refuse an image.
+_STAGE_CODES = {"superblock": "DSK001", "checkpoint": "DSK003",
+                "replay": "DSK006"}
 
 
 @dataclass
 class FsckResult:
     report: Report
-    stats: FsckStats
-
-    def __iter__(self):
-        return iter(self.report)
-
-    def __len__(self) -> int:
-        return len(self.report)
-
-    def raise_if_findings(self) -> None:
-        if len(self.report):
-            raise FsckError([str(f) for f in self.report],
-                            subject=self.report.subject)
+    stats: RecoveryStats
 
 
 def _scratch_volume(kind: str, name: str) -> Filesystem:
@@ -91,102 +67,38 @@ def _scratch_volume(kind: str, name: str) -> Filesystem:
 def fsck(device: BlockDevice, subject: str = "") -> FsckResult:
     """Check *device* and return findings + stats. Read-only."""
     report = Report(subject or device.name)
-    stats = FsckStats()
+    stats = RecoveryStats()
+    volumes: Dict[str, Filesystem] = {}
 
-    super_fields = read_superblock(device, 0)
-    used_backup = False
-    if super_fields is None:
-        backup_index = device.nblocks - 1
-        super_fields = read_superblock(device, backup_index)
-        used_backup = True
-    if super_fields is None:
-        report.add(finding("DSK001", device.name,
-                           "primary and backup superblocks both invalid"))
-        return FsckResult(report, stats)
-    if used_backup:
-        report.add(finding("DSK002", device.name,
-                           "primary superblock invalid; used the backup"))
-    if super_fields["block_size"] != device.block_size \
-            or super_fields["nblocks"] != device.nblocks \
-            or not (0 < super_fields["journal_start"]
-                    <= super_fields["slot_a"]
-                    < super_fields["slot_b"] < device.nblocks):
-        report.add(finding("DSK001", device.name,
-                           "superblock geometry disagrees with the "
-                           "device"))
-        return FsckResult(report, stats)
-    stats.generation = super_fields["generation"]
-    stats.applied_txid = super_fields["applied_txid"]
+    def scratch(key: str, kind: str) -> Filesystem:
+        volumes[key] = _scratch_volume(kind, f"{device.name}:{key}")
+        return volumes[key]
+
+    def inspect(restored, stored_maps, scan) -> None:
+        _check_addrmap(report, restored["sfs"], stored_maps["sfs"])
+        if scan.mid_corruption:
+            report.add(finding(
+                "DSK004", device.name,
+                "a valid journal record exists beyond the tail — "
+                "mid-stream damage, not a crash tear"))
+        for violation in scan.malformed:
+            report.add(finding("DSK005", device.name, violation))
 
     try:
-        blob = read_checkpoint_blob(device, super_fields)
-        applied, records = decode_checkpoint(blob)
-    except DiskFormatError as error:
-        report.add(finding("DSK003", device.name, str(error)))
-        return FsckResult(report, stats)
-
-    volumes: Dict[str, Filesystem] = {}
-    stored_maps: Dict[str, Optional[list]] = {}
-    for key in VOLUME_KEYS:
-        record = records.get(key)
-        if record is None:
-            report.add(finding("DSK003", device.name,
-                               f"checkpoint lacks volume {key!r}"))
-            return FsckResult(report, stats)
-        fs = _scratch_volume(record[0], f"{device.name}:{key}")
-        try:
-            stored_maps[key] = restore_volume(fs, record)
-        except DiskFormatError as error:
-            report.add(finding("DSK003", device.name,
-                               f"volume {key!r}: {error}"))
-            return FsckResult(report, stats)
-        volumes[key] = fs
-
-    # Cross-check the *stored* kernel address map against the inode
-    # table at checkpoint time (before replay mutates the tree).
-    _check_addrmap(report, volumes["sfs"], stored_maps["sfs"])
-
-    scan = scan_journal(device, super_fields["journal_start"],
-                        super_fields["journal_blocks"],
-                        super_fields["generation"], deep=True)
-    stats.committed_txns = len(scan.committed)
-    stats.discarded_records = scan.discarded_records
-    if scan.mid_corruption:
-        report.add(finding(
-            "DSK004", device.name,
-            "a valid journal record exists beyond the tail — mid-stream "
-            "damage, not a crash tear"))
-    for violation in scan.malformed:
-        report.add(finding("DSK005", device.name, violation))
-
-    for txid, ops in scan.committed:
-        if txid <= super_fields["applied_txid"]:
-            continue
-        for volume, op, args in ops:
-            fs = volumes.get(volume)
-            try:
-                if fs is None:
-                    raise DiskFormatError(
-                        f"unknown volume {volume!r}")
-                apply_journal_op(fs, op, args)
-            except (SimulationError, ValueError, TypeError) as error:
-                report.add(finding(
-                    "DSK006", device.name,
-                    f"txn {txid} op {op!r}: {error}"))
-                return FsckResult(report, stats)
-        stats.replayed_txns += 1
-
-    for key, fs in volumes.items():
-        stats.inodes[key] = fs.inode_count()
-        _check_tree(report, fs)
-    _check_sfs(report, volumes["sfs"], stats)
+        recover_volumes(device, scratch, stats, inspect)
+    except RecoveryError as error:
+        report.add(finding(_STAGE_CODES[error.stage], device.name,
+                           str(error)))
+    else:
+        for key, fs in volumes.items():
+            stats.inodes[key] = fs.inode_count()
+            _check_tree(report, fs)
+        _check_sfs(report, volumes["sfs"])
+    if stats.used_backup_superblock:
+        report.findings.insert(0, finding(
+            "DSK002", device.name,
+            "primary superblock invalid; used the backup"))
     return FsckResult(report, stats)
-
-
-def fsck_image(path: str) -> FsckResult:
-    """Check a saved device image file (the ``reprofsck`` CLI path)."""
-    device = BlockDevice.load(path)
-    return fsck(device, subject=path)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +178,7 @@ def _check_addrmap(report: Report, sfs, stored: Optional[list]) -> None:
                 f"inode's address is 0x{expected:x}"))
 
 
-def _check_sfs(report: Report, sfs, stats: FsckStats) -> None:
+def _check_sfs(report: Report, sfs) -> None:
     from repro.sfs.sharedfs import (
         MAX_FILE_SIZE,
         MAX_INODES,
@@ -292,7 +204,6 @@ def _check_sfs(report: Report, sfs, stats: FsckStats) -> None:
         span = getattr(inode, "segment_span", MAX_FILE_SIZE)
         base = sfs.address_of_inode(inode.number)
         ranges.append((base, span, inode.number))
-        stats.segments += 1
     ranges.sort()
     for (base_a, span_a, ino_a), (base_b, _span_b, ino_b) \
             in zip(ranges, ranges[1:]):
@@ -303,4 +214,4 @@ def _check_sfs(report: Report, sfs, stats: FsckStats) -> None:
                 f"(0x{base_a:x}+0x{span_a:x} vs 0x{base_b:x})"))
 
 
-__all__ = ["fsck", "fsck_image", "FsckResult", "FsckStats"]
+__all__ = ["fsck", "FsckResult"]

@@ -91,9 +91,6 @@ class JournalScan:
     #: True when a valid same-generation record exists *after* the first
     #: invalid one — mid-stream corruption, not a legitimate torn tail.
     mid_corruption: bool = False
-    #: Where the next record would be appended.
-    next_block: int = 0
-    next_seq: int = 0
 
 
 def scan_journal(device: BlockDevice, start: int, nblocks: int,
@@ -155,8 +152,6 @@ def scan_journal(device: BlockDevice, start: int, nblocks: int,
         # records are discarded — the designed outcome, not damage.
         scan.discarded_records += 1 + len(open_ops)
         scan.uncommitted_txid = open_txid
-    scan.next_block = block
-    scan.next_seq = seq
     if deep and block < end:
         probe = block + 1
         while probe < end:
@@ -358,8 +353,3 @@ class Journal:
         self.next_txid = next_txid
         self._head = self.start
         self._seq = 0
-
-    def resume(self, scan: JournalScan) -> None:
-        """Continue appending after the scanned valid prefix."""
-        self._head = scan.next_block
-        self._seq = scan.next_seq

@@ -16,21 +16,24 @@ before the checkpoint becomes stale by generation number, not by
 erasure. The journal fills → checkpoint; clean shutdown → checkpoint;
 recovery → checkpoint (leaving a freshly clean image).
 
-Recovery (``DiskStore.recover``) is the boot path for a non-blank
-device, crashed or not:
+Recovery is one routine, :func:`recover_volumes`, run by the boot
+path (``DiskStore.recover``) and by ``reprofsck`` (into scratch
+volumes):
 
-1. read the primary superblock, falling back to the backup;
+1. read the primary superblock, falling back to the backup; one counts
+   only if its layout is :func:`compute_geometry`'s for the device;
 2. restore every volume from the active checkpoint slot, in place;
 3. scan the journal for this generation's valid record prefix,
    discarding the torn tail;
 4. replay committed transactions beyond ``applied_txid`` through the
-   ordinary file-system methods (journal suspended, inode numbers
-   forced from the records);
+   ordinary file-system methods (:func:`apply_journal_op`; inode
+   numbers forced from the records);
 5. rebuild the SFS address↔inode table from the recovered inodes —
    the paper's boot-time scan — so ``open_by_addr`` works across
-   reboots;
-6. checkpoint.
+   reboots.
 
+A stage that refuses the image raises :class:`RecoveryError`. After a
+recovery the boot path checkpoints, leaving a freshly clean image.
 Every step lands in :class:`RecoveryStats.trail`, a compact record the
 crash matrix compares across runs: recovery is required to be
 bit-identical per seed.
@@ -40,11 +43,11 @@ from __future__ import annotations
 
 import struct
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.disk.blockdev import DEFAULT_WINDOW, BlockDevice
+from repro.disk.blockdev import BlockDevice
 from repro.disk.codec import encode_fields, decode_fields
 from repro.disk.image import (
     decode_checkpoint,
@@ -53,7 +56,7 @@ from repro.disk.image import (
 )
 from repro.disk.journal import Journal, scan_journal
 from repro.errors import DiskError, DiskFormatError, DiskFullError, \
-    SimulationError
+    RecoveryError, SimulationError
 from repro.kernel import arming
 from repro.trace import tracer as _trace
 from repro.trace.events import EventKind
@@ -61,6 +64,11 @@ from repro.trace.events import EventKind
 SUPER_MAGIC = b"HDSK"
 SUPER_VERSION = 1
 _SUPER_HEAD = struct.Struct(">4sII")   # magic, payload len, payload crc
+#: The superblock's payload fields, in order, after its version.
+_SUPER_FIELDS = ("block_size", "nblocks", "journal_start",
+                 "journal_blocks", "slot_a", "slot_b", "slot_blocks",
+                 "active_slot", "generation", "ckpt_len", "ckpt_crc",
+                 "applied_txid", "next_txid")
 
 #: The volume keys a disk image stores. Order matters for restore (the
 #: root volume first, then the shared volume).
@@ -87,15 +95,21 @@ def compute_geometry(nblocks: int) -> Geometry:
                     slot_blocks, nblocks - 1)
 
 
+def _layout(device: BlockDevice, geo: Geometry) -> dict:
+    """The superblock fields the device fixes; every image ever written
+    to it carries exactly these."""
+    return {
+        "block_size": device.block_size, "nblocks": device.nblocks,
+        "journal_start": geo.journal_start,
+        "journal_blocks": geo.journal_blocks,
+        "slot_a": geo.slot_starts[0], "slot_b": geo.slot_starts[1],
+        "slot_blocks": geo.slot_blocks,
+    }
+
+
 def pack_superblock(fields: dict, block_size: int) -> bytes:
-    payload = encode_fields([
-        SUPER_VERSION, fields["block_size"], fields["nblocks"],
-        fields["journal_start"], fields["journal_blocks"],
-        fields["slot_a"], fields["slot_b"], fields["slot_blocks"],
-        fields["active_slot"], fields["generation"],
-        fields["ckpt_len"], fields["ckpt_crc"],
-        fields["applied_txid"], fields["next_txid"],
-    ])
+    payload = encode_fields(
+        [SUPER_VERSION] + [fields[name] for name in _SUPER_FIELDS])
     block = _SUPER_HEAD.pack(SUPER_MAGIC, len(payload),
                              zlib.crc32(payload)) + payload
     if len(block) > block_size:
@@ -104,34 +118,25 @@ def pack_superblock(fields: dict, block_size: int) -> bytes:
 
 
 def read_superblock(device: BlockDevice, index: int) -> Optional[dict]:
-    """Parse the superblock at *index*; None if invalid."""
+    """Parse the superblock at *index*; None if its checksum or fields
+    are bad (whether it fits the device is :func:`recover_volumes`'
+    check)."""
     raw = device.read(index)
     if raw[:4] != SUPER_MAGIC:
         return None
-    try:
-        _magic, length, crc = _SUPER_HEAD.unpack_from(raw)
-    except struct.error:
-        return None
+    _magic, length, crc = _SUPER_HEAD.unpack_from(raw)
     payload = raw[_SUPER_HEAD.size:_SUPER_HEAD.size + length]
     if len(payload) != length or zlib.crc32(payload) != crc:
         return None
     try:
-        (version, block_size, nblocks, journal_start, journal_blocks,
-         slot_a, slot_b, slot_blocks, active_slot, generation,
-         ckpt_len, ckpt_crc, applied_txid, next_txid) = \
-            decode_fields(payload)
-    except (ValueError, DiskFormatError):
+        values = decode_fields(payload)
+    except DiskFormatError:
         return None
-    if version != SUPER_VERSION:
+    if values[:1] != [SUPER_VERSION] \
+            or len(values) != 1 + len(_SUPER_FIELDS) \
+            or not all(isinstance(value, int) for value in values):
         return None
-    return {
-        "block_size": block_size, "nblocks": nblocks,
-        "journal_start": journal_start, "journal_blocks": journal_blocks,
-        "slot_a": slot_a, "slot_b": slot_b, "slot_blocks": slot_blocks,
-        "active_slot": active_slot, "generation": generation,
-        "ckpt_len": ckpt_len, "ckpt_crc": ckpt_crc,
-        "applied_txid": applied_txid, "next_txid": next_txid,
-    }
+    return dict(zip(_SUPER_FIELDS, values[1:]))
 
 
 def read_checkpoint_blob(device: BlockDevice, super_fields: dict
@@ -150,70 +155,166 @@ def read_checkpoint_blob(device: BlockDevice, super_fields: dict
     return blob
 
 
+#: The argument types of every journaled operation; a ``create`` on
+#: sfs64 carries one more int, its address reservation.
+_OP_ARGS = {
+    "create": (int, str, int, int, int),
+    "mkdir": (int, str, int, int, int),
+    "symlink": (int, str, str, int, int),
+    "link": (int, str, int),
+    "unlink": (int, str),
+    "rmdir": (int, str),
+    "rename": (int, str, int, str),
+    "write": (int, int, bytes),
+    "truncate": (int, int),
+}
+
+
 def apply_journal_op(fs, op: str, args: list) -> None:
-    """Replay one logged operation through the ordinary FS methods
-    (shared by mount-time recovery and fsck's scratch replay)."""
+    """Replay one logged operation through the ordinary FS methods.
+    An unknown op or mistyped arguments are a DiskFormatError."""
+    types = _OP_ARGS.get(op) if isinstance(op, str) else None
+    if types is None:
+        raise DiskFormatError(f"unknown journal op {op!r}")
+    if op == "create" and len(args) == 6:
+        types += (int,)
+    if len(args) != len(types) or not all(
+            isinstance(arg, kind) for arg, kind in zip(args, types)):
+        raise DiskFormatError(f"malformed arguments for op {op!r}")
+
     def directory(ino):
         inode = fs.inode_by_number(ino)
         if inode is None:
             raise DiskFormatError(f"no inode {ino} on {fs.name!r}")
         return inode
 
+    # The first argument is the inode the op works in or on; the rest
+    # follow the FS method's own order.
+    target, rest = directory(args[0]), args[1:]
     if op == "create":
-        dir_ino, name, uid, mode, ino = args[:5]
-        if len(args) > 5 and hasattr(fs, "reserving"):
-            with fs.reserving(args[5]):
-                fs.create_file(directory(dir_ino), name, uid, mode,
-                               _ino=ino)
-        else:
-            fs.create_file(directory(dir_ino), name, uid, mode,
-                           _ino=ino)
+        name, uid, mode, ino, *span = rest
+        with fs.reserving(span[0]) if span and hasattr(fs, "reserving") \
+                else nullcontext():
+            fs.create_file(target, name, uid, mode, _ino=ino)
     elif op == "mkdir":
-        dir_ino, name, uid, mode, ino = args
-        fs.mkdir(directory(dir_ino), name, uid, mode, _ino=ino)
+        fs.mkdir(target, *rest[:-1], _ino=rest[-1])
     elif op == "symlink":
-        dir_ino, name, target, uid, ino = args
-        fs.symlink(directory(dir_ino), name, target, uid, _ino=ino)
+        fs.symlink(target, *rest[:-1], _ino=rest[-1])
     elif op == "link":
-        dir_ino, name, target_ino = args
-        fs.link(directory(dir_ino), name, directory(target_ino))
+        fs.link(target, rest[0], directory(rest[1]))
     elif op == "unlink":
-        dir_ino, name = args
-        fs.unlink(directory(dir_ino), name)
+        fs.unlink(target, *rest)
     elif op == "rmdir":
-        dir_ino, name = args
-        fs.rmdir(directory(dir_ino), name)
+        fs.rmdir(target, *rest)
     elif op == "rename":
-        src_ino, src_name, dst_ino, dst_name = args
-        fs.rename(directory(src_ino), src_name,
-                  directory(dst_ino), dst_name)
+        fs.rename(target, rest[0], directory(rest[1]), rest[2])
     elif op == "write":
-        ino, offset, data = args
-        fs.write_file(directory(ino), offset, data)
-    elif op == "truncate":
-        ino, size = args
-        fs.truncate_file(directory(ino), size)
+        fs.write_file(target, *rest)
     else:
-        raise DiskFormatError(f"unknown journal op {op!r}")
+        fs.truncate_file(target, *rest)
 
 
 @dataclass
 class RecoveryStats:
-    """What one mount's recovery did (surfaced via ``Kernel.stats()``)."""
+    """What one recovery did (a mount's is surfaced via
+    ``Kernel.stats()``; ``reprofsck --verbose`` prints fsck's)."""
 
     generation: int = 0
     applied_txid: int = 0
     clean: bool = True
     used_backup_superblock: bool = False
+    committed_txns: int = 0
     replayed_txns: int = 0
-    replayed_ops: int = 0
     discarded_records: int = 0
-    uncommitted_txid: Optional[int] = None
     addrmap_segments: int = 0
-    addrmap_mismatches: int = 0
+    #: Inodes per volume after recovery (filled in by fsck).
+    inodes: Dict[str, int] = field(default_factory=dict)
     #: Compact deterministic log of every recovery step, compared
     #: bit-for-bit across runs by the crash matrix.
     trail: List[tuple] = field(default_factory=list)
+
+
+def recover_volumes(device: BlockDevice,
+                    volume_for: Callable[[str, str], object],
+                    stats: RecoveryStats,
+                    inspect: Optional[Callable] = None
+                    ) -> Tuple[int, int]:
+    """Steps 1–5 of the module docstring, restoring each checkpointed
+    volume into ``volume_for(key, kind)`` and filling *stats* as they
+    run. Returns the active slot and the next free txid.
+
+    *inspect* is fsck's seam: given, the scan also probes past the tear
+    (``deep``), and ``inspect(volumes, stored_maps, scan)`` runs before
+    any replay; malformed records are then its to report, not refusals.
+    """
+    geo = compute_geometry(device.nblocks)
+    layout = _layout(device, geo).items()
+    slot_bytes = geo.slot_blocks * device.block_size
+    for index in (0, geo.backup_super):
+        fields = read_superblock(device, index)
+        if fields is not None and layout <= fields.items() \
+                and fields["active_slot"] in (0, 1) \
+                and 0 <= fields["ckpt_len"] <= slot_bytes:
+            break
+    else:
+        raise RecoveryError(
+            "superblock", "primary and backup superblocks both invalid")
+    stats.used_backup_superblock = index != 0
+    generation = stats.generation = fields["generation"]
+    stats.applied_txid = fields["applied_txid"]
+
+    volumes: Dict[str, object] = {}
+    stored_maps: Dict[str, Optional[list]] = {}
+    try:
+        applied, records = decode_checkpoint(
+            read_checkpoint_blob(device, fields))
+        for key in VOLUME_KEYS:
+            if key not in records:
+                raise DiskFormatError(f"checkpoint lacks volume {key!r}")
+            volumes[key] = volume_for(key, records[key][0])
+            stored_maps[key] = restore_volume(volumes[key], records[key])
+    except DiskFormatError as error:
+        raise RecoveryError("checkpoint", str(error)) from None
+    stats.trail.append(("checkpoint", generation, applied))
+
+    scan = scan_journal(device, geo.journal_start, geo.journal_blocks,
+                        generation, deep=inspect is not None)
+    if inspect is not None:
+        inspect(volumes, stored_maps, scan)
+    elif scan.malformed:
+        raise RecoveryError(
+            "journal",
+            f"journal is structurally damaged: {scan.malformed[0]}")
+    stats.committed_txns = len(scan.committed)
+    last_txid = applied
+    for txid, ops in scan.committed:
+        if txid <= applied:
+            continue  # already in the checkpoint: replay once only
+        for volume, op, args in ops:
+            try:
+                if volume not in volumes:
+                    raise DiskFormatError(
+                        f"journal names unknown volume {volume!r}")
+                apply_journal_op(volumes[volume], op, args)
+            except (SimulationError, ValueError, TypeError) as error:
+                raise RecoveryError(
+                    "replay",
+                    f"replay of txn {txid} op {op!r} failed: {error}"
+                ) from None
+        stats.replayed_txns += 1
+        stats.trail.append(("replay", txid, len(ops)))
+        last_txid = txid
+    stats.discarded_records = scan.discarded_records
+    if scan.discarded_records:
+        stats.trail.append(("discard", scan.discarded_records,
+                            scan.uncommitted_txid))
+    # The paper's boot-time scan: rebuild addr↔inode from inodes.
+    stats.addrmap_segments = volumes["sfs"].rebuild_address_map()
+    stats.trail.append(("addrmap", stats.addrmap_segments))
+    stats.clean = (not stats.replayed_txns
+                   and not stats.discarded_records
+                   and not stats.used_backup_superblock)
+    return fields["active_slot"], max(fields["next_txid"], last_txid + 1)
 
 
 class DiskStore:
@@ -230,7 +331,6 @@ class DiskStore:
         self.generation = 0
         self.journal: Optional[Journal] = None
         self.recovery = RecoveryStats()
-        self.checkpoints = 0
 
     # ------------------------------------------------------------------
 
@@ -257,15 +357,14 @@ class DiskStore:
                                     self.geometry.backup_super) is None)
 
     # ------------------------------------------------------------------
-    # format / checkpoint
+    # format / checkpoint / recover
     # ------------------------------------------------------------------
 
     def format(self) -> None:
         self.generation = 0
         self._arm_journal(generation=0, next_txid=1)
         self.checkpoint()
-        self.recovery = RecoveryStats(generation=self.generation,
-                                      applied_txid=0, clean=True)
+        self.recovery = RecoveryStats(generation=self.generation)
         self.recovery.trail.append(("format", self.generation))
 
     def checkpoint(self) -> None:
@@ -274,9 +373,10 @@ class DiskStore:
             return  # power is off; nothing can persist
         assert self.journal is not None
         applied = self.journal.next_txid - 1
-        blob = encode_checkpoint(self.volumes, applied)
         geo = self.geometry
         size = self.device.block_size
+        blob = encode_checkpoint(self.volumes, applied,
+                                 geo.slot_blocks * size)
         span = (len(blob) + size - 1) // size
         if span > geo.slot_blocks:
             raise DiskFullError(
@@ -291,24 +391,17 @@ class DiskStore:
         self.device.barrier()   # slot contents before the flip
         self.active_slot = target
         self.generation += 1
-        fields = {
-            "block_size": size, "nblocks": self.device.nblocks,
-            "journal_start": geo.journal_start,
-            "journal_blocks": geo.journal_blocks,
-            "slot_a": geo.slot_starts[0], "slot_b": geo.slot_starts[1],
-            "slot_blocks": geo.slot_blocks,
-            "active_slot": self.active_slot,
-            "generation": self.generation,
-            "ckpt_len": len(blob), "ckpt_crc": zlib.crc32(blob),
-            "applied_txid": applied,
-            "next_txid": self.journal.next_txid,
-        }
+        fields = dict(
+            _layout(self.device, geo),
+            active_slot=self.active_slot, generation=self.generation,
+            ckpt_len=len(blob), ckpt_crc=zlib.crc32(blob),
+            applied_txid=applied, next_txid=self.journal.next_txid,
+        )
         block = pack_superblock(fields, size)
         self.device.write(0, block)
         self.device.write(geo.backup_super, block)
         self.device.barrier()   # flip durable before any new record
         self.journal.reset(self.generation, self.journal.next_txid)
-        self.checkpoints += 1
         clock = self.kernel.clock
         clock.charge("journal",
                      (span + 2) * self.journal.cost_per_block)
@@ -317,105 +410,22 @@ class DiskStore:
             tracer.emit(EventKind.DISK, name="checkpoint",
                         value=self.generation)
 
-    # ------------------------------------------------------------------
-    # recovery
-    # ------------------------------------------------------------------
-
     def recover(self) -> None:
-        device = self.device
-        stats = RecoveryStats(clean=False)
-        super_fields = read_superblock(device, 0)
-        if super_fields is None:
-            super_fields = read_superblock(device,
-                                           self.geometry.backup_super)
-            stats.used_backup_superblock = True
-        if super_fields is None:
-            raise DiskFormatError(
-                "no valid superblock (primary and backup both bad)"
-            )
-        if super_fields["block_size"] != device.block_size \
-                or super_fields["nblocks"] != device.nblocks:
-            raise DiskFormatError(
-                "superblock geometry disagrees with the device"
-            )
-        self.active_slot = super_fields["active_slot"]
-        self.generation = super_fields["generation"]
-        stats.generation = self.generation
-        stats.applied_txid = super_fields["applied_txid"]
-        blob = read_checkpoint_blob(device, super_fields)
-        applied, records = decode_checkpoint(blob)
-        stored_maps: Dict[str, Optional[list]] = {}
-        for key in VOLUME_KEYS:
-            if key not in records:
-                raise DiskFormatError(f"checkpoint lacks volume {key!r}")
-            stored_maps[key] = restore_volume(self.volumes[key],
-                                              records[key])
-        stats.trail.append(("checkpoint", self.generation, applied))
-        # Cross-check the stored kernel address map against the inode
-        # table it was derived from (pre-replay state on both sides).
-        sfs = self.volumes["sfs"]
-        stored = stored_maps.get("sfs")
-        if stored is not None:
-            current = {tuple(entry) for entry in sfs.addrmap.entries()}
-            stats.addrmap_mismatches = len(
-                current.symmetric_difference(
-                    tuple(entry) for entry in stored))
-        scan = scan_journal(device, self.geometry.journal_start,
-                            self.geometry.journal_blocks, self.generation)
-        if scan.malformed:
-            raise DiskFormatError(
-                f"journal is structurally damaged: {scan.malformed[0]}"
-            )
-        last_txid = applied
-        for txid, ops in scan.committed:
-            if txid <= applied:
-                continue  # already in the checkpoint: replay once only
-            self._replay_txn(txid, ops, stats)
-            last_txid = txid
-        stats.discarded_records = scan.discarded_records
-        stats.uncommitted_txid = scan.uncommitted_txid
-        if scan.discarded_records:
-            stats.trail.append(("discard", scan.discarded_records,
-                                scan.uncommitted_txid))
-        # The paper's boot-time scan: rebuild addr↔inode from inodes.
-        stats.addrmap_segments = sfs.rebuild_address_map()
-        stats.trail.append(("addrmap", stats.addrmap_segments))
-        stats.clean = (not stats.replayed_txns
-                       and not stats.discarded_records
-                       and not stats.used_backup_superblock)
+        """Recover the image into the kernel's own volumes, then re-arm
+        the journal and checkpoint."""
+        stats = RecoveryStats()
+        self.active_slot, next_txid = recover_volumes(
+            self.device, lambda key, _kind: self.volumes[key], stats)
+        self.generation = stats.generation
         self.recovery = stats
         tracer = _trace.TRACER
         if tracer.enabled:
             for entry in stats.trail:
                 tracer.emit(EventKind.RECOVER, name=str(entry[0]),
                             value=int(entry[1]))
-        next_txid = max(super_fields["next_txid"], last_txid + 1)
         self._arm_journal(generation=self.generation,
                           next_txid=next_txid)
         self.checkpoint()
-
-    def _replay_txn(self, txid: int, ops: List[tuple],
-                    stats: RecoveryStats) -> None:
-        for volume, op, args in ops:
-            fs = self.volumes.get(volume)
-            if fs is None:
-                raise DiskFormatError(
-                    f"journal names unknown volume {volume!r}"
-                )
-            try:
-                self._apply_op(fs, op, args)
-            except DiskFormatError:
-                raise
-            except (SimulationError, ValueError, TypeError) as error:
-                raise DiskFormatError(
-                    f"replay of txn {txid} op {op!r} failed: {error}"
-                )
-            stats.replayed_ops += 1
-        stats.replayed_txns += 1
-        stats.trail.append(("replay", txid, len(ops)))
-
-    def _apply_op(self, fs, op: str, args: list) -> None:
-        apply_journal_op(fs, op, args)
 
     # ------------------------------------------------------------------
 
@@ -447,8 +457,8 @@ CAMPAIGN: List[DiskStore] = []
 
 
 @contextmanager
-def durable(nblocks: int = 8192, seed: int = 0,
-            window: Optional[int] = None) -> Iterator[List[DiskStore]]:
+def durable(nblocks: int = 8192,
+            seed: int = 0) -> Iterator[List[DiskStore]]:
     """Mount a fresh block device under every kernel booted inside the
     block (the ``disk`` slot of :mod:`repro.kernel.arming`), so an
     unmodified script becomes a crash-recovery workload. Every device
@@ -459,10 +469,8 @@ def durable(nblocks: int = 8192, seed: int = 0,
     CAMPAIGN.clear()
 
     def attach(kernel) -> None:
-        device = BlockDevice(
-            nblocks=nblocks, seed=seed, name=f"disk{len(CAMPAIGN)}",
-            window=DEFAULT_WINDOW if window is None else window,
-        )
+        device = BlockDevice(nblocks=nblocks, seed=seed,
+                             name=f"disk{len(CAMPAIGN)}")
         CAMPAIGN.append(DiskStore.attach(kernel, device))
 
     with arming.armed("disk", attach):

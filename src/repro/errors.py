@@ -143,32 +143,21 @@ class DiskFormatError(DiskError):
     """An on-disk structure (superblock, checkpoint, record) is invalid."""
 
 
+class RecoveryError(DiskFormatError):
+    """A stage of crash recovery refused the image: ``stage`` is
+    "superblock", "checkpoint", "journal" or "replay"."""
+
+    def __init__(self, stage: str, message: str) -> None:
+        super().__init__(message)
+        self.stage = stage
+
+
 class DiskFullError(DiskError):
     """The device, journal region, or checkpoint slot is out of space."""
 
 
 class DiskCrashedError(DiskError):
     """An operation was attempted on a crashed (powered-off) device."""
-
-
-class FsckError(DiskError):
-    """``reprofsck`` found inconsistencies at or above its threshold.
-
-    Carries the rendered findings, mirroring :class:`LintError`.
-    """
-
-    def __init__(self, findings: "list[str]", subject: str = "") -> None:
-        self.findings = list(findings)
-        self.subject = subject
-        head = f"{subject}: " if subject else ""
-        summary = "; ".join(self.findings[:3])
-        more = len(self.findings) - 3
-        if more > 0:
-            summary += f"; ... and {more} more"
-        super().__init__(
-            f"{head}fsck failed ({len(self.findings)} finding(s)): "
-            f"{summary}"
-        )
 
 
 # ---------------------------------------------------------------------------

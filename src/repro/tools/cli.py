@@ -540,66 +540,6 @@ def _campaign_plans(planes: Sequence[str], rate: float) -> List:
     return plans
 
 
-def _durable_run(script: str, seed: int, nblocks: int,
-                 plans: Optional[Sequence] = None) -> dict:
-    """Run *script* with a durable store mounted under every kernel it
-    boots (and, optionally, fault plans armed). Returns the outcome and
-    the attached DiskStores for post-mortem inspection."""
-    from repro.disk import durable
-    from repro.inject import injecting
-    from repro.rr.oracle import classify_run, script_runner
-
-    faults = injecting(plans, seed=seed) if plans \
-        else contextlib.nullcontext()
-    with durable(nblocks=nblocks, seed=seed) as stores, faults:
-        outcome, detail = classify_run(script_runner(script, ()))
-    return {"outcome": outcome, "detail": detail, "stores": list(stores)}
-
-
-def _crash_soak(script: str, seed: int, nblocks: int, stride: int,
-                max_points: Optional[int], out: TextIO) -> List[str]:
-    """Crash *script*'s durable store at every journal-record boundary;
-    returns the list of failures (ideally empty)."""
-    from repro import boot
-    from repro.disk import crash_points, fsck, verify_segments
-    from repro.inject import FaultKind, FaultPlan, Plane
-
-    base = _durable_run(script, seed, nblocks)
-    if base["outcome"] == "kernel-death":
-        return [f"baseline: kernel death: {base['detail']}"]
-    total = max((store.journal.records_written
-                 for store in base["stores"]), default=0)
-    if total == 0:
-        print(f"  {script}: wrote no journal records; nothing to crash",
-              file=out)
-        return []
-    ks = crash_points(total, stride, max_points)
-    failures: List[str] = []
-    for k in ks:
-        plan = FaultPlan(Plane.DISK, FaultKind.CRASH, site="journal-*",
-                        after=k - 1, max_faults=1)
-        run = _durable_run(script, seed, nblocks, plans=[plan])
-        if run["outcome"] == "kernel-death":
-            failures.append(f"record {k}: kernel death: {run['detail']}")
-            continue
-        for store in run["stores"]:
-            survivor = store.device.reopen()
-            result = fsck(survivor, subject=f"{script}@{k}")
-            if len(result.report):
-                failures.extend(f"record {k}: fsck: {item}"
-                                for item in result.report)
-                continue
-            system = boot(disk=survivor)
-            seg_failures = verify_segments(system.kernel)
-            system.kernel.shutdown()
-            failures.extend(f"record {k}: segment: {text}"
-                            for text in seg_failures)
-    verdict = "clean" if not failures else f"{len(failures)} failure(s)"
-    print(f"  {script}: {len(ks)}/{total} crash point(s): {verdict}",
-          file=out)
-    return failures
-
-
 def reprochaos_main(argv: Sequence[str],
                     stdout: Optional[TextIO] = None) -> int:
     """Soak host scripts under seeded fault injection.
@@ -666,11 +606,24 @@ def reprochaos_main(argv: Sequence[str],
               + (f", max {args.max_points} point(s)"
                  if args.max_points else ""),
               file=out)
+        from repro.disk import soak_crashes
+        from repro.rr.oracle import script_runner
+
         failures: List[str] = []
         for script in args.scripts:
-            failures.extend(
-                _crash_soak(script, args.seed, args.nblocks, args.stride,
-                            args.max_points, out))
+            matrix = soak_crashes(script_runner(script, ()), args.seed,
+                                  args.nblocks, args.stride,
+                                  args.max_points)
+            found = matrix.failures()
+            failures.extend(found)
+            if matrix.sampled:
+                verdict = f"{len(found)} failure(s)" if found else "clean"
+                print(f"  {script}: {len(matrix.sampled)}/"
+                      f"{matrix.total_records} crash point(s): {verdict}",
+                      file=out)
+            elif not found:
+                print(f"  {script}: wrote no journal records; nothing "
+                      f"to crash", file=out)
         if failures:
             for text in failures[:20]:
                 print(f"  FAIL {text}", file=out)
@@ -931,7 +884,7 @@ def reprofsck_main(argv: Sequence[str],
     when every image is clean, 1 when any image has findings, 2 on
     usage errors.
     """
-    from repro.disk import fsck_image
+    from repro.disk import BlockDevice, fsck
     from repro.errors import DiskError
 
     parser = _Parser(prog="reprofsck")
@@ -945,7 +898,7 @@ def reprofsck_main(argv: Sequence[str],
         if not os.path.isfile(path):
             parser.error(f"no such image: {path}")
         try:
-            result = fsck_image(path)
+            result = fsck(BlockDevice.load(path), subject=path)
         except DiskError as error:
             print(f"{path}: unreadable: {error}", file=out)
             dirty += 1
@@ -965,7 +918,7 @@ def reprofsck_main(argv: Sequence[str],
                   f"({stats.replayed_txns} beyond the checkpoint), "
                   f"{stats.discarded_records} torn-tail record(s) "
                   f"discarded", file=out)
-            print(f"  inodes: {inodes}; {stats.segments} public "
+            print(f"  inodes: {inodes}; {stats.addrmap_segments} public "
                   f"segment(s)", file=out)
     return 1 if dirty else 0
 

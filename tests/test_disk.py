@@ -9,6 +9,9 @@ and a second identically-seeded run must recover bit-identically.
 
 from __future__ import annotations
 
+import functools
+import zlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,24 +21,25 @@ from repro.disk import (
     BlockDevice,
     crash_points,
     fsck,
-    run_crash_point,
     run_crash_matrix,
     scripted_workload,
     verify_segments,
 )
 from repro.disk.blockdev import BLOCK_SIZE
 from repro.disk.codec import decode_fields, encode_fields
-from repro.disk.crash import run_baseline
 from repro.disk.fsck import _check_addrmap, _check_sfs, _check_tree, \
     _scratch_volume
 from repro.disk.image import serialize_volume
-from repro.disk.journal import REC_OP, scan_journal
-from repro.disk.mount import compute_geometry, read_superblock
+from repro.disk.journal import HEADER_SIZE, REC_OP, _HEADER, \
+    _pack_record, scan_journal
+from repro.disk.mount import _SUPER_HEAD, compute_geometry, \
+    pack_superblock, read_checkpoint_blob, read_superblock
 from repro.analyze.report import Report
 from repro.errors import (
     DiskCrashedError,
     DiskError,
     DiskFormatError,
+    DiskFullError,
     FileExistsSimError,
     FileNotFoundSimError,
     SimulationError,
@@ -297,6 +301,17 @@ class TestMountRoundTrip:
         assert system2.vfs.read_whole("/shared/last") == b"still here"
         assert fsck(device.reopen()).report.codes() == []
 
+    def test_file_past_the_slot_is_a_typed_refusal(self):
+        """A sparse file whose last byte lies far beyond what a slot
+        can hold: the checkpoint refuses before reading the file."""
+        device = BlockDevice(nblocks=2048, seed=5)
+        system = mount(device)
+        system.vfs.write_whole("/far", b"head")
+        root_fs, inode = system.vfs.resolve("/far")
+        root_fs.write_file(inode, 1 << 40, b"tail")
+        with pytest.raises(DiskFullError):
+            system.kernel.sync()
+
     def test_mapped_store_mutations_persist_via_checkpoint(self):
         """Page-level writes through mapped segments bypass the journal
         (the paper's segments are mapped, not written through a file
@@ -362,8 +377,8 @@ class TestRenameAtomicity:
         """The destination-exists-overwrite regression: at every crash
         point, dst exists with exactly one of the two contents, and src
         is present iff dst still has the old content."""
-        _device, total = run_baseline(
-            seed=31, workload=_rename_overwrite_workload)
+        total = run_crash_matrix(
+            seed=31, workload=_rename_overwrite_workload).total_records
         for record in range(1, total + 1):
             point_device = BlockDevice(nblocks=2048, seed=31)
             from repro.inject import (
@@ -447,12 +462,14 @@ class TestCrashMatrix:
         assert replayed == sorted(replayed)
 
     def test_recovery_is_bit_identical_per_seed(self):
-        for record in (1, 2, 57, 128):
-            first = run_crash_point(record)
-            again = run_crash_point(record)
-            assert first.trail == again.trail, f"record {record} drifted"
-            assert first.replayed_txns == again.replayed_txns
-            assert first.segments == again.segments
+        first = run_crash_matrix(max_points=4)
+        again = run_crash_matrix(max_points=4)
+        assert [point.record for point in first.points] == [1, 56, 112, 167]
+        for point, other in zip(first.points, again.points):
+            assert point.trail == other.trail, \
+                f"record {point.record} drifted"
+            assert point.replayed_txns == other.replayed_txns
+            assert point.segments == other.segments
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +547,121 @@ class TestFsckFindings:
     def test_healthy_crash_image_is_clean(self):
         result = fsck(_crashed_image())
         assert len(result.report) == 0
-        assert result.stats.segments == 1
-        result.raise_if_findings()  # does not raise
+        assert result.stats.addrmap_segments == 1
+
+
+def _copy(device: BlockDevice) -> BlockDevice:
+    twin = BlockDevice(nblocks=device.nblocks, seed=device.seed)
+    twin._blocks = dict(device._blocks)
+    return twin
+
+
+def _put(device: BlockDevice, start: int, raw: bytes) -> None:
+    """Write *raw* over whole blocks from *start*, as durable state."""
+    for offset in range(0, len(raw), BLOCK_SIZE):
+        device._blocks[start + offset // BLOCK_SIZE] = \
+            bytes(raw[offset:offset + BLOCK_SIZE]).ljust(BLOCK_SIZE, b"\0")
+
+
+def _sign_superblock(device: BlockDevice, fields: dict) -> None:
+    """Write *fields* as both superblocks, with a valid checksum."""
+    block = pack_superblock(fields, BLOCK_SIZE)
+    _put(device, 0, block)
+    _put(device, device.nblocks - 1, block)
+
+
+class TestSuperblockValidation:
+    """A superblock with a valid checksum is still refused unless it
+    fits the device: fsck says DSK001 and the mount refuses with a
+    DiskFormatError, never a raw IndexError or DiskError."""
+
+    @pytest.mark.parametrize("changes", [
+        lambda f: {"active_slot": 7},
+        lambda f: {"ckpt_len": 10 ** 7},
+        lambda f: {"journal_blocks": 10 ** 6},
+        lambda f: {"journal_start": 0},
+        lambda f: {"slot_b": 5000},
+        lambda f: {"slot_a": f["slot_b"], "slot_b": f["slot_a"]},
+    ], ids=["active-slot-7", "ckpt-len-past-slot", "journal-past-device",
+            "journal-start-0", "slot-b-5000", "slots-swapped"])
+    def test_signed_but_misfit_superblock(self, changes):
+        device = _crashed_image()
+        fields = read_superblock(device, 0)
+        _sign_superblock(device, dict(fields, **changes(fields)))
+        assert fsck(_copy(device)).report.codes() == ["DSK001"]
+        with pytest.raises(DiskFormatError):
+            mount(device)
+
+
+@functools.lru_cache(maxsize=None)
+def _mutation_base():
+    """The crashed image, its superblock and its journal records."""
+    device = _crashed_image()
+    fields = read_superblock(device, 0)
+    geo = compute_geometry(device.nblocks)
+    records = scan_journal(device, geo.journal_start, geo.journal_blocks,
+                           fields["generation"]).records
+    return device, fields, records
+
+
+def _mutate(data, raw: bytearray, span: int) -> None:
+    for _ in range(data.draw(st.integers(1, 4), label="count")):
+        index = data.draw(st.integers(0, span - 1), label="index")
+        raw[index] = data.draw(st.integers(0, 255), label="byte")
+
+
+class TestMutatedImage:
+    """Byte mutants of the HDSK superblock, the checkpoint blob and the
+    HJRN records of a crashed image. With ``resign`` the checksum over
+    the mutated bytes is recomputed, so the decoders behind it run.
+    fsck always returns a report; the mount succeeds or refuses through
+    a SimulationError."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_mutation_property(self, data):
+        base, fields, records = _mutation_base()
+        device = _copy(base)
+        region = data.draw(st.sampled_from(
+            ("superblock", "checkpoint", "journal")), label="region")
+        resign = data.draw(st.booleans(), label="resign")
+        if region == "superblock":
+            raw = bytearray(device.read(0))
+            length = len(pack_superblock(fields, BLOCK_SIZE))
+            _mutate(data, raw, length)
+            if resign:  # the header's payload crc
+                raw[8:12] = zlib.crc32(
+                    raw[_SUPER_HEAD.size:length]).to_bytes(4, "big")
+            _put(device, 0, raw)
+        elif region == "checkpoint":
+            blob = bytearray(read_checkpoint_blob(base, fields))
+            _mutate(data, blob, len(blob))
+            start = (fields["slot_a"], fields["slot_b"])[
+                fields["active_slot"]]
+            _put(device, start, blob)
+            if resign:
+                _sign_superblock(device, dict(fields,
+                                              ckpt_crc=zlib.crc32(blob)))
+        else:
+            record = data.draw(st.sampled_from(records), label="record")
+            raw = bytearray(_pack_record(
+                record.rtype, fields["generation"], record.txid,
+                record.seq, record.payload))
+            _mutate(data, raw, len(raw))
+            if resign:
+                _magic, rtype, gen, txid, seq, _plen, _pcrc = \
+                    _HEADER.unpack_from(raw)
+                raw = _pack_record(rtype, gen, txid, seq,
+                                   bytes(raw[HEADER_SIZE:]))
+            _put(device, record.block, raw)
+
+        fsck(_copy(device))  # a report, never an exception
+        try:
+            system = mount(device)
+        except SimulationError:
+            return
+        system.kernel.shutdown()
 
 
 class TestDskTreeChecks:
@@ -580,7 +710,7 @@ class TestDskTreeChecks:
         # the write-path check — at-rest damage only fsck can see.
         inode.memobj.write(0, b"x" * (MAX_FILE_SIZE + 1))
         report = self._report()
-        _check_sfs(report, sfs, fsck(BlockDevice(nblocks=64)).stats)
+        _check_sfs(report, sfs)
         assert "DSK020" in report.codes()
 
     def test_addrmap_cross_checks_dsk021_022_023(self):
@@ -607,7 +737,7 @@ class TestDskTreeChecks:
         sfs.create_file(sfs.root, "b", 0)
         first.segment_span = 1 << 24  # spills into the next slot
         report = self._report()
-        _check_sfs(report, sfs, fsck(BlockDevice(nblocks=64)).stats)
+        _check_sfs(report, sfs)
         assert "DSK024" in report.codes()
 
 
