@@ -364,7 +364,8 @@ class DiskStore:
         self.generation = 0
         self._arm_journal(generation=0, next_txid=1)
         self.checkpoint()
-        self.recovery = RecoveryStats(generation=self.generation)
+        self.recovery = RecoveryStats(generation=self.generation,
+                                      applied_txid=0, clean=True)
         self.recovery.trail.append(("format", self.generation))
 
     def checkpoint(self) -> None:
