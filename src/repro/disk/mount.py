@@ -298,9 +298,7 @@ def recover_volumes(device: BlockDevice,
                 apply_journal_op(volumes[volume], op, args)
             except (SimulationError, ValueError, TypeError) as error:
                 raise RecoveryError(
-                    "replay",
-                    f"replay of txn {txid} op {op!r} failed: {error}"
-                ) from None
+                    "replay", f"txn {txid} op {op!r}: {error}") from None
         stats.replayed_txns += 1
         stats.trail.append(("replay", txid, len(ops)))
         last_txid = txid
