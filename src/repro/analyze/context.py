@@ -17,7 +17,7 @@ simulated file system to peek at module exports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -36,7 +36,7 @@ class ScopeModule:
 
     name: str
     sharing: str = "dynamic_public"
-    exports: Optional[Dict[str, int]] = None
+    exports: Optional[Mapping[str, int]] = None
     text_symbols: frozenset = frozenset()
 
     @property

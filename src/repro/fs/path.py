@@ -17,6 +17,10 @@ def split_path(path: str) -> List[str]:
 def normalize(path: str, cwd: str = "/") -> str:
     """Produce a canonical absolute path, resolving ``.`` and ``..``
     lexically (symlink-aware resolution happens in the VFS)."""
+    if path[:1] == "/" and "//" not in path and "/." not in path \
+            and path[-1] != "/":
+        # No empty, "." or ".." component: already canonical.
+        return path
     if not path.startswith("/"):
         path = cwd.rstrip("/") + "/" + path
     stack: List[str] = []

@@ -179,30 +179,32 @@ class Vfs:
         inode = fs.root
         parent_fs, parent = fs, fs.root
         components = split_path(path)
-        walked: List[str] = []
+        # The path walked so far, "" at the root: what the mount table
+        # is keyed by, grown one component at a time.
+        walked = ""
+        last = len(components) - 1
         for index, name in enumerate(components):
             if not inode.is_dir:
                 raise NotADirectorySimError(
-                    "/" + "/".join(walked) + " is not a directory"
+                    (walked or "/") + " is not a directory"
                 )
             if not inode.check_access(uid, "x"):
                 raise PermissionSimError(
-                    "search permission denied on /" + "/".join(walked)
+                    "search permission denied on " + (walked or "/")
                 )
             parent_fs, parent = fs, inode
             child = fs.lookup(inode, name)
-            walked.append(name)
-            mounted = self._mounts.get("/" + "/".join(walked))
+            base = walked
+            walked = base + "/" + name
+            mounted = self._mounts.get(walked)
             if mounted is not None:
                 fs, child = mounted, mounted.root
-            last = index == len(components) - 1
-            if child.is_symlink and (follow or not last):
+            if child.is_symlink and (follow or index != last):
                 target = child.symlink_target or ""
                 rest = "/".join(components[index + 1:])
-                base = "/" + "/".join(walked[:-1])
                 new_path = normalize(
                     target if target.startswith("/")
-                    else base.rstrip("/") + "/" + target
+                    else base + "/" + target
                 )
                 if rest:
                     new_path = new_path.rstrip("/") + "/" + rest

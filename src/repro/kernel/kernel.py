@@ -18,7 +18,7 @@ as an unhandled SIGSEGV would.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
     HardwareError,
@@ -103,6 +103,12 @@ class Kernel:
         self._runqueue: List[int] = []
         self._wait_blocked: set = set()
         self.quantum = DEFAULT_QUANTUM
+        # ldl's export table (repro.linker.scoped.peek_exports): per
+        # file, keyed like Syscalls._warm_inodes, the bytes last
+        # decoded for their exports and the result. A host-side cache:
+        # every syscall is still issued and charged, and it starts
+        # empty at every boot.
+        self.export_table: Dict[Tuple[int, int], tuple] = {}
         # Hooks the runtime package registers at import/attach time so
         # exec can wire crt0/ldl without a kernel->runtime dependency.
         self.on_exec: Optional[Callable[[Process, ObjectFile], None]] = None

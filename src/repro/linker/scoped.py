@@ -16,13 +16,14 @@ without instantiating it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, TYPE_CHECKING
+from types import MappingProxyType
+from typing import Iterator, List, Mapping, Optional, TYPE_CHECKING
 
 from repro.errors import ObjectFormatError, SimulationError
 from repro.fs.vfs import O_RDONLY
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
-from repro.linker.segments import TRAILER, TRAILER_MAGIC
+from repro.linker.segments import segment_base, segment_meta_bytes
 from repro.objfile.format import ObjectFile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -48,14 +49,20 @@ def scope_chain(module: "LoadedModule") -> Iterator["LoadedModule"]:
 
 
 def peek_exports(kernel: Kernel, proc: Process,
-                 path: str) -> Optional[Dict[str, int]]:
+                 path: str) -> Optional[Mapping[str, int]]:
     """Defined global symbols of the module file at *path*, or None if
     the file is not a module.
 
     For templates the values are section offsets (only the *names*
     matter to the caller); for segment files they are absolute
     addresses. This reads symbol tables through the ordinary file
-    interface without creating or mapping anything.
+    interface without creating or mapping anything. The result is
+    read-only.
+
+    Every call issues and pays for the same syscalls. Only the decode
+    is shared: ``kernel.export_table`` keeps, per file, the bytes last
+    decoded here and what they yielded, and reuses the result when the
+    bytes just read are equal to them.
     """
     sys = kernel.syscalls
     try:
@@ -63,27 +70,39 @@ def peek_exports(kernel: Kernel, proc: Process,
     except SimulationError:
         return None
     try:
-        size = sys.fstat(proc, fd).st_size
-        if size < 4:
-            return None
-        if path.endswith(".o"):
+        template = path.endswith(".o")
+        if template:
+            size = sys.fstat(proc, fd).st_size
+            if size < 4:
+                return None
             data = sys.pread(proc, fd, 0, size)
+        else:
             try:
-                obj = ObjectFile.from_bytes(data)
+                data, _image_len = segment_meta_bytes(kernel, proc, fd,
+                                                      path)
             except ObjectFormatError:
                 return None
-            return {s.name: s.value for s in obj.defined_globals()}
-        if size < TRAILER.size:
-            return None
-        trailer = sys.pread(proc, fd, size - TRAILER.size, TRAILER.size)
-        magic, image_len, meta_len, _reserved = TRAILER.unpack(trailer)
-        if magic != TRAILER_MAGIC:
-            return None
-        meta_bytes = sys.pread(proc, fd, image_len, meta_len)
-        try:
-            meta = ObjectFile.from_bytes(meta_bytes)
-        except ObjectFormatError:
-            return None
-        return {s.name: s.value for s in meta.defined_globals()}
+        handle = proc.fd(fd)
+        key = (id(handle.fs), handle.inode.number)
+        entry = kernel.export_table.get(key)
+        if entry is not None and entry[0] == template and entry[1] == data:
+            return entry[2]
+        exports = _decode_exports(data, template, path)
+        kernel.export_table[key] = (template, data, exports)
+        return exports
     finally:
         sys.close(proc, fd)
+
+
+def _decode_exports(data: bytes, template: bool,
+                    path: str) -> Optional[Mapping[str, int]]:
+    """The read-only export table of a template (*data* is the whole
+    file) or of segment metadata, or None if *data* is not one."""
+    try:
+        obj = ObjectFile.from_bytes(data)
+        if not template:
+            segment_base(obj, path)
+    except ObjectFormatError:
+        return None
+    return MappingProxyType({s.name: s.value
+                             for s in obj.defined_globals()})

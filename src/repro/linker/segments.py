@@ -30,7 +30,7 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.linker.branch_islands import insert_branch_islands
 from repro.linker.module import ModuleImage, Resolver
-from repro.objfile.format import ObjectFile, ObjectKind
+from repro.objfile.format import SEC_TEXT, ObjectFile, ObjectKind
 from repro.sfs.sharedfs import MAX_FILE_SIZE
 from repro.util.bits import align_up
 from repro.vm.layout import PAGE_SIZE
@@ -116,27 +116,50 @@ def read_segment_meta(kernel: Kernel, proc: Process,
     sys = kernel.syscalls
     fd = sys.open(proc, module_path, O_RDONLY)
     try:
-        size = sys.fstat(proc, fd).st_size
-        if size < TRAILER.size:
-            raise ObjectFormatError(
-                f"{module_path!r} is too small to be a segment"
-            )
-        trailer = sys.pread(proc, fd, size - TRAILER.size, TRAILER.size)
-        magic, image_len, meta_len, _reserved = TRAILER.unpack(trailer)
-        if magic != TRAILER_MAGIC:
-            raise ObjectFormatError(
-                f"{module_path!r} lacks the segment trailer"
-            )
-        meta_bytes = sys.pread(proc, fd, image_len, meta_len)
+        meta_bytes, image_len = segment_meta_bytes(kernel, proc, fd,
+                                                   module_path)
         meta = ObjectFile.from_bytes(meta_bytes)
-        if meta.kind is not ObjectKind.SEGMENT:
-            raise ObjectFormatError(
-                f"{module_path!r} metadata is not segment metadata"
-            )
-        base = meta.layout["text"].base
-        return meta, base, image_len
+        return meta, segment_base(meta, module_path), image_len
     finally:
         sys.close(proc, fd)
+
+
+def segment_meta_bytes(kernel: Kernel, proc: Process, fd: int,
+                       module_path: str) -> Tuple[bytes, int]:
+    """The serialized metadata of the segment file open on *fd*, and
+    its image length: one fstat and two preads (trailer, metadata)."""
+    sys = kernel.syscalls
+    size = sys.fstat(proc, fd).st_size
+    if size < TRAILER.size:
+        raise ObjectFormatError(
+            f"{module_path!r} is too small to be a segment"
+        )
+    trailer = sys.pread(proc, fd, size - TRAILER.size, TRAILER.size)
+    magic, image_len, meta_len, _reserved = TRAILER.unpack(trailer)
+    if magic != TRAILER_MAGIC:
+        raise ObjectFormatError(
+            f"{module_path!r} lacks the segment trailer"
+        )
+    return sys.pread(proc, fd, image_len, meta_len), image_len
+
+
+def segment_base(meta: ObjectFile, module_path: str) -> int:
+    """The base address of segment metadata *meta*.
+
+    This is the one acceptance check for segment files: the mapper and
+    the scope scan both refuse metadata that is not SEGMENT metadata
+    with a text layout.
+    """
+    if meta.kind is not ObjectKind.SEGMENT:
+        raise ObjectFormatError(
+            f"{module_path!r} metadata is not segment metadata"
+        )
+    text = meta.layout.get(SEC_TEXT)
+    if text is None:
+        raise ObjectFormatError(
+            f"{module_path!r} segment metadata has no text layout"
+        )
+    return text.base
 
 
 def update_segment_meta(kernel: Kernel, proc: Process, module_path: str,

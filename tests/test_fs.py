@@ -1,6 +1,7 @@
 """File system tests: paths, volumes, VFS, mounts, symlinks, perms."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
     FileExistsSimError,
@@ -36,6 +37,23 @@ def vfs(pm):
     return Vfs(Filesystem(pm, "root"))
 
 
+def reference_normalize(path, cwd):
+    """normalize's full stack algorithm, with no fast path: the oracle
+    the fast path is checked against."""
+    if not path.startswith("/"):
+        path = cwd.rstrip("/") + "/" + path
+    stack = []
+    for part in path.split("/"):
+        if part in ("", "."):
+            continue
+        if part == "..":
+            if stack:
+                stack.pop()
+            continue
+        stack.append(part)
+    return "/" + "/".join(stack)
+
+
 class TestPaths:
     def test_normalize(self):
         assert normalize("/a/b/../c") == "/a/c"
@@ -43,6 +61,18 @@ class TestPaths:
         assert normalize("/a//b/./c") == "/a/b/c"
         assert normalize("/../..") == "/"
         assert normalize(".", cwd="/x") == "/x"
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(["/", "//", ".", "..", ".x", "a", "b"]),
+                    max_size=12).map("".join),
+           st.sampled_from(["/", "/a", "/a/b", "/a/b/", "/shared/fan",
+                            "/.x/.."]))
+    def test_normalize_matches_the_stack_algorithm(self, path, cwd):
+        assert normalize(path, cwd) == reference_normalize(path, cwd)
+
+    def test_canonical_path_is_returned_as_is(self):
+        path = "/shared/fan/mod0.o"
+        assert normalize(path, "/elsewhere") is path
 
     def test_split(self):
         assert split_path("/a/b/c") == ["a", "b", "c"]
@@ -271,6 +301,25 @@ class TestMounts:
         vfs.mount("/m", Filesystem(pm))
         with pytest.raises(FilesystemError):
             vfs.mount("/m", Filesystem(pm))
+
+    def test_walk_errors_across_a_mount_keep_their_text(self, pm):
+        vfs = Vfs(Filesystem(pm, "root"))
+        vfs.mount("/shared", Filesystem(pm, "sfs"))
+        vfs.makedirs("/shared/fan")
+        vfs.write_whole("/shared/fan/mod0.o", b"x")
+        vfs.mkdir("/shared/fan/locked", mode=0o700)
+        vfs.write_whole("/shared/fan/locked/f", b"x")
+        with pytest.raises(NotADirectorySimError) as info:
+            vfs.resolve("/shared/fan/mod0.o/inner")
+        assert str(info.value) == "/shared/fan/mod0.o is not a directory"
+        with pytest.raises(PermissionSimError) as info:
+            vfs.resolve("/shared/fan/locked/f", uid=1)
+        assert str(info.value) == \
+            "search permission denied on /shared/fan/locked"
+        vfs.write_whole("/top", b"x")
+        with pytest.raises(NotADirectorySimError) as info:
+            vfs.resolve("/top/inner")
+        assert str(info.value) == "/top is not a directory"
 
     def test_cross_volume_link_rejected(self, pm):
         vfs = Vfs(Filesystem(pm))
