@@ -69,10 +69,7 @@ def run_islands(ncalls: int):
 
     raw = assemble(build_caller(ncalls), "main.o")
     text_before = len(raw.text)
-    islands = insert_branch_islands(
-        raw.clone(),
-        lambda s: s.startswith("shared_fn"),
-    )
+    islands = insert_branch_islands(raw.clone())
 
     store_object(kernel, shell, "/main.o", raw)
     result = system.lds.link(

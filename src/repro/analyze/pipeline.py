@@ -19,8 +19,8 @@ Entry points:
 
 Invariant checked on every relocatable: the REL004 far-call findings
 must agree one-for-one with
-:func:`repro.linker.branch_islands.count_far_jumps` under the predicate
-lds actually uses — the advisory and the transform can never drift.
+:func:`repro.linker.branch_islands.count_far_jumps` — the advisory and
+the transform can never drift.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def verify_image(obj: ObjectFile, context: Optional[LintContext] = None,
 
 
 def _assert_far_jump_agreement(obj: ObjectFile, report: Report) -> None:
-    """REL004 must equal count_far_jumps under lds's own predicate.
+    """REL004 must equal count_far_jumps.
 
     Skipped when a JUMP26 site itself is malformed (REL003 supersedes
     the advisory for that site, so the counts legitimately differ).
@@ -109,21 +109,13 @@ def _assert_far_jump_agreement(obj: ObjectFile, report: Report) -> None:
     jumps = [r for r in obj.relocations if r.type is RelocType.JUMP26]
     if any((r.section, r.offset) in bad_sites for r in jumps):
         return
-    far = count_far_jumps(
-        obj,
-        lambda symbol: not _defined_in(obj, symbol),
-    )
+    far = count_far_jumps(obj)
     found = report.count("REL004")
     assert found == far, (
         f"{obj.name}: reprolint saw {found} far call sites but "
         f"count_far_jumps sees {far}; the advisory and the island "
         f"transform have drifted apart"
     )
-
-
-def _defined_in(obj: ObjectFile, symbol: str) -> bool:
-    entry = obj.symbols.get(symbol)
-    return entry is not None and entry.defined
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,3 @@ class FilePasswd:
                 sys.flock(self.proc, fd, FLOCK_UN)
         finally:
             sys.close(self.proc, fd)
-
-    def ckpw(self) -> None:
-        validate_database(self.read_all())

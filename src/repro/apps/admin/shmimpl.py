@@ -159,9 +159,6 @@ class SharedPasswd:
         finally:
             sys.close(self.proc, fd)
 
-    def ckpw(self) -> None:
-        validate_database(self.read_all())
-
     # ------------------------------------------------------------------
     # §5 Loss of Commonality: explicit bridges to the text world
     # ------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.hw.asm import assemble
 from repro.objfile.archive import Archive
-from repro.objfile.format import ObjectFile
 
 _WRAPPERS = {
     # name: (syscall number, number of register args)
@@ -98,13 +97,3 @@ def build_libsys() -> Archive:
     archive.add(assemble(_STRLEN, "strlen.o"))
     archive.add(assemble(_PUT_STR, "put_str.o"))
     return archive
-
-
-def libsys_object(name: str) -> ObjectFile:
-    """One wrapper object by symbol name (for single-module links)."""
-    if name == "strlen":
-        return assemble(_STRLEN, "strlen.o")
-    if name == "put_str":
-        return assemble(_PUT_STR, "put_str.o")
-    number, _nargs = _WRAPPERS[name]
-    return assemble(_wrapper_source(name, number), f"sys_{name}.o")

@@ -8,8 +8,7 @@ generators would share a persistent module (the tables) with the Lynx
 compiler. The utility programs would initialize the tables; the
 compiler would link them in and use them."
 
-* :mod:`slr` — a genuine SLR(1) parser generator (the "Wisconsin tool"),
-  plus a scanner DFA builder;
+* :mod:`slr` — a genuine SLR(1) parser generator (the "Wisconsin tool");
 * :mod:`tablegen` — the utility programs: emit the numeric tables as an
   ASCII file (baseline), as Toy C source to be compiled and linked (the
   paper's 5400-line / 18-second path), or directly into a persistent

@@ -219,33 +219,6 @@ def _lr0_automaton(grammar: Grammar) -> Tuple[
     return states, transitions
 
 
-# ---------------------------------------------------------------------------
-# scanner DFA for the expression language
-# ---------------------------------------------------------------------------
-
-def build_scanner_dfa() -> Tuple[List[List[int]], Dict[int, str]]:
-    """A small DFA over character classes for the expression tokens.
-
-    Character classes: 0 digit, 1 '+', 2 '*', 3 '(', 4 ')', 5 space,
-    6 other. States: 0 start, 1 in-number. Accepting map: state ->
-    token name (numbers accept on exit).
-    """
-    nclasses = 7
-    error = -1
-    table = [[error] * nclasses for _ in range(2)]
-    table[0][0] = 1          # digit starts a number
-    table[1][0] = 1          # digit continues a number
-    accepting = {1: "num"}
-    return table, accepting
-
-
-def char_class(ch: str) -> int:
-    if ch.isdigit():
-        return 0
-    return {"+": 1, "*": 2, "(": 3, ")": 4, " ": 5, "\t": 5,
-            "\n": 5}.get(ch, 6)
-
-
 def flatten_tables(tables: SlrTables) -> Dict[str, Sequence[int]]:
     """The numeric form shuttled between the tools and the compiler."""
     action_flat = [cell for row in tables.action for cell in row]

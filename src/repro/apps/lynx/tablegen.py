@@ -52,7 +52,7 @@ class TableSet:
 
 def build_expression_tables() -> TableSet:
     """Run the generator for the expression grammar."""
-    return _from_flat(flatten_tables(build_slr_tables(EXPR_GRAMMAR)))
+    return make_tables(build_slr_tables(EXPR_GRAMMAR))
 
 
 def _from_flat(flat: Dict[str, List[int]]) -> TableSet:

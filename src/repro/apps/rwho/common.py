@@ -11,6 +11,8 @@ MAX_USERS_PER_HOST = 4
 HOSTNAME_LEN = 32
 USERNAME_LEN = 12
 TTY_LEN = 8
+#: Every generated host last reported at this Unix time.
+NETWORK_TIME = 726_000_000
 
 
 @dataclass
@@ -39,8 +41,8 @@ class HostStatus:
         return self.update_time - self.boot_time
 
 
-def generate_network(nhosts: int = 65, seed: int = 1993,
-                     base_time: int = 726_000_000) -> List[HostStatus]:
+def generate_network(nhosts: int = 65,
+                     seed: int = 1993) -> List[HostStatus]:
     """A deterministic network of *nhosts* machines (65 in the paper)."""
     rng = DeterministicRng(seed)
     hosts = []
@@ -56,8 +58,8 @@ def generate_network(nhosts: int = 65, seed: int = 1993,
         ]
         hosts.append(HostStatus(
             hostname=f"cs{index:02d}",
-            boot_time=base_time - rng.randint(3600, 30 * 86400),
-            update_time=base_time,
+            boot_time=NETWORK_TIME - rng.randint(3600, 30 * 86400),
+            update_time=NETWORK_TIME,
             load_1=rng.randint(0, 400),
             load_5=rng.randint(0, 400),
             load_15=rng.randint(0, 400),

@@ -25,8 +25,9 @@ RWHO_QUEUE_KEY = 0x5257
 _SHUTDOWN = b""
 
 
-def broadcaster_body(statuses: List[HostStatus], shutdown: bool = True):
-    """A native-process body that injects peer broadcasts."""
+def broadcaster_body(statuses: List[HostStatus]):
+    """A native-process body that injects peer broadcasts, then the
+    shutdown datagram."""
 
     def body(kernel: Kernel, proc: Process):
         sys = kernel.syscalls
@@ -35,8 +36,7 @@ def broadcaster_body(statuses: List[HostStatus], shutdown: bool = True):
             sys.msgsnd(proc, qid, pack_status(status))
             if index % 16 == 15:
                 yield  # let the daemon drain the queue now and then
-        if shutdown:
-            sys.msgsnd(proc, qid, _SHUTDOWN)
+        sys.msgsnd(proc, qid, _SHUTDOWN)
         return len(statuses)
 
     return body

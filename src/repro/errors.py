@@ -85,15 +85,6 @@ class NoSuchProcessError(KernelError):
     """A pid did not name a live process."""
 
 
-class ProcessDiedError(KernelError):
-    """A simulated process terminated abnormally (unhandled fault/signal)."""
-
-    def __init__(self, pid: int, reason: str) -> None:
-        super().__init__(f"process {pid} died: {reason}")
-        self.pid = pid
-        self.reason = reason
-
-
 # ---------------------------------------------------------------------------
 # File-system level
 # ---------------------------------------------------------------------------
@@ -302,10 +293,6 @@ class InjectedDiskFullError(InjectedFaultError, FileLimitError):
 
 class InjectedLinkError(InjectedFaultError, LinkError):
     """An injected failure inside the linker (the linker plane)."""
-
-
-class InjectedDiskError(InjectedFaultError, DiskError):
-    """An injected block-device failure (the disk plane)."""
 
 
 class InjectedNetError(InjectedFaultError, NetError):

@@ -151,9 +151,6 @@ class Vfs:
     def filesystem_at(self, path: str) -> Optional[Filesystem]:
         return self._mounts.get(normalize(path))
 
-    def mounts(self) -> Dict[str, Filesystem]:
-        return dict(self._mounts)
-
     # ------------------------------------------------------------------
     # path resolution
     # ------------------------------------------------------------------

@@ -78,9 +78,6 @@ class Cpu:
     # register helpers
     # ------------------------------------------------------------------
 
-    def get_reg(self, index: int) -> int:
-        return self.regs[index]
-
     def set_reg(self, index: int, value: int) -> None:
         if index != isa.REG_ZERO:
             self.regs[index] = value & _MASK32

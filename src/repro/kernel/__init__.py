@@ -3,7 +3,7 @@
 Provides what Hemlock's user-level machinery needs from IRIX: processes
 with ``fork``/``exec``, a syscall layer over the VFS, signal delivery
 with restartable faults (SIGSEGV in particular), mmap/munmap/mprotect,
-the new address↔path translation calls, advisory file locks, pipes and
+the new address↔path translation calls, advisory file locks and
 message queues (the baselines shared memory is compared against), a
 deterministic round-robin scheduler, and a cycle-accounting clock.
 """

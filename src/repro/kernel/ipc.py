@@ -1,4 +1,4 @@
-"""Message queues and pipes — the kernel IPC Hemlock is compared against.
+"""Message queues — the kernel IPC Hemlock is compared against.
 
 §1 claim 4: "When supported by hardware, shared memory is generally
 faster than either messages or files, since operating system overhead
@@ -22,7 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.process import Process
 
 MAX_QUEUE_BYTES = 64 * 1024
-PIPE_CAPACITY = 64 * 1024
 
 
 class MessageQueue:
@@ -93,49 +92,3 @@ class MessageQueueTable:
         """Total undelivered messages across every queue (the cluster
         scheduler's progress signature)."""
         return sum(len(q.messages) for q in self._queues.values())
-
-
-class Pipe:
-    """A byte-stream pipe with bounded buffering."""
-
-    def __init__(self) -> None:
-        self.buffer = bytearray()
-        self.read_open = True
-        self.write_open = True
-        self.readers: List["Process"] = []
-        self.writers: List["Process"] = []
-
-    def write(self, process: "Process", data: bytes,
-              blocking: bool = True) -> int:
-        if not self.read_open:
-            raise SyscallError("EPIPE", "read end closed")
-        space = PIPE_CAPACITY - len(self.buffer)
-        if space <= 0:
-            if not blocking:
-                return 0
-            self.writers.append(process)
-            raise WouldBlock()
-        chunk = data[:space]
-        self.buffer.extend(chunk)
-        tracer = _trace.TRACER
-        if tracer.enabled:
-            tracer.emit(EventKind.IPC, name="pipe-write",
-                        pid=process.pid, value=len(chunk))
-        return len(chunk)
-
-    def read(self, process: "Process", length: int,
-             blocking: bool = True) -> Optional[bytes]:
-        if not self.buffer:
-            if not self.write_open:
-                return b""
-            if not blocking:
-                return None
-            self.readers.append(process)
-            raise WouldBlock()
-        chunk = bytes(self.buffer[:length])
-        del self.buffer[:length]
-        tracer = _trace.TRACER
-        if tracer.enabled:
-            tracer.emit(EventKind.IPC, name="pipe-read",
-                        pid=process.pid, value=len(chunk))
-        return chunk

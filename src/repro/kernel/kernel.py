@@ -29,6 +29,7 @@ from repro.errors import (
     SyscallError,
 )
 from repro.fs.filesystem import Filesystem
+from repro.fs.inode import Inode
 from repro.fs.vfs import Vfs
 from repro.hw.cpu import ArithmeticTrap, BreakTrap, Cpu, SyscallTrap
 from repro.kernel import arming
@@ -272,6 +273,11 @@ class Kernel:
 
     def terminate(self, proc: Process, code: int,
                   reason: Optional[str] = None) -> None:
+        # Exit releases every flock still held, exactly as FLOCK_UN
+        # would: the next waiter inherits the lock and the release's
+        # happens-before edge.
+        for inode in self.locks.held_by(proc):
+            self.unlock_file(proc, inode)
         if self.sanitizer is not None:
             self.sanitizer.on_exit(self, proc)
         proc.state = ProcessState.ZOMBIE
@@ -287,6 +293,15 @@ class Kernel:
                 and parent.state is ProcessState.BLOCKED:
             self._wait_blocked.discard(parent.pid)
             self.wake(parent)
+
+    def unlock_file(self, proc: Process, inode: Inode) -> None:
+        """Release *proc*'s flock on *inode*, handing it to the next
+        FIFO waiter (which is woken). Charges nothing."""
+        if self.sanitizer is not None:
+            self.sanitizer.lock_released(self, proc, ("flock", inode.number))
+        woken = self.locks.release(proc, inode)
+        if woken is not None:
+            self.wake(woken)
 
     def register_waiter(self, proc: Process) -> None:
         """Mark *proc* as about to block in wait(2)."""

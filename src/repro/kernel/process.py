@@ -126,12 +126,6 @@ class Process:
         behind the runtime's, per the wrapped signal() call)."""
         self.signal_handlers.setdefault(signal, []).append(handler)
 
-    def remove_handler(self, signal: Signal,
-                       handler: SignalHandler) -> None:
-        handlers = self.signal_handlers.get(signal, [])
-        if handler in handlers:
-            handlers.remove(handler)
-
     # ------------------------------------------------------------------
 
     @property

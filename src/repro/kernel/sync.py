@@ -64,17 +64,6 @@ class WaitQueue:
         """Dequeue the longest-waiting process."""
         return self._entries.pop(0)[1]
 
-    def remove(self, process: "Process") -> bool:
-        """Drop *process* wherever it is queued (exit cleanup)."""
-        for index, (_, waiter) in enumerate(self._entries):
-            if waiter is process:
-                del self._entries[index]
-                return True
-        return False
-
-    def procs(self) -> List["Process"]:
-        return [proc for _, proc in self._entries]
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -83,10 +72,16 @@ class WaitQueue:
 
 
 class FileLockTable:
-    """Whole-file advisory exclusive locks, keyed by inode."""
+    """Whole-file advisory exclusive locks, keyed by inode.
+
+    Each pid's held locks are indexed too, so process exit releases
+    them in O(locks held) without scanning the file system.
+    """
 
     def __init__(self) -> None:
         self._waiters: Dict[int, WaitQueue] = {}
+        # pid -> {id(inode): inode}, in acquisition order
+        self._held: Dict[int, Dict[int, Inode]] = {}
 
     def acquire(self, process: "Process", inode: Inode,
                 blocking: bool = True) -> bool:
@@ -96,7 +91,7 @@ class FileLockTable:
         (after queueing the process) when blocking.
         """
         if inode.lock_owner is None or inode.lock_owner == process.pid:
-            inode.lock_owner = process.pid
+            self._own(process.pid, inode)
             return True
         if not blocking:
             return False
@@ -112,19 +107,25 @@ class FileLockTable:
             raise SyscallError(
                 "EPERM", f"pid {process.pid} does not hold the lock"
             )
+        held = self._held[process.pid]
+        del held[id(inode)]
+        if not held:
+            del self._held[process.pid]
         queue = self._waiters.get(id(inode))
         if queue:
             next_owner = queue.pop()
-            inode.lock_owner = next_owner.pid
+            self._own(next_owner.pid, inode)
             return next_owner
         inode.lock_owner = None
         return None
 
-    def drop_all(self, process: "Process", inodes: List[Inode]) -> None:
-        """Release every lock *process* holds (process exit cleanup)."""
-        for inode in inodes:
-            if inode.lock_owner == process.pid:
-                self.release(process, inode)
+    def held_by(self, process: "Process") -> List[Inode]:
+        """The locks *process* holds, oldest acquisition first."""
+        return list(self._held.get(process.pid, {}).values())
+
+    def _own(self, pid: int, inode: Inode) -> None:
+        inode.lock_owner = pid
+        self._held.setdefault(pid, {})[id(inode)] = inode
 
 
 class Semaphore:

@@ -303,9 +303,6 @@ class Syscalls:
     def getpid(self, proc: Process) -> int:
         return proc.pid
 
-    def getppid(self, proc: Process) -> int:
-        return proc.ppid
-
     def exit(self, proc: Process, code: int) -> None:
         self._syscall(proc, "exit")
         self.kernel.terminate(proc, code)
@@ -357,12 +354,7 @@ class Syscalls:
                                         ("flock", inode.number))
             return held
         if op == FLOCK_UN:
-            if sanitizer is not None:
-                sanitizer.lock_released(self.kernel, proc,
-                                        ("flock", inode.number))
-            woken = self.kernel.locks.release(proc, inode)
-            if woken is not None:
-                self.kernel.wake(woken)
+            self.kernel.unlock_file(proc, inode)
             return True
         raise SyscallError("EINVAL", f"bad flock op {op}")
 

@@ -25,8 +25,7 @@ def link_static(objects: Sequence[ObjectFile],
                 text_base: int = TEXT_BASE,
                 data_base: int = HEAP_REGION.start,
                 entry: Optional[str] = None,
-                with_crt0: bool = True,
-                allow_undefined: bool = False) -> ObjectFile:
+                with_crt0: bool = True) -> ObjectFile:
     """Produce an executable from *objects* (+ needed archive members)."""
     units: List[ObjectFile] = []
     if with_crt0:
@@ -48,7 +47,7 @@ def link_static(objects: Sequence[ObjectFile],
     image = ModuleImage(merged, name)
     image.layout_split(text_base, data_base)
     remaining = image.apply_relocations()
-    if remaining and not allow_undefined:
+    if remaining:
         raise UndefinedSymbolError([r.symbol for r in remaining])
 
     if entry is not None:

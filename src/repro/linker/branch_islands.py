@@ -8,8 +8,9 @@ to be replaced with jumps to new, nearby code fragments that load the
 appropriate target address into a register and jump indirectly."
 
 The transform runs on a template *before* layout. For every JUMP26
-relocation against a symbol the caller flags as possibly-far, it appends
-a three-instruction island at the end of text::
+relocation against a symbol not defined in the object (every
+cross-module target may land in the shared region), it appends a
+three-instruction island at the end of text::
 
     island:  lui  at, %hi(target)     # HI16 reloc
              ori  at, at, %lo(target) # LO16 reloc
@@ -22,7 +23,7 @@ assembler temporary ``at`` is clobbered, which is its ABI-sanctioned job.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.hw import isa
 from repro.objfile.format import (
@@ -39,23 +40,27 @@ from repro.trace.events import EventKind
 ISLAND_SIZE = 12  # three instructions
 
 
-def insert_branch_islands(obj: ObjectFile,
-                          needs_island: Callable[[str], bool]) -> int:
+def is_external(obj: ObjectFile, symbol: str) -> bool:
+    """True when *symbol* is not defined in *obj*: the target may end up
+    outside the caller's 256 MiB region, so its call sites need islands
+    (and, under lds's jump-table option, PLT entries)."""
+    entry = obj.symbols.get(symbol)
+    return entry is None or not entry.defined
+
+
+def insert_branch_islands(obj: ObjectFile) -> int:
     """Rewrite far JUMP26 relocations in *obj* through islands.
 
-    *needs_island(symbol)* should return True when the symbol may end up
-    outside the caller's 256 MiB region — lds uses "not defined in this
-    link unit", since every cross-module target may land in the shared
-    region. Islands are shared: N call sites to the same (symbol,
-    addend) all jump through one island, so text grows by at most one
-    island per distinct far target. Returns the number of islands added.
+    Islands are shared: N call sites to the same (symbol, addend) all
+    jump through one island, so text grows by at most one island per
+    distinct far target. Returns the number of islands added.
     """
     new_relocs: List[Relocation] = []
     by_target: Dict[Tuple[str, int], str] = {}
     islands = 0
     for reloc in obj.relocations:
         if reloc.type is not RelocType.JUMP26 \
-                or not needs_island(reloc.symbol):
+                or not is_external(obj, reloc.symbol):
             new_relocs.append(reloc)
             continue
         label = by_target.get((reloc.symbol, reloc.addend))
@@ -94,10 +99,9 @@ def _island_code() -> bytes:
     return b"".join(word.to_bytes(4, "little") for word in words)
 
 
-def count_far_jumps(obj: ObjectFile,
-                    needs_island: Callable[[str], bool]) -> int:
+def count_far_jumps(obj: ObjectFile) -> int:
     """How many JUMP26 relocations would need islands (for benchmarks)."""
     return sum(
         1 for reloc in obj.relocations
-        if reloc.type is RelocType.JUMP26 and needs_island(reloc.symbol)
+        if reloc.type is RelocType.JUMP26 and is_external(obj, reloc.symbol)
     )

@@ -34,10 +34,6 @@ class SharingClass(enum.Enum):
                         SharingClass.STATIC_PUBLIC)
 
     @property
-    def is_dynamic(self) -> bool:
-        return not self.is_static
-
-    @property
     def is_public(self) -> bool:
         """Persistent, single instance, public portion of address space."""
         return self in (SharingClass.STATIC_PUBLIC,

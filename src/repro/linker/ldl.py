@@ -368,10 +368,7 @@ class Ldl:
             return existing
 
         template = self._load_template(template_path)
-        insert_branch_islands(
-            template,
-            lambda symbol: not _defined_in(template, symbol),
-        )
+        insert_branch_islands(template)
         image = ModuleImage(template, basename(template_path))
         base = self._private_cursor
         total = image.layout_contiguous(base)
@@ -620,8 +617,3 @@ class Ldl:
             self._modules.remove(module)
         for key in [k for k, m in self._by_path.items() if m in victims]:
             del self._by_path[key]
-
-
-def _defined_in(obj: ObjectFile, symbol: str) -> bool:
-    entry = obj.symbols.get(symbol)
-    return entry is not None and entry.defined

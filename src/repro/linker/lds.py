@@ -30,7 +30,7 @@ from repro.errors import ModuleNotFoundLinkError, UndefinedSymbolError
 from repro.fs.vfs import O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
-from repro.linker.branch_islands import insert_branch_islands
+from repro.linker.branch_islands import insert_branch_islands, is_external
 from repro.linker.classes import SharingClass
 from repro.linker.crt0 import crt0_template
 from repro.linker.module import ModuleImage, merge_objects
@@ -190,12 +190,9 @@ class Lds:
             from repro.linker.jumptable import insert_jump_table
 
             insert_jump_table(
-                merged, lambda symbol: not _defined_in(merged, symbol)
+                merged, lambda symbol: is_external(merged, symbol)
             )
-        islands = insert_branch_islands(
-            merged,
-            lambda symbol: not _defined_in(merged, symbol),
-        )
+        islands = insert_branch_islands(merged)
 
         image = ModuleImage(merged, output)
         image.layout_split(TEXT_BASE, HEAP_REGION.start)
@@ -321,11 +318,6 @@ class Lds:
             resolver=lambda symbol: known_exports.get(symbol),
         )
         return module_path, base, meta
-
-
-def _defined_in(obj: ObjectFile, symbol: str) -> bool:
-    entry = obj.symbols.get(symbol)
-    return entry is not None and entry.defined
 
 
 def _exports_of(meta: ObjectFile) -> Dict[str, int]:

@@ -142,15 +142,6 @@ class ModuleImage:
                 symbol.value = self.bases[symbol.section] + symbol.value
                 symbol.section = SEC_ABS
 
-    def exported_addresses(self) -> Dict[str, int]:
-        """name -> absolute address for every defined global."""
-        out = {}
-        for symbol in self.obj.defined_globals():
-            address = self.symbol_address(symbol.name)
-            assert address is not None
-            out[symbol.name] = address
-        return out
-
     # ------------------------------------------------------------------
     # relocation
     # ------------------------------------------------------------------

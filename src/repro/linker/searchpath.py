@@ -47,13 +47,12 @@ class SearchPath:
 
     @classmethod
     def for_static_link(cls, cwd: str, cmdline_dirs: List[str],
-                        ld_library_path: str,
-                        defaults: Optional[List[str]] = None) -> "SearchPath":
+                        ld_library_path: str) -> "SearchPath":
         """The lds search order."""
         dirs = [cwd]
         dirs += cmdline_dirs
         dirs += parse_library_path(ld_library_path)
-        dirs += defaults if defaults is not None else DEFAULT_LIBRARY_DIRS
+        dirs += DEFAULT_LIBRARY_DIRS
         return cls(_dedup(dirs))
 
     @classmethod
@@ -84,10 +83,6 @@ class SearchPath:
             if _is_regular_file(vfs, path, uid):
                 return path
         return None
-
-    def prepend(self, directories: List[str]) -> "SearchPath":
-        """A new SearchPath with *directories* searched first."""
-        return SearchPath(_dedup(list(directories) + self.directories))
 
     def __iter__(self):
         return iter(self.directories)

@@ -78,10 +78,7 @@ def create_public_module(kernel: Kernel, proc: Process,
         base = kernel.sfs.address_of_inode(info.st_ino)
 
         working = template.clone()
-        insert_branch_islands(
-            working,
-            lambda symbol: not _defined_locally(working, symbol),
-        )
+        insert_branch_islands(working)
         image = ModuleImage(working, name=basename(module_path))
         image.layout_contiguous(base)
         image.apply_relocations(resolver)
@@ -190,8 +187,3 @@ def destroy_public_module(kernel: Kernel, proc: Process,
                           module_path: str) -> None:
     """Explicit destruction — the only way a public module goes away."""
     kernel.syscalls.unlink(proc, module_path)
-
-
-def _defined_locally(obj: ObjectFile, symbol: str) -> bool:
-    entry = obj.symbols.get(symbol)
-    return entry is not None and entry.defined

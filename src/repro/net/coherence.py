@@ -155,9 +155,6 @@ class CoherenceAgent:
     def _home_agent(self) -> "CoherenceAgent":
         return self.cluster.machines[self._home].agent
 
-    def _agent(self, node: int) -> "CoherenceAgent":
-        return self.cluster.machines[node].agent
-
     def _emit(self, name: str, base: int, value: int = 0,
               pid: int = 0) -> None:
         tracer = _trace.TRACER

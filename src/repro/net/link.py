@@ -521,8 +521,7 @@ class Fabric:
     # ------------------------------------------------------------------
 
     def rpc(self, src_nic: Nic, dst: int, kind: FrameKind, port: int,
-            payload: bytes,
-            max_attempts: int = MAX_RETRANSMITS) -> Frame:
+            payload: bytes) -> Frame:
         """One request/reply exchange, with bounded retransmission.
 
         The caller's clock is charged for every (re)send, the
@@ -548,7 +547,7 @@ class Fabric:
         subject = f"{request.src}->{dst}:{port}"
         ha = self.ha
         ha_blocked: Optional[str] = None
-        for attempt in range(1, max_attempts + 1):
+        for attempt in range(1, MAX_RETRANSMITS + 1):
             if attempt > 1:
                 stats.retransmits += 1
                 src_clock.backoff(attempt - 1)
@@ -678,7 +677,7 @@ class Fabric:
             return self._raise(error)
         error = InjectedNetError(
             f"exchange {kind.name}->{dst}:{port} exhausted "
-            f"{max_attempts} attempts")
+            f"{MAX_RETRANSMITS} attempts")
         error.plane = "net"
         error.site = "rpc"
         error.fault_kind = "timeout"

@@ -54,20 +54,18 @@ def nm(obj: ObjectFile) -> str:
     return "\n".join(lines)
 
 
-def objdump(obj: ObjectFile, disassemble: bool = False,
-            lint: bool = True) -> str:
+def objdump(obj: ObjectFile, disassemble: bool = False) -> str:
     """Render headers, layout, relocations, and optionally a disassembly.
 
-    With *lint* (default), the object is run through the reprolint
-    pipeline and any finding's diagnostic code is shown next to the
-    relocation or instruction it anchors to — ``objdump -d`` doubles as
-    a lint report.
+    The object is run through the reprolint pipeline and any finding's
+    diagnostic code is shown next to the relocation or instruction it
+    anchors to — ``objdump -d`` doubles as a lint report.
     """
     # Imported here to keep objfile independent of the analyzer (and of
     # hw) at module load, mirroring the lazy isa import below.
     from repro.analyze.report import format_reloc, format_site
 
-    codes_at = _lint_codes(obj) if lint else {}
+    codes_at = _lint_codes(obj)
     lines = [
         f"{obj.name}: HOF {obj.kind.name.lower()}",
         f"  text 0x{len(obj.text):x} bytes, data 0x{len(obj.data):x} bytes, "

@@ -21,7 +21,7 @@ Happens-before sources (each one a release/acquire pair):
 
 * file locks and semaphores (``flock``/``sem_p``/``sem_v``);
 * message queues (``msgsnd`` piggybacks the sender's clock on the
-  message, ``msgrcv`` joins it) and pipes;
+  message, ``msgrcv`` joins it);
 * ``fork`` (parent→child) and ``wait`` (child exit→parent);
 * segment lifecycle (create→first map, delete→reuse);
 * ``repro.net`` coherence transitions: a GRANT joins the segment's
@@ -76,12 +76,6 @@ class SanStats:
         self.heap_findings = 0
         self.hb_edges = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {"accesses": self.accesses, "words": self.words,
-                "races": self.races,
-                "heap_findings": self.heap_findings,
-                "hb_edges": self.hb_edges}
-
 
 def _lock_names(locks: FrozenSet) -> Tuple[str, ...]:
     return tuple(sorted(f"{kind}:{key}" for kind, key in locks))
@@ -107,7 +101,6 @@ class Sanitizer:
         # -- happens-before state ---------------------------------------
         self._lock_vc: Dict[tuple, dict] = {}
         self._msg_vc: Dict[tuple, list] = {}
-        self._pipe_vc: Dict[int, dict] = {}
         self._seg_vc: Dict[int, dict] = {}
         self._exit_vc: Dict[Tuple[int, int], dict] = {}
         self._phase: Dict[int, dict] = {}       # machine -> barrier VC
@@ -149,9 +142,6 @@ class Sanitizer:
         tracer = _trace.TRACER
         if tracer.enabled:
             tracer.emit(EventKind.SAN, name="armed", value=machine)
-
-    def machine_of(self, kernel) -> Optional[int]:
-        return self._machine.get(id(kernel))
 
     def register_process(self, kernel, proc) -> None:
         """Track one process (called at creation and on fork)."""
@@ -356,7 +346,7 @@ class Sanitizer:
                         value=len(self.report.races))
 
     # ------------------------------------------------------------------
-    # happens-before edges: locks, semaphores, messages, pipes
+    # happens-before edges: locks, semaphores, messages
     # ------------------------------------------------------------------
 
     def lock_acquired(self, kernel, proc, key: tuple) -> None:
@@ -390,23 +380,6 @@ class Sanitizer:
         queue = self._msg_vc.get((thread.machine, qkey))
         if queue:
             vc_join(thread.vc, queue.pop(0))
-            self.stats.hb_edges += 1
-
-    def pipe_wrote(self, kernel, proc, pipe_id: int) -> None:
-        thread = self._thread(kernel, proc)
-        if thread is None:
-            return
-        vc = self._pipe_vc.setdefault(pipe_id, {})
-        vc_join(vc, thread.vc)
-        thread.tick()
-
-    def pipe_read(self, kernel, proc, pipe_id: int) -> None:
-        thread = self._thread(kernel, proc)
-        if thread is None:
-            return
-        vc = self._pipe_vc.get(pipe_id)
-        if vc:
-            vc_join(thread.vc, vc)
             self.stats.hb_edges += 1
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ class EventKind(enum.IntEnum):
     MAP = 4            # address-space / segment mapping traffic
     LINK_RESOLVE = 5   # one symbol resolved (or one module linked: a span)
     ISLAND = 6         # a branch island or PLT stub emitted
-    IPC = 7            # message-queue / pipe traffic
+    IPC = 7            # message-queue traffic
     DISK = 8           # disk traffic: cold-file seeks, journal records
     TLB = 9            # software-TLB traffic (value = entry/hit count)
     INJECT = 10        # one injected fault (name = plane:kind:site)

@@ -128,7 +128,8 @@ class _Span:
 
 
 class Tracer:
-    """Bounded event recorder with per-kind enable masks and counters."""
+    """Bounded event recorder with a per-kind enable mask (fixed at
+    construction) and counters."""
 
     enabled = True
 
@@ -162,23 +163,6 @@ class Tracer:
     def now(self) -> int:
         clock = self._clock
         return clock.cycles if clock is not None else 0
-
-    # ------------------------------------------------------------------
-    # masks
-    # ------------------------------------------------------------------
-
-    def wants(self, kind: EventKind) -> bool:
-        return bool(self.mask & (1 << kind))
-
-    def enable_kind(self, kind: EventKind) -> None:
-        self.mask |= 1 << kind
-
-    def disable_kind(self, kind: EventKind) -> None:
-        self.mask &= ~(1 << kind)
-
-    def set_kinds(self,
-                  kinds: Iterable[Union[EventKind, str]]) -> None:
-        self.mask = kinds_mask(kinds)
 
     # ------------------------------------------------------------------
     # recording

@@ -50,14 +50,6 @@ main:
 """
 
 
-def not_defined_in(obj):
-    """The lds/ldl branch-island predicate, spelled out for tests."""
-    def needs_island(symbol):
-        entry = obj.symbols.get(symbol)
-        return entry is None or not entry.defined
-    return needs_island
-
-
 # ---------------------------------------------------------------------------
 # report model
 # ---------------------------------------------------------------------------
@@ -175,7 +167,7 @@ class TestRelocationsOnRealObjects:
         obj = assemble(source, name)
         report = analyze_object(obj)
         assert report.count("REL004") == \
-            count_far_jumps(obj, not_defined_in(obj))
+            count_far_jumps(obj)
 
     def test_far_jump_agreement_on_toyc_modules(self):
         """Satellite: REL004 == count_far_jumps on toyc-built modules."""
@@ -187,7 +179,7 @@ class TestRelocationsOnRealObjects:
         flagged_any = False
         for obj in objects:
             report = analyze_object(obj)
-            expected = count_far_jumps(obj, not_defined_in(obj))
+            expected = count_far_jumps(obj)
             assert report.count("REL004") == expected, obj.name
             flagged_any = flagged_any or expected > 0
         # The worker calls extern semaphore routines, so the cross-check

@@ -1,11 +1,11 @@
-"""Synchronization (file locks, semaphores) and IPC (queues, pipes)."""
+"""Synchronization (file locks, semaphores) and IPC (message queues)."""
 
 import pytest
 
 from repro.errors import SyscallError
 from repro.fs.vfs import O_CREAT, O_RDONLY
 from repro.hw.asm import assemble
-from repro.kernel.ipc import MessageQueue, Pipe
+from repro.kernel.ipc import MessageQueue
 from repro.kernel.process import ProcessState
 from repro.kernel.sync import Semaphore, WouldBlock
 from repro.kernel.syscalls import FLOCK_EX, FLOCK_TRY, FLOCK_UN
@@ -217,34 +217,104 @@ class TestMessageQueues:
         assert consumer.exit_code == ord("p")
 
 
-class TestPipes:
-    def test_write_read(self, kernel, shell):
-        pipe = Pipe()
-        assert pipe.write(shell, b"hello") == 5
-        assert pipe.read(shell, 3) == b"hel"
-        assert pipe.read(shell, 10) == b"lo"
+class TestExitReleasesFlocks:
+    """A process that exits holding a flock releases it, exactly as
+    FLOCK_UN would: the next waiter inherits it, or it is freed."""
 
-    def test_read_empty_blocks(self, kernel, shell):
-        pipe = Pipe()
+    @pytest.mark.parametrize("ending", ["return", "exit", "error"])
+    def test_trylock_waiter_acquires_after_holder_ends(self, kernel,
+                                                       ending):
+        def holder(kern, proc):
+            sys = kern.syscalls
+            fd = sys.open(proc, "/lockfile", O_RDONLY | O_CREAT)
+            assert sys.flock(proc, fd, FLOCK_EX)
+            yield
+            if ending == "exit":
+                sys.exit(proc, 0)
+            elif ending == "error":
+                sys.close(proc, 99)          # EBADF kills the process
+
+        held = kernel.create_native_process("holder", holder)
+        waiter = kernel.create_native_process("waiter", _trylock_body)
+        kernel.schedule()
+        if ending == "error":
+            assert "EBADF" in held.death_reason
+        else:
+            assert held.death_reason is None
+        assert waiter.native.result is not None   # acquired
+        assert waiter.native.result >= 1          # after a refusal
+        assert kernel.locks.held_by(held) == []
+
+    def test_queued_waiter_inherits_the_lock(self, kernel, shell):
+        sys = kernel.syscalls
+        holder = kernel.create_native_process("holder", _noop_body)
+        waiter = kernel.create_native_process("waiter", _noop_body)
+        fd1 = sys.open(holder, "/lockfile", O_RDONLY | O_CREAT)
+        fd2 = sys.open(waiter, "/lockfile", O_RDONLY)
+        fd3 = sys.open(shell, "/lockfile", O_RDONLY)
+        inode = holder.fds[fd1].inode
+        assert sys.flock(holder, fd1, FLOCK_EX)
         with pytest.raises(WouldBlock):
-            pipe.read(shell, 1)
+            kernel.locks.acquire(waiter, inode, blocking=True)
+        waiter.state = ProcessState.BLOCKED
+        kernel.terminate(holder, 0)
+        assert waiter.state is ProcessState.READY   # woken
+        assert inode.lock_owner == waiter.pid
+        assert not sys.flock(shell, fd3, FLOCK_TRY)
+        assert sys.flock(waiter, fd2, FLOCK_EX)
+        assert kernel.locks.held_by(waiter) == [inode]
 
-    def test_eof_when_writer_closed(self, kernel, shell):
-        pipe = Pipe()
-        pipe.write_open = False
-        assert pipe.read(shell, 10) == b""
+    def test_new_owner_inherits_happens_before(self):
+        """Writes under the lock by a holder that dies holding it and
+        then by the next owner report no race. The owner's last write
+        comes after its own FLOCK_UN, so no common lock covers it and
+        only the exit's release edge orders it after the holder's."""
+        from repro import boot
+        from repro.runtime.libshared import runtime_for
+        from repro.runtime.views import Mem
+        from repro.sanitize import sanitizing
 
-    def test_epipe_when_reader_closed(self, kernel, shell):
-        pipe = Pipe()
-        pipe.read_open = False
-        with pytest.raises(SyscallError):
-            pipe.write(shell, b"x")
+        def holder(kern, proc):
+            base = runtime_for(kern, proc).create_segment(
+                "/shared/exit.seg", 4096)
+            fd = kern.syscalls.open(proc, "/lockfile", O_RDONLY | O_CREAT)
+            yield
+            kern.syscalls.flock(proc, fd, FLOCK_EX)
+            Mem(kern, proc).store_u32(base + 16, 1)
 
-    def test_capacity_limit(self, kernel, shell):
-        pipe = Pipe()
-        written = pipe.write(shell, b"x" * (100 * 1024), blocking=False)
-        assert written == 64 * 1024
-        assert pipe.write(shell, b"y", blocking=False) == 0
+        def successor(kern, proc):
+            base = runtime_for(kern, proc).create_segment(
+                "/shared/exit.seg", 4096, exclusive=False)
+            yield
+            fd = kern.syscalls.open(proc, "/lockfile", O_RDONLY)
+            acquired = yield from _trylock_body(kern, proc)
+            assert acquired is not None
+            mem = Mem(kern, proc)
+            mem.store_u32(base + 20, mem.load_u32(base + 16) + 1)
+            kern.syscalls.flock(proc, fd, FLOCK_UN)
+            mem.store_u32(base + 16, 3)
+            return acquired
+
+        with sanitizing() as sanitizer:
+            kernel = boot().kernel
+            kernel.create_native_process("holder", holder)
+            second = kernel.create_native_process("successor", successor)
+            kernel.schedule()
+        assert second.death_reason is None
+        assert second.native.result is not None
+        assert sanitizer.stats.accesses >= 3
+        assert sanitizer.report.clean, sanitizer.report.render()
+
+
+def _trylock_body(kern, proc):
+    """FLOCK_TRY /lockfile once per slice, 20 times at most; the failed
+    tries before it succeeded, or None if it never did."""
+    fd = kern.syscalls.open(proc, "/lockfile", O_RDONLY | O_CREAT)
+    for attempt in range(20):
+        if kern.syscalls.flock(proc, fd, FLOCK_TRY):
+            return attempt
+        yield
+    return None
 
 
 def _noop_body(_kernel, _proc):

@@ -46,7 +46,6 @@ class TestTable1:
 
     def test_predicates_consistent(self):
         for cls in SharingClass:
-            assert cls.is_static != cls.is_dynamic
             assert cls.is_public != cls.is_private
             assert cls.new_instance_per_process == cls.is_private
 
@@ -89,12 +88,6 @@ class TestSearchOrder:
     def test_parse_library_path(self):
         assert parse_library_path("/a:/b::/c") == ["/a", "/b", "/c"]
         assert parse_library_path("") == []
-
-    def test_prepend(self):
-        base = SearchPath(["/x"])
-        extended = base.prepend(["/tmp/inst"])
-        assert extended.directories == ["/tmp/inst", "/x"]
-        assert base.directories == ["/x"]  # unchanged
 
 
 class TestFind:

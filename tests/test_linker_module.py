@@ -149,7 +149,7 @@ class TestSegmentMeta:
             jal external
             jr ra
         """, "m.o")
-        insert_branch_islands(obj, lambda s: s == "external")
+        insert_branch_islands(obj)
         image = ModuleImage(obj)
         image.layout_contiguous(0x30200000)
         image.apply_relocations()
@@ -216,7 +216,7 @@ class TestBranchIslands:
     def test_far_call_gets_island(self):
         obj = assemble(".text\n.globl f\nf: jal far_fn\njr ra", "m.o")
         before_text = len(obj.text)
-        count = insert_branch_islands(obj, lambda s: s == "far_fn")
+        count = insert_branch_islands(obj)
         assert count == 1
         assert len(obj.text) == before_text + 12
         # The original JUMP26 now targets a local island label.
@@ -234,7 +234,7 @@ class TestBranchIslands:
         obj = assemble(".text\n.globl f\nf: jal far_fn\njal far_fn\n"
                        "jal other_fn\njr ra", "m.o")
         before_text = len(obj.text)
-        count = insert_branch_islands(obj, lambda s: s.endswith("_fn"))
+        count = insert_branch_islands(obj)
         assert count == 2                    # far_fn + other_fn, not 3
         assert len(obj.text) == before_text + 2 * 12
         jumps = [r for r in obj.relocations
@@ -250,16 +250,13 @@ class TestBranchIslands:
         obj = assemble(".text\njal far_fn", "m.o")
         obj.relocations.append(
             Relocation(SEC_TEXT, 0, RelocType.JUMP26, "far_fn", 8))
-        count = insert_branch_islands(obj, lambda s: s == "far_fn")
+        count = insert_branch_islands(obj)
         assert count == 2
 
     def test_local_calls_untouched(self):
         obj = assemble(".text\n.globl f\nf: jal g\njr ra\n"
                        ".globl g\ng: jr ra", "m.o")
-        count = insert_branch_islands(
-            obj, lambda s: s not in obj.symbols
-            or not obj.symbols[s].defined
-        )
+        count = insert_branch_islands(obj)
         assert count == 0
 
     def test_island_executes_correctly(self):
@@ -277,7 +274,7 @@ class TestBranchIslands:
             jal far_fn
             break
         """, "caller.o")
-        insert_branch_islands(caller, lambda s: s == "far_fn")
+        insert_branch_islands(caller)
         image = ModuleImage(caller)
         image.layout_split(0x00400000, 0x10000000)
         remaining = image.apply_relocations(
@@ -303,5 +300,5 @@ class TestBranchIslands:
         assert cpu.regs[isa.REG_V0] == 77
 
     def test_count_far_jumps(self):
-        obj = assemble(".text\njal a\njal b\njal a", "m.o")
-        assert count_far_jumps(obj, lambda s: s == "a") == 2
+        obj = assemble(".text\njal a\njal b\njal a\nb: jr ra", "m.o")
+        assert count_far_jumps(obj) == 2

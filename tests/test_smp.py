@@ -487,16 +487,6 @@ class TestWaitQueue:
         assert queue.enqueued_by_core == {7: 1, 0: 1}
         assert queue.pop() is late_core
 
-    def test_remove_drops_only_the_target(self):
-        queue = WaitQueue()
-        procs = [_waiter(pid) for pid in range(3)]
-        for proc in procs:
-            queue.push(proc)
-        assert queue.remove(procs[1])
-        assert not queue.remove(procs[1])
-        assert queue.procs() == [procs[0], procs[2]]
-        assert len(queue) == 2 and bool(queue)
-
     def test_stamps_survive_drain(self):
         queue = WaitQueue()
         queue.push(_waiter(1))

@@ -185,15 +185,6 @@ class TestKindMasks:
         mask = kinds_mask(["fault", "LINK_RESOLVE"])
         assert mask == EventKind.FAULT.bit | EventKind.LINK_RESOLVE.bit
 
-    def test_enable_disable(self):
-        tracer = Tracer(FakeClock(), kinds=[])
-        assert not tracer.wants(EventKind.DISK)
-        tracer.enable_kind(EventKind.DISK)
-        assert tracer.wants(EventKind.DISK)
-        tracer.disable_kind(EventKind.DISK)
-        tracer.emit(EventKind.DISK, name="/f")
-        assert len(tracer) == 0
-
     def test_masked_span_is_noop(self):
         tracer = Tracer(FakeClock(), kinds=[EventKind.FAULT])
         with tracer.span(EventKind.SWITCH, name="p"):
