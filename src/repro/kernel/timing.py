@@ -104,6 +104,31 @@ class Clock:
         if self.cycles >= self.checkpoint_at:
             self._checkpoint_due()
 
+    def charge_many(self, category: str, cycles: int, count: int) -> None:
+        """Exactly *count* calls of ``charge(category, cycles)``.
+
+        Every total the calls touch is additive, and the checkpoint
+        hook is their only observer. So when the last of them stays
+        below :attr:`checkpoint_at` (no earlier one can reach it with
+        non-negative costs) one merged charge leaves the same state;
+        otherwise the calls are made one by one, and the hook fires at
+        the same call it would have.
+        """
+        total = cycles * count
+        if count <= 0 or cycles < 0 \
+                or self.cycles + total >= self.checkpoint_at:
+            for _ in range(count):
+                self.charge(category, cycles)
+            return
+        self.cycles += total
+        self.by_category[category] = \
+            self.by_category.get(category, 0) + total
+        if self.current_core is None:
+            self.elapsed += total
+        else:
+            self.core_cycles[self.current_core] = \
+                self.core_cycles.get(self.current_core, 0) + total
+
     def round_begin(self) -> None:
         """Mark the start of one SMP round (snapshot per-core totals)."""
         self._round_marks = dict(self.core_cycles)

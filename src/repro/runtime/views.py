@@ -17,18 +17,25 @@ protection domain — the paper's central payoff.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
+from repro.vm.layout import PAGE_SIZE
 
 _U32 = struct.Struct("<I")
 _I32 = struct.Struct("<i")
 _U16 = struct.Struct("<H")
 
-_FIELD_SIZES = {"u8": 1, "u16": 2, "u32": 4, "i32": 4, "ptr": 4}
-_FIELD_ALIGN = {"u8": 1, "u16": 2, "u32": 4, "i32": 4, "ptr": 4}
+_PAGE_MASK = PAGE_SIZE - 1
+
+#: a compiled field's accessors: reader(mem, address, size) and
+#: writer(mem, address, size, value)
+Reader = Callable[["Mem", int, int], Any]
+Writer = Callable[["Mem", int, int, Any], None]
+#: one compiled field: (offset, size, reader, writer)
+Field = Tuple[int, int, Reader, Writer]
 
 
 class Mem:
@@ -102,12 +109,42 @@ class Mem:
     # -- strings -------------------------------------------------------
 
     def load_cstring(self, address: int, max_length: int = 4096) -> str:
+        """Read a NUL-terminated string of at most *max_length* bytes.
+
+        The reference is one :meth:`load_u8` per byte, NUL included.
+        A page :meth:`AddressSpace.readable_page
+        <repro.vm.address_space.AddressSpace.readable_page>` clears is
+        scanned in one ``find`` and charged the same ``copy(1)`` per
+        byte through :meth:`Clock.charge_many
+        <repro.kernel.timing.Clock.charge_many>`; any other page takes
+        one reference step, which faults, fills the TLB or meets the
+        injector or sanitizer at the same byte as the per-byte loop.
+        """
+        space = self.proc.address_space
+        clock = self.kernel.clock
+        byte_cost = clock.costs.copy_per_word  # what copy(1) charges
         out = bytearray()
-        for index in range(max_length):
-            byte = self.load_u8(address + index)
-            if byte == 0:
+        index = 0
+        while index < max_length:
+            at = address + index
+            data = space.readable_page(at)
+            if data is None:
+                byte = self.load_u8(at)
+                if byte == 0:
+                    break
+                out.append(byte)
+                index += 1
+                continue
+            start = at & _PAGE_MASK
+            stop = min(PAGE_SIZE, start + max_length - index)
+            nul = data.find(0, start, stop)
+            if nul >= 0:
+                clock.charge_many("copies", byte_cost, nul - start + 1)
+                out += data[start:nul]
                 break
-            out.append(byte)
+            clock.charge_many("copies", byte_cost, stop - start)
+            out += data[start:stop]
+            index += stop - start
         return out.decode("latin-1")
 
     def store_cstring(self, address: int, text: str,
@@ -120,8 +157,10 @@ class StructDef:
     """A record layout: ordered (name, type) fields.
 
     Types: ``u8 u16 u32 i32 ptr`` plus ``cstr:<n>`` (inline NUL-padded
-    string of n bytes) and ``bytes:<n>``. Fields are aligned naturally;
-    the total size is rounded up to 4 bytes.
+    string of n bytes) and ``bytes:<n>``, n a positive integer. Fields
+    are aligned naturally; the total size is rounded up to 4 bytes.
+    Each field is compiled once, here, into ``layout[name] = (offset,
+    size, reader, writer)``, which :class:`StructView` indexes.
     """
 
     def __init__(self, name: str,
@@ -129,17 +168,18 @@ class StructDef:
         self.name = name
         self.fields: List[Tuple[str, str]] = list(fields)
         self.offsets: Dict[str, int] = {}
-        self.types: Dict[str, str] = {}
+        self.layout: Dict[str, Field] = {}
         offset = 0
         for field_name, field_type in self.fields:
             if field_name in self.offsets:
                 raise SimulationError(
                     f"duplicate field {field_name!r} in {name!r}"
                 )
-            size, align = _field_size(field_type)
+            size, align, reader, writer = _compile_field(field_name,
+                                                         field_type)
             offset = (offset + align - 1) & ~(align - 1)
             self.offsets[field_name] = offset
-            self.types[field_name] = field_type
+            self.layout[field_name] = (offset, size, reader, writer)
             offset += size
         self.size = (offset + 3) & ~3
 
@@ -164,49 +204,12 @@ class StructView:
         return self.address + self.struct.offsets[field]
 
     def get(self, field: str):
-        field_type = self.struct.types[field]
-        address = self.field_address(field)
-        if field_type in ("u32", "ptr"):
-            return self.mem.load_u32(address)
-        if field_type == "i32":
-            return self.mem.load_i32(address)
-        if field_type == "u16":
-            return self.mem.load_u16(address)
-        if field_type == "u8":
-            return self.mem.load_u8(address)
-        if field_type.startswith("cstr:"):
-            return self.mem.load_cstring(address,
-                                         int(field_type.split(":")[1]))
-        if field_type.startswith("bytes:"):
-            return self.mem.load_bytes(address,
-                                       int(field_type.split(":")[1]))
-        raise SimulationError(f"bad field type {field_type!r}")
+        offset, size, reader, _ = self.struct.layout[field]
+        return reader(self.mem, self.address + offset, size)
 
     def set(self, field: str, value) -> None:
-        field_type = self.struct.types[field]
-        address = self.field_address(field)
-        if field_type in ("u32", "ptr"):
-            self.mem.store_u32(address, value)
-        elif field_type == "i32":
-            self.mem.store_i32(address, value)
-        elif field_type == "u16":
-            self.mem.store_u16(address, value)
-        elif field_type == "u8":
-            self.mem.store_u8(address, value)
-        elif field_type.startswith("cstr:"):
-            length = int(field_type.split(":")[1])
-            padded = value.encode("latin-1")[: length - 1]
-            self.mem.store_bytes(address,
-                                 padded + b"\x00" * (length - len(padded)))
-        elif field_type.startswith("bytes:"):
-            length = int(field_type.split(":")[1])
-            if len(value) != length:
-                raise SimulationError(
-                    f"field {field!r} expects exactly {length} bytes"
-                )
-            self.mem.store_bytes(address, value)
-        else:
-            raise SimulationError(f"bad field type {field_type!r}")
+        offset, size, _, writer = self.struct.layout[field]
+        writer(self.mem, self.address + offset, size, value)
 
     def update(self, **values) -> "StructView":
         for field, value in values.items():
@@ -237,9 +240,63 @@ def iterate_list(mem: Mem, head: int, struct_def: StructDef,
         count += 1
 
 
-def _field_size(field_type: str) -> Tuple[int, int]:
-    if field_type in _FIELD_SIZES:
-        return _FIELD_SIZES[field_type], _FIELD_ALIGN[field_type]
-    if field_type.startswith("cstr:") or field_type.startswith("bytes:"):
-        return int(field_type.split(":")[1]), 1
-    raise SimulationError(f"bad field type {field_type!r}")
+def _store_cstr(mem: Mem, address: int, size: int, value: str) -> None:
+    padded = value.encode("latin-1")[: size - 1]
+    mem.store_bytes(address, padded + b"\x00" * (size - len(padded)))
+
+
+#: scalar type -> (size and alignment, reader, writer); readers and
+#: writers look their Mem method up per call, so wrapping a Mem method
+#: (as reprobench's tracer does) reaches every field access
+_SCALARS: Dict[str, Tuple[int, Reader, Writer]] = {
+    "u8": (1, lambda mem, address, size: mem.load_u8(address),
+           lambda mem, address, size, value: mem.store_u8(address, value)),
+    "u16": (2, lambda mem, address, size: mem.load_u16(address),
+            lambda mem, address, size, value:
+            mem.store_u16(address, value)),
+    "u32": (4, lambda mem, address, size: mem.load_u32(address),
+            lambda mem, address, size, value:
+            mem.store_u32(address, value)),
+    "i32": (4, lambda mem, address, size: mem.load_i32(address),
+            lambda mem, address, size, value:
+            mem.store_i32(address, value)),
+}
+_SCALARS["ptr"] = _SCALARS["u32"]
+
+
+def _compile_field(name: str, field_type: str
+                   ) -> Tuple[int, int, Reader, Writer]:
+    """(size, alignment, reader, writer) of one field, or a
+    :class:`SimulationError` for a type or size that is not valid."""
+    scalar = _SCALARS.get(field_type)
+    if scalar is not None:
+        size, reader, writer = scalar
+        return size, size, reader, writer
+    kind, sep, count = field_type.partition(":")
+    if not sep or kind not in ("cstr", "bytes"):
+        raise SimulationError(f"bad field type {field_type!r}")
+    try:
+        size = int(count)
+    except ValueError:
+        size = 0
+    if size <= 0:
+        raise SimulationError(
+            f"field {name!r}: {kind} size must be a positive integer, "
+            f"got {count!r}"
+        )
+    if kind == "cstr":
+        return (size, 1,
+                lambda mem, address, size: mem.load_cstring(address, size),
+                _store_cstr)
+
+    def store_bytes(mem: Mem, address: int, size: int,
+                    value: bytes) -> None:
+        if len(value) != size:
+            raise SimulationError(
+                f"field {name!r} expects exactly {size} bytes"
+            )
+        mem.store_bytes(address, value)
+
+    return (size, 1,
+            lambda mem, address, size: mem.load_bytes(address, size),
+            store_bytes)

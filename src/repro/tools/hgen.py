@@ -143,14 +143,21 @@ def _scalar_methods(name: str) -> str:
 
 
 def _array_methods(name: str, count: int) -> str:
+    # An explicit raise, not an assert: ``python -O`` strips asserts,
+    # and the accessor would then read or write past the array.
+    check = (
+        f"        if not 0 <= index < {count}:\n"
+        f"            raise IndexError("
+        f"{name + ' index out of range'!r})\n"
+    )
     return (
         f"    def get_{name}(self, index):\n"
-        f"        assert 0 <= index < {count}\n"
+        f"{check}"
         f"        return self._mem.load_i32(self._addr({name!r})"
         f" + 4 * index)\n"
         f"\n"
         f"    def set_{name}(self, index, value):\n"
-        f"        assert 0 <= index < {count}\n"
+        f"{check}"
         f"        self._mem.store_i32(self._addr({name!r})"
         f" + 4 * index, value)\n"
     )

@@ -440,6 +440,22 @@ class AddressSpace:
     # access
     # ------------------------------------------------------------------
 
+    def readable_page(self, address: int) -> Optional[bytearray]:
+        """The frame bytes of *address*'s page when a plain user read
+        there may skip the page walk, else None.
+
+        The page must be in the TLB with PROT_READ (sanitized pages
+        are cached execute-only, so they never are), and no injector or
+        sanitizer may be armed: the injector numbers every walked
+        access as a fault site and the sanitizer checks every read, so
+        skipping either would change what they see.
+        """
+        if self.injector is None and self.sanitizer is None:
+            entry = self.tlb.get(address >> PAGE_SHIFT)
+            if entry is not None and entry[1] & PROT_READ:
+                return entry[0]
+        return None
+
     def _pte_for_access(self, address: int, access: AccessKind,
                         force: bool) -> _Pte:
         injector = self.injector
@@ -488,7 +504,18 @@ class AddressSpace:
 
         *force* is the kernel's own access path: it skips protection
         checks but still requires the pages to be mapped.
+
+        A user read inside one page that :meth:`readable_page` clears
+        is copied straight out of the TLB'd frame. The page walk below
+        is the reference: it counts no TLB hit or miss and fills only
+        on a miss, so skipping it changes no counter.
         """
+        if not force and access is AccessKind.READ:
+            page_off = address & _PAGE_MASK
+            if 0 < length <= PAGE_SIZE - page_off:
+                data = self.readable_page(address)
+                if data is not None:
+                    return bytes(data[page_off: page_off + length])
         out = bytearray(length)
         pos = 0
         while pos < length:

@@ -122,6 +122,18 @@ class TestStructDef:
         with pytest.raises(SimulationError):
             StructDef("bad", [("a", "float")])
 
+    @pytest.mark.parametrize("field_type", [
+        "cstr:0", "bytes:0", "cstr:-4", "bytes:-1", "cstr:abc", "cstr:",
+        "bytes:", "cstr:4.5",
+    ])
+    def test_bad_size_rejected(self, field_type):
+        """A zero size would put the next field on top of this one
+        (``set`` of the string then overwrites it), a negative one
+        moves the next field before the record, and a non-integer must
+        not escape as a raw ValueError."""
+        with pytest.raises(SimulationError, match="size"):
+            StructDef("bad", [("tag", field_type), ("count", "u32")])
+
 
 class TestLinkedLists:
     PAIR = StructDef("pair", [("next", "ptr"), ("value", "u32")])

@@ -121,5 +121,7 @@ class TestPythonAccessors:
         runtime.start_native(search_dirs=["/shared/lib"])
         state = load_python_accessors(module, runtime)
         state.set_table(5, 1)
-        with pytest.raises(AssertionError):
+        with pytest.raises(IndexError):
             state.get_table(6)
+        with pytest.raises(IndexError):
+            state.set_table(-1, 1)
