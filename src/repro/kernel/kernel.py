@@ -351,22 +351,30 @@ class Kernel:
         return False
 
     def run_with_faults(self, proc: Process, operation: Callable[[], object],
-                        retries: int = MAX_FAULT_RETRIES) -> object:
+                        fault: Optional[PageFaultError] = None) -> object:
         """Run *operation* (a memory access on behalf of *proc*),
         transparently resolving faults through the handler chain.
 
         This is the native-process analogue of instruction restart: the
-        typed views in :mod:`repro.runtime.views` route every load and
-        store through here.
+        typed views in :mod:`repro.runtime.views` hand every load and
+        store that faults to this loop. *fault*, when given, is the page
+        fault the caller's own first attempt at *operation* raised. It
+        is delivered before the first retry and counts as the loop's
+        first attempt, so deliveries, handlers and the retry bound run
+        exactly as if the loop had made that attempt itself.
         """
-        for _ in range(retries):
-            try:
-                return operation()
-            except PageFaultError as fault:
-                if not self.deliver_fault(proc, fault):
-                    raise
+        for _ in range(MAX_FAULT_RETRIES):
+            if fault is None:
+                try:
+                    return operation()
+                except PageFaultError as caught:
+                    fault = caught
+            if not self.deliver_fault(proc, fault):
+                raise fault
+            fault = None
         raise KernelError(
-            f"fault loop: {retries} consecutive faults at the same access"
+            f"fault loop: {MAX_FAULT_RETRIES} consecutive faults at the "
+            f"same access"
         )
 
     # ------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Typed access to simulated memory — the stand-in for compiled C code.
 
 Native (Python-bodied) processes touch shared segments through
-:class:`Mem`, whose every load and store runs under the kernel's
-fault-delivery machinery (:meth:`Kernel.run_with_faults`). Dereferencing
-a pointer into a segment that is not yet mapped therefore behaves exactly
-as it does for machine code: SIGSEGV, the Hemlock handler maps the
-segment (or runs the lazy linker), and the access restarts.
+:class:`Mem`. A load or store that faults is finished by the kernel's
+fault-delivery machinery (:meth:`Kernel.run_with_faults`), so
+dereferencing a pointer into a segment that is not yet mapped behaves
+exactly as it does for machine code: SIGSEGV, the Hemlock handler maps
+the segment (or runs the lazy linker), and the access restarts.
 
 :class:`StructDef` describes a C-struct-like record layout once;
 :class:`StructView` reads and writes one record instance at an address.
@@ -22,10 +22,11 @@ from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 from repro.errors import SimulationError
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
-from repro.vm.layout import PAGE_SIZE
+from repro.vm.address_space import PROT_READ, PROT_WRITE, AddressSpace
+from repro.vm.faults import PageFaultError
+from repro.vm.layout import PAGE_SHIFT, PAGE_SIZE
 
 _U32 = struct.Struct("<I")
-_I32 = struct.Struct("<i")
 _U16 = struct.Struct("<H")
 
 _PAGE_MASK = PAGE_SIZE - 1
@@ -45,6 +46,14 @@ class Mem:
     cycles, since a native process stands in for compiled code whose
     loads and stores are real instructions — without this, "shared
     memory is faster" comparisons would divide by zero.
+
+    Every access first calls its :class:`AddressSpace` method directly
+    and enters :meth:`Kernel.run_with_faults` only when that call
+    raises :class:`PageFaultError`, handing over the fault it caught,
+    so the kernel delivers it and retries exactly as if its own loop
+    had made the first attempt. An aligned :meth:`load_u32` or
+    :meth:`store_u32` whose page is in the TLB runs the TLB-hit branch
+    of ``load_word``/``store_word`` inline, counting the hit.
     """
 
     # Roughly: address computation + the load/store itself.
@@ -54,29 +63,53 @@ class Mem:
         self.kernel = kernel
         self.proc = proc
 
-    def _charge_scalar(self) -> None:
-        self.kernel.clock.charge("user_memory", self.SCALAR_ACCESS_CYCLES)
+    def _after_fault(self, fault: PageFaultError,
+                     access: Callable[..., Any], *args: Any) -> Any:
+        """Finish an access whose first attempt raised *fault*: the
+        kernel's fault loop delivers it and retries ``access(space,
+        *args)`` on the process's address space of the moment."""
+        proc = self.proc
+        return self.kernel.run_with_faults(
+            proc, lambda: access(proc.address_space, *args), fault)
 
     # -- scalar loads/stores -------------------------------------------
 
     def load_u32(self, address: int) -> int:
-        self._charge_scalar()
-        return self.kernel.run_with_faults(
-            self.proc, lambda: self.proc.address_space.load_word(address)
-        )
+        self.kernel.clock.charge("user_memory", self.SCALAR_ACCESS_CYCLES)
+        space = self.proc.address_space
+        if not address & 3:
+            entry = space.tlb.get(address >> PAGE_SHIFT)
+            if entry is not None and entry[1] & PROT_READ:
+                space.tlb_hits += 1
+                return _U32.unpack_from(entry[0], address & _PAGE_MASK)[0]
+        try:
+            return space.load_word(address)
+        except PageFaultError as fault:
+            return self._after_fault(fault, AddressSpace.load_word, address)
 
     def store_u32(self, address: int, value: int) -> None:
-        self._charge_scalar()
-        self.kernel.run_with_faults(
-            self.proc,
-            lambda: self.proc.address_space.store_word(address, value),
-        )
+        self.kernel.clock.charge("user_memory", self.SCALAR_ACCESS_CYCLES)
+        space = self.proc.address_space
+        if not address & 3:
+            entry = space.tlb.get(address >> PAGE_SHIFT)
+            if entry is not None and entry[1] & PROT_WRITE:
+                space.tlb_hits += 1
+                frame = entry[2]
+                if frame.decode:
+                    frame.drop_code(space.smp)
+                _U32.pack_into(entry[0], address & _PAGE_MASK,
+                               value & 0xFFFFFFFF)
+                return
+        try:
+            space.store_word(address, value)
+        except PageFaultError as fault:
+            self._after_fault(fault, AddressSpace.store_word, address, value)
 
     def load_i32(self, address: int) -> int:
-        return _I32.unpack(_U32.pack(self.load_u32(address)))[0]
+        return (self.load_u32(address) ^ 0x80000000) - 0x80000000
 
     def store_i32(self, address: int, value: int) -> None:
-        self.store_u32(address, _U32.unpack(_I32.pack(value))[0])
+        self.store_u32(address, value & 0xFFFFFFFF)
 
     def load_u16(self, address: int) -> int:
         return _U16.unpack(self.load_bytes(address, 2))[0]
@@ -94,17 +127,28 @@ class Mem:
 
     def load_bytes(self, address: int, length: int) -> bytes:
         self.kernel.clock.copy(length)
-        return self.kernel.run_with_faults(
-            self.proc,
-            lambda: self.proc.address_space.read_bytes(address, length),
-        )
+        try:
+            return self.proc.address_space.read_bytes(address, length)
+        except PageFaultError as fault:
+            return self._after_fault(fault, AddressSpace.read_bytes,
+                                     address, length)
 
     def store_bytes(self, address: int, data: bytes) -> None:
-        self.kernel.clock.copy(len(data))
-        self.kernel.run_with_faults(
-            self.proc,
-            lambda: self.proc.address_space.write_bytes(address, data),
-        )
+        length = len(data)
+        self.kernel.clock.copy(length)
+        space = self.proc.address_space
+        offset = address & _PAGE_MASK
+        if 0 < length <= PAGE_SIZE - offset:
+            # write_bytes' one-page fast path, without the call
+            frame = space.writable_page(address)
+            if frame is not None:
+                frame.drop_code(space.smp)
+                frame.data[offset: offset + length] = data
+                return
+        try:
+            space.write_bytes(address, data)
+        except PageFaultError as fault:
+            self._after_fault(fault, AddressSpace.write_bytes, address, data)
 
     # -- strings -------------------------------------------------------
 
@@ -149,8 +193,15 @@ class Mem:
 
     def store_cstring(self, address: int, text: str,
                       max_length: int = 4096) -> None:
-        encoded = text.encode("latin-1")[: max_length - 1]
-        self.store_bytes(address, encoded + b"\x00")
+        """Write *text* NUL-terminated in at most *max_length* bytes,
+        NUL included; longer text is cut."""
+        if max_length < 1:
+            raise SimulationError(
+                f"store_cstring: max_length must be positive, "
+                f"got {max_length}"
+            )
+        self.store_bytes(address,
+                         _latin1(text)[: max_length - 1] + b"\x00")
 
 
 class StructDef:
@@ -240,8 +291,19 @@ def iterate_list(mem: Mem, head: int, struct_def: StructDef,
         count += 1
 
 
+def _latin1(text: str) -> bytes:
+    """*text* as latin-1 bytes, or a :class:`SimulationError` for a
+    character outside latin-1."""
+    try:
+        return text.encode("latin-1")
+    except UnicodeEncodeError as error:
+        raise SimulationError(
+            f"{text!r} is not latin-1 text: {error.reason}"
+        ) from None
+
+
 def _store_cstr(mem: Mem, address: int, size: int, value: str) -> None:
-    padded = value.encode("latin-1")[: size - 1]
+    padded = _latin1(value)[: size - 1]
     mem.store_bytes(address, padded + b"\x00" * (size - len(padded)))
 
 
@@ -291,7 +353,8 @@ def _compile_field(name: str, field_type: str
 
     def store_bytes(mem: Mem, address: int, size: int,
                     value: bytes) -> None:
-        if len(value) != size:
+        if not isinstance(value, (bytes, bytearray)) \
+                or len(value) != size:
             raise SimulationError(
                 f"field {name!r} expects exactly {size} bytes"
             )

@@ -456,6 +456,21 @@ class AddressSpace:
                 return entry[0]
         return None
 
+    def writable_page(self, address: int) -> Optional[Frame]:
+        """The frame of *address*'s page when a plain user write there
+        may skip the page walk, else None.
+
+        The mirror of :meth:`readable_page`: the page must be in the
+        TLB with PROT_WRITE, and no injector or sanitizer may be armed.
+        COW pages are cached write-protected (and sanitized pages
+        execute-only), so breaking COW always takes the walk.
+        """
+        if self.injector is None and self.sanitizer is None:
+            entry = self.tlb.get(address >> PAGE_SHIFT)
+            if entry is not None and entry[1] & PROT_WRITE:
+                return entry[2]
+        return None
+
     def _pte_for_access(self, address: int, access: AccessKind,
                         force: bool) -> _Pte:
         injector = self.injector
@@ -537,9 +552,24 @@ class AddressSpace:
 
     def write_bytes(self, address: int, data: bytes, *,
                     force: bool = False) -> None:
-        """Write *data*, faulting per the page protections and resolving COW."""
-        pos = 0
+        """Write *data*, faulting per the page protections and resolving COW.
+
+        A user write of ``0 < n`` bytes inside one page that
+        :meth:`writable_page` clears goes straight into the TLB'd
+        frame, after dropping its decoded code as the walk does. The
+        page walk below is the reference: it counts no TLB hit or miss
+        and fills only on a miss, so skipping it changes no counter.
+        """
         length = len(data)
+        if not force:
+            page_off = address & _PAGE_MASK
+            if 0 < length <= PAGE_SIZE - page_off:
+                frame = self.writable_page(address)
+                if frame is not None:
+                    frame.drop_code(self.smp)
+                    frame.data[page_off: page_off + length] = data
+                    return
+        pos = 0
         while pos < length:
             addr = address + pos
             vpn = addr >> PAGE_SHIFT

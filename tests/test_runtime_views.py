@@ -46,6 +46,39 @@ class TestScalars:
         mem.store_cstring(BASE, "abcdefgh", max_length=4)
         assert mem.load_cstring(BASE) == "abc"
 
+    @pytest.mark.parametrize("value, stored, loaded", [
+        (0xFFFFFFFF, 0xFFFFFFFF, -1),
+        (1 << 31, 0x80000000, -(1 << 31)),
+        (-(1 << 31), 0x80000000, -(1 << 31)),
+        ((1 << 31) - 1, 0x7FFFFFFF, (1 << 31) - 1),
+        (-7, 0xFFFFFFF9, -7),
+        ((1 << 32) + 5, 5, 5),
+    ])
+    def test_i32_wraps_like_u32(self, mem, value, stored, loaded):
+        """store_i32 keeps the low 32 bits, as store_u32 does, instead
+        of escaping as a raw struct.error past either end."""
+        mem.store_i32(BASE, value)
+        assert mem.load_u32(BASE) == stored
+        assert mem.load_i32(BASE) == loaded
+
+    @pytest.mark.parametrize("max_length", [0, -1, -6])
+    def test_cstring_bound_must_be_positive(self, mem, max_length):
+        """A bound below 1 has no room for the NUL; the slice used to
+        go negative and write past it."""
+        mem.store_bytes(BASE, b"\xAA" * 8)
+        with pytest.raises(SimulationError, match="max_length"):
+            mem.store_cstring(BASE, "abcdef", max_length)
+        assert mem.load_bytes(BASE, 8) == b"\xAA" * 8
+
+    def test_cstring_bound_of_one_is_the_nul(self, mem):
+        mem.store_bytes(BASE, b"\xAA\xAA")
+        mem.store_cstring(BASE, "abcdef", 1)
+        assert mem.load_bytes(BASE, 2) == b"\x00\xAA"
+
+    def test_non_latin1_text_is_typed(self, mem):
+        with pytest.raises(SimulationError, match="latin-1"):
+            mem.store_cstring(BASE, "\u20ac")
+
     @settings(max_examples=25)
     @given(st.integers(min_value=0, max_value=0xFFFFFFFF))
     def test_u32_property(self, value):
@@ -106,6 +139,21 @@ class TestStructDef:
         assert view.get("payload") == b"abcd"
         with pytest.raises(SimulationError):
             view.set("payload", b"abc")
+
+    @pytest.mark.parametrize("value", ["abcd", [1, 2, 3, 4], 1234])
+    def test_bytes_field_rejects_non_bytes(self, mem, value):
+        """A value of the right length that is not bytes is refused
+        with a typed error, not a raw TypeError, and charges nothing."""
+        view = StructDef("b", [("payload", "bytes:4")]).view(mem, BASE)
+        cycles = mem.kernel.clock.cycles
+        with pytest.raises(SimulationError, match="4 bytes"):
+            view.set("payload", value)
+        assert mem.kernel.clock.cycles == cycles
+
+    def test_cstr_field_rejects_non_latin1(self, mem):
+        view = self.NODE.view(mem, BASE)
+        with pytest.raises(SimulationError, match="latin-1"):
+            view.set("name", "\u20ac")
 
     def test_array_item(self, mem):
         for index in range(3):

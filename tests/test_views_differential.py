@@ -1,17 +1,23 @@
-"""Differential gate for the native read fast paths.
+"""Differential gate for the native memory fast paths.
 
-``AddressSpace.read_bytes`` copies a one-page user read straight out
-of the TLB'd frame, ``Mem.load_cstring`` scans a TLB'd page with one
-``find``, ``Clock.charge_many`` merges equal charges, and ``StructDef``
-compiles each field once. All four must leave the simulation exactly
-as the reference paths do: the page walk, one ``load_u8`` per string
-byte, one ``charge`` per byte and the per-access string dispatch of
-field types.
+``AddressSpace.read_bytes`` and ``write_bytes`` copy a one-page user
+access straight out of or into the TLB'd frame, ``Mem`` calls the
+address space directly and enters the kernel's fault loop only after a
+fault, aligned ``Mem.load_u32``/``store_u32`` run the TLB-hit branch of
+``load_word``/``store_word`` inline, ``Mem.load_cstring`` scans a TLB'd
+page with one ``find``, ``Clock.charge_many`` merges equal charges, and
+``StructDef`` compiles each field once. All of them must leave the
+simulation exactly as the reference paths do: the page walk, every
+access through ``Kernel.run_with_faults`` and a fresh lambda, one
+``load_u8`` per string byte, one ``charge`` per byte and the
+per-access string dispatch of field types.
 
 Each scenario runs twice on identically booted machines. The reference
-run patches ``AddressSpace.readable_page`` to decline every page, which
-sends every read down the page walk and every string through the
-per-byte loop, and reads struct fields through :func:`ref_get`. The
+run patches ``AddressSpace.readable_page`` and ``writable_page`` to
+decline every page, which sends every read and write down the page walk
+and every string through the per-byte loop, puts the ``Mem`` access
+methods of :class:`RefMem` (the fault loop makes every attempt) in place
+of the fast ones, and reads struct fields through :func:`ref_get`. The
 two runs must agree on every value and exception, every clock total
 (``cycles``, ``by_category``, ``elapsed``, ``core_cycles``), every TLB
 counter, every trace event and the cycle of every checkpoint-hook call.
@@ -29,7 +35,12 @@ from hypothesis import strategies as st
 
 from repro import boot
 from repro.bench.workloads import make_shell
+from repro.errors import KernelError
+from repro.hw import isa
+from repro.hw.cpu import BreakTrap, Cpu
 from repro.inject import FaultKind, FaultPlan, Plane, install_injector
+from repro.kernel.kernel import MAX_FAULT_RETRIES
+from repro.kernel.signals import Signal
 from repro.kernel.timing import Clock
 from repro.net import Cluster
 from repro.runtime.libshared import runtime_for
@@ -38,10 +49,12 @@ from repro.sanitize import sanitizing
 from repro.trace import tracer as _trace
 from repro.trace.tracer import tracing
 from repro.vm.address_space import (
-    PROT_NONE, PROT_RW, PROT_WRITE, AddressSpace,
+    MAP_SHARED, PROT_NONE, PROT_READ, PROT_RW, PROT_RWX, PROT_WRITE,
+    AddressSpace,
 )
 from repro.vm.faults import PageFaultError
 from repro.vm.layout import PAGE_SIZE
+from repro.vm.pages import MemoryObject
 
 BASE = 0x20000000
 SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -51,15 +64,76 @@ SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 # the reference paths
 # ----------------------------------------------------------------------
 
+_U32 = struct.Struct("<I")
+_I32 = struct.Struct("<i")
+
+
+def ref_run_with_faults(kernel, proc, operation):
+    """``Kernel.run_with_faults`` before the hand-off: the loop makes
+    every attempt itself."""
+    for _ in range(MAX_FAULT_RETRIES):
+        try:
+            return operation()
+        except PageFaultError as fault:
+            if not kernel.deliver_fault(proc, fault):
+                raise
+    raise KernelError(
+        f"fault loop: {MAX_FAULT_RETRIES} consecutive faults at the "
+        f"same access"
+    )
+
+
+class RefMem:
+    """The ``Mem`` access methods before the fast paths: every access
+    goes through the fault loop with a fresh lambda, and the word
+    methods through ``load_word``/``store_word``."""
+
+    def load_u32(self, address):
+        self.kernel.clock.charge("user_memory", self.SCALAR_ACCESS_CYCLES)
+        return ref_run_with_faults(
+            self.kernel, self.proc,
+            lambda: self.proc.address_space.load_word(address))
+
+    def store_u32(self, address, value):
+        self.kernel.clock.charge("user_memory", self.SCALAR_ACCESS_CYCLES)
+        ref_run_with_faults(
+            self.kernel, self.proc,
+            lambda: self.proc.address_space.store_word(address, value))
+
+    def load_i32(self, address):
+        return _I32.unpack(_U32.pack(self.load_u32(address)))[0]
+
+    def store_i32(self, address, value):
+        self.store_u32(address, _U32.unpack(_I32.pack(value))[0])
+
+    def load_bytes(self, address, length):
+        self.kernel.clock.copy(length)
+        return ref_run_with_faults(
+            self.kernel, self.proc,
+            lambda: self.proc.address_space.read_bytes(address, length))
+
+    def store_bytes(self, address, data):
+        self.kernel.clock.copy(len(data))
+        ref_run_with_faults(
+            self.kernel, self.proc,
+            lambda: self.proc.address_space.write_bytes(address, data))
+
+
 @contextmanager
 def paths(reference: bool):
-    """Inside the block, *reference* runs the page walk and the per-byte
-    string loop for every read: no page is ever readable fast."""
+    """Inside the block, *reference* runs the page walk for every read
+    and write, the per-byte string loop, and the :class:`RefMem`
+    access methods."""
     if not reference:
         yield
         return
+    methods = {name: value for name, value in vars(RefMem).items()
+               if not name.startswith("_")}
     with mock.patch.object(AddressSpace, "readable_page",
-                           lambda self, address: None):
+                           lambda self, address: None), \
+            mock.patch.object(AddressSpace, "writable_page",
+                              lambda self, address: None), \
+            mock.patch.multiple(Mem, **methods):
         yield
 
 
@@ -497,6 +571,368 @@ class TestArmedPlanes:
 
 
 # ----------------------------------------------------------------------
+# scalar and byte accesses: TLB-hit words, one-page writes, fault hand-off
+# ----------------------------------------------------------------------
+
+#: an access offset around the first page boundary: aligned and
+#: unaligned words, and words and spans that straddle the boundary
+NEAR = st.integers(-8, 8)
+#: one step on a mapping: a Mem access (method, offset, argument), a
+#: TLB flush or an mprotect of the second page
+SCALAR_OP = st.one_of(
+    st.tuples(st.sampled_from(["load_u32", "load_i32", "load_u16",
+                               "load_u8"]), NEAR),
+    st.tuples(st.just("store_u32"), NEAR, st.integers(0, 0xFFFFFFFF)),
+    st.tuples(st.just("store_i32"), NEAR,
+              st.integers(-2**31, 2**31 - 1)),
+    st.tuples(st.just("store_u16"), NEAR, st.integers(0, 0xFFFF)),
+    st.tuples(st.just("store_u8"), NEAR, st.integers(0, 0xFF)),
+    st.tuples(st.just("load_bytes"), NEAR, st.integers(0, 12)),
+    st.tuples(st.just("store_bytes"), NEAR, st.binary(max_size=12)),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("protect"),
+              st.sampled_from([PROT_NONE, PROT_READ, PROT_RW])),
+)
+SCALAR_OPS = st.lists(SCALAR_OP, min_size=1, max_size=24)
+
+
+def run_op(mem, op, boundary):
+    """Apply *op* to *mem* around the page boundary at *boundary*."""
+    name = op[0]
+    space = mem.proc.address_space
+    if name == "flush":
+        return space.tlb_flush("test")
+    if name == "protect":
+        space.mprotect(boundary, PAGE_SIZE, op[1])
+        return None
+    method = getattr(mem, name)
+    return attempt(lambda: method(boundary + op[1], *op[2:]))
+
+
+def run_scalar_case(ops, checkpoint, reference, plan=None, tlb=None):
+    """*ops* on a two-page private mapping; *plan* (seed, probability)
+    arms a spurious-VMFAULT injector first, and *tlb* overrides
+    ``REPRO_TLB``."""
+    with paths(reference):
+        kernel = boot().kernel
+        shell = make_shell(kernel)
+        space = shell.address_space
+        if tlb is not None:
+            space.set_tlb_enabled(tlb)
+        space.map(BASE, 2 * PAGE_SIZE, prot=PROT_RW)
+        mem = Mem(kernel, shell)
+        mem.store_bytes(BASE + PAGE_SIZE - 16, bytes(range(1, 33)))
+        injector = None
+        if plan is not None:
+            injector = install_injector(kernel, [FaultPlan(
+                Plane.VMFAULT, FaultKind.SPURIOUS,
+                probability=plan[1])], seed=plan[0])
+        with tracing(kernel) as tracer:
+            log = CheckpointLog(kernel.clock, *checkpoint) \
+                if checkpoint else None
+            results = [run_op(mem, op, BASE + PAGE_SIZE) for op in ops]
+            results.append(attempt(
+                lambda: mem.load_bytes(BASE + PAGE_SIZE - 16, 32)))
+            events = tracer.events()
+        stats = None
+        if injector is not None:
+            stats = (injector.stats.checked, injector.stats.matched,
+                     injector.stats.triggered)
+        return (results, clock_state(kernel.clock), tlb_state(space),
+                events, log.calls if log else None, stats)
+
+
+class TestScalarAccess:
+    @settings(max_examples=80, **SETTINGS)
+    @given(SCALAR_OPS, st.none() | st.tuples(st.integers(0, 80),
+                                              st.integers(1, 9)))
+    def test_words_and_spans_match_reference(self, ops, checkpoint):
+        fast = run_scalar_case(ops, checkpoint, False)
+        assert fast == run_scalar_case(ops, checkpoint, True)
+
+    def test_aligned_hits_count_in_the_tlb(self):
+        """Aligned TLB-hit words count one hit each on both paths; an
+        unaligned word walks and counts nothing."""
+        ops = [("store_u32", 0, 7), ("load_u32", 0), ("store_i32", 4, -2),
+               ("load_i32", 4), ("load_u32", -2), ("store_u32", 2, 9)]
+        fast = run_scalar_case(ops, None, False, tlb=True)
+        assert fast == run_scalar_case(ops, None, True, tlb=True)
+        assert [r[1] for r in fast[0][1:5:2]] == [7, -2]
+        assert fast[2][0] == 4  # tlb_hits
+
+    @settings(max_examples=40, **SETTINGS)
+    @given(SCALAR_OPS, st.integers(0, 2**16), st.floats(0.0, 0.3))
+    def test_injector_sees_the_same_sites(self, ops, seed, probability):
+        plan = (seed, probability)
+        fast = run_scalar_case(ops, None, False, plan)
+        assert fast == run_scalar_case(ops, None, True, plan)
+
+
+def run_cow_scalar_case(ops, reference):
+    """A child whose private pages are COW twins of its parent's loads
+    them first (they enter its TLB read-only), stores into both, then
+    runs *ops* as parent or child; both read everything back."""
+    with paths(reference):
+        kernel = boot().kernel
+        parent = make_shell(kernel, "parent")
+        parent.address_space.map(BASE, 2 * PAGE_SIZE, prot=PROT_RW)
+        boundary = BASE + PAGE_SIZE
+        parent_mem = Mem(kernel, parent)
+        parent_mem.store_bytes(boundary - 16, bytes(range(1, 33)))
+        child = make_shell(kernel, "child")
+        child.address_space = parent.address_space.fork(
+            child.address_space.name)
+        mems = {"parent": parent_mem, "child": Mem(kernel, child)}
+        child_mem = mems["child"]
+        results = [child_mem.load_u32(boundary - 8),
+                   child_mem.load_u32(boundary)]
+        child_mem.store_u32(boundary, 0xC0FFEE)
+        child_mem.store_bytes(boundary - 8, b"child!")
+        results += [run_op(mems[who], op, boundary) for who, op in ops]
+        results += [mem.load_bytes(boundary - 16, 32)
+                    for mem in mems.values()]
+        return (results, clock_state(kernel.clock),
+                tlb_state(parent.address_space),
+                tlb_state(child.address_space))
+
+
+class TestScalarCopyOnWrite:
+    @settings(max_examples=30, **SETTINGS)
+    @given(st.lists(st.tuples(st.sampled_from(["parent", "child"]),
+                              SCALAR_OP.filter(lambda op: op[0] not in
+                                               ("protect", "flush"))),
+                    max_size=12))
+    def test_stores_break_cow_on_both_paths(self, ops):
+        fast = run_cow_scalar_case(ops, False)
+        assert fast == run_cow_scalar_case(ops, True)
+
+    def test_child_stores_never_reach_the_parent(self):
+        fast = run_cow_scalar_case([], False)
+        assert fast == run_cow_scalar_case([], True)
+        parent_view, child_view = fast[0][-2:]
+        assert parent_view == bytes(range(1, 33))
+        assert child_view[8:14] == b"child!"
+        assert child_view[16:20] == struct.pack("<I", 0xC0FFEE)
+
+
+# -- a store into a frame holding decoded code, on four cores ----------
+
+CODE = 0x30000000
+
+
+def program(value):
+    """``ori $2, $0, value`` then ``break``."""
+    return struct.pack("<II", isa.encode_i(isa.OP_ORI, rt=2, imm=value),
+                       isa.encode_r(isa.FN_BREAK))
+
+
+def run_code(cpu):
+    """Run the program at CODE; the value it leaves in $2."""
+    cpu.pc = CODE
+    with pytest.raises(BreakTrap):
+        cpu.run(16)
+    return cpu.regs[2]
+
+
+#: each patches the ori's immediate (the word's low half) to *value*
+CODE_STORES = {
+    "store_u32": lambda mem, value: mem.store_u32(
+        CODE, _U32.unpack(program(value)[:4])[0]),
+    "store_i32": lambda mem, value: mem.store_i32(
+        CODE, _I32.unpack(program(value)[:4])[0]),
+    "store_u16": lambda mem, value: mem.store_u16(CODE, value),
+    "store_u8": lambda mem, value: mem.store_u8(CODE, value),
+    "store_bytes": lambda mem, value: mem.store_bytes(CODE,
+                                                      program(value)),
+    "store_unaligned": lambda mem, value: mem.store_bytes(
+        CODE + 1, program(value)[1:3]),
+    # an unaligned word goes through store_word to write_bytes; these
+    # bytes leave both instructions as they are
+    "store_u32_unaligned": lambda mem, value: mem.store_u32(
+        CODE + 2, _U32.unpack(program(0x11)[2:6])[0]),
+}
+
+
+def run_decode_case(store, current_core, reference):
+    """Three processes on other cores execute from a shared RWX page;
+    a fourth, whose TLB holds the page writable, patches the code."""
+    with paths(reference):
+        kernel = boot(ncores=4).kernel
+        procs = [make_shell(kernel, f"p{index}") for index in range(4)]
+        code = MemoryObject(kernel.physmem, PAGE_SIZE, "code")
+        for proc in procs:
+            proc.address_space.set_tlb_enabled(True)  # also under REPRO_TLB=0
+            proc.address_space.map(CODE, PAGE_SIZE, memobj=code,
+                                   prot=PROT_RWX, flags=MAP_SHARED,
+                                   name="code")
+        writer, executors = procs[0], procs[1:]
+        mem = Mem(kernel, writer)
+        mem.store_bytes(CODE, program(0x11))
+        cpus = [Cpu(proc.address_space) for proc in executors]
+        with tracing(kernel) as tracer:
+            # The second run of each hits the TLB and decodes.
+            before = [run_code(cpu) for cpu in cpus for _ in range(2)]
+            frame = writer.address_space.tlb[CODE // PAGE_SIZE][2]
+            decoded = (sorted(frame.decode), sorted(frame.decode_cores))
+            kernel.clock.current_core = current_core
+            try:
+                CODE_STORES[store](mem, 0x2A5)
+            finally:
+                kernel.clock.current_core = None
+            dropped = (sorted(frame.decode), sorted(frame.decode_cores))
+            after = [run_code(cpu) for cpu in cpus]
+            events = tracer.events()
+        return (before, decoded, dropped, after,
+                kernel.smp.stats()["decode_shootdowns"],
+                [proc.core for proc in procs], clock_state(kernel.clock),
+                [tlb_state(proc.address_space) for proc in procs], events)
+
+
+class TestDecodedCode:
+    @pytest.mark.parametrize("current_core", [None, 0, 1])
+    @pytest.mark.parametrize("store", sorted(CODE_STORES))
+    def test_store_drops_decoded_code_on_both_paths(self, store,
+                                                    current_core):
+        fast = run_decode_case(store, current_core, False)
+        assert fast == run_decode_case(store, current_core, True)
+        before, decoded, dropped, after, shootdowns, cores = fast[:6]
+        assert before == [0x11] * 6
+        assert decoded[0] and set(decoded[1]) == set(cores[1:])
+        assert dropped == ([], [])
+        expected = {"store_u8": 0xA5, "store_unaligned": 0x0211,
+                    "store_u32_unaligned": 0x11}
+        assert after == [expected.get(store, 0x2A5)] * 3
+        assert sum(shootdowns.values()) == len(
+            [core for core in cores[1:] if core != current_core])
+
+
+# -- a segment the fault handler maps, bare and sanitized --------------
+
+def run_segment_scalar_case(ops, reference):
+    """The writer creates a public segment; *ops* run as writer or as a
+    reader, whose first touch faults and is mapped by the handler."""
+    with paths(reference):
+        kernel = boot().kernel
+        writer = make_shell(kernel, "writer")
+        base = runtime_for(kernel, writer).create_segment(
+            "/shared/diffscalar.seg", 2 * PAGE_SIZE)
+        mems = {"writer": Mem(kernel, writer)}
+        mems["writer"].store_bytes(base + PAGE_SIZE - 16,
+                                   bytes(range(1, 33)))
+        reader = make_shell(kernel, "reader")
+        runtime_for(kernel, reader)
+        mems["reader"] = Mem(kernel, reader)
+        with tracing(kernel) as tracer:
+            results = [run_op(mems[who], op, base + PAGE_SIZE)
+                       for who, op in ops]
+            results.append(mems["reader"].load_bytes(
+                base + PAGE_SIZE - 16, 32))
+            events = tracer.events()
+        return (results, clock_state(kernel.clock),
+                tlb_state(writer.address_space),
+                tlb_state(reader.address_space), events)
+
+
+SEGMENT_OPS = st.lists(
+    st.tuples(st.sampled_from(["writer", "reader"]),
+              SCALAR_OP.filter(lambda op: op[0] != "protect")),
+    min_size=1, max_size=12)
+
+
+class TestSegmentScalars:
+    @settings(max_examples=20, **SETTINGS)
+    @given(SEGMENT_OPS)
+    def test_segment_mapped_by_fault_handler(self, ops):
+        fast = run_segment_scalar_case(ops, False)
+        assert fast == run_segment_scalar_case(ops, True)
+
+    @settings(max_examples=15, **SETTINGS)
+    @given(SEGMENT_OPS)
+    def test_sanitizer_sees_every_access(self, ops):
+        def run(reference):
+            with paths(reference), sanitizing() as sanitizer:
+                result = run_segment_scalar_case(ops, reference)
+                stats = sanitizer.stats
+                return result, tuple(getattr(stats, name)
+                                     for name in stats.__slots__)
+
+        fast = run(False)
+        assert fast == run(True)
+        assert fast[1][0] > 0  # the sanitizer checked accesses
+
+
+# -- the fault hand-off: deliveries, handlers and the retry bound ------
+
+FAULTING = {
+    "load_u32": lambda mem: mem.load_u32(BASE + 4),
+    "store_u32": lambda mem: mem.store_u32(BASE + 4, 5),
+    "load_i32": lambda mem: mem.load_i32(BASE + 4),
+    "store_i32": lambda mem: mem.store_i32(BASE + 4, -5),
+    "load_u32_unaligned": lambda mem: mem.load_u32(BASE + 2),
+    "load_u16": lambda mem: mem.load_u16(BASE + 4),
+    "store_u16": lambda mem: mem.store_u16(BASE + 4, 5),
+    "load_u8": lambda mem: mem.load_u8(BASE + 4),
+    "store_u8": lambda mem: mem.store_u8(BASE + 4, 5),
+    "load_bytes": lambda mem: mem.load_bytes(BASE + 4, 8),
+    "store_bytes": lambda mem: mem.store_bytes(BASE + 4, b"payload"),
+    "load_cstring": lambda mem: mem.load_cstring(BASE + 4),
+    "store_cstring": lambda mem: mem.store_cstring(BASE + 4, "text"),
+}
+
+
+def run_handler_case(access, resolve_after, reference):
+    """A SIGSEGV handler that claims every fault it sees and maps the
+    page only at delivery *resolve_after* (never, when None)."""
+    with paths(reference):
+        kernel = boot().kernel
+        shell = make_shell(kernel)
+        mem = Mem(kernel, shell)
+        deliveries = []
+
+        def handler(proc, info):
+            deliveries.append((info.address, info.access, info.present))
+            if len(deliveries) == resolve_after:
+                proc.address_space.map(BASE, PAGE_SIZE, prot=PROT_RW)
+            return True
+
+        shell.push_handler(Signal.SIGSEGV, handler)
+        with tracing(kernel) as tracer:
+            try:
+                outcome = ("ok", FAULTING[access](mem))
+            except KernelError as error:
+                outcome = ("kernel", str(error))
+            events = tracer.events()
+        return (outcome, deliveries, clock_state(kernel.clock),
+                tlb_state(shell.address_space), events)
+
+
+class TestFaultHandOff:
+    @pytest.mark.parametrize("resolve_after", [None, 1, 3])
+    @pytest.mark.parametrize("access", sorted(FAULTING))
+    def test_same_deliveries_and_bound(self, access, resolve_after):
+        fast = run_handler_case(access, resolve_after, False)
+        assert fast == run_handler_case(access, resolve_after, True)
+        outcome, deliveries = fast[:2]
+        if resolve_after is None:
+            assert outcome == (
+                "kernel", f"fault loop: {MAX_FAULT_RETRIES} consecutive "
+                          f"faults at the same access")
+            assert len(deliveries) == MAX_FAULT_RETRIES
+        else:
+            assert outcome[0] == "ok"
+            assert len(deliveries) == resolve_after
+
+    def test_unresolved_fault_is_the_one_raised(self):
+        """With no handler the caught fault itself propagates."""
+        kernel = boot().kernel
+        mem = Mem(kernel, make_shell(kernel))
+        with pytest.raises(PageFaultError) as caught:
+            mem.store_u32(BASE + 8, 1)
+        assert (caught.value.address, caught.value.present) == \
+            (BASE + 8, False)
+
+
+# ----------------------------------------------------------------------
 # Clock.charge_many is count single charges
 # ----------------------------------------------------------------------
 
@@ -555,3 +991,36 @@ class TestEligibility:
         space.sanitizer = None
         space.injector = object()
         assert space.readable_page(BASE) is None
+
+    def test_write_bytes_fast_path_counts_nothing(self, kernel, shell):
+        space = shell.address_space
+        space.set_tlb_enabled(True)
+        space.map(BASE, PAGE_SIZE, prot=PROT_RW)
+        space.write_bytes(BASE, b"x")  # the walk fills the TLB
+        before = tlb_state(space)
+        space.write_bytes(BASE + 4, b"abcd")
+        assert tlb_state(space) == before
+        assert space.read_bytes(BASE, 8) == b"x\x00\x00\x00abcd"
+
+    def test_writable_page_declines_armed_cow_and_read_only(self, kernel,
+                                                            shell):
+        space = shell.address_space
+        space.set_tlb_enabled(True)
+        space.map(BASE, 2 * PAGE_SIZE, prot=PROT_RW)
+        assert space.writable_page(BASE) is None  # not in the TLB yet
+        space.write_bytes(BASE, b"x")
+        assert space.writable_page(BASE) is not None
+        space.sanitizer = object()
+        assert space.writable_page(BASE) is None
+        space.sanitizer = None
+        space.injector = object()
+        assert space.writable_page(BASE) is None
+        space.injector = None
+        space.mprotect(BASE + PAGE_SIZE, PAGE_SIZE, PROT_READ)
+        space.read_bytes(BASE + PAGE_SIZE, 1)
+        assert space.readable_page(BASE + PAGE_SIZE) is not None
+        assert space.writable_page(BASE + PAGE_SIZE) is None
+        child = space.fork("child")
+        child.read_bytes(BASE, 1)  # a COW page, cached read-only
+        assert child.readable_page(BASE) is not None
+        assert child.writable_page(BASE) is None
