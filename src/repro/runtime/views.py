@@ -134,19 +134,9 @@ class Mem:
                                      address, length)
 
     def store_bytes(self, address: int, data: bytes) -> None:
-        length = len(data)
-        self.kernel.clock.copy(length)
-        space = self.proc.address_space
-        offset = address & _PAGE_MASK
-        if 0 < length <= PAGE_SIZE - offset:
-            # write_bytes' one-page fast path, without the call
-            frame = space.writable_page(address)
-            if frame is not None:
-                frame.drop_code(space.smp)
-                frame.data[offset: offset + length] = data
-                return
+        self.kernel.clock.copy(len(data))
         try:
-            space.write_bytes(address, data)
+            self.proc.address_space.write_bytes(address, data)
         except PageFaultError as fault:
             self._after_fault(fault, AddressSpace.write_bytes, address, data)
 
