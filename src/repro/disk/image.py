@@ -143,7 +143,9 @@ def restore_volume(fs: Filesystem, record: list) -> Optional[list]:
             f"volume {name!r} is a {kind!r} image but the mounted "
             f"volume is {volume_kind(fs)!r}"
         )
-    # Drop the current tree, releasing its frames.
+    # Drop the current tree, releasing its frames; every cached walk
+    # into it goes with it.
+    fs.invalidate_walks()
     for inode in fs.inodes():
         if inode.memobj is not None:
             inode.memobj.free()

@@ -113,6 +113,10 @@ class PermissionSimError(FilesystemError):
     """Access check failed (EACCES analogue)."""
 
 
+class BusySimError(FilesystemError):
+    """A mount point was removed or renamed (EBUSY analogue)."""
+
+
 class FileLimitError(FilesystemError):
     """An SFS limit was exceeded (inode count or max file size)."""
 

@@ -16,6 +16,10 @@ replays committed records through these very same methods (with the
 journal suspended and inode numbers forced), so the replayed tree is
 produced by the production code paths, not by a parallel interpreter.
 
+Path-walk caches: every :class:`~repro.fs.vfs.Vfs` this volume is
+mounted in (``mounted_in``) caches its walks, so every namespace change
+here calls :meth:`Filesystem.invalidate_walks` before it mutates.
+
 Reverse lookup: volumes that prohibit hard links (``_index_paths``)
 maintain an incremental inode→path index, making ``path_of_inode`` —
 and therefore the kernel's address→path translation — O(1) instead of
@@ -24,7 +28,7 @@ a volume walk.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import (
     FileExistsSimError,
@@ -35,6 +39,9 @@ from repro.errors import (
 )
 from repro.fs.inode import Inode, InodeType
 from repro.vm.pages import MemoryObject, PhysicalMemory
+
+if TYPE_CHECKING:
+    from repro.fs.vfs import Vfs
 
 
 class _NullTxn:
@@ -68,6 +75,8 @@ class Filesystem:
         self.journal = None
         self.journal_volume = name
         self._ino_paths: Dict[int, str] = {}
+        # The Vfs objects whose path-walk caches cover this volume.
+        self.mounted_in: List["Vfs"] = []
         self.root = self._new_inode(InodeType.DIRECTORY, DEFAULT_DIR_MODE, 0)
         self.root.entries["."] = self.root
         self.root.entries[".."] = self.root
@@ -91,6 +100,18 @@ class Filesystem:
         journal = self.journal
         if journal is not None:
             journal.log(self.journal_volume, op, list(fields))
+
+    def invalidate_walks(self, removal: bool = True) -> None:
+        """Drop the cached walks of every Vfs this volume is mounted in.
+
+        An added entry (``removal=False``) can only turn a failed walk
+        into a different outcome, so only the cached misses go; a
+        removal, rename or rebuild can change any walk, so both go.
+        """
+        for vfs in self.mounted_in:
+            vfs._missing.clear()
+            if removal:
+                vfs._found.clear()
 
     # ------------------------------------------------------------------
     # inode→path index (O(1) reverse lookup; hard-link-free volumes)
@@ -211,6 +232,7 @@ class Filesystem:
     def create_file(self, directory: Inode, name: str, uid: int,
                     mode: int = DEFAULT_FILE_MODE,
                     _ino: Optional[int] = None) -> Inode:
+        self.invalidate_walks(removal=False)
         with self._txn():
             self._check_entry_free(directory, name)
             inode = self._new_inode(InodeType.FILE, mode, uid, ino=_ino)
@@ -224,6 +246,7 @@ class Filesystem:
     def mkdir(self, directory: Inode, name: str, uid: int,
               mode: int = DEFAULT_DIR_MODE,
               _ino: Optional[int] = None) -> Inode:
+        self.invalidate_walks(removal=False)
         with self._txn():
             self._check_entry_free(directory, name)
             inode = self._new_inode(InodeType.DIRECTORY, mode, uid, ino=_ino)
@@ -240,6 +263,7 @@ class Filesystem:
 
     def symlink(self, directory: Inode, name: str, target: str,
                 uid: int, _ino: Optional[int] = None) -> Inode:
+        self.invalidate_walks(removal=False)
         with self._txn():
             self._check_entry_free(directory, name)
             inode = self._new_inode(InodeType.SYMLINK, 0o777, uid, ino=_ino)
@@ -257,6 +281,7 @@ class Filesystem:
             raise FilesystemError(
                 f"hard links are prohibited on {self.name!r}"
             )
+        self.invalidate_walks(removal=False)
         with self._txn():
             if target.is_dir:
                 raise IsADirectorySimError("cannot hard-link a directory")
@@ -266,6 +291,7 @@ class Filesystem:
             self._log("link", directory.number, name, target.number)
 
     def unlink(self, directory: Inode, name: str) -> None:
+        self.invalidate_walks()
         with self._txn():
             inode = self.lookup(directory, name)
             if inode.is_dir:
@@ -278,6 +304,7 @@ class Filesystem:
             self._log("unlink", directory.number, name)
 
     def rmdir(self, directory: Inode, name: str) -> None:
+        self.invalidate_walks()
         with self._txn():
             inode = self.lookup(directory, name)
             if not inode.is_dir:
@@ -302,12 +329,26 @@ class Filesystem:
         neither). All validation happens before the first mutation for
         the same reason: a validation failure must leave no trace.
         """
+        self.invalidate_walks()
         with self._txn():
             inode = self.lookup(src_dir, src_name)
             if not dst_dir.is_dir:
                 raise NotADirectorySimError(
                     f"rename target parent is not a directory"
                 )
+            if inode.is_dir:
+                # Moving a directory below itself would detach it into
+                # an unreachable cycle.
+                ancestor = dst_dir
+                while ancestor is not inode:
+                    parent = ancestor.entries.get("..")
+                    if parent is None or parent is ancestor:
+                        break
+                    ancestor = parent
+                if ancestor is inode:
+                    raise FilesystemError(
+                        f"cannot move {src_name!r} into its own subtree"
+                    )
             if "/" in dst_name or dst_name in (".", "..", ""):
                 raise FilesystemError(f"invalid entry name {dst_name!r}")
             existing = dst_dir.entries.get(dst_name)

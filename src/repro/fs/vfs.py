@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
+    BusySimError,
     FileExistsSimError,
     FileNotFoundSimError,
     FilesystemError,
@@ -34,6 +35,8 @@ O_APPEND = 0x400
 
 _ACCMODE = 0x3
 _MAX_SYMLINKS = 40
+#: Entries per path-walk cache dict; a full dict is cleared, not evicted.
+_WALK_CACHE_LIMIT = 4096
 
 
 @dataclass
@@ -132,6 +135,13 @@ class Vfs:
     def __init__(self, rootfs: Filesystem) -> None:
         self._mounts: Dict[str, Filesystem] = {"/": rootfs}
         self.injector = None  # set by repro.inject.install_injector
+        # The path-walk cache, keyed (normalized path, uid, follow):
+        # walks that found an inode, and walks that raised (the error's
+        # class and args). Filesystem.invalidate_walks keeps it exact.
+        self._found: Dict[Tuple[str, int, bool],
+                          Tuple[Filesystem, Inode]] = {}
+        self._missing: Dict[Tuple[str, int, bool], tuple] = {}
+        rootfs.mounted_in.append(self)
 
     @property
     def rootfs(self) -> Filesystem:
@@ -144,9 +154,15 @@ class Vfs:
             raise FilesystemError(f"{path!r} is already a mount point")
         parent_fs, parent = self._resolve_dir(dirname_of(path), uid)
         name = split_path(path)[-1]
-        if name not in parent.entries:
+        covered = parent.entries.get(name)
+        if covered is None:
             parent_fs.mkdir(parent, name, uid)
+        elif not covered.is_dir:
+            raise NotADirectorySimError(f"{path!r} is not a directory")
         self._mounts[path] = fs
+        fs.mounted_in.append(self)
+        self._found.clear()
+        self._missing.clear()
 
     def filesystem_at(self, path: str) -> Optional[Filesystem]:
         return self._mounts.get(normalize(path))
@@ -157,9 +173,29 @@ class Vfs:
 
     def resolve(self, path: str, uid: int = 0, follow: bool = True,
                 cwd: str = "/") -> Tuple[Filesystem, Inode]:
-        """Walk *path* to its inode, crossing mounts and symlinks."""
-        fs, inode, _, _ = self._walk(normalize(path, cwd), uid, follow)
-        return fs, inode
+        """Walk *path* to its inode, crossing mounts and symlinks.
+
+        The result of each walk is cached; a cached miss raises a fresh
+        error of the same class with the same message.
+        """
+        key = (normalize(path, cwd), uid, follow)
+        found = self._found.get(key)
+        if found is not None:
+            return found
+        missing = self._missing.get(key)
+        if missing is not None:
+            raise missing[0](*missing[1])
+        try:
+            fs, inode, _, _ = self._walk(key[0], uid, follow)
+        except FilesystemError as error:
+            if len(self._missing) >= _WALK_CACHE_LIMIT:
+                self._missing.clear()
+            self._missing[key] = (type(error), error.args)
+            raise
+        if len(self._found) >= _WALK_CACHE_LIMIT:
+            self._found.clear()
+        found = self._found[key] = (fs, inode)
+        return found
 
     def _resolve_dir(self, path: str, uid: int) -> Tuple[Filesystem, Inode]:
         fs, inode = self.resolve(path, uid)
@@ -315,15 +351,30 @@ class Vfs:
 
     def rmdir(self, path: str, uid: int = 0, cwd: str = "/") -> None:
         fs, parent, name = self._locate_parent(path, uid, cwd)
+        self._refuse_mount_point(parent, name)
         fs.rmdir(parent, name)
 
     def rename(self, old: str, new: str, uid: int = 0,
                cwd: str = "/") -> None:
         src_fs, src_parent, src_name = self._locate_parent(old, uid, cwd)
+        self._refuse_mount_point(src_parent, src_name)
         dst_fs, dst_parent, dst_name = self._locate_parent(new, uid, cwd)
         if src_fs is not dst_fs:
             raise FilesystemError("cross-volume rename is not allowed")
         src_fs.rename(src_parent, src_name, dst_parent, dst_name)
+
+    def _refuse_mount_point(self, parent: Inode, name: str) -> None:
+        """Raise BusySimError if entry *name* of *parent* has a volume
+        mounted on it: removing or moving it would hide that volume."""
+        for point in self._mounts:
+            if point == "/" or split_path(point)[-1] != name:
+                continue
+            try:
+                _, covering = self.resolve(dirname_of(point))
+            except FilesystemError:
+                continue
+            if covering is parent:
+                raise BusySimError(f"{point!r} is a mount point")
 
     def listdir(self, path: str, uid: int = 0, cwd: str = "/") -> List[str]:
         fs, inode = self.resolve(path, uid, cwd=cwd)

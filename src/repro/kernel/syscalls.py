@@ -584,6 +584,7 @@ def _errno_of(error: FilesystemError) -> int:
         errors.NotADirectorySimError: 20,
         errors.IsADirectorySimError: 21,
         errors.PermissionSimError: 13,
+        errors.BusySimError: 16,
         errors.FileLimitError: 27,
     }
     return table.get(type(error), 5)

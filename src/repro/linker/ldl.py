@@ -563,8 +563,8 @@ class Ldl:
         for name in ordered:
             path = directory.rstrip("/") + "/" + name
             try:
-                if vfs.stat(path, self.proc.uid, follow=True,
-                            cwd=self.proc.cwd).st_type.value != "file":
+                if not vfs.resolve(path, self.proc.uid,
+                                   cwd=self.proc.cwd)[1].is_file:
                     continue
             except FilesystemError:
                 continue

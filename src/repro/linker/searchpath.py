@@ -96,10 +96,9 @@ def find_module(vfs: Vfs, name: str, search: SearchPath, uid: int = 0,
 
 def _is_regular_file(vfs: Vfs, path: str, uid: int) -> bool:
     from repro.errors import FilesystemError
-    from repro.fs.inode import InodeType
 
     try:
-        return vfs.stat(path, uid).st_type is InodeType.FILE
+        return vfs.resolve(path, uid)[1].is_file
     except FilesystemError:
         return False
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
+    BusySimError,
     FileExistsSimError,
     FileNotFoundSimError,
     FilesystemError,
@@ -180,6 +181,26 @@ class TestFilesAndDirs:
         vfs.rename("/a", "/b")
         assert vfs.read_whole("/b") == b"new"
 
+    def test_rename_into_own_subtree_rejected(self, vfs):
+        vfs.makedirs("/a/b")
+        for target in ("/a/b/c", "/a/c"):
+            with pytest.raises(FilesystemError, match="own subtree"):
+                vfs.rename("/a", target)
+        assert vfs.exists("/a/b")
+        assert vfs.listdir("/") == ["a"]
+
+    def test_rename_into_own_subtree_leaves_no_journal_record(self, pm):
+        fs = Filesystem(pm)
+        logged = []
+        fs._log = lambda op, *fields: logged.append(op)
+        outer = fs.mkdir(fs.root, "a", 0)
+        inner = fs.mkdir(outer, "b", 0)
+        logged.clear()
+        with pytest.raises(FilesystemError):
+            fs.rename(fs.root, "a", inner, "c")
+        assert logged == []
+        assert fs.root.entries["a"] is outer
+
     def test_stat(self, vfs):
         vfs.write_whole("/f", b"12345")
         info = vfs.stat("/f")
@@ -301,6 +322,39 @@ class TestMounts:
         vfs.mount("/m", Filesystem(pm))
         with pytest.raises(FilesystemError):
             vfs.mount("/m", Filesystem(pm))
+
+    def test_mount_point_cannot_be_removed_or_renamed(self, pm):
+        vfs = Vfs(Filesystem(pm, "root"))
+        other = Filesystem(pm, "other")
+        vfs.mount("/shared", other)
+        vfs.makedirs("/alias/inner")
+        vfs.symlink("/", "/up")
+        for attempt in (lambda: vfs.rmdir("/shared"),
+                        lambda: vfs.rmdir("/up/shared"),
+                        lambda: vfs.rename("/shared", "/moved"),
+                        lambda: vfs.rename("/up/shared", "/alias/inner/x")):
+            with pytest.raises(BusySimError):
+                attempt()
+        assert vfs.resolve("/shared") == (other, other.root)
+        assert "shared" in vfs.listdir("/")
+
+    def test_nested_mount_point_is_busy_too(self, pm):
+        vfs = Vfs(Filesystem(pm, "root"))
+        outer = Filesystem(pm, "outer")
+        vfs.mount("/m", outer)
+        vfs.mount("/m/n", Filesystem(pm, "inner"))
+        with pytest.raises(BusySimError):
+            vfs.rmdir("/m/n")
+        vfs.mkdir("/m/free")
+        vfs.rmdir("/m/free")  # a plain directory beside it still goes
+
+    def test_mount_over_a_file_rejected(self, pm):
+        vfs = Vfs(Filesystem(pm, "root"))
+        vfs.write_whole("/f", b"still here")
+        with pytest.raises(NotADirectorySimError):
+            vfs.mount("/f", Filesystem(pm, "other"))
+        assert vfs.read_whole("/f") == b"still here"
+        assert vfs.filesystem_at("/f") is None
 
     def test_walk_errors_across_a_mount_keep_their_text(self, pm):
         vfs = Vfs(Filesystem(pm, "root"))
