@@ -81,12 +81,8 @@ class SharedPasswd:
         )
 
     def _load(self, index: int) -> PasswdEntry:
-        view = self._record(index)
-        return PasswdEntry(
-            name=view.get("name"), uid=view.get("uid"),
-            gid=view.get("gid"), gecos=view.get("gecos"),
-            home=view.get("home"), shell=view.get("shell"),
-        )
+        return PasswdEntry(*self._record(index).get_many(
+            "name", "uid", "gid", "gecos", "home", "shell"))
 
     # ------------------------------------------------------------------
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+from repro.errors import SimulationError
 from repro.util.rng import DeterministicRng
 
 MAX_USERS_PER_HOST = 4
@@ -13,6 +14,11 @@ USERNAME_LEN = 12
 TTY_LEN = 8
 #: Every generated host last reported at this Unix time.
 NETWORK_TIME = 726_000_000
+
+
+class WhodFormatError(SimulationError):
+    """A status record, packed or in the shared database, that is not
+    a well-formed whod record."""
 
 
 @dataclass

@@ -24,10 +24,11 @@ from repro.apps.rwho.common import (
     TTY_LEN,
     USERNAME_LEN,
     UserEntry,
+    WhodFormatError,
     format_ruptime_line,
     format_rwho_line,
 )
-from repro.errors import FileNotFoundSimError, SimulationError
+from repro.errors import FileNotFoundSimError
 from repro.fs.vfs import O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
@@ -36,10 +37,6 @@ _HEADER = struct.Struct(f"<{HOSTNAME_LEN}sIIiiiI")
 _USER = struct.Struct(f"<{USERNAME_LEN}s{TTY_LEN}sI")
 
 RWHO_DIR = "/var/rwho"
-
-
-class WhodFormatError(SimulationError):
-    """A blob that is not exactly one packed whod status record."""
 
 
 def pack_status(status: HostStatus) -> bytes:

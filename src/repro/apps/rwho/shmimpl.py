@@ -24,6 +24,7 @@ from repro.apps.rwho.common import (
     HostStatus,
     MAX_USERS_PER_HOST,
     UserEntry,
+    WhodFormatError,
     format_ruptime_line,
     format_rwho_line,
 )
@@ -101,13 +102,12 @@ class ShmRwhod:
             self.mem.store_u32(self.base + 4, slot + 1)
             self._index[status.hostname] = slot
         view = self._record(slot)
-        view.set("hostname", status.hostname)
-        view.set("boot_time", status.boot_time)
-        view.set("update_time", status.update_time)
-        view.set("load_1", status.load_1)
-        view.set("load_5", status.load_5)
-        view.set("load_15", status.load_15)
-        view.set("nusers", min(len(status.users), MAX_USERS_PER_HOST))
+        view.update(hostname=status.hostname,
+                    boot_time=status.boot_time,
+                    update_time=status.update_time,
+                    load_1=status.load_1, load_5=status.load_5,
+                    load_15=status.load_15,
+                    nusers=min(len(status.users), MAX_USERS_PER_HOST))
         users_base = view.field_address("users")
         for index, user in enumerate(status.users[:MAX_USERS_PER_HOST]):
             entry = USER_STRUCT.view(self.mem,
@@ -135,20 +135,20 @@ def read_database(kernel: Kernel, proc: Process,
             mem, base + DB_HEADER_SIZE + slot * HOST_STRUCT.size
         )
         nusers = view.get("nusers")
+        if nusers > MAX_USERS_PER_HOST:
+            raise WhodFormatError(
+                f"{segment!r} record {slot} claims {nusers} user(s), "
+                f"more than its {MAX_USERS_PER_HOST} slots")
         users_base = view.field_address("users")
-        users = []
-        for index in range(nusers):
-            entry = USER_STRUCT.view(mem,
-                                     users_base + index * USER_STRUCT.size)
-            users.append(UserEntry(entry.get("name"), entry.get("tty"),
-                                   entry.get("idle")))
+        users = [
+            UserEntry(*USER_STRUCT.view(
+                mem, users_base + index * USER_STRUCT.size
+            ).get_many("name", "tty", "idle"))
+            for index in range(nusers)
+        ]
         statuses.append(HostStatus(
-            view.get("hostname"),
-            view.get("boot_time"),
-            view.get("update_time"),
-            view.get("load_1"),
-            view.get("load_5"),
-            view.get("load_15"),
+            *view.get_many("hostname", "boot_time", "update_time",
+                           "load_1", "load_5", "load_15"),
             users,
         ))
     return statuses

@@ -137,24 +137,22 @@ class SharedFigure:
         view = OBJ.view(self.mem, address)
         kind = view.get("kind")
         if kind == KIND_LINE:
-            npoints = view.get("nextra")
-            extra = view.get("extra")
+            npoints, extra = view.get_many("nextra", "extra")
             points = [
                 (self.mem.load_i32(extra + 8 * i),
                  self.mem.load_i32(extra + 8 * i + 4))
                 for i in range(npoints)
             ]
-            return FigLine(points, view.get("color"), view.get("p0"))
+            return FigLine(points, *view.get_many("color", "p0"))
         if kind == KIND_CIRCLE:
-            return FigCircle(cx=view.get("p1"), cy=view.get("p2"),
-                             radius=view.get("nextra"),
-                             color=view.get("color"),
-                             thickness=view.get("p0"))
+            return FigCircle(*view.get_many("p1", "p2", "nextra", "color",
+                                            "p0"))
         if kind == KIND_TEXT:
-            return FigText(x=view.get("p1"), y=view.get("p2"),
-                           text=self.mem.load_cstring(view.get("extra")),
-                           color=view.get("color"),
-                           font_size=view.get("p0"))
+            x, y, extra = view.get_many("p1", "p2", "extra")
+            text = self.mem.load_cstring(extra)
+            color, font_size = view.get_many("color", "p0")
+            return FigText(x=x, y=y, text=text, color=color,
+                           font_size=font_size)
         raise SimulationError(f"bad object kind {kind} at 0x{address:08x}")
 
     def to_figure(self) -> Figure:

@@ -120,14 +120,20 @@ class Clock:
             for _ in range(count):
                 self.charge(category, cycles)
             return
-        self.cycles += total
+        self.accrue(category, total)
+
+    def accrue(self, category: str, cycles: int) -> None:
+        """:meth:`charge` without the checkpoint test, for a merged
+        charge whose caller has shown that it ends below
+        :attr:`checkpoint_at` (see :meth:`charge_many`)."""
+        self.cycles += cycles
         self.by_category[category] = \
-            self.by_category.get(category, 0) + total
+            self.by_category.get(category, 0) + cycles
         if self.current_core is None:
-            self.elapsed += total
+            self.elapsed += cycles
         else:
             self.core_cycles[self.current_core] = \
-                self.core_cycles.get(self.current_core, 0) + total
+                self.core_cycles.get(self.current_core, 0) + cycles
 
     def round_begin(self) -> None:
         """Mark the start of one SMP round (snapshot per-core totals)."""

@@ -2,6 +2,8 @@
 and the shared version must be cheaper."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.rwho import (
     FileRwhod,
@@ -23,7 +25,13 @@ from repro.apps.rwho.fileimpl import (
     pack_status,
     unpack_status,
 )
-from repro.apps.rwho.shmimpl import read_database
+from repro.apps.rwho.shmimpl import (
+    DB_HEADER_SIZE,
+    HOST_STRUCT,
+    read_database,
+)
+from repro.errors import SimulationError
+from repro.runtime.views import Mem
 from repro.util.rng import DeterministicRng
 
 
@@ -79,6 +87,55 @@ class TestWireFormat:
                 unpack_status(bad)
 
 
+def _round_trips_or_rejects(blob: bytes) -> None:
+    """*blob* parses to a status that packs back to exactly *blob*, or
+    is refused with a SimulationError subclass."""
+    try:
+        status = unpack_status(blob)
+    except SimulationError:
+        return
+    assert pack_status(status) == blob
+
+
+class TestMutatedRecords:
+    """Every 1-3 byte mutant or truncation of a packed whod record is an
+    exact round trip or a typed error, never a raw struct.error or
+    UnicodeDecodeError."""
+
+    BLOBS = [pack_status(status)
+             for status in generate_network(nhosts=6, seed=3)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutation_property(self, data):
+        blob = bytearray(data.draw(st.sampled_from(self.BLOBS),
+                                   label="record"))
+        for _ in range(data.draw(st.integers(1, 3), label="count")):
+            index = data.draw(st.integers(0, len(blob) - 1),
+                              label="index")
+            blob[index] = data.draw(st.integers(0, 255), label="byte")
+        cut = data.draw(st.none() | st.integers(0, len(blob)),
+                        label="truncate at")
+        _round_trips_or_rejects(bytes(blob[:cut]))
+
+    def test_seeded_mutants(self):
+        rng = DeterministicRng(1993)
+        kept = 0
+        for _ in range(2000):
+            blob = bytearray(self.BLOBS[rng.randint(0, 5)])
+            for _ in range(rng.randint(1, 3)):
+                blob[rng.randint(0, len(blob) - 1)] = rng.randint(0, 255)
+            if rng.randint(0, 4) == 0:
+                blob = blob[:rng.randint(0, len(blob))]
+            try:
+                status = unpack_status(bytes(blob))
+            except SimulationError:
+                continue
+            assert pack_status(status) == blob
+            kept += 1
+        assert 0 < kept < 2000
+
+
 class TestEquivalence:
     def test_rwho_outputs_identical(self, kernel, shell, network):
         file_daemon = FileRwhod(kernel, shell)
@@ -113,6 +170,23 @@ class TestEquivalence:
         rng = DeterministicRng(4)
         daemon2.receive(updated_status(network[1], 60, rng))
         assert len(read_database(kernel, shell)) == len(network)
+
+    def test_user_count_past_the_slots_is_a_typed_error(self, kernel,
+                                                         shell, network):
+        """A record claiming more users than its inline slots would be
+        read on into the next host's record; the reader refuses it
+        with the error the file format's parser raises."""
+        daemon = ShmRwhod(kernel, shell, nhosts=len(network))
+        for status in network:
+            daemon.receive(status)
+        record = HOST_STRUCT.view(Mem(kernel, shell),
+                                  daemon.base + DB_HEADER_SIZE)
+        record.set("nusers", MAX_USERS_PER_HOST)
+        assert len(read_database(kernel, shell)[0].users) == \
+            MAX_USERS_PER_HOST
+        record.set("nusers", MAX_USERS_PER_HOST + 5)
+        with pytest.raises(WhodFormatError, match="claims 9 user"):
+            read_database(kernel, shell)
 
     def test_reader_in_other_process(self, kernel, shell, network):
         from repro.bench.workloads import make_shell

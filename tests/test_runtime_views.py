@@ -155,6 +155,57 @@ class TestStructDef:
         with pytest.raises(SimulationError, match="latin-1"):
             view.set("name", "\u20ac")
 
+    @pytest.mark.parametrize("access", [
+        lambda view: view.get("nope"),
+        lambda view: view.set("nope", 1),
+        lambda view: view.field_address("nope"),
+        lambda view: view.update(count=7, nope=1),
+        lambda view: view.get_many("count", "nope"),
+    ], ids=["get", "set", "field_address", "update", "get_many"])
+    def test_unknown_field_is_typed(self, mem, access):
+        """An unknown field name is a SimulationError naming the record,
+        raised before any field of the call is charged or written."""
+        view = self.NODE.view(mem, BASE)
+        view.update(next=0, flags=0, count=3, value=0, name="")
+        image = mem.load_bytes(BASE, 20)
+        cycles = mem.kernel.clock.cycles
+        with pytest.raises(SimulationError, match="'node' has no field"):
+            access(view)
+        assert mem.kernel.clock.cycles == cycles
+        assert mem.load_bytes(BASE, 20) == image
+
+    @pytest.mark.parametrize("field, value", [
+        ("next", "x"), ("next", 1.5), ("flags", None), ("count", b"\x01"),
+        ("value", "-9"), ("name", 5), ("name", b"abc"),
+    ])
+    def test_wrong_value_type_is_typed(self, mem, field, value):
+        """A value of the wrong type is refused with a SimulationError
+        before the store charges anything, not with a raw TypeError
+        after it."""
+        view = self.NODE.view(mem, BASE)
+        view.update(next=1, flags=2, count=3, value=4, name="abc")
+        image = mem.load_bytes(BASE, 20)
+        cycles = mem.kernel.clock.cycles
+        with pytest.raises(SimulationError, match=f"field {field!r}"):
+            view.set(field, value)
+        assert mem.kernel.clock.cycles == cycles
+        assert mem.load_bytes(BASE, 20) == image
+
+    def test_bool_is_an_int_value(self, mem):
+        view = self.NODE.view(mem, BASE)
+        view.set("flags", True)
+        assert view.get("flags") == 1
+
+    def test_get_many_and_update(self, mem):
+        view = self.NODE.view(mem, BASE)
+        view.update(name="abc", value=-9, next=0x20001000, count=500,
+                    flags=3)
+        assert view.get_many("value", "name", "value", "flags") == \
+            [-9, "abc", -9, 3]
+        assert view.get_many() == []
+        assert view.as_dict() == {"next": 0x20001000, "flags": 3,
+                                  "count": 500, "value": -9, "name": "abc"}
+
     def test_array_item(self, mem):
         for index in range(3):
             self.NODE.array_item(mem, BASE, index).update(

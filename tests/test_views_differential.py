@@ -5,20 +5,23 @@ access straight out of or into the TLB'd frame, ``Mem`` calls the
 address space directly and enters the kernel's fault loop only after a
 fault, aligned ``Mem.load_u32``/``store_u32`` run the TLB-hit branch of
 ``load_word``/``store_word`` inline, ``Mem.load_cstring`` scans a TLB'd
-page with one ``find``, ``Clock.charge_many`` merges equal charges, and
-``StructDef`` compiles each field once. All of them must leave the
+page with one ``find``, ``Clock.charge_many`` merges equal charges,
+``StructDef`` compiles each field once, and ``StructView.get_many``/
+``update``/``as_dict`` access a group of fields with one page check
+and one merged charge per cost category. All of them must leave the
 simulation exactly as the reference paths do: the page walk, every
 access through ``Kernel.run_with_faults`` and a fresh lambda, one
-``load_u8`` per string byte, one ``charge`` per byte and the
-per-access string dispatch of field types.
+``load_u8`` per string byte, one ``charge`` per byte, the per-access
+string dispatch of field types and one ``get``/``set`` per field.
 
 Each scenario runs twice on identically booted machines. The reference
 run patches ``AddressSpace.readable_page`` and ``writable_page`` to
 decline every page, which sends every read and write down the page walk
 and every string through the per-byte loop, puts the ``Mem`` access
 methods of :class:`RefMem` (the fault loop makes every attempt) in place
-of the fast ones, and reads struct fields through :func:`ref_get`. The
-two runs must agree on every value and exception, every clock total
+of the fast ones, and reads struct fields through :func:`ref_get` (or,
+for the whole-record accessors, ``get``/``set`` one field at a time).
+The two runs must agree on every value and exception, every clock total
 (``cycles``, ``by_category``, ``elapsed``, ``core_cycles``), every TLB
 counter, every trace event and the cycle of every checkpoint-hook call.
 """
@@ -26,7 +29,7 @@ counter, every trace event and the cycle of every checkpoint-hook call.
 from __future__ import annotations
 
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import pytest
@@ -35,7 +38,7 @@ from hypothesis import strategies as st
 
 from repro import boot
 from repro.bench.workloads import make_shell
-from repro.errors import KernelError
+from repro.errors import KernelError, SimulationError
 from repro.hw import isa
 from repro.hw.cpu import BreakTrap, Cpu
 from repro.inject import FaultKind, FaultPlan, Plane, install_injector
@@ -750,6 +753,11 @@ CODE_STORES = {
     # bytes leave both instructions as they are
     "store_u32_unaligned": lambda mem, value: mem.store_u32(
         CODE + 2, _U32.unpack(program(0x11)[2:6])[0]),
+    # a whole-record update of both instructions
+    "update": lambda mem, value: StructDef(
+        "code", [("ori", "u32"), ("brk", "u32")]).view(mem, CODE).update(
+            **dict(zip(("ori", "brk"), struct.unpack("<II",
+                                                     program(value))))),
 }
 
 
@@ -930,6 +938,284 @@ class TestFaultHandOff:
             mem.store_u32(BASE + 8, 1)
         assert (caught.value.address, caught.value.present) == \
             (BASE + 8, False)
+
+
+# ----------------------------------------------------------------------
+# whole-record access: get_many, update and as_dict against get and set
+# ----------------------------------------------------------------------
+
+def invalid_for(field_type: str):
+    """Values the field's ``set`` refuses with a SimulationError."""
+    if field_type.startswith("cstr:"):
+        return st.sampled_from([5, b"abc", None, "\u20ac"])
+    if field_type.startswith("bytes:"):
+        size = int(field_type.split(":")[1])
+        return st.sampled_from(["x" * size, 7, b"\x00" * (size + 1)])
+    return st.sampled_from(["x", 1.5, None, b"\x01"])
+
+
+def update_item(field):
+    """(name, value) for one field of an update; one in eight refused."""
+    name, field_type = field
+    return st.tuples(st.just(name), st.sampled_from(
+        (False,) * 7 + (True,)).flatmap(
+            lambda refused: invalid_for(field_type) if refused
+            else value_for(field_type)))
+
+
+def group_op(fields):
+    names = [name for name, _ in fields]
+    return st.one_of(
+        st.tuples(st.just("read"), st.lists(st.sampled_from(names),
+                                            min_size=1, max_size=8)),
+        st.tuples(st.just("write"), st.permutations(fields).flatmap(
+            lambda order: st.integers(0, len(order)).flatmap(
+                lambda count: st.tuples(*map(update_item,
+                                             order[:count]))))),
+        st.tuples(st.just("dict")),
+        st.tuples(st.just("flush")),
+    )
+
+
+@st.composite
+def group_case(draw):
+    fields = draw(LAYOUT)
+    size = ref_offsets(fields)[1]
+    # the record's distance before the first page boundary: inside the
+    # first page, inside the second, or straddling the boundary, and
+    # now and then unaligned
+    place = draw(st.sampled_from(["first", "first", "second",
+                                  "straddle"]))
+    if place == "first":
+        before = size + 4 * draw(st.integers(0, 2))
+    elif place == "second":
+        before = -4 * draw(st.integers(0, 2))
+    else:
+        before = 4 * draw(st.integers(0, size // 4))
+    before += draw(st.sampled_from((0,) * 9 + (1, 2, 3)))
+    raw = draw(st.lists(RAW_BYTE, min_size=size + 16,
+                        max_size=size + 16))
+    ops = draw(st.lists(group_op(fields), min_size=1, max_size=6))
+    fresh = draw(st.booleans())
+    core = draw(st.none() | st.integers(0, 3))
+    checkpoint = draw(st.none() | st.tuples(
+        st.integers(0, 120), st.sampled_from([1, 7, 40, 200, 10**6])))
+    return fields, before, bytes(raw), ops, fresh, core, checkpoint
+
+
+def outcome(operation):
+    """The value of *operation*, or the identity of what it raised."""
+    try:
+        return ("ok", operation())
+    except PageFaultError as fault:
+        return ("fault", fault.address, fault.access, fault.present)
+    except (SimulationError, KernelError) as error:
+        return ("error", type(error).__name__, str(error))
+
+
+def run_group_op(view, op, reference):
+    """One op on *view*: the reference runs it field by field through
+    ``get``/``set``, the fast run through ``get_many``/``update``/
+    ``as_dict``."""
+    kind = op[0]
+    if kind == "flush":
+        return view.mem.proc.address_space.tlb_flush("test")
+    if kind == "read":
+        if reference:
+            return outcome(lambda: [view.get(name) for name in op[1]])
+        return outcome(lambda: view.get_many(*op[1]))
+    if kind == "dict":
+        if reference:
+            return outcome(lambda: {name: view.get(name)
+                                    for name in view.struct.names})
+        return outcome(view.as_dict)
+
+    def write():
+        if reference:
+            for name, value in op[1]:
+                view.set(name, value)
+        else:
+            view.update(**dict(op[1]))
+
+    return outcome(write)
+
+
+def ordered_clock_state(clock: Clock):
+    """:func:`clock_state` with the insertion order of the categories."""
+    return (clock.cycles, list(clock.by_category.items()), clock.elapsed,
+            sorted(clock.core_cycles.items()))
+
+
+def run_group_case(case, env, reference, plan=None):
+    """*case*'s ops on one record in environment *env*: ``plain``,
+    ``tlb_off``, ``injector`` (*plan* is its (seed, probability)),
+    ``segment`` (a reader whose first touch faults and is mapped by
+    the handler), ``sanitizer`` (the same, sanitized) or ``cow`` (a
+    child whose private pages are COW twins of its parent's)."""
+    fields, before, raw, ops, fresh, core, checkpoint = case
+    size = ref_offsets(fields)[1]
+    planes = sanitizing() if env == "sanitizer" else nullcontext()
+    with paths(reference), planes as sanitizer:
+        kernel = boot().kernel
+        if env in ("segment", "sanitizer"):
+            writer = make_shell(kernel, "writer")
+            boundary = runtime_for(kernel, writer).create_segment(
+                "/shared/group.seg", 2 * PAGE_SIZE) + PAGE_SIZE
+            Mem(kernel, writer).store_bytes(boundary - before - 8, raw)
+            proc = make_shell(kernel, "reader")
+            runtime_for(kernel, proc)
+        else:
+            proc = make_shell(kernel, "owner")
+            if env == "tlb_off":
+                proc.address_space.set_tlb_enabled(False)
+            proc.address_space.map(BASE, 2 * PAGE_SIZE, prot=PROT_RW)
+            boundary = BASE + PAGE_SIZE
+            Mem(kernel, proc).store_bytes(boundary - before - 8, raw)
+            if env == "cow":
+                child = make_shell(kernel, "child")
+                child.address_space = proc.address_space.fork(
+                    child.address_space.name)
+                proc = child
+        space = proc.address_space
+        mem = Mem(kernel, proc)
+        injector = None
+        if env == "injector":
+            injector = install_injector(kernel, [FaultPlan(
+                Plane.VMFAULT, FaultKind.SPURIOUS,
+                probability=plan[1])], seed=plan[0])
+        view = StructDef("rec", fields).view(mem, boundary - before)
+        clock = kernel.clock
+        with tracing(kernel) as tracer:
+            if fresh:
+                clock.by_category.clear()
+            log = CheckpointLog(clock, *checkpoint) if checkpoint else None
+            clock.current_core = core
+            try:
+                results = [run_group_op(view, op, reference) for op in ops]
+            finally:
+                clock.current_core = None
+            results.append(outcome(
+                lambda: mem.load_bytes(boundary - before - 8, size + 16)))
+            events = tracer.events()
+        stats = None
+        if injector is not None:
+            stats = (injector.stats.checked, injector.stats.matched,
+                     injector.stats.triggered)
+        if sanitizer is not None:
+            stats = tuple(getattr(sanitizer.stats, name)
+                          for name in sanitizer.stats.__slots__)
+        return (results, ordered_clock_state(clock), tlb_state(space),
+                events, log.calls if log else None, stats)
+
+
+def same_group_run(case, env, plan=None):
+    fast = run_group_case(case, env, False, plan)
+    assert fast == run_group_case(case, env, True, plan)
+    return fast
+
+
+#: every field type, with a word field between two strings and a gap
+#: of alignment padding before each word
+MIXED = StructDef("mixed", [
+    ("name", "cstr:9"), ("count", "u32"), ("flag", "u8"),
+    ("port", "u16"), ("load", "i32"), ("blob", "bytes:5"),
+    ("tty", "cstr:6"), ("next", "ptr"),
+])
+MIXED_VALUES = dict(name="alpha", count=7, flag=1, port=513, load=-3,
+                    blob=b"\x01\x02\x03\x04\x05", tty="tty9",
+                    next=0x20001000)
+
+
+class TestRecordAccess:
+    @settings(max_examples=60, **SETTINGS)
+    @given(group_case())
+    def test_matches_per_field_path(self, case):
+        same_group_run(case, "plain")
+
+    @settings(max_examples=15, **SETTINGS)
+    @given(group_case())
+    def test_with_the_tlb_off(self, case):
+        same_group_run(case, "tlb_off")
+
+    @settings(max_examples=15, **SETTINGS)
+    @given(group_case(), st.integers(0, 2**16), st.floats(0.0, 0.3))
+    def test_injector_sees_the_same_sites(self, case, seed, probability):
+        same_group_run(case, "injector", (seed, probability))
+
+    @settings(max_examples=15, **SETTINGS)
+    @given(group_case())
+    def test_segment_mapped_by_fault_handler(self, case):
+        same_group_run(case, "segment")
+
+    @settings(max_examples=10, **SETTINGS)
+    @given(group_case())
+    def test_sanitizer_sees_every_access(self, case):
+        same_group_run(case, "sanitizer")
+
+    @settings(max_examples=15, **SETTINGS)
+    @given(group_case())
+    def test_cow_pages_after_fork(self, case):
+        same_group_run(case, "cow")
+
+    def test_checkpoint_at_every_offset_of_a_group(self):
+        """A checkpoint armed at each cycle a whole-record update and
+        read span fires at the same cycle on both paths, with the
+        categories charged fresh in the same order."""
+        fields = MIXED.fields
+        ops = [("write", tuple(MIXED_VALUES.items())),
+               ("read", list(MIXED.names)),
+               ("read", ["next", "tty", "load", "name"])]
+        for first in range(-1, 90):
+            for every in (1, 4, 1000):
+                for before in (0, 8, PAGE_SIZE // 2):
+                    case = (fields, before, bytes(MIXED.size + 16), ops,
+                            True, None, (first, every))
+                    fast = same_group_run(case, "plain")
+                    assert fast[0][1][1] == list(MIXED_VALUES.values())
+
+    def test_fast_path_runs_and_counts_one_hit_per_word(self):
+        """An eligible group takes the fast path (no per-field ``get``)
+        and counts the TLB hits of its word fields only; the copies
+        category, first among the fields, is charged first."""
+        kernel = boot().kernel
+        shell = make_shell(kernel)
+        shell.address_space.set_tlb_enabled(True)  # also under REPRO_TLB=0
+        shell.address_space.map(BASE, PAGE_SIZE, prot=PROT_RW)
+        mem = Mem(kernel, shell)
+        view = MIXED.view(mem, BASE)
+        view.update(**MIXED_VALUES)  # fills the TLB
+        hits = shell.address_space.tlb_hits
+        kernel.clock.by_category.clear()
+        with mock.patch.object(type(view), "get",
+                               side_effect=AssertionError("per-field")):
+            values = view.get_many("tty", "count", "port", "next")
+        assert values == ["tty9", 7, 513, 0x20001000]
+        assert shell.address_space.tlb_hits == hits + 2
+        assert list(kernel.clock.by_category.items()) == [
+            ("copies", 5 + 1), ("user_memory", 8)]
+
+    def test_bad_value_mid_update_writes_the_fields_before_it(self):
+        """The fields before a refused value are written and charged,
+        the rest are not, and the error is the field's own."""
+        values = dict(MIXED_VALUES, port="513")
+        for reference in (False, True):
+            kernel = boot().kernel
+            shell = make_shell(kernel)
+            shell.address_space.map(BASE, PAGE_SIZE, prot=PROT_RW)
+            mem = Mem(kernel, shell)
+            view = MIXED.view(mem, BASE)
+            view.update(**MIXED_VALUES)
+            view.update(name="", count=0, flag=0, port=0, load=0,
+                        blob=bytes(5), tty="", next=0)
+            with pytest.raises(SimulationError, match="'port'"):
+                if reference:
+                    for name, value in values.items():
+                        view.set(name, value)
+                else:
+                    view.update(**values)
+            assert view.as_dict() == dict(
+                MIXED_VALUES, port=0, load=0, blob=bytes(5), tty="",
+                next=0)
 
 
 # ----------------------------------------------------------------------
