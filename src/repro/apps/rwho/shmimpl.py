@@ -33,6 +33,7 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.runtime.libshared import runtime_for
 from repro.runtime.views import Mem, StructDef
+from repro.vm.layout import PAGE_SIZE
 
 DB_MAGIC = 0x5257484F  # "RWHO"
 DB_SEGMENT = "/shared/rwho.db"
@@ -59,6 +60,14 @@ DB_HEADER_SIZE = 8
 
 def db_size(nhosts: int) -> int:
     return DB_HEADER_SIZE + nhosts * HOST_STRUCT.size
+
+
+def _stored_hostname(hostname: str) -> str:
+    """*hostname* as its record's ``cstr:32`` field reads it back:
+    latin-1, cut to 31 bytes and at the first NUL. The daemon's index
+    is keyed by this form, the one :meth:`ShmRwhod._load_index` reads."""
+    stored = HOST_STRUCT.packing["hostname"][1](hostname)
+    return stored.split(b"\x00", 1)[0].decode("latin-1")
 
 
 class ShmRwhod:
@@ -94,13 +103,14 @@ class ShmRwhod:
 
     def receive(self, status: HostStatus) -> None:
         """Handle one broadcast: update the host's record in place."""
-        slot = self._index.get(status.hostname)
+        key = _stored_hostname(status.hostname)
+        slot = self._index.get(key)
         if slot is None:
             slot = self.mem.load_u32(self.base + 4)
             if slot >= self.nhosts:
                 raise SimulationError("rwho database full")
             self.mem.store_u32(self.base + 4, slot + 1)
-            self._index[status.hostname] = slot
+            self._index[key] = slot
         view = self._record(slot)
         view.update(hostname=status.hostname,
                     boot_time=status.boot_time,
@@ -116,6 +126,18 @@ class ShmRwhod:
                          idle=user.idle_seconds)
 
 
+def _capacity(proc: Process, base: int, segment: str) -> int:
+    """Host records the mapped database at *base* has room for: the
+    bytes of its segment from *base* on, as the mapping's object holds
+    them (the load of the header mapped it)."""
+    mapping = proc.address_space.mapping_at(base)
+    if mapping is None or mapping.memobj is None:
+        raise SimulationError(f"{segment!r} is not mapped at 0x{base:x}")
+    size = mapping.memobj.size - mapping.obj_page * PAGE_SIZE \
+        - (base - mapping.start)
+    return max(size - DB_HEADER_SIZE, 0) // HOST_STRUCT.size
+
+
 def read_database(kernel: Kernel, proc: Process,
                   segment: str = DB_SEGMENT) -> List[HostStatus]:
     """Read every record straight out of the shared database.
@@ -129,6 +151,11 @@ def read_database(kernel: Kernel, proc: Process,
     if mem.load_u32(base) != DB_MAGIC:
         raise SimulationError(f"{segment!r} is not an rwho database")
     count = mem.load_u32(base + 4)
+    capacity = _capacity(proc, base, segment)
+    if count > capacity:
+        raise WhodFormatError(
+            f"{segment!r} claims {count} host(s), more than its "
+            f"{capacity} record slots")
     statuses = []
     for slot in range(count):
         view = HOST_STRUCT.view(

@@ -276,6 +276,7 @@ class Vfs:
                 raise PermissionSimError(f"cannot create in {path!r}")
             inode = fs.create_file(parent, name, uid, mode)
             created = True
+            self._seed_created(path, uid, fs, parent, name, inode)
         if inode.is_dir and (flags & _ACCMODE) != O_RDONLY:
             raise IsADirectorySimError(f"{path!r} is a directory")
         accmode = flags & _ACCMODE
@@ -296,6 +297,30 @@ class Vfs:
         if flags & O_TRUNC and inode.is_file and handle.writable:
             fs.truncate_file(inode, 0)
         return handle
+
+    def _seed_created(self, path: str, uid: int, fs: Filesystem,
+                      parent: Inode, name: str, inode: Inode) -> None:
+        """Cache the walk of a file just created at *path* (normalized)
+        in *parent*, without walking it.
+
+        The walk to *parent* succeeded, and adding *name* cannot change
+        it, so walking *path* would repeat it and then take one step
+        more: search *parent*, look *name* up and land on *inode*, a
+        file, so nothing to follow. That step reaches *inode* when
+        *parent* grants *uid* search permission (the open's own walk,
+        which missed *name*, already showed it does) and no volume is
+        mounted there. A mount point is matched by its last component
+        alone, because symlinks can make the parent's walked path differ
+        from *path*.
+        """
+        if not parent.check_access(uid, "x"):
+            return
+        for point in self._mounts:
+            if point != "/" and point.rsplit("/", 1)[1] == name:
+                return
+        if len(self._found) >= _WALK_CACHE_LIMIT:
+            self._found.clear()
+        self._found[(path, uid, True)] = (fs, inode)
 
     def stat(self, path: str, uid: int = 0, follow: bool = True,
              cwd: str = "/") -> Stat:
@@ -385,8 +410,17 @@ class Vfs:
     # convenience whole-file helpers -----------------------------------
 
     def read_whole(self, path: str, uid: int = 0, cwd: str = "/") -> bytes:
-        handle = self.open(path, O_RDONLY, uid, cwd=cwd)
-        return handle.pread(0, handle.inode.size)
+        """The whole file: :meth:`open`'s read-only checks, then one
+        :meth:`OpenFile.pread` of every byte, with no handle built."""
+        path = normalize(path, cwd)
+        fs, inode = self.resolve(path, uid)
+        if not inode.check_access(uid, "r"):
+            raise PermissionSimError(f"read permission denied on {path!r}")
+        data = fs.read_file(inode, 0, inode.size)
+        injector = self.injector
+        if injector is not None:
+            data = injector.filter_read(path, data, site="read")
+        return data
 
     def write_whole(self, path: str, data: bytes, uid: int = 0,
                     mode: int = DEFAULT_FILE_MODE, cwd: str = "/") -> None:

@@ -135,6 +135,20 @@ class Clock:
             self.core_cycles[self.current_core] = \
                 self.core_cycles.get(self.current_core, 0) + cycles
 
+    def charge_pair(self, category: str, first: int, second: int) -> None:
+        """Exactly ``charge(category, first)`` then ``charge(category,
+        second)``, merged into one :meth:`accrue` under
+        :meth:`charge_many`'s rule: when the sum stays below
+        :attr:`checkpoint_at`, neither call could have fired the hook
+        (a negative *second* could end below a checkpoint the first
+        call reached, so it never merges)."""
+        if second < 0 \
+                or self.cycles + first + second >= self.checkpoint_at:
+            self.charge(category, first)
+            self.charge(category, second)
+            return
+        self.accrue(category, first + second)
+
     def round_begin(self) -> None:
         """Mark the start of one SMP round (snapshot per-core totals)."""
         self._round_marks = dict(self.core_cycles)
@@ -194,8 +208,12 @@ class Clock:
         direction): per-frame processing plus the wire copy. Charged
         only by :mod:`repro.net`; single-machine boots never see the
         category."""
-        self.charge("net", self.costs.net_frame
-                    + ((nbytes + 3) // 4) * self.costs.net_per_word)
+        self.charge("net", self.net_cycles(nbytes))
+
+    def net_cycles(self, nbytes: int) -> int:
+        """What :meth:`net` charges for an *nbytes* frame."""
+        return self.costs.net_frame \
+            + ((nbytes + 3) // 4) * self.costs.net_per_word
 
     def net_stall(self, hops: int = 1) -> None:
         """Propagation delay a caller waits out for a synchronous

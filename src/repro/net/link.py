@@ -92,9 +92,19 @@ class FrameKind(enum.IntEnum):
 # magic, version, kind, port, src, dst, seq, length, crc
 _HEADER = struct.Struct("<4sBBHHHIII")
 HEADER_SIZE = _HEADER.size
+#: the header up to (not including) its crc field
+_HEAD = struct.Struct("<4sBBHHHII")
+_CRC = struct.Struct("<I")
+#: what the crc field holds while the checksum is computed
+_ZERO_CRC = bytes(_CRC.size)
+#: kind number -> FrameKind (kinds are numbered 0..n-1), and kind ->
+#: its name, without an enum call
+_KINDS = tuple(FrameKind)
+_KIND_NAMES = tuple(kind.name for kind in _KINDS)
+_crc32 = zlib.crc32
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """One unit of cluster traffic."""
 
@@ -107,15 +117,15 @@ class Frame:
     gen: int = 0  # sender's boot generation (rides the src high bits)
 
     def pack(self) -> bytes:
-        src_field = (self.src & _NODE_MASK) \
-            | ((self.gen & _GEN_MASK) << _GEN_SHIFT)
-        head = _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, int(self.kind),
-                            self.port, src_field, self.dst, self.seq,
-                            len(self.payload), 0)
-        crc = zlib.crc32(head + self.payload) & 0xFFFFFFFF
-        return _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, int(self.kind),
-                            self.port, src_field, self.dst, self.seq,
-                            len(self.payload), crc) + self.payload
+        payload = self.payload
+        head = _HEAD.pack(FRAME_MAGIC, FRAME_VERSION, self.kind, self.port,
+                          (self.src & _NODE_MASK)
+                          | ((self.gen & _GEN_MASK) << _GEN_SHIFT),
+                          self.dst, self.seq, len(payload))
+        # the crc covers the header with a zeroed crc field, then the
+        # payload: chained, so no concatenated copy is built
+        crc = _crc32(payload, _crc32(_ZERO_CRC, _crc32(head)))
+        return head + _CRC.pack(crc) + payload
 
     @classmethod
     def unpack(cls, wire: bytes) -> "Frame":
@@ -130,15 +140,12 @@ class Frame:
         if length != len(payload):
             raise NetError(
                 f"frame length mismatch ({length} != {len(payload)})")
-        head = _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, kind, port,
-                            src_field, dst, seq, length, 0)
-        if zlib.crc32(head + payload) & 0xFFFFFFFF != crc:
+        if _crc32(payload, _crc32(_ZERO_CRC, _crc32(wire[:_HEAD.size]))) \
+                != crc:
             raise NetError(f"frame checksum mismatch (seq {seq})")
-        try:
-            parsed_kind = FrameKind(kind)
-        except ValueError:
+        if kind >= len(_KINDS):
             raise NetError(f"unknown frame kind {kind}")
-        return cls(parsed_kind, src_field & _NODE_MASK, dst, port, seq,
+        return cls(_KINDS[kind], src_field & _NODE_MASK, dst, port, seq,
                    payload, gen=src_field >> _GEN_SHIFT)
 
 
@@ -161,7 +168,7 @@ class FabricStats:
     by_kind: Dict[str, int] = field(default_factory=dict)
 
     def count_kind(self, kind: FrameKind) -> None:
-        name = kind.name
+        name = _KIND_NAMES[kind]
         self.by_kind[name] = self.by_kind.get(name, 0) + 1
 
 
@@ -541,56 +548,68 @@ class Fabric:
         request_wire = request.pack()
         src_clock = src_nic.kernel.clock
         dst_clock = dst_nic.kernel.clock
+        latency = src_clock.costs.net_latency  # one net_stall(1)
         stats = self.stats
         tracer = _trace.TRACER
         injector = src_nic.kernel.injector
-        subject = f"{request.src}->{dst}:{port}"
         ha = self.ha
+        # With no trace event, HA filter or injector between them, the
+        # request's charge and its propagation stall are adjacent on
+        # the caller's clock, and are charged as one pair.
+        direct = injector is None and ha is None and not tracer.enabled
         ha_blocked: Optional[str] = None
         for attempt in range(1, MAX_RETRANSMITS + 1):
             if attempt > 1:
                 stats.retransmits += 1
                 src_clock.backoff(attempt - 1)
-            src_clock.net(len(request_wire))
+            if direct:
+                src_clock.charge_pair(
+                    "net", src_clock.net_cycles(len(request_wire)),
+                    latency)
+            else:
+                src_clock.net(len(request_wire))
             stats.frames_sent += 1
             stats.bytes_sent += len(request_wire)
             stats.count_kind(kind)
-            if tracer.enabled:
-                tracer.emit(EventKind.NET,
-                            name=f"tx:{kind.name.lower()}",
-                            addr=request.seq, value=len(request_wire))
-            if ha is not None:
-                verdict = ha.filter_send(request.src, dst)
-                if verdict is not None:
-                    # dead node or partition cut: the caller waits out
-                    # the same timeout window an injected drop costs
-                    ha_blocked = verdict
-                    stats.ha_dropped += 1
-                    if tracer.enabled:
-                        tracer.emit(EventKind.NET,
-                                    name=f"ha-drop:{verdict}",
-                                    addr=request.seq)
-                    src_clock.net_stall(2)
-                    continue
             wire = request_wire
             copies = 1
-            if injector is not None:
-                wire, action = injector.filter_frame(subject, wire,
-                                                     site="rpc")
-                if action == "drop":
-                    stats.dropped += 1
-                    if tracer.enabled:
-                        tracer.emit(EventKind.NET, name="drop",
-                                    addr=request.seq)
-                    src_clock.net_stall(2)  # the timeout window
-                    continue
-                if action == "dup":
-                    stats.duplicated += 1
-                    copies = 2
-                elif isinstance(action, tuple) and action[0] == "delay":
-                    stats.delayed += 1
-                    src_clock.net_stall(action[1])
-            src_clock.net_stall(1)  # request propagation
+            if not direct:
+                if tracer.enabled:
+                    tracer.emit(EventKind.NET,
+                                name=f"tx:{kind.name.lower()}",
+                                addr=request.seq, value=len(request_wire))
+                if ha is not None:
+                    verdict = ha.filter_send(request.src, dst)
+                    if verdict is not None:
+                        # dead node or partition cut: the caller waits
+                        # out the same timeout window an injected drop
+                        # costs
+                        ha_blocked = verdict
+                        stats.ha_dropped += 1
+                        if tracer.enabled:
+                            tracer.emit(EventKind.NET,
+                                        name=f"ha-drop:{verdict}",
+                                        addr=request.seq)
+                        src_clock.net_stall(2)
+                        continue
+                if injector is not None:
+                    wire, action = injector.filter_frame(
+                        f"{request.src}->{dst}:{port}", wire, site="rpc")
+                    if action == "drop":
+                        stats.dropped += 1
+                        if tracer.enabled:
+                            tracer.emit(EventKind.NET, name="drop",
+                                        addr=request.seq)
+                        src_clock.net_stall(2)  # the timeout window
+                        continue
+                    if action == "dup":
+                        stats.duplicated += 1
+                        copies = 2
+                    elif isinstance(action, tuple) \
+                            and action[0] == "delay":
+                        stats.delayed += 1
+                        src_clock.net_stall(action[1])
+                src_clock.net_stall(1)  # request propagation
             reply_wire: Optional[bytes] = None
             for _copy in range(copies):
                 dst_clock.net(len(wire))
@@ -645,8 +664,10 @@ class Fabric:
                 if isinstance(action, tuple) and action[0] == "delay":
                     stats.delayed += 1
                     src_clock.net_stall(action[1])
-            src_clock.net_stall(1)  # reply propagation
-            src_clock.net(len(reply_candidate))
+            # the reply's propagation stall, then its charge through the
+            # caller's NIC: adjacent, so always one pair
+            src_clock.charge_pair("net", latency,
+                                  src_clock.net_cycles(len(reply_candidate)))
             try:
                 reply = Frame.unpack(reply_candidate)
             except NetError:

@@ -41,6 +41,14 @@ Field = Tuple[int, int, Reader, Writer]
 Converter = Callable[[Any], Any]
 
 
+def _require_int(store: str, value: Any) -> None:
+    """Refuse a scalar store's non-int *value* with a typed error,
+    before the store charges or writes anything."""
+    if not isinstance(value, int):
+        raise SimulationError(
+            f"{store} expects an int, got {type(value).__name__}")
+
+
 class Mem:
     """Fault-transparent memory accessor for one process.
 
@@ -90,6 +98,7 @@ class Mem:
             return self._after_fault(fault, AddressSpace.load_word, address)
 
     def store_u32(self, address: int, value: int) -> None:
+        _require_int("store_u32", value)
         self.kernel.clock.charge("user_memory", self.SCALAR_ACCESS_CYCLES)
         space = self.proc.address_space
         if not address & 3:
@@ -111,18 +120,21 @@ class Mem:
         return (self.load_u32(address) ^ 0x80000000) - 0x80000000
 
     def store_i32(self, address: int, value: int) -> None:
+        _require_int("store_i32", value)
         self.store_u32(address, value & 0xFFFFFFFF)
 
     def load_u16(self, address: int) -> int:
         return _U16.unpack(self.load_bytes(address, 2))[0]
 
     def store_u16(self, address: int, value: int) -> None:
+        _require_int("store_u16", value)
         self.store_bytes(address, _U16.pack(value & 0xFFFF))
 
     def load_u8(self, address: int) -> int:
         return self.load_bytes(address, 1)[0]
 
     def store_u8(self, address: int, value: int) -> None:
+        _require_int("store_u8", value)
         self.store_bytes(address, bytes([value & 0xFF]))
 
     # -- bulk ----------------------------------------------------------

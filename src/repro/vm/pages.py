@@ -184,6 +184,13 @@ class MemoryObject:
         return self._read_raw(offset, length)
 
     def _read_raw(self, offset: int, length: int) -> bytes:
+        page_index, page_off = divmod(offset, PAGE_SIZE)
+        if page_off + length <= PAGE_SIZE:
+            # one page: one slice, or zeros for an unwritten page
+            frame = self._pages.get(page_index)
+            if frame is None:
+                return bytes(length)
+            return bytes(frame.data[page_off: page_off + length])
         out = bytearray(length)
         pos = 0
         while pos < length:

@@ -1,6 +1,8 @@
 """rwho: the file baseline and the shared-memory version must agree —
 and the shared version must be cheaper."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,6 +189,39 @@ class TestEquivalence:
         record.set("nusers", MAX_USERS_PER_HOST + 5)
         with pytest.raises(WhodFormatError, match="claims 9 user"):
             read_database(kernel, shell)
+
+    def test_host_count_past_the_segment_is_a_typed_error(self, kernel,
+                                                          shell, network):
+        """A header claiming more hosts than the segment has slots for
+        would decode the zeroed bytes past the last slot as hosts and
+        then fault at the segment's end; the reader refuses it."""
+        daemon = ShmRwhod(kernel, shell, nhosts=len(network))
+        for status in network[:4]:
+            daemon.receive(status)
+        mem = Mem(kernel, shell)
+        mem.store_u32(daemon.base + 4, len(network))  # every slot
+        assert len(read_database(kernel, shell)) == len(network)
+        for count in (len(network) + 1, 1000):
+            mem.store_u32(daemon.base + 4, count)
+            with pytest.raises(WhodFormatError,
+                               match=f"claims {count} host"):
+                read_database(kernel, shell)
+
+    def test_long_hostname_keeps_its_slot_after_a_restart(self, kernel,
+                                                          shell, network):
+        """A record keeps 31 bytes of a hostname, and a restarted daemon
+        indexes the names it reads back; a longer name must find its
+        slot again instead of taking a second one."""
+        status = dataclasses.replace(network[0], hostname="h" * 40)
+        daemon = ShmRwhod(kernel, shell, nhosts=len(network))
+        daemon.receive(status)
+        daemon.receive(status)
+        restarted = ShmRwhod(kernel, shell, nhosts=len(network))
+        refreshed = updated_status(status, 60, DeterministicRng(4))
+        restarted.receive(refreshed)
+        records = read_database(kernel, shell)
+        assert [record.hostname for record in records] == ["h" * 31]
+        assert records[0].update_time == refreshed.update_time
 
     def test_reader_in_other_process(self, kernel, shell, network):
         from repro.bench.workloads import make_shell

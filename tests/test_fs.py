@@ -400,3 +400,58 @@ class TestWalk:
         seen = []
         fs.walk(lambda path, inode: seen.append(path))
         assert set(seen) == {"/a", "/a/b", "/a/f1", "/a/b/f2"}
+
+
+class _RecordingInjector:
+    """Stands in for an armed injector's IO plane: records each read it
+    filters and cuts the last byte, so a skipped or misplaced filter
+    shows in the result."""
+
+    def __init__(self) -> None:
+        self.calls = []
+
+    def filter_read(self, path, data, site="read", pid=0):
+        self.calls.append((path, bytes(data), site))
+        return data[:-1]
+
+
+class TestReadWhole:
+    """``read_whole`` makes ``open``'s read-only checks and one read of
+    every byte without building a handle; every outcome must equal
+    ``open(O_RDONLY)`` then ``pread(0, size)``."""
+
+    @pytest.fixture
+    def tree(self, vfs):
+        vfs.mkdir("/d", mode=0o777)
+        vfs.write_whole("/d/f", b"hello")
+        vfs.write_whole("/d/empty", b"")
+        vfs.write_whole("/d/big", bytes(range(256)) * 40)
+        vfs.open("/d/sparse", O_WRONLY | O_CREAT).truncate(6000)
+        vfs.symlink("f", "/d/link")
+        vfs.write_whole("/d/secret", b"uid 1 only", uid=1, mode=0o600)
+        vfs.rootfs.mkdir(vfs.rootfs.root, "priv", 1, 0o700)
+        vfs.write_whole("/priv/f", b"private", uid=1)
+        return vfs
+
+    @pytest.mark.parametrize("armed", [False, True])
+    @pytest.mark.parametrize("path, uid, cwd", [
+        ("/d/f", 0, "/"), ("f", 2, "/d"), ("../d/./f", 1, "/priv"),
+        ("/d/empty", 0, "/"), ("/d/big", 2, "/"), ("/d/sparse", 1, "/"),
+        ("/d/link", 2, "/"), ("/d/missing", 0, "/"), ("/d", 0, "/"),
+        ("/d/secret", 2, "/"), ("/d/secret", 1, "/"), ("/priv/f", 2, "/"),
+        ("/priv/f", 1, "/"), ("/d/f/x", 0, "/"),
+    ])
+    def test_matches_open_and_pread(self, tree, path, uid, cwd, armed):
+        def open_and_pread(path, uid, cwd):
+            handle = tree.open(path, O_RDONLY, uid, cwd=cwd)
+            return handle.pread(0, handle.inode.size)
+
+        outcomes = []
+        for read in (tree.read_whole, open_and_pread):
+            tree.injector = _RecordingInjector() if armed else None
+            try:
+                result = read(path, uid, cwd)
+            except FilesystemError as error:
+                result = (type(error), error.args)
+            outcomes.append((result, tree.injector and tree.injector.calls))
+        assert outcomes[0] == outcomes[1]

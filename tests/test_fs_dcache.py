@@ -3,8 +3,9 @@
 ``Vfs.resolve`` caches the outcome of each walk under its key
 ``(normalized path, uid, follow)``: the ``(fs, inode)`` it found, or the
 class and message of the error it raised. ``Vfs._walk`` stays the
-reference and the only code that fills the cache, and
-``Filesystem.invalidate_walks`` keeps it exact.
+reference. Besides it, only a creating ``Vfs.open`` fills the cache, with
+the walk to the file it created, and ``Filesystem.invalidate_walks``
+keeps it exact.
 
 After every step of a random sequence of namespace operations, every
 probe must agree with a bare ``_walk``: the same ``(fs, inode)`` objects,
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 import repro
 from repro.disk import BlockDevice
 from repro.disk.image import restore_volume, serialize_volume
-from repro.errors import FilesystemError
+from repro.errors import FilesystemError, PermissionSimError
 from repro.fs.filesystem import Filesystem
 from repro.fs.path import normalize
 from repro.fs.vfs import O_CREAT, O_WRONLY, Vfs
@@ -59,6 +60,7 @@ def _tree_paths(prefix: str, depth: int):
 PROBES = (
     [(path, "/") for path in _tree_paths("", 2) + _tree_paths("/mnt", 2)]
     + [("/chain0", "/"), ("/loop", "/"), ("/priv", "/"), ("/priv/f", "/"),
+       ("/drop", "/"), ("/drop/a", "/"),
        ("//a//b/", "/"), ("/a/./b/..", "/"), ("b", "/a"), ("../l", "/a"),
        ("a/b", "/mnt"), (".", "/mnt"), ("l/a", "/")]
 )
@@ -105,13 +107,15 @@ def assert_all_agree(vfs: Vfs, probes=PROBES) -> None:
 
 def fresh_vfs() -> Vfs:
     """Two volumes, a directory every uid may write, a directory only
-    uid 1 may search, a 45-link chain and a self-loop."""
+    uid 1 may search, a directory uid 2 may write but not search, a
+    45-link chain and a self-loop."""
     physmem = PhysicalMemory()
     root = Filesystem(physmem, "root")
     vfs = Vfs(root)
     vfs.mount("/mnt", Filesystem(physmem, "other"))
     root.mkdir(root.root, "a", 0, 0o777)
     private = root.mkdir(root.root, "priv", 1, 0o700)
+    root.mkdir(root.root, "drop", 1, 0o722)
     root.create_file(private, "f", 1)
     for index in range(CHAIN):
         root.symlink(root.root, f"chain{index}",
@@ -130,7 +134,14 @@ _spelled = st.builds(lambda lead, parts: lead + "/".join(parts),
                      st.sampled_from(["", "//", "/a/../", "/mnt/./"]),
                      st.lists(st.sampled_from(NAMES + (".", "..")),
                               min_size=1, max_size=3))
-paths = st.one_of(_canonical, _canonical, _spelled)
+# Entries a creating open may add: in a directory uid 2 may write but
+# not search, through a symlink, or named like a mount point ("mnt",
+# or a name the mount operation used).
+_created = st.builds(lambda parent, name: parent + name,
+                     st.sampled_from(["/", "/a/", "/mnt/", "/drop/", "/l/",
+                                      "/a/b/"]),
+                     st.sampled_from(NAMES + ("mnt",)))
+paths = st.one_of(_canonical, _canonical, _spelled, _created)
 KINDS = ("create", "mkdir", "symlink", "link", "unlink", "rmdir", "rename",
          "mount", "resolve")
 #: One operation: (kind, uid, cwd, path, other path, symlink target,
@@ -236,9 +247,43 @@ class TestDifferential:
         with pytest.raises(FilesystemError):
             vfs.resolve("/a/new")
         vfs.write_whole("/a/new", b"")
-        assert vfs._found == {("/a", 0, True): found}
+        # The creating open seeded its own walk, and nothing else.
+        assert vfs._found == {("/a", 0, True): found,
+                              ("/a/new", 0, True): _walk(vfs, "/a/new", 0,
+                                                         True, "/")}
         assert vfs._missing == {}
         assert_agrees(vfs, "/a/new", 0, True, "/")
+
+    def test_creating_open_without_search_permission(self):
+        """uid 2 may write /drop but not search it, so its creating open
+        is refused by the walk and adds nothing. uid 1's open creates
+        and seeds its own key only: uid 2 is still refused."""
+        vfs = fresh_vfs()
+        with pytest.raises(PermissionSimError):
+            vfs.open("/drop/f", O_WRONLY | O_CREAT, 2)
+        assert "f" not in vfs.resolve("/drop")[1].entries
+        assert ("/drop/f", 2, True) not in vfs._found
+        vfs.open("/drop/f", O_WRONLY | O_CREAT, 1)
+        assert vfs._found[("/drop/f", 1, True)] == _walk(vfs, "/drop/f", 1,
+                                                          True, "/")
+        for uid in UIDS:
+            assert_agrees(vfs, "/drop/f", uid, True, "/")
+
+    def test_creating_open_under_a_stale_mount_point(self):
+        """A volume stays mounted at /a/d after /a is renamed away; a
+        file created as the new /a/d is covered by that mount, so the
+        walk of /a/d reaches the volume's root, not the file."""
+        vfs = fresh_vfs()
+        vfs.mkdir("/a/d")
+        volume = Filesystem(vfs.rootfs.physmem, "extra")
+        vfs.mount("/a/d", volume)
+        vfs.rename("/a", "/z")
+        vfs.mkdir("/a")
+        handle = vfs.open("/a/d", O_WRONLY | O_CREAT)
+        assert ("/a/d", 0, True) not in vfs._found
+        assert_agrees(vfs, "/a/d", 0, True, "/")
+        assert vfs.resolve("/a/d") == (volume, volume.root)
+        assert handle.inode is not volume.root
 
     def test_the_cap_clears_a_full_dict(self, monkeypatch):
         from repro.fs import vfs as vfs_module

@@ -10,6 +10,7 @@ under node faults, and the ``reprochaos --ha`` availability soak.
 
 from __future__ import annotations
 
+import contextlib
 import io
 
 import pytest
@@ -281,6 +282,39 @@ class TestFaults:
         assert views[2] == 0xAB
         assert cluster.ha.stats.heals == 1
         cluster.shutdown()
+
+    def test_partition_charges_alike_traced_and_untraced(self):
+        """Armed HA puts its filter between a request's net charge and
+        its propagation stall, so those stay separate charges whether or
+        not a tracer is on. A reader cut off from the home and a reader
+        that can reach it must leave every node's clock and every fabric
+        counter the same traced and untraced."""
+        import dataclasses
+
+        from repro.trace import tracer as _trace
+
+        def run(traced):
+            views = {}
+            with _trace.tracing() if traced else contextlib.nullcontext():
+                cluster = Cluster(3, seed=42, ha=True)
+                cluster.spawn(0, "creator", creator_body(PROP_SEG, 0xAB))
+                cluster.run()
+                heal = cluster.round + cluster.ha.config.suspicion_rounds
+                cluster.ha.partition(frozenset({0, 1}), frozenset({2}),
+                                     heal)
+                cluster.spawn(2, "r2", reader_body(PROP_SEG, 2, views))
+                cluster.spawn(1, "r1", reader_body(PROP_SEG, 1, views))
+                cluster.run()
+            cluster.shutdown()
+            return views, dataclasses.asdict(cluster.fabric.stats), [
+                (clock.cycles, clock.elapsed, list(clock.by_category.items()))
+                for clock in (machine.kernel.clock
+                              for machine in cluster.machines)]
+
+        untraced = run(False)
+        assert untraced[0] == {1: 0xAB}   # node 2 was cut off
+        assert untraced[1]["ha_dropped"] > 0
+        assert run(True) == untraced
 
     def test_crashed_node_rejects_spawn_and_is_reported(self):
         cluster = Cluster(3, seed=42, ha=True)

@@ -10,7 +10,10 @@ detection in the cluster scheduler.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import io
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,10 +36,12 @@ from repro.net import (
     FrameKind,
     Nic,
 )
+from repro.net.link import HEADER_SIZE
 from repro.rr import record_call, replay_call
 from repro.runtime.libshared import runtime_for
 from repro.runtime.views import Mem
 from repro.sfs.sharedfs import MAX_INODES
+from repro.trace import tracer as _trace
 from repro.trace.events import EventKind
 from repro.tools.cli import (
     UsageError,
@@ -136,6 +141,87 @@ class TestFrame:
         wire = Frame(FrameKind.DATA, 0, 1, 7, 1, b"payload").pack()
         with pytest.raises(NetError, match="length"):
             Frame.unpack(wire[:-3])
+
+    def test_unknown_kind_with_a_good_checksum_rejected(self):
+        wire = bytearray(Frame(FrameKind.DATA, 0, 1, 7, 1, b"x").pack())
+        wire[5] = len(FrameKind)
+        _reseal(wire)
+        with pytest.raises(NetError, match=f"unknown frame kind "
+                                           f"{len(FrameKind)}"):
+            Frame.unpack(bytes(wire))
+
+    #: The exact bytes of a few frames: a nonzero boot generation in the
+    #: src field's high bits, an empty payload, every field at its
+    #: maximum. A change to the wire format, and so to every net charge,
+    #: shows here first.
+    KNOWN_ANSWERS = [
+        (Frame(FrameKind.CALL, 3, 1, 0x5257, 99, b"hello segments"),
+         "484e45540101575203000100630000000e00000095f0aa21"
+         "68656c6c6f207365676d656e7473"),
+        (Frame(FrameKind.GRANT, 5, 2, 7, 0xDEADBEEF,
+               bytes(range(250, 256)) * 2, gen=9),
+         "484e45540108070005240200efbeadde0c000000c4bf3ba3"
+         "fafbfcfdfefffafbfcfdfeff"),
+        (Frame(FrameKind.ACK, 0, 1, 0, 1, b""),
+         "484e45540103000000000100010000000000000010bb0953"),
+        (Frame(FrameKind.HEARTBEAT, 0x3FF, 0x3FE, 0xFFFF, 0xFFFFFFFF,
+               b"\x00", gen=0x3F),
+         "484e4554010dfffffffffe03ffffffff010000004f33bda900"),
+    ]
+
+    @pytest.mark.parametrize("frame, wire", KNOWN_ANSWERS,
+                             ids=["call", "grant-gen9", "empty-ack",
+                                  "heartbeat-max"])
+    def test_known_answer_wire_bytes(self, frame, wire):
+        assert frame.pack().hex() == wire
+        assert Frame.unpack(bytes.fromhex(wire)) == frame
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame=st.builds(Frame, st.sampled_from(list(FrameKind)),
+                           st.integers(0, 0x3FF), st.integers(0, 0xFFFF),
+                           st.integers(0, 0xFFFF),
+                           st.integers(0, 0xFFFFFFFF),
+                           st.binary(max_size=40),
+                           gen=st.integers(0, 0x3F)),
+           mutations=st.lists(st.tuples(
+               st.sampled_from(("flip", "cut", "grow", "splice")),
+               st.integers(0, 80), st.integers(1, 255),
+               st.binary(max_size=6)), min_size=1, max_size=4),
+           reseal=st.booleans())
+    def test_every_mutant_round_trips_or_raises_net_error(
+            self, frame, mutations, reseal):
+        """A mutated wire either parses to a frame that packs back to
+        exactly those bytes, or is refused with a NetError, never a raw
+        struct.error, ValueError or IndexError. Resealing recomputes
+        the crc, so header damage reaches the checks behind it."""
+        wire = bytearray(frame.pack())
+        for kind, at, xor, blob in mutations:
+            if kind == "flip" and wire:
+                wire[at % len(wire)] ^= xor
+            elif kind == "cut":
+                del wire[at % (len(wire) + 1):]
+            elif kind == "grow":
+                wire += blob
+            elif kind == "splice":
+                start = at % (len(wire) + 1)
+                wire[start:start + len(blob)] = blob
+        if reseal:
+            _reseal(wire)
+        mutant = bytes(wire)
+        try:
+            back = Frame.unpack(mutant)
+        except NetError:
+            return
+        assert back.pack() == mutant
+
+
+def _reseal(wire: bytearray) -> None:
+    """Give *wire* the crc its header and payload call for (a frame's
+    crc covers the header with the crc field zeroed, then the payload)."""
+    if len(wire) >= HEADER_SIZE:
+        crc = zlib.crc32(bytes(wire[:HEADER_SIZE - 4]) + bytes(4)
+                         + bytes(wire[HEADER_SIZE:]))
+        wire[HEADER_SIZE - 4:HEADER_SIZE] = crc.to_bytes(4, "little")
 
 
 # ----------------------------------------------------------------------
@@ -420,6 +506,37 @@ class TestClusterRwho:
         # file baseline: one LIST + one GET round trip per host
         assert filed["frames_sent"] >= 2 * 30
         assert filed["frames_sent"] > shm["frames_sent"]
+
+    def test_file_baseline_charges_alike_traced_and_untraced(self):
+        """Untraced, each exchange charges the caller's adjacent net
+        charges as merged pairs; traced, a tx event sits between the
+        request's charge and its stall, so they are charged one by one.
+        Every node's cycles, elapsed time and categories (in order) and
+        every fabric counter must come out the same either way."""
+        from repro.apps.rwho.cluster import run_cluster_rwho, synth_statuses
+
+        def run(traced):
+            statuses = synth_statuses(20)
+            arm = _trace.tracing() if traced else contextlib.nullcontext()
+            with arm:
+                cluster = Cluster(3, seed=1993)
+                result = run_cluster_rwho(cluster, statuses, "file",
+                                          readers=[1, 2])
+                calls = sum(event.name == "tx:call"
+                            for event in _trace.TRACER.events())
+            cluster.shutdown()
+            clocks = [machine.kernel.clock for machine in cluster.machines]
+            return calls, (
+                [(clock.cycles, clock.elapsed,
+                  list(clock.by_category.items())) for clock in clocks],
+                dataclasses.asdict(cluster.fabric.stats),
+                result["outputs"])
+
+        untraced_calls, untraced = run(False)
+        traced_calls, traced = run(True)
+        assert untraced_calls == 0
+        assert traced_calls == 2 * 21  # one LIST + 20 GETs per reader
+        assert traced == untraced
 
     def test_hosts_over_the_user_cap_agree(self):
         from repro.apps.rwho.cluster import run_cluster_rwho, synth_statuses

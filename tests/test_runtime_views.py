@@ -28,6 +28,20 @@ class TestScalars:
         assert mem.load_i32(BASE) == -12345
         assert mem.load_u32(BASE) == 0xFFFFCFC7
 
+    @pytest.mark.parametrize("store", ["store_u32", "store_i32",
+                                       "store_u16", "store_u8"])
+    @pytest.mark.parametrize("value", ["x", 1.5, None, b"\x01"])
+    def test_store_refuses_a_non_int(self, mem, store, value):
+        """A scalar store of a non-int value is refused with a typed
+        error before it charges or writes anything, not with a raw
+        TypeError after its charge."""
+        mem.store_u32(BASE, 0x01020304)
+        cycles = mem.kernel.clock.cycles
+        with pytest.raises(SimulationError, match=f"{store} expects an int"):
+            getattr(mem, store)(BASE, value)
+        assert mem.kernel.clock.cycles == cycles
+        assert mem.load_u32(BASE) == 0x01020304
+
     def test_u16_u8(self, mem):
         mem.store_u16(BASE, 0xABCD)
         mem.store_u8(BASE + 2, 0x7F)

@@ -1219,7 +1219,7 @@ class TestRecordAccess:
 
 
 # ----------------------------------------------------------------------
-# Clock.charge_many is count single charges
+# Clock.charge_many and Clock.charge_pair are their single charges
 # ----------------------------------------------------------------------
 
 class TestChargeMany:
@@ -1249,6 +1249,37 @@ class TestChargeMany:
         clock = Clock()
         clock.charge_many("copies", 4, 0)
         assert clock.by_category == {} and clock.cycles == 0
+
+
+class TestChargePair:
+    """``charge_pair`` merges the two net charges of a synchronous
+    exchange; a checkpoint due at any offset fires at the same charge
+    as with two single charges, a negative second charge included."""
+
+    @settings(max_examples=60, **SETTINGS)
+    @given(first=st.integers(0, 9), second=st.integers(-3, 9),
+           start=st.integers(0, 50), every=st.integers(1, 9),
+           core=st.none() | st.integers(0, 3), fresh=st.booleans())
+    def test_matches_two_single_charges_at_every_checkpoint(
+            self, first, second, start, every, core, fresh):
+        for offset in range(-1, first + abs(second) + 2):
+            clocks = []
+            for merged in (True, False):
+                clock = Clock(ncores=4)
+                if not fresh:
+                    clock.charge("net", start)
+                clock.charge("copies", start)
+                clock.current_core = core
+                log = CheckpointLog(clock, offset, every)
+                if merged:
+                    clock.charge_pair("net", first, second)
+                else:
+                    clock.charge("net", first)
+                    clock.charge("net", second)
+                clocks.append((clock_state(clock),
+                               list(clock.by_category), log.calls,
+                               clock.checkpoint_at))
+            assert clocks[0] == clocks[1]
 
 
 # ----------------------------------------------------------------------

@@ -148,8 +148,15 @@ class TestMemoryObject:
         st.tuples(st.integers(min_value=0, max_value=3 * PAGE_SIZE),
                   st.binary(min_size=1, max_size=300)),
         min_size=1, max_size=12,
+    ), st.lists(
+        # reads inside one page (to its last byte), across pages and
+        # over pages never written
+        st.tuples(st.integers(min_value=0, max_value=4 * PAGE_SIZE),
+                  st.sampled_from((0, 1, 7, 300, PAGE_SIZE - 1, PAGE_SIZE,
+                                   2 * PAGE_SIZE + 5))),
+        max_size=12,
     ))
-    def test_matches_reference_bytearray(self, writes):
+    def test_matches_reference_bytearray(self, writes, reads):
         """Property: MemoryObject behaves like a growable bytearray."""
         pm = PhysicalMemory()
         mo = MemoryObject(pm)
@@ -162,3 +169,6 @@ class TestMemoryObject:
             mo.write(offset, data)
         assert mo.size == len(reference)
         assert mo.snapshot() == bytes(reference)
+        for offset, length in reads:
+            assert mo.read(offset, length) \
+                == bytes(reference[offset:offset + length])
