@@ -21,6 +21,20 @@ class WhodFormatError(SimulationError):
     a well-formed whod record."""
 
 
+def stored_hostname(hostname: str) -> str:
+    """*hostname* as both rwho daemons store it: cut at the first NUL
+    and to the ``HOSTNAME_LEN - 1`` latin-1 bytes that a NUL-terminated
+    ``HOSTNAME_LEN``-byte field keeps. A record carries this name, and
+    the daemons name and index a host's record by it, so two hosts
+    whose names agree up to the cut share one record in both."""
+    try:
+        raw = hostname.encode("latin-1")
+    except UnicodeEncodeError as error:
+        raise WhodFormatError(f"hostname {hostname!r} is not latin-1 "
+                              f"text: {error.reason}") from None
+    return raw[:HOSTNAME_LEN - 1].split(b"\x00", 1)[0].decode("latin-1")
+
+
 @dataclass
 class UserEntry:
     """One logged-in user, as rwhod reports it."""

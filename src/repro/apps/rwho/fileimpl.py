@@ -27,6 +27,7 @@ from repro.apps.rwho.common import (
     WhodFormatError,
     format_ruptime_line,
     format_rwho_line,
+    stored_hostname,
 )
 from repro.errors import FileNotFoundSimError
 from repro.fs.vfs import O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
@@ -42,7 +43,7 @@ RWHO_DIR = "/var/rwho"
 def pack_status(status: HostStatus) -> bytes:
     """Linearize a status record into the on-disk whod format."""
     blob = _HEADER.pack(
-        status.hostname.encode("latin-1"),
+        stored_hostname(status.hostname).encode("latin-1"),
         status.boot_time,
         status.update_time,
         status.load_1,
@@ -71,6 +72,10 @@ def unpack_status(blob: bytes) -> HostStatus:
     if nusers > MAX_USERS_PER_HOST or len(blob) != expected:
         raise WhodFormatError(f"whod record of {len(blob)} bytes "
                               f"claims {nusers} user(s)")
+    hostname, nul, padding = hostname.partition(b"\x00")
+    if not nul or padding.strip(b"\x00"):
+        raise WhodFormatError("whod record's hostname field does not "
+                              "hold one NUL-terminated name")
     users = []
     offset = _HEADER.size
     for _ in range(nusers):
@@ -82,7 +87,7 @@ def unpack_status(blob: bytes) -> HostStatus:
             idle,
         ))
     return HostStatus(
-        hostname.rstrip(b"\x00").decode("latin-1"),
+        hostname.decode("latin-1"),
         boot, update, l1, l5, l15, users,
     )
 
@@ -100,7 +105,7 @@ class FileRwhod:
     def receive(self, status: HostStatus) -> None:
         """Handle one broadcast: linearize and rewrite whod.<host>."""
         sys = self.kernel.syscalls
-        path = f"{self.directory}/whod.{status.hostname}"
+        path = f"{self.directory}/whod.{stored_hostname(status.hostname)}"
         fd = sys.open(self.proc, path, O_WRONLY | O_CREAT | O_TRUNC)
         try:
             sys.write(self.proc, fd, pack_status(status))

@@ -21,12 +21,14 @@ from __future__ import annotations
 from typing import List
 
 from repro.apps.rwho.common import (
+    HOSTNAME_LEN,
     HostStatus,
     MAX_USERS_PER_HOST,
     UserEntry,
     WhodFormatError,
     format_ruptime_line,
     format_rwho_line,
+    stored_hostname,
 )
 from repro.errors import SimulationError
 from repro.kernel.kernel import Kernel
@@ -45,7 +47,7 @@ USER_STRUCT = StructDef("rwho_user", [
 ])
 
 HOST_STRUCT = StructDef("rwho_host", [
-    ("hostname", "cstr:32"),
+    ("hostname", f"cstr:{HOSTNAME_LEN}"),
     ("boot_time", "u32"),
     ("update_time", "u32"),
     ("load_1", "i32"),
@@ -60,14 +62,6 @@ DB_HEADER_SIZE = 8
 
 def db_size(nhosts: int) -> int:
     return DB_HEADER_SIZE + nhosts * HOST_STRUCT.size
-
-
-def _stored_hostname(hostname: str) -> str:
-    """*hostname* as its record's ``cstr:32`` field reads it back:
-    latin-1, cut to 31 bytes and at the first NUL. The daemon's index
-    is keyed by this form, the one :meth:`ShmRwhod._load_index` reads."""
-    stored = HOST_STRUCT.packing["hostname"][1](hostname)
-    return stored.split(b"\x00", 1)[0].decode("latin-1")
 
 
 class ShmRwhod:
@@ -103,7 +97,7 @@ class ShmRwhod:
 
     def receive(self, status: HostStatus) -> None:
         """Handle one broadcast: update the host's record in place."""
-        key = _stored_hostname(status.hostname)
+        key = stored_hostname(status.hostname)
         slot = self._index.get(key)
         if slot is None:
             slot = self.mem.load_u32(self.base + 4)
@@ -112,7 +106,7 @@ class ShmRwhod:
             self.mem.store_u32(self.base + 4, slot + 1)
             self._index[key] = slot
         view = self._record(slot)
-        view.update(hostname=status.hostname,
+        view.update(hostname=key,
                     boot_time=status.boot_time,
                     update_time=status.update_time,
                     load_1=status.load_1, load_5=status.load_5,

@@ -1,25 +1,26 @@
-"""Superblock translation: hot straight-line code as one Python function.
+"""Superblock translation: straight-line code as one Python function.
 
-A *block* is the maximal run of consecutive instructions, on one page,
-that are already in the frame's decoded-instruction cache
-(:attr:`repro.vm.pages.Frame.decode`), up to :data:`BLOCK_CAP`. It ends
-at a branch, jump, ``jr``/``jalr``, ``syscall`` or ``break`` (that
-instruction included), before an invalid word, or at the page end; a
-run that reaches an undecoded offset first is not a block yet.
-Because a block is built only from offsets that are already decoded,
-code is translated on its second visit, and every fetch the block
-stands for would have been a TLB hit and a decode hit in
-:meth:`Cpu.step <repro.hw.cpu.Cpu.step>`.
+A *block* is the maximal run of consecutive instructions on one page,
+up to :data:`BLOCK_CAP`. It ends at a branch, jump, ``jr``/``jalr``,
+``syscall`` or ``break`` (that instruction included), before an invalid
+word, or at the page end. :func:`build` is the one scan that finds it.
+It reads decoded instructions from the frame's cache
+(:attr:`repro.vm.pages.Frame.decode`) and decodes the offsets missing
+there from the frame's bytes into the block's ``fresh`` list, so code
+runs as a block from its first visit. :meth:`Cpu.execute
+<repro.hw.cpu.Cpu.execute>` chains blocks until its budget is spent; a
+block longer than the budget left runs as its :meth:`Block.prefix`.
 
 The block is generated as Python source, with the start ``pc`` as a
 parameter, and compiled once: :func:`translate` memoizes the function
 by the tuple of instruction words, process-wide and bounded by
-:data:`MEMO_CAP`, so every kernel and frame holding the same code reuses
-it. Each frame keeps its own ``offset -> Block`` cache in
-:attr:`Frame.blocks <repro.vm.pages.Frame.blocks>`, dropped with the
-decode cache by :meth:`Frame.drop_code <repro.vm.pages.Frame.drop_code>`.
-A :class:`Block` is compiled (or fetched from the memo) the first time
-it runs, so a block that never fits a chunk's budget costs no compile.
+:data:`MEMO_CAP`, so every kernel and frame holding the same code (and
+every prefix of it) reuses it. Each frame keeps its own ``offset ->
+Block`` cache in :attr:`Frame.blocks <repro.vm.pages.Frame.blocks>`,
+dropped with the decode cache by :meth:`Frame.drop_code
+<repro.vm.pages.Frame.drop_code>`. Only blocks with every instruction
+decoded enter it. A :class:`Block` is compiled (or fetched from the
+memo) the first time it runs.
 
 A block function ``block(cpu, space, entry, pc)`` is exact against the
 single-step reference:
@@ -28,7 +29,9 @@ single-step reference:
   ``instructions_executed``, to ``tlb_hits`` and to ``decode_hits``.
   An exception at block index ``i`` leaves ``pc`` at that instruction
   and adds ``i`` retired instructions and ``i + 1`` fetch hits (the
-  trapping fetch was counted), so faults and traps stay precise.
+  trapping fetch was counted), so faults and traps stay precise. On a
+  first visit, :meth:`Block.first_visit` turns the hits of the fresh
+  instructions that were fetched into decode misses.
 * **Data accesses.** ``lw``/``sw`` take the TLB fast path of
   :meth:`AddressSpace.load_word` / :meth:`AddressSpace.store_word` and
   fall back to those methods; byte and half accesses call the same
@@ -90,48 +93,117 @@ def _ends_block(word: int) -> bool:
 
 
 class Block:
-    """One block of a frame: its length and, once it first runs, its
+    """One block of a frame: its words and, once it first runs, its
     compiled function. ``run(cpu, space, entry, pc)`` translates on the
-    first call, so a block that never fits a budget is never compiled."""
+    first call, so a block that never runs is never compiled.
 
-    __slots__ = ("length", "words", "run")
+    ``fresh`` lists ``(index, decoded)`` for the instructions whose
+    offsets were not in the frame's decode cache when :func:`build`
+    scanned the run; such a block runs through :meth:`first_visit`,
+    never straight through ``run``, and is cached in the frame only
+    once that has left every one of them decoded.
+    """
 
-    def __init__(self, words: Tuple[int, ...]) -> None:
+    __slots__ = ("length", "words", "run", "fresh", "prefixes")
+
+    def __init__(self, words: Tuple[int, ...],
+                 fresh: Tuple[Tuple[int, tuple], ...] = ()) -> None:
         self.length = len(words)
         self.words = words
         self.run: BlockFunction = self._translate
+        self.fresh = fresh
+        self.prefixes: Optional[Dict[int, "Block"]] = None
 
     def _translate(self, cpu, space, entry, pc: int) -> None:
         self.run = translate(self.words)
         self.run(cpu, space, entry, pc)
 
+    def prefix(self, length: int) -> "Block":
+        """The block of this block's first *length* words (cached). It
+        ends without a branch, so it falls through to ``pc + 4 * length``."""
+        prefixes = self.prefixes
+        if prefixes is None:
+            prefixes = self.prefixes = {}
+        block = prefixes.get(length)
+        if block is None:
+            block = prefixes[length] = Block(self.words[:length])
+        return block
 
-def build(decode: Dict[int, tuple], offset: int) -> Optional[Block]:
-    """The block starting at page *offset*, or None when there is none
-    yet: the word there is invalid, or the run reaches an offset that
-    has not been decoded before it ends (that code has not run once; a
-    later visit builds the whole block)."""
+    def first_visit(self, cpu, space, entry, pc: int, budget: int) -> None:
+        """Run at most *budget* instructions of a block with ``fresh``
+        decodes, counting the decode cache as single steps would.
+
+        The fresh decodes of the instructions that will run go into the
+        frame's cache first, so a store into the block's own page finds
+        the cache non-empty and drops it, as the steps' would. Afterwards
+        each fresh instruction that was fetched (retired, or the trapping
+        fetch) is a decode miss instead of the hit the block counted, and
+        the fresh decodes past the last fetch leave the cache again. The
+        frame caches the block once every instruction was fetched and its
+        code is intact.
+        """
+        frame = entry[2]
+        decode = frame.decode
+        offset = pc & _PAGE_MASK
+        length = min(self.length, budget)
+        fresh = [(i, decoded) for i, decoded in self.fresh if i < length]
+        for i, decoded in fresh:
+            decode[offset + 4 * i] = decoded
+        run = self if length == self.length else self.prefix(length)
+        before = cpu.instructions_executed
+        trapped = True
+        try:
+            run.run(cpu, space, entry, pc)
+            trapped = False
+        finally:
+            fetched = cpu.instructions_executed - before + trapped
+            misses = 0
+            for i, _decoded in fresh:
+                if i < fetched:
+                    misses += 1
+                else:
+                    # (a dropped cache has forgotten it already)
+                    decode.pop(offset + 4 * i, None)
+            cpu.decode_hits -= misses
+            cpu.decode_misses += misses
+            if fetched == self.length and decode:
+                self.fresh = ()
+                frame.blocks[offset] = self
+
+
+def build(decode: Dict[int, tuple], data, offset: int) -> Optional[Block]:
+    """The block starting at page *offset* of the frame whose bytes are
+    *data* and whose decode cache is *decode*, or None when the word
+    there is invalid. An offset missing from *decode* is decoded from
+    *data* into the block's ``fresh`` list, as :meth:`Cpu.step
+    <repro.hw.cpu.Cpu.step>` would decode it, and *decode* is left
+    unchanged."""
     words: List[int] = []
+    fresh: List[Tuple[int, tuple]] = []
     while offset < PAGE_SIZE and len(words) < BLOCK_CAP:
         decoded = decode.get(offset)
-        if decoded is None:
-            return None
+        cold = decoded is None
+        if cold:
+            word = _WORD.unpack_from(data, offset)[0]
+            decoded = (word, (word >> 26) & 0x3F, (word >> 21) & 31,
+                       (word >> 16) & 31)
         word = decoded[0]
         op = decoded[1]
         if op == isa.OP_SPECIAL:
             if word & 0x3F not in _FUNCTS:
                 break
-            words.append(word)
-            if word & 0x3F in _END_FUNCTS:
-                break
+            ends = word & 0x3F in _END_FUNCTS
         elif op in _OPS:
-            words.append(word)
-            if op in _BRANCH_OPS:
-                break
+            ends = op in _BRANCH_OPS
         else:
             break
+        if cold:
+            fresh.append((len(words), decoded))
+        words.append(word)
+        if ends:
+            break
         offset += 4
-    return Block(tuple(words)) if words else None
+    return Block(tuple(words), tuple(fresh)) if words else None
 
 
 def translate(words: Tuple[int, ...]) -> BlockFunction:

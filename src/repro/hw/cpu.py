@@ -1,8 +1,8 @@
 """The CPU interpreter with precise, restartable faults.
 
 The interpreter executes one instruction per :meth:`Cpu.step`, the
-reference semantics. :meth:`Cpu.execute` runs a translated superblock
-(:mod:`repro.hw.blocks`) when one fits, with the same architectural
+reference semantics. :meth:`Cpu.execute` chains translated superblocks
+(:mod:`repro.hw.blocks`) within its budget, with the same architectural
 state and counters as the equivalent run of steps. All memory
 accesses go through the attached :class:`~repro.vm.AddressSpace`; a
 :class:`~repro.vm.PageFaultError` propagates out of ``step`` *before* any
@@ -294,32 +294,54 @@ class Cpu:
         self.instructions_executed += 1
 
     def execute(self, budget: int) -> None:
-        """Execute one translated block of at most *budget* instructions,
-        or else exactly one :meth:`step`.
+        """Execute at most *budget* instructions as translated blocks,
+        chained from one to the next, or else exactly one :meth:`step`.
 
-        A block runs when the PC hits an executable TLB entry, the frame
-        has (or can build from its decode cache) a block at that offset,
-        and the block is no longer than *budget*. Faults and traps are as
-        precise as :meth:`step`'s: the PC names the faulting instruction
-        and every instruction before it has retired.
+        The loop looks up the block at each new PC and runs it until the
+        budget is spent, a trap or fault propagates, or the PC has no
+        block: a TLB miss, a non-executable page, or an invalid word. A
+        block longer than the budget left runs as its prefix of that
+        length, and a block with undecoded instructions runs through
+        :meth:`Block.first_visit <repro.hw.blocks.Block.first_visit>`.
+        Only a call that ran no block makes the step. Counters, faults
+        and traps are exactly those of the equivalent steps: the PC names
+        the faulting instruction and every instruction before it has
+        retired.
         """
         space = self.address_space
         if space is not None:
-            pc = self.pc
-            entry = space.tlb.get(pc >> PAGE_SHIFT)
-            if entry is not None and entry[1] & PROT_EXEC:
+            tlb_get = space.tlb.get
+            smp = space.smp
+            start = self.instructions_executed
+            end = start + budget
+            left = budget
+            while left > 0:
+                pc = self.pc
+                entry = tlb_get(pc >> PAGE_SHIFT)
+                if entry is None or not entry[1] & PROT_EXEC:
+                    break
                 frame = entry[2]
                 offset = pc & _PAGE_MASK
                 block = frame.blocks.get(offset)
-                if block is None and offset in frame.decode:
-                    block = blocks.build(frame.decode, offset)
-                    if block is not None:
+                if block is None:
+                    if offset & 3:
+                        break
+                    block = blocks.build(frame.decode, entry[0], offset)
+                    if block is None:
+                        break
+                    if not block.fresh:
                         frame.blocks[offset] = block
-                if block is not None and block.length <= budget:
-                    if space.smp is not None:
-                        frame.decode_cores.add(space.core)
+                if smp is not None:
+                    frame.decode_cores.add(space.core)
+                if block.fresh:
+                    block.first_visit(self, space, entry, pc, left)
+                elif block.length <= left:
                     block.run(self, space, entry, pc)
-                    return
+                else:
+                    block.prefix(left).run(self, space, entry, pc)
+                left = end - self.instructions_executed
+            if self.instructions_executed != start:
+                return
         self.step()
 
     def run(self, max_instructions: int = 1_000_000) -> None:

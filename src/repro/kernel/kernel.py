@@ -415,13 +415,15 @@ class Kernel:
         a fault/trap); True otherwise — the caller charges the executed
         count when the whole quantum is done. The scheduler calls this
         with sub-quantum targets. Each ``Cpu.execute`` gets the
-        instructions left in the chunk as its budget, so a block never
-        crosses the target. The instruction counter only advances by
-        retired instructions, and every retired instruction resets the
-        fault streak, whether a single step retired it or a block did
-        before faulting (the reference resets it on every successful
-        step), so a chunk boundary never lands mid-fault-retry, making
-        chunked execution bit-identical to one uninterrupted quantum.
+        instructions left in the chunk as its budget, so ``execute``
+        never crosses the target, and the blocks it chains never change
+        ``proc.state``, so checking the state between calls is exact.
+        The instruction counter only advances by retired instructions,
+        and every retired instruction resets the fault streak, whether a
+        single step retired it or a block did before faulting (the
+        reference resets it on every successful step), so a chunk
+        boundary never lands mid-fault-retry, making chunked execution
+        bit-identical to one uninterrupted quantum.
         """
         cpu = proc.cpu
         fault_streak = 0

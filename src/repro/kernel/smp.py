@@ -41,11 +41,11 @@ size:
   or a kill;
 * a chunk boundary can only fall immediately after a *retired*
   instruction (traps and faults do not advance the instruction
-  counter, and ``Cpu.execute`` runs a translated block only when it
-  fits the instructions left in the chunk), and every retired
-  instruction resets the fault streak — including those a block
-  retires before it faults — so starting each chunk with a zero streak
-  is exact, not approximate;
+  counter, and ``Cpu.execute`` never runs past the instructions left
+  in the chunk: a block longer than that runs as its prefix), and
+  every retired instruction resets the fault streak — including those
+  a block retires before it faults — so starting each chunk with a
+  zero streak is exact, not approximate;
 * the SWITCH span opens at quantum start and closes at quantum end
   (spans carry their entry cycle and emit one event on exit, so
   interleaved per-core spans need no nesting stack);

@@ -86,5 +86,7 @@ class Archive:
             raise ObjectFormatError("not a HOF archive")
         archive = cls(reader.string())
         for _ in range(reader.u32()):
-            archive.members.append(ObjectFile.from_bytes(reader.blob()))
+            archive.add(ObjectFile.from_bytes(reader.blob()))
+        if not reader.at_end():
+            raise ObjectFormatError("trailing bytes after archive")
         return archive

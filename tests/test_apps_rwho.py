@@ -148,6 +148,23 @@ class TestEquivalence:
         assert file_rwho(kernel, shell) == shm_rwho(kernel, shell)
         assert file_ruptime(kernel, shell) == shm_ruptime(kernel, shell)
 
+    def test_long_hostnames_are_cut_alike(self, kernel, shell, network):
+        """Two 36-character hosts that share a 35-character prefix
+        agree in their first 31 bytes, the part both daemons keep: each
+        implementation holds one record for the pair, under one name."""
+        pair = [dataclasses.replace(network[index],
+                                    hostname="a" * 35 + str(index))
+                for index in (1, 2)]
+        file_daemon = FileRwhod(kernel, shell)
+        shm_daemon = ShmRwhod(kernel, shell, nhosts=len(network))
+        for status in pair:
+            file_daemon.receive(status)
+            shm_daemon.receive(status)
+        assert file_rwho(kernel, shell) == shm_rwho(kernel, shell)
+        assert file_ruptime(kernel, shell) == shm_ruptime(kernel, shell)
+        assert file_ruptime(kernel, shell).split()[0] == "a" * 31
+        assert kernel.vfs.listdir("/var/rwho") == ["whod." + "a" * 31]
+
     def test_update_in_place(self, kernel, shell, network):
         daemon = ShmRwhod(kernel, shell, nhosts=len(network))
         for status in network:

@@ -5,12 +5,14 @@ Every property here runs the same program twice on twin address
 spaces: once as a ``Cpu.step()`` loop (the reference) and once as a
 ``Cpu.execute(budget)`` loop, which runs translated blocks. After every
 ``execute`` call and every exception the two must agree on the PC,
-registers, memory, exception, retired instructions, TLB hits/misses and
-decode hits/misses.
+registers, memory, exception, retired instructions, TLB hits/misses,
+decode hits/misses, the text frames' decoded offsets and decode cores,
+and, on twins with a stub SMP shadow, every shootdown.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -168,10 +170,29 @@ def _registers(loops, values=()):
     return regs
 
 
+#: execute budgets the differential draws from: every length a block
+#: can be cut to, the SMP sub-quantum, and effectively unlimited
+_BUDGETS = [*range(1, 65), 250] + [10 ** 6] * 16
+
+
+class _StubSmp:
+    """Stands in for the SMP coordinator of a space on core 1: records
+    every shootdown that a store or a TLB flush books."""
+
+    def __init__(self) -> None:
+        self.shootdowns = []
+
+    def decode_shootdown(self, frame) -> None:
+        self.shootdowns.append(("decode", sorted(frame.decode_cores)))
+
+    def tlb_shootdown(self, space, dropped: int, reason: str) -> None:
+        self.shootdowns.append(("tlb", dropped, reason))
+
+
 class _Machine:
     """One twin: an address space holding the program, and a CPU."""
 
-    def __init__(self, words, regs, data: bytes) -> None:
+    def __init__(self, words, regs, data: bytes, smp: bool = False) -> None:
         self.space = AddressSpace(PhysicalMemory(), name="twin",
                                   tlb_enabled=True)
         scratch = SCRATCH_PAGES * PAGE_SIZE
@@ -182,6 +203,9 @@ class _Machine:
         self.space.write_bytes(
             TEXT, b"".join(w.to_bytes(4, "little") for w in words))
         self.space.write_bytes(DATA, data)
+        if smp:
+            self.space.smp = _StubSmp()
+            self.space.core = 1
         self.cpu = Cpu(self.space)
         self.cpu.pc = TEXT
         self.cpu.regs[:] = regs
@@ -189,6 +213,8 @@ class _Machine:
         #: instructions retired by execute calls that ran a block of
         #: more than one instruction
         self.block_retired = 0
+        #: (budget, retired, outcome) of every execute call
+        self.calls = []
 
     def fork(self) -> None:
         self.children.append(self.space.fork("child"))
@@ -201,9 +227,13 @@ class _Machine:
              if pte.frame is not None}
             for s in [space] + self.children
         ]
+        text = [(sorted(frame.decode), sorted(frame.decode_cores))
+                for frame in (s._pages[TEXT >> 12].frame
+                              for s in [space] + self.children)]
         return (cpu.pc, list(cpu.regs), cpu.instructions_executed,
                 cpu.decode_hits, cpu.decode_misses, space.tlb_hits,
-                space.tlb_misses, space.tlb_fills, memory)
+                space.tlb_misses, space.tlb_fills, memory, text,
+                getattr(space.smp, "shootdowns", None))
 
 
 def _outcome(error):
@@ -220,15 +250,20 @@ _HANDLED = (SyscallTrap, BreakTrap, ArithmeticTrap, AlignmentError,
             InvalidInstructionError, PageFaultError)
 
 
-def _differential(words, end, regs, data, rng, max_retired=1500):
+def _differential(words, end, regs, data, rng, max_retired=1500,
+                  smp=False, budgets=None):
     """Run the program on twins (reference steps vs budgeted execute),
-    comparing after every execute call. Returns the block twin."""
-    ref, fast = _Machine(words, regs, data), _Machine(words, regs, data)
+    comparing after every execute call. The budgets cycle through
+    *budgets* when given, else *rng* draws them from ``_BUDGETS``.
+    Returns the block twin."""
+    ref = _Machine(words, regs, data, smp)
+    fast = _Machine(words, regs, data, smp)
+    budgets = itertools.cycle(budgets) if budgets else None
     extra_pages = 0
     for _ in range(6000):
         if fast.cpu.instructions_executed >= max_retired:
             break
-        budget = rng.choice([1, 3, 8, 21, 64, 250, 10 ** 6, 10 ** 6])
+        budget = next(budgets) if budgets else rng.choice(_BUDGETS)
         before = fast.cpu.instructions_executed
         error = None
         try:
@@ -236,6 +271,7 @@ def _differential(words, end, regs, data, rng, max_retired=1500):
         except _HANDLED as exc:
             error = exc
         retired = fast.cpu.instructions_executed - before
+        fast.calls.append((budget, retired, _outcome(error)))
         if retired > 1:
             fast.block_retired += retired
         assert retired <= budget
@@ -275,10 +311,13 @@ class TestDifferential:
            st.lists(st.integers(0, 0xFFFFFFFF), min_size=6, max_size=6),
            st.integers(2, SCRATCH_PAGES - 1),
            st.binary(min_size=64, max_size=64),
+           st.booleans(),
            st.randoms(use_true_random=False))
-    def test_execute_matches_step(self, body, values, loops, data, rng):
+    def test_execute_matches_step(self, body, values, loops, data, smp,
+                                  rng):
         words, end = _loop(_encode(body))
-        _differential(words, end, _registers(loops, values), data * 64, rng)
+        _differential(words, end, _registers(loops, values), data * 64, rng,
+                      smp=smp)
 
 
 _EDGE_VALUES = [0, 1, 2, 7, 0x7FFFFFFF, 0x80000000, 0xFFFFFFF9,
@@ -362,16 +401,77 @@ class TestBlocks:
         assert fast.children[0].load_word(TEXT + 0x800) == 0
 
     def test_budget_is_never_exceeded(self):
+        # Every budget shorter than the 22-instruction block at the loop
+        # head retires exactly that many instructions, through a prefix.
         body = [isa.encode_i(isa.OP_ADDI, rs=8, rt=8, imm=1)] * 20
         words, _end = _loop(body)
-        machine = _Machine(words, _registers(3), bytes(64))
-        for _ in range(22):
-            machine.cpu.step()        # first visit decodes everything
-        machine.cpu.execute(21)       # loop head: 22-instruction block
-        assert machine.cpu.instructions_executed == 23
-        machine.cpu.pc = TEXT
-        machine.cpu.execute(22)
-        assert machine.cpu.instructions_executed == 45
+        for budget in range(1, 23):
+            machine = _Machine(words, _registers(4), bytes(64))
+            for _ in range(22):
+                machine.cpu.step()    # first visit decodes everything
+            machine.cpu.execute(budget)
+            assert machine.cpu.instructions_executed == 22 + budget
+            assert machine.cpu.pc == TEXT + 4 * (budget % 22)
+            assert machine.cpu.regs[8] == 20 + min(budget, 20)
+        machine.cpu.execute(30)       # a whole block, then a prefix of 8
+        assert machine.cpu.instructions_executed == 74
+        assert machine.cpu.pc == TEXT + 4 * 8
+
+    def test_cold_block_faults_mid_run(self):
+        # On the first visit the block decodes ahead, retires two
+        # instructions and faults on the load; only the three fetched
+        # instructions count as decode misses and stay decoded.
+        body = [isa.encode_i(isa.OP_ADDI, rs=8, rt=8, imm=1),
+                isa.encode_i(isa.OP_ADDI, rs=9, rt=9, imm=2),
+                isa.encode_i(isa.OP_LW, rs=S_UNMAPPED, rt=10, imm=4),
+                isa.encode_i(isa.OP_ADDI, rs=11, rt=10, imm=3)]
+        words, end = _loop(body)
+        fast = _differential(words, end, _registers(3), bytes(64), None,
+                             budgets=[10 ** 6])
+        fault = (PageFaultError, UNMAPPED + 4, AccessKind.READ, False)
+        assert fast.calls[0] == (10 ** 6, 2, fault)
+        assert fast.cpu.pc == end and fast.cpu.regs[8] == 3
+
+    def test_cold_block_rewrites_its_own_run(self):
+        # On the first iteration the sw lands on the text page, before
+        # anything there ran, and turns the next instruction (addi t1,
+        # t1, 1) into addi t1, t1, 100: the cold block must leave right
+        # after the store and the rest run the new word.
+        patched = isa.encode_i(isa.OP_ADDI, rs=9, rt=9, imm=100)
+        body = [isa.encode_r(isa.FN_SLL, rd=T6, rt=S_COUNT, shamt=12),
+                isa.encode_r(isa.FN_ADD, rd=T6, rs=T6, rt=S_FIRST),
+                isa.encode_i(isa.OP_SW, rs=T6, rt=10, imm=12),
+                isa.encode_i(isa.OP_ADDI, rs=9, rt=9, imm=1)]
+        words, end = _loop(body)
+        for smp in (False, True):
+            fast = _differential(words, end, _registers(4, [0, 0, patched]),
+                                 bytes(64), None, smp=smp,
+                                 budgets=[10 ** 6])
+            assert fast.calls == [(10 ** 6, 4 * 6, (SyscallTrap, end))]
+            assert fast.cpu.regs[9] == 4 * 100
+            # six on the first iteration, the three the store dropped
+            # on the second, and the syscall
+            assert fast.cpu.decode_misses == 6 + 3 + 1
+        assert fast.space.smp.shootdowns == [("decode", [1])]
+
+    def test_cold_block_cut_by_the_budget(self):
+        body = [isa.encode_i(isa.OP_ADDI, rs=8, rt=8, imm=1)] * 20
+        words, end = _loop(body)
+        # The first two calls run cut cold blocks; the third runs the
+        # rest of the first iteration cold, two warm iterations, and
+        # traps on the final syscall.
+        fast = _differential(words, end, _registers(3), bytes(64), None,
+                             budgets=[5, 7, 10 ** 6])
+        assert fast.calls == [(5, 5, None), (7, 7, None),
+                              (10 ** 6, 10 + 2 * 22, (SyscallTrap, end))]
+        first = _Machine(words, _registers(3), bytes(64))
+        first.cpu.execute(5)
+        frame = first.space.tlb[TEXT >> 12][2]
+        assert first.cpu.instructions_executed == 5
+        assert first.cpu.decode_misses == 5 and first.cpu.decode_hits == 0
+        assert sorted(frame.decode) == [0, 4, 8, 12, 16]
+        assert not frame.blocks
+        assert fast.cpu.pc == end
 
     def test_memo_reuses_functions_across_frames(self):
         words, _end = _loop([isa.encode_i(isa.OP_ADDI, rs=8, rt=8, imm=7)])

@@ -157,6 +157,67 @@ class TestMutatedBytes:
             ObjectFile.from_bytes(mutant())
 
 
+def _archive_bytes() -> bytes:
+    archive = Archive("lib.a")
+    archive.add(ObjectFile.from_bytes(_mod3_bytes()))
+    return archive.to_bytes()
+
+
+def _archive_parses_exactly_or_rejects(data: bytes) -> bool:
+    """As :func:`_parses_exactly_or_rejects`, for a HOF archive."""
+    try:
+        archive = Archive.from_bytes(data)
+    except ObjectFormatError:
+        return False
+    assert archive.to_bytes() == data
+    return True
+
+
+class TestMutatedArchiveBytes:
+    """Every byte mutant of a one-member archive is an exact parse or an
+    ObjectFormatError: a changed count or length must not leave bytes
+    that the archive silently ignores."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutation_property(self, data):
+        blob = bytearray(_archive_bytes())
+        for _ in range(data.draw(st.integers(1, 4), label="count")):
+            index = data.draw(st.integers(0, len(blob) - 1),
+                              label="index")
+            blob[index] = data.draw(st.integers(0, 255), label="byte")
+        _archive_parses_exactly_or_rejects(bytes(blob))
+
+    def test_seeded_mutants(self):
+        import random
+
+        blob = _archive_bytes()
+        rng = random.Random(1993)
+        parsed = 0
+        for _ in range(3000):
+            mutant = bytearray(blob)
+            for _ in range(rng.randint(1, 4)):
+                mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+            parsed += _archive_parses_exactly_or_rejects(bytes(mutant))
+        assert 0 < parsed < 3000
+
+    @pytest.mark.parametrize("mutant", [
+        lambda: _archive_bytes() + b"\x00",
+        # the member count (after the magic and "lib.a") reads as 0
+        lambda: _archive_bytes()[:11] + b"\x00" + _archive_bytes()[12:],
+    ], ids=["trailing-byte", "count-zero"])
+    def test_typed_rejections(self, mutant):
+        with pytest.raises(ObjectFormatError, match="trailing bytes"):
+            Archive.from_bytes(mutant())
+
+    def test_duplicate_member_names_are_rejected(self):
+        archive = Archive("lib.a")
+        archive.add(sample_object("m1.o"))
+        archive.add(sample_object("m2.o"))
+        with pytest.raises(ObjectFormatError, match="already has"):
+            Archive.from_bytes(archive.to_bytes().replace(b"m2.o", b"m1.o"))
+
+
 def _section_laid_out_twice() -> bytes:
     obj = ObjectFile("a.out", ObjectKind.EXECUTABLE)
     obj.layout["text"] = SectionLayout("text", 0x400000, 16)
