@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.kernel.kernel import Kernel
-from repro.kernel.timing import Clock, CostModel
+from repro.kernel.timing import Clock
 from repro.linker.classes import SharingClass
 from repro.linker.lds import Lds, LinkRequest
 from repro.linker.ldl import Ldl
@@ -43,7 +43,6 @@ __all__ = [
     "System",
     "Kernel",
     "Clock",
-    "CostModel",
     "SharingClass",
     "Lds",
     "LinkRequest",
@@ -78,8 +77,7 @@ class System:
         return self.kernel.clock
 
 
-def boot(lazy: bool = True, addrmap=None,
-         costs: Optional[CostModel] = None,
+def boot(lazy: bool = True,
          wide_addresses: bool = False,
          scoped: bool = True,
          verify: Optional[bool] = None,
@@ -88,10 +86,9 @@ def boot(lazy: bool = True, addrmap=None,
     """Boot a fresh simulated machine.
 
     * *lazy* — whether ldl links lazily (the paper's default) or eagerly;
-    * *addrmap* — the SFS address map implementation (linear by default);
-    * *costs* — cycle cost model override;
     * *wide_addresses* — boot the paper's 64-bit future-work design
-      (per-inode address fields, B-tree map, relaxed limits);
+      (per-inode address fields, B-tree map, relaxed limits) instead of
+      the 32-bit prototype and its linear address map;
     * *scoped* — scoped linking (the paper's design) vs a traditional
       flat namespace (the A6 ablation);
     * *verify* — arm the reprolint static-verification gate in both
@@ -114,8 +111,7 @@ def boot(lazy: bool = True, addrmap=None,
     injection, recording, the sanitizer, a durable campaign) attaches
     inside ``Kernel.__init__`` through :mod:`repro.kernel.arming`.
     """
-    kernel = Kernel(addrmap=addrmap, costs=costs,
-                    wide_addresses=wide_addresses, disk=disk,
+    kernel = Kernel(wide_addresses=wide_addresses, disk=disk,
                     ncores=ncores)
     attach_runtime(kernel, lazy=lazy, scoped=scoped, verify=verify)
     return System(kernel=kernel, lds=Lds(kernel, verify=verify))

@@ -26,13 +26,17 @@ def stored_hostname(hostname: str) -> str:
     and to the ``HOSTNAME_LEN - 1`` latin-1 bytes that a NUL-terminated
     ``HOSTNAME_LEN``-byte field keeps. A record carries this name, and
     the daemons name and index a host's record by it, so two hosts
-    whose names agree up to the cut share one record in both."""
+    whose names agree up to the cut share one record in both. A ``/``
+    in it is refused: ``whod.<host>`` could not name one file."""
     try:
         raw = hostname.encode("latin-1")
     except UnicodeEncodeError as error:
         raise WhodFormatError(f"hostname {hostname!r} is not latin-1 "
                               f"text: {error.reason}") from None
-    return raw[:HOSTNAME_LEN - 1].split(b"\x00", 1)[0].decode("latin-1")
+    stored = raw[:HOSTNAME_LEN - 1].split(b"\x00", 1)[0].decode("latin-1")
+    if "/" in stored:
+        raise WhodFormatError(f"hostname {stored!r} contains '/'")
+    return stored
 
 
 @dataclass

@@ -78,7 +78,7 @@ def daemon_body(implementation: str, nhosts: int):
             except SimulationError:
                 injector = kernel.injector
                 if injector is not None:
-                    injector.note_contained("rwhod-receive")
+                    injector.note_contained()
                 yield
                 continue
             received += 1

@@ -15,7 +15,8 @@ Field types:
 * ``S`` — UTF-8 string, 4-byte length prefix;
 * ``B`` — raw bytes, 4-byte length prefix;
 * ``N`` — None;
-* ``L`` — list of fields, 4-byte count prefix, fields nested.
+* ``L`` — list of fields, 4-byte count prefix, fields nested, at most
+  :data:`MAX_DEPTH` lists deep.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from repro.errors import DiskFormatError
 
 _INT = struct.Struct(">q")
 _LEN = struct.Struct(">I")
+
+#: deepest list nesting a decode accepts: far above the ten lists a
+#: cluster recording nests, far below what exhausts the stack
+MAX_DEPTH = 64
 
 
 def encode_fields(fields) -> bytes:
@@ -62,7 +67,7 @@ def _encode_into(out: bytearray, fields) -> None:
 
 def decode_fields(data: bytes) -> List[object]:
     """Decode bytes produced by :func:`encode_fields`."""
-    fields, offset = _decode_count(data, 0, count=None)
+    fields, offset = _decode_count(data, 0, None, 0)
     if offset != len(data):
         raise DiskFormatError(
             f"trailing garbage after field {len(fields)} "
@@ -71,8 +76,8 @@ def decode_fields(data: bytes) -> List[object]:
     return fields
 
 
-def _decode_count(data: bytes, offset: int,
-                  count) -> Tuple[List[object], int]:
+def _decode_count(data: bytes, offset: int, count,
+                  depth: int) -> Tuple[List[object], int]:
     fields: List[object] = []
     while (count is None and offset < len(data)) \
             or (count is not None and len(fields) < count):
@@ -108,9 +113,13 @@ def _decode_count(data: bytes, offset: int,
         elif tag == b"L":
             if offset + 4 > len(data):
                 raise DiskFormatError("truncated list prefix")
+            if depth == MAX_DEPTH:
+                raise DiskFormatError(
+                    f"lists nested deeper than {MAX_DEPTH}")
             nested_count = _LEN.unpack_from(data, offset)[0]
             offset += 4
-            nested, offset = _decode_count(data, offset, nested_count)
+            nested, offset = _decode_count(data, offset, nested_count,
+                                           depth + 1)
             fields.append(nested)
         else:
             raise DiskFormatError(f"unknown field tag {tag!r}")

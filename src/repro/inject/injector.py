@@ -85,7 +85,6 @@ class InjectStats:
     contained: int = 0     # injected faults absorbed at a kernel boundary
     retries: int = 0       # transient faults absorbed by retry/backoff
     by_kind: Dict[str, int] = field(default_factory=dict)
-    contained_by: Dict[str, int] = field(default_factory=dict)
 
 
 class _PlanState:
@@ -440,12 +439,10 @@ class Injector:
     # containment accounting
     # ------------------------------------------------------------------
 
-    def note_contained(self, where: str) -> None:
+    def note_contained(self) -> None:
         """An injected fault was absorbed at a kernel boundary (victim
         terminated, errno returned, fault declined) without escaping."""
         self.stats.contained += 1
-        self.stats.contained_by[where] = \
-            self.stats.contained_by.get(where, 0) + 1
 
     def note_retry(self) -> None:
         """A transient injected fault was absorbed by retry/backoff."""

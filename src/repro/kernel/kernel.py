@@ -45,9 +45,8 @@ from repro.kernel.signals import SigInfo, Signal
 from repro.kernel.smp import SmpCoordinator
 from repro.kernel.sync import FileLockTable, SemaphoreTable, WouldBlock
 from repro.kernel.syscalls import Syscalls
-from repro.kernel.timing import Clock, CostModel
+from repro.kernel.timing import Clock
 from repro.objfile.format import ObjectFile
-from repro.sfs.addrmap import AddressMap
 from repro.sfs.sharedfs import SharedFilesystem
 from repro.trace import tracer as _trace
 from repro.trace.events import EventKind
@@ -63,15 +62,10 @@ SFS_MOUNT = "/shared"
 class Kernel:
     """One booted instance of the simulated system."""
 
-    def __init__(self, addrmap: Optional[AddressMap] = None,
-                 costs: Optional[CostModel] = None,
-                 max_frames: Optional[int] = None,
-                 wide_addresses: bool = False,
+    def __init__(self, wide_addresses: bool = False,
                  disk=None, ncores: Optional[int] = None) -> None:
-        self.physmem = PhysicalMemory(**(
-            {"max_frames": max_frames} if max_frames else {}
-        ))
-        self.clock = Clock(costs or CostModel())
+        self.physmem = PhysicalMemory()
+        self.clock = Clock()
         # The simulated CPU count (repro.smp). None consults the
         # ambient REPRO_CORES so every boot in a process — including
         # the ones tools like reprorr make internally — runs SMP; the
@@ -90,7 +84,7 @@ class Kernel:
 
             self.sfs = SharedFilesystem64(self.physmem)
         else:
-            self.sfs = SharedFilesystem(self.physmem, addrmap=addrmap)
+            self.sfs = SharedFilesystem(self.physmem)
         self.wide_addresses = wide_addresses
         self.vfs = Vfs(self.rootfs)
         self.sfs_mount = SFS_MOUNT
@@ -326,7 +320,7 @@ class Kernel:
         if injector is not None and injector.on_fault_delivery(proc, fault):
             # DROP: resolution is suppressed; the fault stands exactly
             # as if every handler had declined it.
-            injector.note_contained("fault-drop")
+            injector.note_contained()
             if tracer.enabled:
                 tracer.emit(EventKind.FAULT, name="dropped",
                             pid=proc.pid, addr=fault.address)
@@ -455,7 +449,7 @@ class Kernel:
                         return False
                     continue  # restart the faulting instruction
                 if getattr(fault, "injected", False):
-                    self.note_contained(fault, "spurious-fault")
+                    self.note_contained(fault)
                 detail = ""
                 pending = getattr(proc, "pending_fault_error", None)
                 if pending is not None:
@@ -496,18 +490,18 @@ class Kernel:
                 f"operation mid-quantum; use the try_ variants and yield"
             )
         except SyscallError as error:
-            self.note_contained(error, "native-terminate")
+            self.note_contained(error)
             self.terminate(proc, -1, reason=str(error))
         except PageFaultError as fault:
             if proc.alive:
-                self.note_contained(fault, "native-terminate")
+                self.note_contained(fault)
                 self.terminate(
                     proc, -1,
                     reason=f"unhandled SIGSEGV at 0x{fault.address:08x}",
                 )
         except SimulationError as error:
             if proc.alive:
-                self.note_contained(error, "native-terminate")
+                self.note_contained(error)
                 self.terminate(proc, -1, reason=f"{type(error).__name__}: "
                                                 f"{error}")
 
@@ -540,7 +534,7 @@ class Kernel:
 
     # ------------------------------------------------------------------
 
-    def note_contained(self, error, where: str) -> None:
+    def note_contained(self, error) -> None:
         """Count an injected fault absorbed at a kernel boundary.
 
         A no-op for genuine (non-injected) errors and when no injector
@@ -553,7 +547,7 @@ class Kernel:
             return
         if isinstance(error, InjectedFaultError) \
                 or getattr(error, "injected", False):
-            injector.note_contained(where)
+            injector.note_contained()
 
     def stats(self) -> str:
         alive = sum(1 for p in self.processes.values() if p.alive)

@@ -452,13 +452,13 @@ class Syscalls:
         except WouldBlock:
             raise
         except SyscallError as error:
-            self.kernel.note_contained(error, "syscall-errno")
+            self.kernel.note_contained(error)
             cpu.set_reg(isa.REG_V0, 0xFFFFFFFF)
             cpu.set_reg(isa.REG_V1, _ERRNO_CODES.get(error.errno, 22))
             cpu.pc += 4
             return
         except FilesystemError as error:
-            self.kernel.note_contained(error, "syscall-errno")
+            self.kernel.note_contained(error)
             cpu.set_reg(isa.REG_V0, 0xFFFFFFFF)
             cpu.set_reg(isa.REG_V1, _errno_of(error))
             cpu.pc += 4

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 from repro.errors import NetError, SimulationError
 from repro.kernel.process import ProcessState
 from repro.net.coherence import CoherenceAgent, SegmentDirectory
-from repro.net.ha import HaConfig, HaManager, _had_body
+from repro.net.ha import HaManager, _had_body
 from repro.net.link import Fabric, FrameKind, Nic
 from repro.sfs.sharedfs import MAX_INODES
 
@@ -139,43 +139,33 @@ class Cluster:
     """N machines, one fabric, one directory, one global order.
 
     *boot_args* are forwarded to every :func:`repro.boot` call (so the
-    whole cluster shares lazy/scoped/costs settings); *disks* optionally
+    whole cluster shares lazy/scoped settings); *disks* optionally
     gives each node its own durable volume. ``wide_addresses`` is
     rejected: the coherence protocol relies on the 32-bit prototype's
-    pure ino→address function.
+    pure ino→address function. Node 0 homes the segment directory.
     """
 
-    def __init__(self, nnodes: int, seed: int = 1993, home: int = 0,
-                 disks: Optional[list] = None, base_delay: int = 1,
-                 jitter: int = 2, ha=None, **boot_args) -> None:
+    def __init__(self, nnodes: int, seed: int = 1993,
+                 disks: Optional[list] = None, ha: bool = False,
+                 **boot_args) -> None:
         if boot_args.get("wide_addresses"):
             raise NetError("clusters require the 32-bit address scheme")
         if not 1 <= nnodes <= MAX_INODES:
             raise NetError(f"cluster size {nnodes} out of range")
         if disks is not None and len(disks) != nnodes:
             raise NetError("disks must give one device per node")
-        if not 0 <= home < nnodes:
-            raise NetError(f"directory home {home} is not a node")
 
         self.nnodes = nnodes
         self.seed = seed
         self.round = 0
-        self.fabric = Fabric(nnodes, seed, base_delay=base_delay,
-                             jitter=jitter)
-        self.directory = SegmentDirectory(home=home)
+        self.fabric = Fabric(nnodes, seed)
+        self.directory = SegmentDirectory()
         #: repro.boot kwargs, replayed verbatim when a node reboots
         self.boot_args = dict(boot_args)
-        # ha=True arms the failure model with default HaConfig;
-        # pass an HaConfig to tune it. None keeps HA entirely out of
-        # the cluster: no manager, no heartbeats, and the fabric hooks
-        # cost one is-None check — fault-free runs are bit-identical
-        # to an HA-less build.
-        if ha is None or ha is False:
-            self.ha = None
-        elif isinstance(ha, HaConfig):
-            self.ha = HaManager(self, ha)
-        else:
-            self.ha = HaManager(self, HaConfig())
+        # ha=True arms the failure model. Without it there is no
+        # manager and no heartbeat, and each fabric hook costs one
+        # is-None check: fault-free runs match an HA-less build.
+        self.ha = HaManager(self) if ha else None
         self.fabric.ha = self.ha
         self.machines: List[Machine] = []
         #: the lead rr Recorder: the first member booted while

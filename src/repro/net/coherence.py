@@ -1,6 +1,6 @@
 """Cluster-wide shared segments: single-writer invalidation.
 
-The directory (homed on one node) maps each published segment base to
+The directory (homed on node 0) maps each published segment base to
 its owner, version, and copyset. The protocol piggybacks on the
 existing SFS fault plumbing: a touch of an unmapped public address on
 any node reaches :meth:`CoherenceAgent.on_fault` through the Hemlock
@@ -44,6 +44,9 @@ from repro.vm.layout import PAGE_SIZE
 #: the well-known port every node's coherence agent listens on
 COHERENCE_PORT = 1
 
+#: the node whose agent keeps the segment directory
+HOME = 0
+
 
 class SegmentState(enum.Enum):
     EXCLUSIVE = "exclusive"   # exactly one copy, writable on its owner
@@ -75,7 +78,6 @@ class SegmentDirectory:
     """The home node's segment metadata (plain state; the home node's
     agent is the only code that reads or writes it)."""
 
-    home: int = 0
     entries: Dict[int, _Entry] = field(default_factory=dict)
 
     def lookup_path(self, path: str) -> Optional[int]:
@@ -148,13 +150,6 @@ class CoherenceAgent:
     # small helpers
     # ------------------------------------------------------------------
 
-    @property
-    def _home(self) -> int:
-        return self.directory.home
-
-    def _home_agent(self) -> "CoherenceAgent":
-        return self.cluster.machines[self._home].agent
-
     def _emit(self, name: str, base: int, value: int = 0,
               pid: int = 0) -> None:
         tracer = _trace.TRACER
@@ -174,13 +169,14 @@ class CoherenceAgent:
     def _call_home(self, kind: FrameKind, payload: bytes) -> Frame:
         """One exchange with the directory: a wire RPC from remote
         nodes, a plain call on the home node itself."""
-        if self.node_id == self._home:
-            reply_kind, reply_payload = self._home_agent()._handle(
-                Frame(kind, self.node_id, self._home, COHERENCE_PORT,
+        if self.node_id == HOME:
+            home_agent = self.cluster.machines[HOME].agent
+            reply_kind, reply_payload = home_agent._handle(
+                Frame(kind, self.node_id, HOME, COHERENCE_PORT,
                       0, payload))
-            return Frame(reply_kind, self._home, self.node_id,
+            return Frame(reply_kind, HOME, self.node_id,
                          COHERENCE_PORT, 0, reply_payload)
-        return self.nic.call(self._home, kind, COHERENCE_PORT, payload)
+        return self.nic.call(HOME, kind, COHERENCE_PORT, payload)
 
     # ------------------------------------------------------------------
     # SFS lifecycle hooks (via sfs.coherence)
@@ -253,7 +249,7 @@ class CoherenceAgent:
                 return None
             return self._fetch(proc, base, want_write)
         except InjectedFaultError as error:
-            self.kernel.note_contained(error, "coherence")
+            self.kernel.note_contained(error)
             proc.pending_fault_error = error
             return False
         except NetError:

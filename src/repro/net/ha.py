@@ -31,7 +31,7 @@ module makes whole-machine failure part of the deterministic schedule:
   outside the node's own inode stripe), so stale copies can never be
   re-mapped silently.
 
-Pay-for-use: a cluster without ``ha=`` armed never constructs a
+Pay-for-use: a cluster booted without ``ha=True`` never constructs a
 manager, sends no heartbeats, and every fabric hook costs one ``is not
 None`` check — fault-free runs stay bit-identical to the pre-HA model.
 """
@@ -44,6 +44,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import NetError, SimulationError
 from repro.inject.plan import FaultKind
+from repro.net.coherence import HOME
 from repro.net.link import FrameKind
 from repro.sfs.sharedfs import MAX_INODES
 from repro.trace import tracer as _trace
@@ -125,12 +126,12 @@ def _had_body(ha: "HaManager", node: int):
                     == node % config.heartbeat_every:
                 agent = kernel.coherence
                 bases = sorted(agent.modes)
-                if node == ha.home:
+                if node == HOME:
                     ha.on_heartbeat(node, bases)
                 else:
                     payload = _HB_HEAD.pack(len(bases)) \
                         + b"".join(_U32.pack(base) for base in bases)
-                    kernel.nic.send(proc, ha.home, HA_PORT, payload,
+                    kernel.nic.send(proc, HOME, HA_PORT, payload,
                                     kind=FrameKind.HEARTBEAT)
             yield
 
@@ -148,10 +149,9 @@ class HaManager:
     ground truth it could not have observed.
     """
 
-    def __init__(self, cluster, config: Optional[HaConfig] = None
-                 ) -> None:
+    def __init__(self, cluster) -> None:
         self.cluster = cluster
-        self.config = config or HaConfig()
+        self.config = HaConfig()
         self.stats = HaStats()
         self.crashed: Dict[int, int] = {}    # node -> round it died
         self.wedged: Dict[int, int] = {}     # node -> heal round
@@ -165,10 +165,6 @@ class HaManager:
         #: callbacks ``hook(cluster, node, machine)`` run after a node
         #: reboots — scenarios respawn their daemons here
         self.on_reboot: List[Callable] = []
-
-    @property
-    def home(self) -> int:
-        return self.cluster.directory.home
 
     # ------------------------------------------------------------------
     # physical truth (consulted by the fabric)
@@ -191,13 +187,13 @@ class HaManager:
         out — the re-join handshake cleans those copies up instead."""
         return node not in self.crashed \
             and node not in self.suspected \
-            and self.filter_send(self.home, node) is None
+            and self.filter_send(HOME, node) is None
 
     def note_timeout(self, src: int, dst: int) -> None:
         """A synchronous exchange from *src* exhausted its budget with
         every attempt blocked by the failure model. Only the home's own
         observations feed the membership view (fail-fast suspicion)."""
-        if src == self.home and dst != self.home \
+        if src == HOME and dst != HOME \
                 and dst not in self.suspected:
             self.suspected.add(dst)
             self.stats.suspects += 1
@@ -284,11 +280,11 @@ class HaManager:
 
     def _update_view(self, rnd: int) -> None:
         """Heartbeat-miss suspicion, from the home's point of view."""
-        if self.home in self.crashed:
+        if HOME in self.crashed:
             return  # nobody is keeping the view while the home is down
         threshold = self.config.suspicion_rounds
         for node in range(self.cluster.nnodes):
-            if node == self.home or node in self.suspected:
+            if node == HOME or node in self.suspected:
                 continue
             last = self.last_seen.get(node, self._view_epoch)
             if rnd - last > threshold:
@@ -312,7 +308,7 @@ class HaManager:
         machine.nic.inbox.clear()
         cluster.fabric.purge_node(node)
         machine.kernel.crash()  # power loss through the disk's window
-        if node == self.home:
+        if node == HOME:
             # the directory was volatile home-node memory
             cluster.directory.entries.clear()
         self.stats.crashes += 1
@@ -357,7 +353,7 @@ class HaManager:
             # `max_faults` caps keep counting across the reboot
             machine.kernel.injector.resume_from(old_kernel.injector)
         self._sweep_replicas(machine)
-        if node == self.home:
+        if node == HOME:
             self._recover_directory(machine.kernel)
             # fresh view: give every node a grace period to re-report
             self.last_seen = {}
@@ -420,13 +416,13 @@ class HaManager:
             _emit("rejoin", value=node)
         entries = cluster.directory.entries
         expiry = rnd + self.config.lease_rounds
-        home_agent = cluster.machines[self.home].agent
+        home_agent = cluster.machines[HOME].agent
         for base in bases:
             entry = entries.get(base)
             if entry is not None and node in entry.copyset:
-                if node != self.home:
+                if node != HOME:
                     entry.leases[node] = expiry
-            elif node != self.home and self.can_talk_to(node):
+            elif node != HOME and self.can_talk_to(node):
                 # a stale copy from before a fault: discard it before
                 # the holder can touch (and trust) it again
                 home_agent._remote_op(node, FrameKind.INVALIDATE,
@@ -437,7 +433,7 @@ class HaManager:
     def grant_lease(self, entry, node: int) -> None:
         """Stamp/renew *node*'s lease on a directory row (the home's
         own copy needs none — it *is* the directory)."""
-        if node != self.home:
+        if node != HOME:
             entry.leases[node] = \
                 self.cluster.round + self.config.lease_rounds
 
@@ -453,7 +449,7 @@ class HaManager:
         never reaped."""
         rnd = self.cluster.round
         for node in list(entry.copyset):
-            if node == self.home or node == keep:
+            if node == HOME or node == keep:
                 continue
             lease = entry.leases.get(node)
             expired = lease is not None and lease < rnd
@@ -487,9 +483,9 @@ class HaManager:
         mutating VFS write is journaled when the volume is disk-backed,
         so the table survives a power loss fsck-clean. Leases are not
         persisted — recovery re-grants them with a grace window."""
-        if not self._dir_dirty or self.home in self.crashed:
+        if not self._dir_dirty or HOME in self.crashed:
             return
-        kernel = self.cluster.machines[self.home].kernel
+        kernel = self.cluster.machines[HOME].kernel
         if kernel.disk is None:
             self._dir_dirty = False
             return
@@ -526,7 +522,7 @@ class HaManager:
                 path=path, owner=owner, version=version,
                 state=SegmentState(state), copyset=list(copyset),
                 leases={node: grace for node in copyset
-                        if node != self.home},
+                        if node != HOME},
                 snapshot=snapshot)
         directory = self.cluster.directory
         directory.entries.clear()

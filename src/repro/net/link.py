@@ -45,6 +45,11 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 FRAME_MAGIC = b"HNET"
 FRAME_VERSION = 1
 
+#: rounds a datagram spends on a link: LINK_DELAY plus a seeded draw
+#: of 0..LINK_JITTER more
+LINK_DELAY = 1
+LINK_JITTER = 2
+
 #: attempts a synchronous exchange makes before giving up
 MAX_RETRANSMITS = 8
 
@@ -173,21 +178,17 @@ class FabricStats:
 
 
 class _Link:
-    """One ordered node pair: a base delay plus seeded jitter."""
+    """One ordered node pair: the base delay plus seeded jitter."""
 
-    __slots__ = ("base_delay", "jitter", "rng")
+    __slots__ = ("jitter", "rng")
 
-    def __init__(self, base_delay: int, jitter: int,
-                 rng: DeterministicRng) -> None:
-        self.base_delay = base_delay
-        self.jitter = jitter
+    def __init__(self, rng: DeterministicRng) -> None:
+        self.jitter = LINK_JITTER
         self.rng = rng
 
     def draw_delay(self) -> int:
         """Rounds until delivery for one datagram on this link."""
-        if self.jitter <= 0:
-            return self.base_delay
-        return self.base_delay + self.rng.randint(0, self.jitter)
+        return LINK_DELAY + self.rng.randint(0, self.jitter)
 
 
 class _SenderWindow:
@@ -366,8 +367,7 @@ class Nic:
 class Fabric:
     """The seeded network joining a cluster's machines."""
 
-    def __init__(self, nnodes: int, seed: int = 1993,
-                 base_delay: int = 1, jitter: int = 2) -> None:
+    def __init__(self, nnodes: int, seed: int = 1993) -> None:
         if nnodes < 1:
             raise NetError("a fabric needs at least one node")
         self.nnodes = nnodes
@@ -388,7 +388,6 @@ class Fabric:
                     continue
                 index = src * nnodes + dst
                 self._links[(src, dst)] = _Link(
-                    base_delay, jitter,
                     DeterministicRng(mix_seed(seed, index)))
         # (deliver_round, seq, copy, dst, wire, kind)
         self._in_flight: List[
@@ -419,9 +418,6 @@ class Fabric:
         self._in_flight = keep
         self.stats.ha_dropped += purged
         return purged
-
-    def link(self, src: int, dst: int) -> _Link:
-        return self._links[(src, dst)]
 
     def pending(self) -> int:
         """Frames queued on the wire, not yet delivered."""

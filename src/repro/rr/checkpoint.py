@@ -263,9 +263,9 @@ def diff_states(recorded: list, replayed: list) -> Optional[str]:
 # materialize
 # ---------------------------------------------------------------------------
 
-def materialize(state: list, costs=None, lazy: bool = True,
-                scoped: bool = True):
-    """A runnable kernel rebuilt from a machine state tree.
+def materialize(state: list):
+    """A runnable kernel rebuilt from a machine state tree, with the
+    default cost model and the lazy, scoped runtime attached.
 
     Only machine-pure states qualify (see the module docstring): a
     live native process, a blocked process, or undrained message
@@ -317,8 +317,8 @@ def materialize(state: list, costs=None, lazy: bool = True,
         # Nothing armed attaches to the rebuilt kernel: it is a copy of
         # a captured machine, not a new boot of the armed workload.
         with arming.suspended():
-            kernel = Kernel(costs=costs, ncores=ncores)
-        attach_runtime(kernel, lazy=lazy, scoped=scoped)
+            kernel = Kernel(ncores=ncores)
+        attach_runtime(kernel)
         volume_table = dict(_volume_table(kernel))
         for key, record in volumes:
             fs = volume_table.get(key)
@@ -386,7 +386,7 @@ def materialize(state: list, costs=None, lazy: bool = True,
                 # machine-program hook), matching exec's wiring;
                 # zombies keep theirs too — terminate() never strips
                 # handlers, so captures of dead processes carry them.
-                HemlockRuntime(kernel, proc, lazy=lazy, scoped=scoped)
+                HemlockRuntime(kernel, proc)
             mapping_objs = []
             for (start, npages, prot, flags, mname, obj_page,
                  ref) in mappings:

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.disk.codec import decode_fields, encode_fields
 from repro.errors import DiskFormatError, RRError
 from repro.inject.plan import FaultKind, FaultPlan, Plane
+from repro.trace.events import kinds_mask
 
 RECORDING_VERSION = 1
 _MAGIC = b"HMLKRRR1"
@@ -37,6 +38,27 @@ _MAGIC = b"HMLKRRR1"
 #: Default ring capacity while recording: large enough that the full
 #: event stream of every example survives for the oracle to diff.
 RECORD_CAPACITY = 1 << 20
+
+
+_OPT_INT = (int, type(None))
+# The field types of one row of each kind, in the order the writer
+# packs them: pack_event, encode_plan, Checkpoint.to_fields.
+_EVENT_ROW = (int, int, int, int, str, int, int, int)
+_PLAN_ROW = (str, str, str, str, _OPT_INT, str, _OPT_INT, int, str, int)
+_CHECKPOINT_ROW = (int, int, int, bytes, list)
+#: the manifest row's fields, in the order :meth:`Recording.to_bytes`
+#: packs them
+_MANIFEST_KEYS = ("script", "argv", "env", "plans", "inject_seed", "nodes",
+                  "net_seed", "interval", "kinds", "capacity")
+
+
+def _row(value, types: tuple, what: str) -> list:
+    """*value*, a list with one field of each of *types*; anything else
+    is a malformed *what*."""
+    if type(value) is not list or len(value) != len(types) \
+            or not all(map(isinstance, value, types)):
+        raise RRError(f"malformed {what} in recording")
+    return value
 
 
 def pack_event(event) -> list:
@@ -55,15 +77,15 @@ def encode_plan(plan: FaultPlan) -> list:
 
 
 def decode_plan(record: list) -> FaultPlan:
+    (plane, kind, match, site, pid, probability, max_faults, after,
+     errno, transient) = _row(record, _PLAN_ROW, "fault plan")
     try:
-        (plane, kind, match, site, pid, probability, max_faults, after,
-         errno, transient) = record
         return FaultPlan(plane=Plane.parse(plane), kind=FaultKind(kind),
                          match=match, site=site, pid=pid,
                          probability=float(probability),
                          max_faults=max_faults, after=after, errno=errno,
                          transient=bool(transient))
-    except (ValueError, TypeError, KeyError) as error:
+    except ValueError as error:
         raise RRError(f"malformed fault plan in recording: {error}")
 
 
@@ -83,12 +105,7 @@ class Checkpoint:
 
     @classmethod
     def from_fields(cls, row: list) -> "Checkpoint":
-        try:
-            boot, cycle, cursor, digest, state = row
-        except ValueError:
-            raise RRError("malformed checkpoint row in recording")
-        return cls(boot=boot, cycle=cycle, cursor=cursor, digest=digest,
-                   state=state)
+        return cls(*_row(row, _CHECKPOINT_ROW, "checkpoint row"))
 
 
 @dataclass
@@ -157,41 +174,56 @@ class Recording:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Recording":
+        """Decode a recording. Bytes that are not one compressed
+        payload of the shape :meth:`to_bytes` writes raise
+        :class:`~repro.errors.RRError`, so a recording that decodes
+        re-encodes to exactly its payload."""
         if blob[:len(_MAGIC)] != _MAGIC:
             raise RRError("not a reprorr recording (bad magic)")
+        stream = zlib.decompressobj()
         try:
-            payload = zlib.decompress(blob[len(_MAGIC):])
+            payload = stream.decompress(blob[len(_MAGIC):])
+            if not stream.eof or stream.unused_data:
+                raise RRError("undecodable recording: the compressed "
+                              "payload is cut short or followed by bytes")
             fields = decode_fields(payload)
-            (version, manifest_row, boots, events, checkpoints, emitted,
-             dropped, outcome) = fields
-            (script, argv, env, plans, inject_seed, nodes, net_seed,
-             interval, kinds, capacity) = manifest_row
-        except (zlib.error, DiskFormatError, ValueError) as error:
+        except (zlib.error, DiskFormatError) as error:
             raise RRError(f"undecodable recording: {error}")
+        (version, manifest_row, boots, events, checkpoints, emitted,
+         dropped, outcome) = _row(fields, (int, object, list, list, list,
+                                           int, int, str), "payload")
         if version != RECORDING_VERSION:
             raise RRError(f"unsupported recording version {version}")
-        recording = cls(
-            manifest={
-                "script": script,
-                "argv": list(argv),
-                "env": {key: value for key, value in env},
-                "plans": plans,
-                "inject_seed": inject_seed,
-                "nodes": nodes,
-                "net_seed": net_seed,
-                "interval": interval,
-                "kinds": kinds,
-                "capacity": capacity,
-            },
+        _, argv, env, plans, *_, kinds, capacity = _row(manifest_row, (
+            (str, type(None)), list, list, list, _OPT_INT, int, _OPT_INT,
+            _OPT_INT, (list, type(None)), int), "manifest")
+        _row(argv, (str,) * len(argv), "argv")
+        keys = [_row(row, (str, str), "environment")[0] for row in env]
+        if keys != sorted(set(keys)):
+            raise RRError("malformed environment in recording")
+        for row in plans:
+            decode_plan(row)
+        names = kinds or []
+        try:
+            kinds_mask(_row(names, (str,) * len(names), "event kinds"))
+        except KeyError as error:
+            raise RRError(f"unknown event kind {error} in recording")
+        if capacity <= 0:
+            raise RRError("malformed tracer capacity in recording")
+        for row in boots:
+            for pair in _row(row, (int, list), "boot")[1]:
+                _row(pair, (str, int), "boot")
+        for row in events:
+            _row(row, _EVENT_ROW, "event")
+        return cls(
+            manifest=dict(zip(_MANIFEST_KEYS, manifest_row), env=dict(env)),
             boots=[(cycles, categories) for cycles, categories in boots],
             events=events,
-            checkpoints=[Checkpoint.from_fields(row)
-                         for row in checkpoints],
+            checkpoints=list(map(Checkpoint.from_fields, checkpoints)),
             emitted=emitted,
             dropped=dropped,
             outcome=outcome,
         )
-        return recording
 
     def save(self, path: str) -> None:
         with open(path, "wb") as handle:

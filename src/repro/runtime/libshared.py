@@ -113,7 +113,7 @@ class HemlockRuntime:
             # The fault stops at the handler boundary: the victim's
             # fault stays unresolved (and kills the victim), but the
             # kernel and every other process are untouched.
-            self._contain(error, "segv-handler")
+            self._contain(error)
             return False
         # On a clustered machine the coherence agent gets first claim on
         # public faults: it resolves remote segments and write-upgrades
@@ -132,8 +132,8 @@ class HemlockRuntime:
             return self._map_segment_at(info.address, info)
         return False
 
-    def _contain(self, error: InjectedFaultError, where: str) -> None:
-        self.kernel.note_contained(error, where)
+    def _contain(self, error: InjectedFaultError) -> None:
+        self.kernel.note_contained(error)
         # Remembered so the victim's terminate reason names the real
         # cause instead of a bare "unresolved fault".
         self.proc.pending_fault_error = error
@@ -152,7 +152,7 @@ class HemlockRuntime:
                     if injector is not None:
                         injector.note_retry()
                     continue
-                self._contain(error, "segment-map")
+                self._contain(error)
                 return False
             except SimulationError:
                 return False

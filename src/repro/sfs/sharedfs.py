@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 from repro.errors import FileLimitError, FilesystemError
 from repro.fs.filesystem import Filesystem
 from repro.fs.inode import Inode
-from repro.sfs.addrmap import AddressMap, LinearAddressMap
+from repro.sfs.addrmap import LinearAddressMap
 from repro.trace import tracer as _trace
 from repro.trace.events import EventKind
 from repro.vm.layout import SFS_REGION
@@ -41,10 +41,9 @@ class SharedFilesystem(Filesystem):
     _index_paths = True
 
     def __init__(self, physmem: PhysicalMemory,
-                 addrmap: Optional[AddressMap] = None,
                  name: str = "sfs") -> None:
         self._free_inos = list(range(MAX_INODES - 1, -1, -1))
-        self.addrmap = addrmap if addrmap is not None else LinearAddressMap()
+        self.addrmap = LinearAddressMap()
         self.region = SFS_REGION
         self.injector = None  # set by repro.inject.install_injector
         self.coherence = None  # set by repro.net when clustered

@@ -773,6 +773,8 @@ def repronet_main(argv: Sequence[str],
 
     if args.command == "topo":
         from repro.net import Fabric, mix_seed
+        from repro.net.coherence import HOME
+        from repro.net.link import LINK_DELAY
         from repro.sfs.sharedfs import MAX_INODES
 
         fabric = Fabric(nodes, seed)
@@ -781,11 +783,11 @@ def repronet_main(argv: Sequence[str],
               f"{stripe} inos/stripe", file=out)
         for node in range(nodes):
             lo = node * stripe
-            home = " (directory home)" if node == 0 else ""
+            home = " (directory home)" if node == HOME else ""
             print(f"  node {node}: inos [{lo}, {lo + stripe}){home}",
                   file=out)
         for (src, dst), link in sorted(fabric._links.items()):
-            print(f"  link {src}->{dst}: base {link.base_delay} "
+            print(f"  link {src}->{dst}: base {LINK_DELAY} "
                   f"round(s) + jitter 0..{link.jitter}, "
                   f"seed {mix_seed(seed, src * nodes + dst):#018x}",
                   file=out)

@@ -316,21 +316,15 @@ def tracing(kernel=None,
 
 
 def _environment_tracer() -> Tracer:
-    """The tracer REPRO_TRACE_KINDS=FAULT,LINK_RESOLVE and
-    REPRO_TRACE_CAPACITY=N describe; bad values are a KernelError."""
+    """The tracer REPRO_TRACE_KINDS=FAULT,LINK_RESOLVE describes; an
+    unknown kind is a KernelError."""
     kinds_env = os.environ.get("REPRO_TRACE_KINDS", "")
     kinds = [k for k in kinds_env.split(",") if k.strip()] or None
-    capacity = os.environ.get("REPRO_TRACE_CAPACITY",
-                              str(DEFAULT_CAPACITY))
     try:
-        return Tracer(capacity=int(capacity), kinds=kinds)
+        return Tracer(kinds=kinds)
     except KeyError as error:
         raise KernelError(
             f"REPRO_TRACE_KINDS: unknown event kind {error}") from None
-    except ValueError:
-        raise KernelError(
-            f"REPRO_TRACE_CAPACITY must be a positive integer, "
-            f"got {capacity!r}") from None
 
 
 # REPRO_TRACE=1 arms ambient tracing for every boot of the process.

@@ -29,6 +29,7 @@ from repro.apps.rwho.fileimpl import (
 )
 from repro.apps.rwho.shmimpl import (
     DB_HEADER_SIZE,
+    DB_SEGMENT,
     HOST_STRUCT,
     read_database,
 )
@@ -164,6 +165,37 @@ class TestEquivalence:
         assert file_ruptime(kernel, shell) == shm_ruptime(kernel, shell)
         assert file_ruptime(kernel, shell).split()[0] == "a" * 31
         assert kernel.vfs.listdir("/var/rwho") == ["whod." + "a" * 31]
+
+    def test_slash_in_hostname_is_refused_alike(self, kernel, shell,
+                                                network):
+        """``lab/cs01`` could not name one ``whod.<host>`` file, so both
+        daemons refuse it before either writes anything."""
+        status = dataclasses.replace(network[0], hostname="lab/cs01")
+        file_daemon = FileRwhod(kernel, shell)
+        shm_daemon = ShmRwhod(kernel, shell, nhosts=len(network))
+
+        def snapshot():
+            return (kernel.vfs.listdir("/var/rwho"),
+                    kernel.vfs.read_whole(DB_SEGMENT))
+
+        before = snapshot()
+        for daemon in (file_daemon, shm_daemon):
+            with pytest.raises(WhodFormatError, match="contains '/'"):
+                daemon.receive(status)
+        assert snapshot() == before
+
+    def test_slash_past_the_cut_is_kept_alike(self, kernel, shell,
+                                              network):
+        """A ``/`` beyond the 31 bytes both daemons keep is cut away."""
+        status = dataclasses.replace(network[0],
+                                     hostname="b" * 31 + "/cs01")
+        file_daemon = FileRwhod(kernel, shell)
+        shm_daemon = ShmRwhod(kernel, shell, nhosts=len(network))
+        file_daemon.receive(status)
+        shm_daemon.receive(status)
+        assert file_rwho(kernel, shell) == shm_rwho(kernel, shell)
+        assert file_ruptime(kernel, shell) == shm_ruptime(kernel, shell)
+        assert kernel.vfs.listdir("/var/rwho") == ["whod." + "b" * 31]
 
     def test_update_in_place(self, kernel, shell, network):
         daemon = ShmRwhod(kernel, shell, nhosts=len(network))

@@ -129,13 +129,6 @@ class TestEnvironmentRefusals:
                "except KernelError as error:\n"
                "    print('KernelError', error)\n")
 
-    def test_bad_capacity(self):
-        result = _run_with_env(
-            {"REPRO_TRACE": "1", "REPRO_TRACE_CAPACITY": "big"},
-            self.REFUSAL)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.startswith("KernelError REPRO_TRACE_CAPACITY")
-
     def test_bad_kind(self):
         result = _run_with_env(
             {"REPRO_TRACE": "1", "REPRO_TRACE_KINDS": "NOPE"},

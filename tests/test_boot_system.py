@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro import CostModel, SharingClass, StructDef, boot
+from repro import SharingClass, StructDef, boot
 from repro.bench.workloads import make_shell
-from repro.sfs.addrmap import BTreeAddressMap
 from repro.sfs.sfs64 import SharedFilesystem64
 from repro.sfs.sharedfs import SharedFilesystem
 
@@ -17,14 +16,6 @@ class TestBoot:
         assert system.sfs is system.kernel.sfs
         assert system.clock is system.kernel.clock
         assert system.kernel.on_exec is not None
-
-    def test_custom_addrmap(self):
-        system = boot(addrmap=BTreeAddressMap())
-        assert isinstance(system.kernel.sfs.addrmap, BTreeAddressMap)
-
-    def test_custom_costs(self):
-        system = boot(costs=CostModel(syscall=1))
-        assert system.clock.costs.syscall == 1
 
     def test_wide_addresses(self):
         system = boot(wide_addresses=True)

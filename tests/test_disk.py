@@ -26,7 +26,7 @@ from repro.disk import (
     verify_segments,
 )
 from repro.disk.blockdev import BLOCK_SIZE
-from repro.disk.codec import decode_fields, encode_fields
+from repro.disk.codec import MAX_DEPTH, decode_fields, encode_fields
 from repro.disk.fsck import _check_addrmap, _check_sfs, _check_tree, \
     _scratch_volume
 from repro.disk.image import serialize_volume
@@ -427,12 +427,74 @@ class TestRenameAtomicity:
 # ---------------------------------------------------------------------------
 
 
+def mutated(blob: bytes):
+    """One flip, cut, grow or splice of *blob*, the ways a stored file
+    goes bad: a changed byte, a lost range, inserted bytes, and a range
+    overwritten by a copy of another range of the same file."""
+    size = len(blob)
+    spot = st.integers(0, size)
+
+    def flip(args):
+        index, mask = args
+        return blob[:index] + bytes([blob[index] ^ mask]) + blob[index + 1:]
+
+    def cut(args):
+        return blob[:min(args)] + blob[max(args):]
+
+    def grow(args):
+        index, extra = args
+        return blob[:index] + extra + blob[index:]
+
+    def splice(args):
+        lo, hi, src_lo, src_hi = args
+        return blob[:min(lo, hi)] + blob[min(src_lo, src_hi):
+                                         max(src_lo, src_hi)] \
+            + blob[max(lo, hi):]
+
+    return st.one_of(
+        st.tuples(st.integers(0, size - 1), st.integers(1, 255)).map(flip),
+        st.tuples(spot, spot).map(cut),
+        st.tuples(spot, st.binary(min_size=1, max_size=16)).map(grow),
+        st.tuples(spot, spot, spot, spot).map(splice),
+    )
+
+
+#: every field tag, nested three lists deep
+CODEC_SAMPLE = encode_fields([
+    1, -2, "héllo", b"\x00\xffraw", None,
+    [3, ["nested", [None, b""]], []], "end",
+])
+
+
 class TestCodec:
     def test_invalid_utf8_string_is_a_typed_rejection(self):
         blob = bytearray(encode_fields(["héllo", 7]))
         blob[blob.index(b"\xc3")] = 0xFF  # one bad byte in the S field
         with pytest.raises(DiskFormatError, match="not UTF-8"):
             decode_fields(bytes(blob))
+
+    def test_deep_nesting_is_a_typed_rejection(self):
+        with pytest.raises(DiskFormatError, match="nested deeper"):
+            decode_fields(b"L\x00\x00\x00\x01" * 5000 + b"N")
+
+    def test_nesting_to_the_bound_decodes(self):
+        tree = [None]
+        for _ in range(MAX_DEPTH):
+            tree = [tree]
+        assert decode_fields(encode_fields(tree)) == tree
+        with pytest.raises(DiskFormatError, match="nested deeper"):
+            decode_fields(encode_fields([tree]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutant=mutated(CODEC_SAMPLE))
+    def test_mutation_property(self, mutant):
+        """Each mutant decodes to fields that encode back to exactly
+        its bytes, or is refused with a typed error."""
+        try:
+            fields = decode_fields(mutant)
+        except SimulationError:
+            return
+        assert encode_fields(fields) == mutant
 
 
 class TestCrashMatrix:

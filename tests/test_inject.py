@@ -35,7 +35,7 @@ from repro.inject import (
     install_injector,
     remove_injector,
 )
-from repro.sfs.addrmap import BTreeAddressMap, LinearAddressMap
+from repro.sfs.addrmap import BTreeAddressMap
 from repro.trace.tracer import tracing
 
 WIDTH = 6
@@ -363,7 +363,8 @@ def _check_map_consistent(kernel):
 def test_btree_addrmap_invariants_under_io_faults(ops, seed):
     """B-tree structural invariants and map bijectivity hold after any
     prefix of injected I/O faults (t=2 maximizes splits/merges)."""
-    kernel = boot(addrmap=BTreeAddressMap(t=2)).kernel
+    kernel = boot().kernel
+    kernel.sfs.addrmap = BTreeAddressMap(t=2)
     _apply_ops(kernel, ops, seed)
     kernel.sfs.addrmap._tree.check_invariants()
     _check_map_consistent(kernel)
@@ -375,8 +376,9 @@ def test_btree_addrmap_invariants_under_io_faults(ops, seed):
 def test_linear_and_btree_maps_agree_under_faults(ops, seed):
     """Differential oracle: the linear map and the B-tree map reach the
     same state when the same seeded faults hit the same op sequence."""
-    linear = boot(addrmap=LinearAddressMap()).kernel
-    btree = boot(addrmap=BTreeAddressMap(t=2)).kernel
+    linear = boot().kernel
+    btree = boot().kernel
+    btree.sfs.addrmap = BTreeAddressMap(t=2)
     _apply_ops(linear, ops, seed)
     _apply_ops(btree, ops, seed)
     assert sorted(linear.sfs.addrmap.entries()) \

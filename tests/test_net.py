@@ -288,7 +288,9 @@ class TestFabricDeterminism:
     def test_total_order_is_round_seq_copy(self):
         # with jitter off, frames due in the same round land in seq
         # order, regardless of how they were queued
-        fabric = Fabric(3, seed=7, jitter=0)
+        fabric = Fabric(3, seed=7)
+        for link in fabric._links.values():
+            link.jitter = 0
         nics = [Nic(fabric, node, _StubKernel()) for node in range(3)]
         for node, nic in enumerate(nics):
             fabric.attach(node, nic)
@@ -349,7 +351,6 @@ class TestClusterBoot:
 
     @pytest.mark.parametrize("kwargs", [
         dict(nnodes=0),
-        dict(nnodes=2, home=5),
         dict(nnodes=2, disks=[None]),
         dict(nnodes=2, wide_addresses=True),
     ])

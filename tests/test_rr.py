@@ -21,12 +21,14 @@ from the materialized kernel is bit-identical to never having stopped.
 from __future__ import annotations
 
 import os
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RRError, TraceCursorError
+from repro.disk.codec import decode_fields, encode_fields
+from repro.errors import RRError, SimulationError, TraceCursorError
 from repro.inject import FaultKind, FaultPlan, Plane
 from repro.kernel.timing import CHECKPOINT_NEVER, Clock
 from repro.rr import (
@@ -41,8 +43,9 @@ from repro.rr import (
     seek_call,
     state_digest,
 )
-from repro.rr.recording import decode_plan, encode_plan
+from repro.rr.recording import _MAGIC, decode_plan, encode_plan
 from repro.tools.cli import UsageError, reprorr_main
+from tests.test_disk import mutated
 
 LOOP_SOURCE = """
     .text
@@ -162,6 +165,97 @@ class TestRecordingFormat:
         assert recording.nearest_checkpoint(100).cycle == 100
         assert recording.nearest_checkpoint(250).cycle == 200
         assert recording.nearest_checkpoint(9999).cycle == 300
+
+
+def _sample_recording() -> Recording:
+    """A small recording with one row of every kind."""
+    return Recording(
+        manifest={"script": "x.py", "argv": ["a"],
+                  "env": {"REPRO_CLUSTER": "4", "REPRO_CORES": "2"},
+                  "plans": [encode_plan(FaultPlan(
+                      Plane.IO, FaultKind.SHORT_READ, site="read",
+                      probability=0.5, max_faults=3))],
+                  "inject_seed": 3, "nodes": 4, "net_seed": 7,
+                  "interval": 1000, "kinds": ["FAULT", "NET"],
+                  "capacity": 512},
+        boots=[(100, [["syscalls", 60], ["switches", 40]])],
+        events=[[1, 50, 2, 0, "open", 0, 0, 0],
+                [2, 90, 2, 4096, "", 1, 3, 0]],
+        checkpoints=[Checkpoint(boot=0, cycle=80, cursor=1,
+                                digest=b"\x01" * 32,
+                                state=["machine", [80, []]])],
+        emitted=2, dropped=0, outcome="clean",
+    )
+
+
+SAMPLE_RRR = _sample_recording().to_bytes()
+
+
+def _payload(blob: bytes) -> bytes:
+    return zlib.decompress(blob[len(_MAGIC):])
+
+
+def _with_payload(payload: bytes) -> bytes:
+    return _MAGIC + zlib.compress(payload)
+
+
+def _sample_fields() -> list:
+    return decode_fields(_payload(SAMPLE_RRR))
+
+
+def _replace(path: tuple, value) -> bytes:
+    """The sample recording with the field at *path* set to *value*."""
+    fields = _sample_fields()
+    row = fields
+    for index in path[:-1]:
+        row = row[index]
+    row[path[-1]] = value
+    return _with_payload(encode_fields(fields))
+
+
+class TestMutatedRecordingBytes:
+    """Every mutant of a recording, of its file bytes or of its
+    payload, decodes to a recording that re-encodes to exactly its
+    payload, or is refused with a typed error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutation_property(self, data):
+        if data.draw(st.booleans(), label="payload"):
+            blob = _with_payload(
+                data.draw(mutated(_payload(SAMPLE_RRR)), label="mutant"))
+        else:
+            blob = data.draw(mutated(SAMPLE_RRR), label="mutant")
+        try:
+            recording = Recording.from_bytes(blob)
+        except SimulationError:
+            return
+        assert _payload(recording.to_bytes()) == _payload(blob)
+
+    @pytest.mark.parametrize("mutant", [
+        lambda: _replace((1,), 5),
+        lambda: _replace((1, 2), [[1, 2, 3]]),
+        lambda: _replace((2,), [5]),
+        lambda: _replace((4,), [7]),
+        lambda: _replace((1, 2), [["REPRO_CORES", "2"],
+                                  ["REPRO_CLUSTER", "4"]]),
+        lambda: _replace((1, 3, 0, 5), "often"),
+        lambda: _replace((1, 8), ["NOPE"]),
+        lambda: _replace((3, 1), [2, 90]),
+        lambda: SAMPLE_RRR + b"\x00",
+        lambda: SAMPLE_RRR[:-1],
+    ], ids=["manifest-int", "env-triple", "boot-int", "checkpoint-int",
+            "env-unsorted", "plan-probability", "unknown-kind",
+            "short-event", "trailing-byte", "cut-stream"])
+    def test_typed_rejections(self, mutant):
+        with pytest.raises(RRError):
+            Recording.from_bytes(mutant())
+
+    def test_replay_of_a_malformed_file_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "bad.rrr"
+        path.write_bytes(_replace((1,), 5))
+        with pytest.raises(UsageError, match="malformed manifest"):
+            reprorr_main(["replay", str(path)])
 
 
 # ---------------------------------------------------------------------------

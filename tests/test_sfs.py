@@ -146,7 +146,8 @@ class TestBootScan:
 
     def test_rebuild_into_btree_map(self, pm):
         """The boot scan works for either map implementation."""
-        sfs = SharedFilesystem(pm, addrmap=BTreeAddressMap())
+        sfs = SharedFilesystem(pm)
+        sfs.addrmap = BTreeAddressMap()
         inode = sfs.create_file(sfs.root, "f", uid=0)
         sfs.rebuild_address_map()
         base = sfs.address_of_inode(inode.number)
