@@ -76,6 +76,10 @@ def unpack_status(blob: bytes) -> HostStatus:
     if not nul or padding.strip(b"\x00"):
         raise WhodFormatError("whod record's hostname field does not "
                               "hold one NUL-terminated name")
+    if b"/" in hostname:
+        # pack_status refuses such a name (see stored_hostname)
+        raise WhodFormatError(
+            f"hostname {hostname.decode('latin-1')!r} contains '/'")
     users = []
     offset = _HEADER.size
     for _ in range(nusers):

@@ -16,7 +16,12 @@ from __future__ import annotations
 
 from typing import Optional, Tuple, TYPE_CHECKING
 
-from repro.errors import FilesystemError, SyscallError
+from repro.errors import (
+    FilesystemError,
+    ObjectFormatError,
+    SimulationError,
+    SyscallError,
+)
 from repro.fs.vfs import (
     O_CREAT,
     O_RDONLY,
@@ -28,6 +33,7 @@ from repro.fs.vfs import (
 from repro.hw import isa
 from repro.kernel.process import Process
 from repro.kernel.sync import WouldBlock
+from repro.objfile.format import MAGIC, TRAILER, unpack_trailer
 from repro.trace import tracer as _trace
 from repro.trace.events import EventKind
 from repro.vm.address_space import MAP_SHARED
@@ -108,6 +114,126 @@ class Syscalls:
                                       cwd=proc.cwd)
         self._charge_cold(proc, handle)
         return proc.install_fd(handle)
+
+    def read_module(self, proc: Process, path: str, segment: bool = False,
+                    probe: bool = False
+                    ) -> Optional[Tuple[bytes, int, Tuple[int, int]]]:
+        """Read the module file at *path* the way the linkers do, as
+        ``(data, image_len, key)``.
+
+        A template (*segment* false) is ``open``, ``fstat``, one
+        ``pread`` of the whole file and ``close``; *data* is the file
+        and *image_len* 0. A segment is ``open``, ``fstat``, a
+        ``pread`` of its 16-byte trailer, a ``pread`` of the metadata
+        the trailer locates, and ``close``; *data* is the metadata. A
+        file too short for a trailer, or whose trailer lacks the magic,
+        raises :class:`ObjectFormatError` after the calls made so far.
+        *key* is the file's ``(id(volume), inode number)``, the key of
+        :attr:`_warm_inodes`.
+
+        With *probe*, a path that cannot be opened and a template too
+        short to hold the HOF magic (no ``pread`` is made) yield None.
+
+        When no tracer is enabled, no injector is armed, *path* is a
+        regular file the caller may read and the whole sequence cannot
+        reach the clock's checkpoint, nothing can observe the calls
+        one by one: the file is read without an open-file description
+        and the calls' charges accrue merged per category, in the
+        order they are first charged. The descriptor the ``open``
+        would have taken is consumed all the same. Otherwise the calls
+        are made one by one, which is the reference.
+        """
+        kernel = self.kernel
+        if kernel.injector is None and not _trace.TRACER.enabled:
+            try:
+                fs, inode = kernel.vfs.resolve(path, proc.uid,
+                                               cwd=proc.cwd)
+            except FilesystemError:
+                inode = None
+            if inode is not None and inode.is_file \
+                    and inode.check_access(proc.uid, "r"):
+                clock = kernel.clock
+                costs = clock.costs
+                size = inode.size
+                bound = 5 * costs.syscall + costs.disk_seek \
+                    + ((2 * size + 3) // 4) * costs.file_io_per_word
+                if clock.cycles + bound < clock.checkpoint_at:
+                    return self._read_module_merged(
+                        proc, path, segment, probe, fs, inode)
+        return self._read_module_calls(proc, path, segment, probe)
+
+    def _read_module_calls(self, proc: Process, path: str, segment: bool,
+                           probe: bool):
+        """:meth:`read_module` as the syscalls it stands for."""
+        try:
+            fd = self.open(proc, path, O_RDONLY)
+        except SimulationError:
+            if probe:
+                return None
+            raise
+        try:
+            handle = proc.fd(fd)
+            key = (id(handle.fs), handle.inode.number)
+            size = self.fstat(proc, fd).st_size
+            if not segment:
+                if probe and size < len(MAGIC):
+                    return None
+                return self.pread(proc, fd, 0, size), 0, key
+            if size < TRAILER.size:
+                raise ObjectFormatError(
+                    f"{path!r} is too small to be a segment"
+                )
+            image_len, meta_len = unpack_trailer(
+                self.pread(proc, fd, size - TRAILER.size, TRAILER.size),
+                path)
+            return self.pread(proc, fd, image_len, meta_len), image_len, key
+        finally:
+            self.close(proc, fd)
+
+    def _read_module_merged(self, proc: Process, path: str, segment: bool,
+                            probe: bool, fs, inode):
+        """:meth:`_read_module_calls`' reads and charges, for a readable
+        regular file with nothing armed and no checkpoint in reach."""
+        read = fs.read_file
+        size = inode.size
+        data = error = words = None     # words: file_io words, if read
+        image_len = 0
+        calls = 3                       # open, fstat, close; + preads
+        if not segment:
+            if not (probe and size < len(MAGIC)):
+                data = read(inode, 0, size)
+                calls, words = 4, (len(data) + 3) // 4
+        elif size < TRAILER.size:
+            error = ObjectFormatError(
+                f"{path!r} is too small to be a segment"
+            )
+        else:
+            calls, words = 4, TRAILER.size // 4
+            try:
+                image_len, meta_len = unpack_trailer(
+                    read(inode, size - TRAILER.size, TRAILER.size), path)
+            except ObjectFormatError as refusal:
+                error = refusal
+            else:
+                data = read(inode, image_len, meta_len)
+                calls, words = 5, words + (len(data) + 3) // 4
+        clock = self.kernel.clock
+        costs = clock.costs
+        clock.accrue("syscalls", calls * costs.syscall)
+        key = (id(fs), inode.number)
+        if key not in self._warm_inodes:
+            self._warm_inodes.add(key)
+            clock.accrue("disk", costs.disk_seek)
+        if words is not None:
+            clock.accrue("file_io", words * costs.file_io_per_word)
+        # The descriptor the open would have installed and the close
+        # released: fds are never reused, so the next one moves on.
+        proc._next_fd += 1
+        if error is not None:
+            raise error
+        if data is None:
+            return None
+        return data, image_len, key
 
     def _charge_cold(self, proc: Process, handle: OpenFile) -> None:
         """First touch of a file pays a disk seek; later opens hit cache."""

@@ -41,6 +41,7 @@ from repro.kernel.process import Process
 from repro.kernel.syscalls import FLOCK_EX, FLOCK_UN
 from repro.linker.branch_islands import insert_branch_islands
 from repro.linker.classes import SharingClass
+from repro.linker.lds import load_template
 from repro.linker.module import ModuleImage, patch_reloc_in_memory
 from repro.linker.scoped import peek_exports, scope_chain
 from repro.linker.searchpath import SearchPath
@@ -433,8 +434,6 @@ class Ldl:
                         value=module.image_len)
 
     def _load_template(self, path: str) -> ObjectFile:
-        from repro.linker.lds import load_template
-
         return self._with_retry(
             lambda: load_template(self.kernel, self.proc, path))
 

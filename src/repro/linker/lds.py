@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ModuleNotFoundLinkError, UndefinedSymbolError
-from repro.fs.vfs import O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
+from repro.fs.vfs import O_CREAT, O_TRUNC, O_WRONLY
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.linker.branch_islands import insert_branch_islands, is_external
@@ -70,14 +70,8 @@ def load_template(kernel: Kernel, proc: Process, path: str) -> ObjectFile:
     injector = kernel.injector
     if injector is not None:
         injector.on_link(proc, "load_template", path)
-    sys = kernel.syscalls
-    fd = sys.open(proc, path, O_RDONLY)
-    try:
-        data = sys.pread(proc, fd, 0, sys.fstat(proc, fd).st_size)
-    finally:
-        sys.close(proc, fd)
-    obj = ObjectFile.from_bytes(data)
-    return obj
+    data, _image_len, _key = kernel.syscalls.read_module(proc, path)
+    return ObjectFile.from_bytes(data)
 
 
 def store_object(kernel: Kernel, proc: Process, path: str,

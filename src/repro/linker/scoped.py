@@ -19,11 +19,10 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterator, List, Mapping, Optional, TYPE_CHECKING
 
-from repro.errors import ObjectFormatError, SimulationError
-from repro.fs.vfs import O_RDONLY
+from repro.errors import ObjectFormatError
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
-from repro.linker.segments import segment_base, segment_meta_bytes
+from repro.linker.segments import segment_base
 from repro.objfile.format import ObjectFile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,39 +58,27 @@ def peek_exports(kernel: Kernel, proc: Process,
     interface without creating or mapping anything. The result is
     read-only.
 
-    Every call issues and pays for the same syscalls. Only the decode
-    is shared: ``kernel.export_table`` keeps, per file, the bytes last
-    decoded here and what they yielded, and reuses the result when the
-    bytes just read are equal to them.
+    Every call issues and pays for the same syscalls (one
+    :meth:`~repro.kernel.syscalls.Syscalls.read_module`). Only the
+    decode is shared: ``kernel.export_table`` keeps, per file, the
+    bytes last decoded here and what they yielded, and reuses the
+    result when the bytes just read are equal to them.
     """
-    sys = kernel.syscalls
+    template = path.endswith(".o")
     try:
-        fd = sys.open(proc, path, O_RDONLY)
-    except SimulationError:
+        read = kernel.syscalls.read_module(proc, path, segment=not template,
+                                           probe=True)
+    except ObjectFormatError:
         return None
-    try:
-        template = path.endswith(".o")
-        if template:
-            size = sys.fstat(proc, fd).st_size
-            if size < 4:
-                return None
-            data = sys.pread(proc, fd, 0, size)
-        else:
-            try:
-                data, _image_len = segment_meta_bytes(kernel, proc, fd,
-                                                      path)
-            except ObjectFormatError:
-                return None
-        handle = proc.fd(fd)
-        key = (id(handle.fs), handle.inode.number)
-        entry = kernel.export_table.get(key)
-        if entry is not None and entry[0] == template and entry[1] == data:
-            return entry[2]
-        exports = _decode_exports(data, template, path)
-        kernel.export_table[key] = (template, data, exports)
-        return exports
-    finally:
-        sys.close(proc, fd)
+    if read is None:
+        return None
+    data, _image_len, key = read
+    entry = kernel.export_table.get(key)
+    if entry is not None and entry[0] == template and entry[1] == data:
+        return entry[2]
+    exports = _decode_exports(data, template, path)
+    kernel.export_table[key] = (template, data, exports)
+    return exports
 
 
 def _decode_exports(data: bytes, template: bool,

@@ -20,23 +20,26 @@ self-describing — ldl can map a module it has never seen before.
 
 from __future__ import annotations
 
-import struct
 from typing import Optional, Tuple
 
 from repro.errors import FileLimitError, LinkError, ObjectFormatError
 from repro.fs.path import dirname, basename, join
-from repro.fs.vfs import O_CREAT, O_EXCL, O_RDONLY, O_RDWR, O_WRONLY
+from repro.fs.vfs import O_CREAT, O_EXCL, O_RDWR, O_WRONLY
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.linker.branch_islands import insert_branch_islands
 from repro.linker.module import ModuleImage, Resolver
-from repro.objfile.format import SEC_TEXT, ObjectFile, ObjectKind
+from repro.objfile.format import (
+    SEC_TEXT,
+    TRAILER,
+    TRAILER_MAGIC,
+    ObjectFile,
+    ObjectKind,
+    unpack_trailer,
+)
 from repro.sfs.sharedfs import MAX_FILE_SIZE
 from repro.util.bits import align_up
 from repro.vm.layout import PAGE_SIZE
-
-TRAILER = struct.Struct("<4sIII")
-TRAILER_MAGIC = b"HSEG"
 
 
 def module_path_for_template(template_path: str) -> str:
@@ -77,9 +80,10 @@ def create_public_module(kernel: Kernel, proc: Process,
         info = sys.fstat(proc, fd)
         base = kernel.sfs.address_of_inode(info.st_ino)
 
-        working = template.clone()
-        insert_branch_islands(working)
-        image = ModuleImage(working, name=basename(module_path))
+        image = ModuleImage(template, name=basename(module_path))
+        if insert_branch_islands(image.obj):
+            # keep the symbol table in name order, as a clone leaves it
+            image.obj.symbols = dict(sorted(image.obj.symbols.items()))
         image.layout_contiguous(base)
         image.apply_relocations(resolver)
         meta = image.to_segment_meta()
@@ -110,34 +114,10 @@ def read_segment_meta(kernel: Kernel, proc: Process,
 
     Returns (metadata, base address, image length in bytes).
     """
-    sys = kernel.syscalls
-    fd = sys.open(proc, module_path, O_RDONLY)
-    try:
-        meta_bytes, image_len = segment_meta_bytes(kernel, proc, fd,
-                                                   module_path)
-        meta = ObjectFile.from_bytes(meta_bytes)
-        return meta, segment_base(meta, module_path), image_len
-    finally:
-        sys.close(proc, fd)
-
-
-def segment_meta_bytes(kernel: Kernel, proc: Process, fd: int,
-                       module_path: str) -> Tuple[bytes, int]:
-    """The serialized metadata of the segment file open on *fd*, and
-    its image length: one fstat and two preads (trailer, metadata)."""
-    sys = kernel.syscalls
-    size = sys.fstat(proc, fd).st_size
-    if size < TRAILER.size:
-        raise ObjectFormatError(
-            f"{module_path!r} is too small to be a segment"
-        )
-    trailer = sys.pread(proc, fd, size - TRAILER.size, TRAILER.size)
-    magic, image_len, meta_len, _reserved = TRAILER.unpack(trailer)
-    if magic != TRAILER_MAGIC:
-        raise ObjectFormatError(
-            f"{module_path!r} lacks the segment trailer"
-        )
-    return sys.pread(proc, fd, image_len, meta_len), image_len
+    meta_bytes, image_len, _key = kernel.syscalls.read_module(
+        proc, module_path, segment=True)
+    meta = ObjectFile.from_bytes(meta_bytes)
+    return meta, segment_base(meta, module_path), image_len
 
 
 def segment_base(meta: ObjectFile, module_path: str) -> int:
@@ -167,12 +147,13 @@ def update_segment_meta(kernel: Kernel, proc: Process, module_path: str,
     fd = sys.open(proc, module_path, O_RDWR)
     try:
         size = sys.fstat(proc, fd).st_size
-        trailer = sys.pread(proc, fd, size - TRAILER.size, TRAILER.size)
-        magic, image_len, _meta_len, _reserved = TRAILER.unpack(trailer)
-        if magic != TRAILER_MAGIC:
+        if size < TRAILER.size:
             raise ObjectFormatError(
-                f"{module_path!r} lacks the segment trailer"
+                f"{module_path!r} is too small to be a segment"
             )
+        image_len, _meta_len = unpack_trailer(
+            sys.pread(proc, fd, size - TRAILER.size, TRAILER.size),
+            module_path)
         meta_bytes = meta.to_bytes()
         sys.ftruncate(proc, fd, image_len)
         sys.pwrite(proc, fd, image_len, meta_bytes)

@@ -16,13 +16,30 @@ serializes to a versioned binary encoding (magic ``HOF1``) via
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ObjectFormatError
-from repro.objfile.serialize import BinaryReader, BinaryWriter
+from repro.objfile.serialize import BinaryReader, encode_string, enum_member
 
 MAGIC = b"HOF1"
+
+#: The 16 bytes that end every segment file (see
+#: :mod:`repro.linker.segments`): magic, image length, metadata length
+#: and a reserved word. The metadata sits right after the image.
+TRAILER = struct.Struct("<4sIII")
+TRAILER_MAGIC = b"HSEG"
+
+
+def unpack_trailer(trailer: bytes, path: str) -> Tuple[int, int]:
+    """The image and metadata lengths a segment file's *trailer* bytes
+    (read from the file at *path*) record."""
+    if len(trailer) != TRAILER.size or trailer[:4] != TRAILER_MAGIC:
+        raise ObjectFormatError(f"{path!r} lacks the segment trailer")
+    _magic, image_len, meta_len, _reserved = TRAILER.unpack(trailer)
+    return image_len, meta_len
+
 
 # Section identifiers. UNDEF/ABS are pseudo-sections used only by symbols.
 SEC_TEXT = "text"
@@ -144,6 +161,20 @@ class SectionLayout:
         return self.base + self.size
 
 
+_U8 = struct.Struct("<B")
+_U32 = struct.Struct("<I")
+_I32 = struct.Struct("<i")
+_PAIR = struct.Struct("<II")            # bss/heap sizes; layout base, size
+_SYMBOL_ROW = struct.Struct("<IBI")     # value, binding, size
+_RELOC_ROW = struct.Struct("<IB")       # offset, type
+_BINDINGS = {member.value: member for member in SymBinding}
+_RELOC_TYPES = {member.value: member for member in RelocType}
+
+
+def _by_name(symbol: "Symbol") -> str:
+    return symbol.name
+
+
 class ObjectFile:
     """A HOF object: template, executable, or segment metadata."""
 
@@ -225,106 +256,145 @@ class ObjectFile:
     # ------------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        writer = BinaryWriter()
-        writer.raw(MAGIC)
-        writer.u8(self.kind.value)
-        writer.string(self.name)
-        writer.string(self.entry_symbol or "")
-        writer.blob(bytes(self.text))
-        writer.blob(bytes(self.data))
-        writer.u32(self.bss_size)
-        writer.u32(self.heap_size)
+        """The HOF encoding of this object.
 
-        symbols = sorted(self.symbols.values(), key=lambda s: s.name)
-        writer.u32(len(symbols))
+        A symbol value or size, a relocation offset, or a section
+        layout's base or size must fit its unsigned 32-bit field;
+        anything else raises :class:`ObjectFormatError` naming the
+        object and the symbol or section, rather than being cut to
+        its low 32 bits.
+        """
+        string = encode_string
+        parts = [MAGIC, _U8.pack(self.kind.value & 0xFF),
+                 string(self.name), string(self.entry_symbol or "")]
+        append = parts.append
+        for section in (self.text, self.data):
+            append(_U32.pack(len(section) & 0xFFFFFFFF))
+            append(bytes(section))
+        append(_PAIR.pack(self.bss_size & 0xFFFFFFFF,
+                          self.heap_size & 0xFFFFFFFF))
+
+        symbols = sorted(self.symbols.values(), key=_by_name)
+        append(_U32.pack(len(symbols)))
+        pack = _SYMBOL_ROW.pack
         for sym in symbols:
-            writer.string(sym.name)
-            writer.string(sym.section)
-            writer.u32(sym.value)
-            writer.u8(sym.binding.value)
-            writer.u32(sym.size)
-            writer.string(sym.kind)
+            value, size = sym.value, sym.size
+            if not (0 <= value <= 0xFFFFFFFF and 0 <= size <= 0xFFFFFFFF):
+                raise ObjectFormatError(
+                    f"{self.name!r}: symbol {sym.name!r} (value "
+                    f"0x{value:x}, size 0x{size:x}) does not fit a "
+                    f"32-bit field"
+                )
+            append(string(sym.name))
+            append(string(sym.section))
+            append(pack(value, sym.binding.value & 0xFF, size))
+            append(string(sym.kind))
 
-        writer.u32(len(self.relocations))
+        append(_U32.pack(len(self.relocations)))
+        pack = _RELOC_ROW.pack
         for reloc in self.relocations:
-            writer.string(reloc.section)
-            writer.u32(reloc.offset)
-            writer.u8(reloc.type.value)
-            writer.string(reloc.symbol)
-            writer.i32(reloc.addend)
+            offset = reloc.offset
+            if not 0 <= offset <= 0xFFFFFFFF:
+                raise ObjectFormatError(
+                    f"{self.name!r}: relocation against "
+                    f"{reloc.symbol!r} at {reloc.section}+0x{offset:x} "
+                    f"does not fit a 32-bit field"
+                )
+            append(string(reloc.section))
+            append(pack(offset, reloc.type.value & 0xFF))
+            append(string(reloc.symbol))
+            append(_I32.pack(reloc.addend))
 
-        writer.u32(len(self.link_info.dynamic_modules))
+        append(_U32.pack(len(self.link_info.dynamic_modules)))
         for module, sclass in self.link_info.dynamic_modules:
-            writer.string(module)
-            writer.string(sclass)
-        writer.u32(len(self.link_info.search_path))
+            append(string(module))
+            append(string(sclass))
+        append(_U32.pack(len(self.link_info.search_path)))
         for directory in self.link_info.search_path:
-            writer.string(directory)
+            append(string(directory))
 
-        writer.u32(len(self.layout))
+        append(_U32.pack(len(self.layout)))
         for sec in self.layout.values():
-            writer.string(sec.name)
-            writer.u32(sec.base)
-            writer.u32(sec.size)
-        return writer.getvalue()
+            base, size = sec.base, sec.size
+            if not (0 <= base <= 0xFFFFFFFF and 0 <= size <= 0xFFFFFFFF):
+                raise ObjectFormatError(
+                    f"{self.name!r}: section {sec.name!r} (base "
+                    f"0x{base:x}, size 0x{size:x}) does not fit a "
+                    f"32-bit field"
+                )
+            append(string(sec.name))
+            append(_PAIR.pack(base, size))
+        return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes, offset: int = 0) -> "ObjectFile":
         reader = BinaryReader(data, offset)
+        string, u32, i32, row = \
+            reader.string, reader.u32, reader.i32, reader.row
         magic = reader.raw(4)
         if magic != MAGIC:
             raise ObjectFormatError(
                 f"bad magic {magic!r}; not a HOF object"
             )
         kind = reader.enum(ObjectKind)
-        obj = cls(reader.string(), kind)
-        entry = reader.string()
+        obj = cls(string(), kind)
+        entry = string()
         obj.entry_symbol = entry or None
         obj.text = bytearray(reader.blob())
         obj.data = bytearray(reader.blob())
-        obj.bss_size = reader.u32()
-        obj.heap_size = reader.u32()
+        obj.bss_size = u32()
+        obj.heap_size = u32()
 
+        symbols = obj.symbols
         previous = None
-        for _ in range(reader.u32()):
-            name = reader.string()
+        for _ in range(u32()):
+            name = string()
             if previous is not None and name <= previous:
                 # to_bytes writes the table sorted by name, one row each
                 raise ObjectFormatError(
                     f"symbol {name!r} out of order or duplicated")
             previous = name
-            section = reader.string()
-            value = reader.u32()
-            binding = reader.enum(SymBinding)
-            size = reader.u32()
-            kind = reader.string()
-            obj.symbols[name] = Symbol(name, section, value, binding,
-                                       size, kind)
+            section = string()
+            try:
+                value, code, size = row(_SYMBOL_ROW)
+            except ObjectFormatError:
+                # A short row: read it field by field, which refuses a
+                # bad binding code ahead of the missing size.
+                u32()
+                reader.enum(SymBinding)
+                raise
+            binding = _BINDINGS.get(code)
+            if binding is None:
+                enum_member(SymBinding, code)
+            symbols[name] = Symbol(name, section, value, binding, size,
+                                   string())
 
-        for _ in range(reader.u32()):
-            section = reader.string()
-            roffset = reader.u32()
-            rtype = reader.enum(RelocType)
-            symbol = reader.string()
-            addend = reader.i32()
-            obj.relocations.append(
-                Relocation(section, roffset, rtype, symbol, addend)
+        relocations = obj.relocations
+        for _ in range(u32()):
+            section = string()
+            roffset, code = row(_RELOC_ROW)
+            rtype = _RELOC_TYPES.get(code)
+            if rtype is None:
+                enum_member(RelocType, code)
+            symbol = string()
+            relocations.append(
+                Relocation(section, roffset, rtype, symbol, i32())
             )
 
-        for _ in range(reader.u32()):
-            obj.link_info.dynamic_modules.append(
-                (reader.string(), reader.string())
-            )
-        for _ in range(reader.u32()):
-            obj.link_info.search_path.append(reader.string())
+        dynamic_modules = obj.link_info.dynamic_modules
+        for _ in range(u32()):
+            dynamic_modules.append((string(), string()))
+        search_path = obj.link_info.search_path
+        for _ in range(u32()):
+            search_path.append(string())
 
-        for _ in range(reader.u32()):
-            name = reader.string()
-            if name in obj.layout:
+        layout = obj.layout
+        for _ in range(u32()):
+            name = string()
+            if name in layout:
                 raise ObjectFormatError(f"section {name!r} laid out twice")
-            base = reader.u32()
-            size = reader.u32()
-            obj.layout[name] = SectionLayout(name, base, size)
+            base, size = row(_PAIR)
+            layout[name] = SectionLayout(name, base, size)
         if not reader.at_end():
             raise ObjectFormatError("trailing bytes after object")
         return obj

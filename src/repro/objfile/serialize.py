@@ -12,10 +12,19 @@ from typing import List
 
 from repro.errors import ObjectFormatError
 
-_U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _I32 = struct.Struct("<i")
+
+_TRUNCATED = "truncated object data"
+
+
+def encode_string(text: str) -> bytes:
+    """*text* as a u16 length and its UTF-8 bytes."""
+    encoded = text.encode("utf-8")
+    if len(encoded) > 0xFFFF:
+        raise ObjectFormatError("string too long to serialize")
+    return _U16.pack(len(encoded)) + encoded
 
 
 class BinaryWriter:
@@ -24,28 +33,12 @@ class BinaryWriter:
     def __init__(self) -> None:
         self._parts: List[bytes] = []
 
-    def u8(self, value: int) -> "BinaryWriter":
-        self._parts.append(_U8.pack(value & 0xFF))
-        return self
-
-    def u16(self, value: int) -> "BinaryWriter":
-        self._parts.append(_U16.pack(value & 0xFFFF))
-        return self
-
     def u32(self, value: int) -> "BinaryWriter":
         self._parts.append(_U32.pack(value & 0xFFFFFFFF))
         return self
 
-    def i32(self, value: int) -> "BinaryWriter":
-        self._parts.append(_I32.pack(value))
-        return self
-
     def string(self, text: str) -> "BinaryWriter":
-        encoded = text.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise ObjectFormatError("string too long to serialize")
-        self.u16(len(encoded))
-        self._parts.append(encoded)
+        self._parts.append(encode_string(text))
         return self
 
     def blob(self, data: bytes) -> "BinaryWriter":
@@ -62,46 +55,69 @@ class BinaryWriter:
 
 
 class BinaryReader:
-    """Sequential reader matching :class:`BinaryWriter`'s encoding."""
+    """Sequential reader matching :class:`BinaryWriter`'s encoding.
+
+    Every read checks its bounds once and raises
+    :class:`ObjectFormatError` past the end of the data.
+    """
 
     def __init__(self, data: bytes, offset: int = 0) -> None:
         self._data = data
         self._pos = offset
+        self._end = len(data)
 
     def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise ObjectFormatError("truncated object data")
-        chunk = self._data[self._pos: self._pos + n]
-        self._pos += n
-        return chunk
+        pos = self._pos
+        end = pos + n
+        if end > self._end:
+            raise ObjectFormatError(_TRUNCATED)
+        self._pos = end
+        return self._data[pos:end]
+
+    def row(self, layout: struct.Struct) -> tuple:
+        """One fixed-width row of *layout*'s fields."""
+        pos = self._pos
+        end = pos + layout.size
+        if end > self._end:
+            raise ObjectFormatError(_TRUNCATED)
+        self._pos = end
+        return layout.unpack_from(self._data, pos)
 
     def u8(self) -> int:
-        return _U8.unpack(self._take(1))[0]
-
-    def u16(self) -> int:
-        return _U16.unpack(self._take(2))[0]
+        pos = self._pos
+        if pos >= self._end:
+            raise ObjectFormatError(_TRUNCATED)
+        self._pos = pos + 1
+        return self._data[pos]
 
     def u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
+        pos = self._pos
+        end = pos + 4
+        if end > self._end:
+            raise ObjectFormatError(_TRUNCATED)
+        self._pos = end
+        return _U32.unpack_from(self._data, pos)[0]
 
     def i32(self) -> int:
-        return _I32.unpack(self._take(4))[0]
+        return self.row(_I32)[0]
 
     def string(self) -> str:
-        length = self.u16()
+        data, pos = self._data, self._pos
+        start = pos + 2
+        if start > self._end:
+            raise ObjectFormatError(_TRUNCATED)
+        end = start + (data[pos] | data[pos + 1] << 8)
+        if end > self._end:
+            raise ObjectFormatError(_TRUNCATED)
+        self._pos = end
         try:
-            return self._take(length).decode("utf-8")
+            return str(data[start:end], "utf-8")
         except UnicodeDecodeError:
             raise ObjectFormatError("string is not valid UTF-8") from None
 
     def enum(self, kind):
         """One u8 as a member of the enum *kind*."""
-        code = self.u8()
-        try:
-            return kind(code)
-        except ValueError:
-            raise ObjectFormatError(
-                f"unknown {kind.__name__} code {code}") from None
+        return enum_member(kind, self.u8())
 
     def blob(self) -> bytes:
         length = self.u32()
@@ -110,9 +126,14 @@ class BinaryReader:
     def raw(self, n: int) -> bytes:
         return bytes(self._take(n))
 
-    @property
-    def offset(self) -> int:
-        return self._pos
-
     def at_end(self) -> bool:
-        return self._pos >= len(self._data)
+        return self._pos >= self._end
+
+
+def enum_member(kind, code: int):
+    """The member of the enum *kind* with value *code*."""
+    try:
+        return kind(code)
+    except ValueError:
+        raise ObjectFormatError(
+            f"unknown {kind.__name__} code {code}") from None

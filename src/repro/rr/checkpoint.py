@@ -263,6 +263,92 @@ def diff_states(recorded: list, replayed: list) -> Optional[str]:
 # materialize
 # ---------------------------------------------------------------------------
 
+_OPTIONAL_INT = (int, type(None))
+_OPTIONAL_STR = (str, type(None))
+_CLOCK_ROW = (int, list, int, int, list)
+_HANDLE_ROW = (_OPTIONAL_STR, int, str, int, int, int)
+_OBJECT_ROW = (str, int, list)
+_PROCESS_ROW = (int, int, int, str, str, _OPTIONAL_INT, _OPTIONAL_STR,
+                int, str, int, int, _OPTIONAL_STR, str,
+                (list, type(None)), bytes, list, list, list, list, list)
+_MAPPING_ROW = (int, int, int, int, str, int, list)
+_PAGE_ROW = (int, int, int, str, (bytes, type(None)), int)
+#: a mapping's backing reference, by its tag
+_REF_ROWS = {"anon": (str,), "obj": (str, int), "vol": (str, str, int)}
+
+
+def _row(value, types: tuple, what: str) -> list:
+    """*value*, a list with one field of each of *types*; anything else
+    is a malformed *what*."""
+    if type(value) is not list or len(value) != len(types) \
+            or not all(map(isinstance, value, types)):
+        raise RRError(f"malformed {what} in machine state")
+    return value
+
+
+def _rows(value, types: tuple, what: str) -> list:
+    """*value*, a list of :func:`_row` rows of *types*."""
+    if type(value) is not list:
+        raise RRError(f"malformed {what} list in machine state")
+    for row in value:
+        _row(row, types, what)
+    return value
+
+
+def _ints(value, what: str, count: Optional[int] = None) -> None:
+    """Refuse *value* unless it is a list of ints (of *count* of them)."""
+    if type(value) is not list \
+            or not all(isinstance(item, int) for item in value) \
+            or (count is not None and len(value) != count):
+        raise RRError(f"malformed {what} in machine state")
+
+
+def _check_machine_rows(clock_row, runqueue, wait_blocked, volumes,
+                        handles, objects, procs) -> None:
+    """Refuse with :class:`RRError` any row :func:`materialize` indexes
+    that does not have the shape :func:`capture_machine` writes, and any
+    slot that points past the table it indexes."""
+    _, categories, _, _, core_cycles = _row(clock_row, _CLOCK_ROW,
+                                            "clock row")
+    _rows(categories, (str, int), "clock category")
+    _rows(core_cycles, (int, int), "core total")
+    _ints(runqueue, "run queue")
+    _ints(wait_blocked, "wait set")
+    _rows(volumes, (str, list), "volume")
+    _rows(handles, _HANDLE_ROW, "open file")
+    for _name, _size, pages in _rows(objects, _OBJECT_ROW, "memory object"):
+        _rows(pages, (int, bytes), "memory object page")
+    for row in _rows(procs, _PROCESS_ROW, "process"):
+        (_pid, _ppid, _uid, _name, state_tag, _code, _reason, _reaped,
+         _cwd, _brk, _next_fd, _block, kind, cpu_row, _stdout, environ,
+         _handlers, fds, mappings, pages) = row
+        if state_tag not in _STATES or kind not in ("m", "n") \
+                or (kind == "m") != (cpu_row is not None):
+            raise RRError(f"malformed process {row[0]} in machine state")
+        if cpu_row is not None:
+            _, _, regs = _row(cpu_row, (int, int, list), "cpu row")
+            _ints(regs, "register file", 32)
+        _rows(environ, (str, str), "environment")
+        for _fd, slot in _rows(fds, (int, int), "descriptor"):
+            if not 0 <= slot < len(handles):
+                raise RRError(f"descriptor names missing open file {slot}")
+        for mapping in _rows(mappings, _MAPPING_ROW, "mapping"):
+            ref = mapping[6]
+            shape = _REF_ROWS.get(ref[0]) \
+                if ref and type(ref[0]) is str else None
+            if shape is None:
+                raise RRError("malformed mapping reference in machine "
+                              "state")
+            _row(ref, shape, "mapping reference")
+            if ref[0] == "obj" and not 0 <= ref[1] < len(objects):
+                raise RRError(
+                    f"mapping names missing memory object {ref[1]}")
+        for page in _rows(pages, _PAGE_ROW, "page"):
+            if not 0 <= page[5] < len(mappings) \
+                    or (page[3] != "obj" and type(page[4]) is not bytes):
+                raise RRError("malformed page in machine state")
+
+
 def materialize(state: list):
     """A runnable kernel rebuilt from a machine state tree, with the
     default cost model and the lazy, scoped runtime attached.
@@ -297,6 +383,8 @@ def materialize(state: list):
         raise RRError(
             f"state has {queue_backlog} undrained message(s); message "
             f"queues are not serializable — replay from boot")
+    _check_machine_rows(clock_row, runqueue, wait_blocked, volumes,
+                        handles, objects, procs)
     for row in procs:
         state_tag, kind, block_reason = row[4], row[12], row[11]
         if kind == "n" and state_tag != ProcessState.ZOMBIE.value:
@@ -409,7 +497,9 @@ def materialize(state: list):
                                     prot=prot, flags=flags, name=mname)
                 mapping_objs.append(mapping)
             for vpn, prot, cow, page_kind, data, slot in pages:
-                pte = space._pages[vpn]
+                pte = space._pages.get(vpn)
+                if pte is None:
+                    raise RRError(f"page 0x{vpn:x} lies in no mapping")
                 pte.prot = prot
                 mapping = mapping_objs[slot]
                 if page_kind == "obj":

@@ -89,6 +89,12 @@ class TestWireFormat:
             with pytest.raises(WhodFormatError):
                 unpack_status(bad)
 
+    def test_slash_in_the_stored_name_is_a_typed_error(self, network):
+        # pack_status refuses such a name, so no record can carry one
+        blob = b"/" + pack_status(network[0])[1:]
+        with pytest.raises(WhodFormatError, match="contains '/'"):
+            unpack_status(blob)
+
 
 def _round_trips_or_rejects(blob: bytes) -> None:
     """*blob* parses to a status that packs back to exactly *blob*, or

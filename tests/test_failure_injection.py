@@ -368,3 +368,41 @@ class TestRuntimeRobustness:
         # The kernel is still functional afterwards.
         runtime.create_segment("/shared/after", 4096)
         assert kernel.vfs.exists("/shared/after")
+
+
+class TestCorruptReadsAreTyped:
+    """With the IO plane corrupting every read, the linker's module
+    readers return or raise a SimulationError subclass; a raw
+    struct.error, UnicodeDecodeError or IndexError never escapes."""
+
+    def test_every_reader_under_certain_corruption(self, system, shell):
+        from repro.linker.lds import load_template
+        from repro.linker.scoped import peek_exports
+
+        kernel = system.kernel
+        exe = build_module_exe(system, shell,
+                               SharingClass.DYNAMIC_PUBLIC)
+        p0 = kernel.create_machine_process("p0", exe)
+        kernel.run_until_exit(p0)
+        assert kernel.vfs.exists("/shared/lib/m")
+        readers = [
+            lambda: peek_exports(kernel, shell, "/shared/lib/m.o"),
+            lambda: peek_exports(kernel, shell, "/shared/lib/m"),
+            lambda: read_segment_meta(kernel, shell, "/shared/lib/m"),
+            lambda: load_template(kernel, shell, "/shared/lib/m.o"),
+        ]
+        refused = 0
+        for seed in range(40):
+            install_injector(
+                kernel,
+                [FaultPlan(Plane.IO, FaultKind.CORRUPT, site="read",
+                           probability=1.0)],
+                seed=seed,
+            )
+            for read in readers:
+                try:
+                    read()
+                except SimulationError:
+                    refused += 1
+            remove_injector(kernel)
+        assert refused > 0

@@ -12,6 +12,8 @@ from repro.objfile.format import (
     ObjectKind,
     Relocation,
     RelocType,
+    SEC_ABS,
+    SEC_BSS,
     SEC_DATA,
     SEC_TEXT,
     SEC_UNDEF,
@@ -98,6 +100,181 @@ class TestSerialization:
         assert bytes(clone.data) == bytes(data)
         assert clone.bss_size == bss
         assert set(clone.symbols) == set(names)
+
+
+def pin_template():
+    """Every section, both bindings, all four relocation types, a
+    negative addend and link info."""
+    obj = ObjectFile("pin.o")
+    obj.text.extend(bytes(range(12)))
+    obj.data.extend(b"\x01\x02\x03\x04\x05")
+    obj.bss_size = 24
+    obj.heap_size = 64
+    obj.add_symbol(Symbol("main", SEC_TEXT, 0, size=12, kind="func"))
+    obj.add_symbol(Symbol("table", SEC_DATA, 4, size=1, kind="char"))
+    obj.add_symbol(Symbol("counter", SEC_BSS, 8, size=4, kind="int"))
+    obj.add_symbol(Symbol("loop", SEC_TEXT, 8, SymBinding.LOCAL))
+    obj.reference("printf")
+    obj.relocations += [
+        Relocation(SEC_TEXT, 0, RelocType.HI16, "table", 4),
+        Relocation(SEC_TEXT, 4, RelocType.LO16, "table", 4),
+        Relocation(SEC_TEXT, 8, RelocType.JUMP26, "printf", 0),
+        Relocation(SEC_DATA, 0, RelocType.WORD32, "counter", -8),
+    ]
+    obj.link_info = LinkInfo([("libm.o", "dynamic_public"),
+                              ("helper.o", "dynamic_private")],
+                             ["/shared/lib", "/lib"])
+    obj.entry_symbol = "main"
+    return obj
+
+
+def pin_executable():
+    """The template placed: an executable with a section layout."""
+    obj = pin_template()
+    obj.name = "a.out"
+    obj.kind = ObjectKind.EXECUTABLE
+    obj.layout = {
+        SEC_TEXT: SectionLayout(SEC_TEXT, 0x00400000, 12),
+        SEC_DATA: SectionLayout(SEC_DATA, 0x10000000, 5),
+        SEC_BSS: SectionLayout(SEC_BSS, 0x10000010, 24),
+    }
+    return obj
+
+
+def pin_segment():
+    """Segment metadata at the edges of its fields: absolute symbols,
+    a value and a size of 0xFFFFFFFF, the most negative addend, a heap
+    layout and no entry symbol."""
+    obj = ObjectFile("m", ObjectKind.SEGMENT)
+    obj.bss_size = 8
+    obj.add_symbol(Symbol("m_fn", SEC_ABS, 0x40001000, size=0xFFFFFFFF))
+    obj.add_symbol(Symbol("m_var", SEC_ABS, 0xFFFFFFFF))
+    obj.add_symbol(Symbol("m_hidden", SEC_ABS, 0x40001008,
+                          SymBinding.LOCAL))
+    obj.reference("ext")
+    obj.relocations.append(
+        Relocation(SEC_DATA, 0xFFFFFFFC, RelocType.WORD32, "ext",
+                   -0x80000000))
+    obj.layout = {
+        SEC_TEXT: SectionLayout(SEC_TEXT, 0x40001000, 0),
+        SEC_DATA: SectionLayout(SEC_DATA, 0x40001000, 8),
+        SEC_BSS: SectionLayout(SEC_BSS, 0x40001010, 8),
+        "heap": SectionLayout("heap", 0x40001020, 0xFFFFFFFF),
+    }
+    return obj
+
+
+PIN_OBJECTS = {"template": pin_template, "executable": pin_executable,
+               "segment": pin_segment}
+
+#: to_bytes() of each PIN_OBJECTS entry, as the byte-at-a-time
+#: BinaryWriter encoder produced it
+PIN_HEX = {
+    "template": (
+        "484f463100050070696e2e6f04006d61696e0c00000000010203040506070809"
+        "0a0b0500000001020304051800000040000000050000000700636f756e746572"
+        "03006273730800000001040000000300696e7404006c6f6f7004007465787408"
+        "0000000000000000000004006d61696e04007465787400000000010c00000004"
+        "0066756e6306007072696e746607002a756e6465662a00000000010000000000"
+        "0005007461626c65040064617461040000000101000000040063686172040000"
+        "00040074657874000000000105007461626c6504000000040074657874040000"
+        "000205007461626c6504000000040074657874080000000306007072696e7466"
+        "0000000004006461746100000000000700636f756e746572f8ffffff02000000"
+        "06006c69626d2e6f0e0064796e616d69635f7075626c6963080068656c706572"
+        "2e6f0f0064796e616d69635f70726976617465020000000b002f736861726564"
+        "2f6c696204002f6c696200000000"
+    ),
+    "executable": (
+        "484f4631010500612e6f757404006d61696e0c00000000010203040506070809"
+        "0a0b0500000001020304051800000040000000050000000700636f756e746572"
+        "03006273730800000001040000000300696e7404006c6f6f7004007465787408"
+        "0000000000000000000004006d61696e04007465787400000000010c00000004"
+        "0066756e6306007072696e746607002a756e6465662a00000000010000000000"
+        "0005007461626c65040064617461040000000101000000040063686172040000"
+        "00040074657874000000000105007461626c6504000000040074657874040000"
+        "000205007461626c6504000000040074657874080000000306007072696e7466"
+        "0000000004006461746100000000000700636f756e746572f8ffffff02000000"
+        "06006c69626d2e6f0e0064796e616d69635f7075626c6963080068656c706572"
+        "2e6f0f0064796e616d69635f70726976617465020000000b002f736861726564"
+        "2f6c696204002f6c696203000000040074657874000040000c00000004006461"
+        "7461000000100500000003006273731000001018000000"
+    ),
+    "segment": (
+        "484f46310201006d000000000000000000000800000000000000040000000300"
+        "65787407002a756e6465662a000000000100000000000004006d5f666e05002a"
+        "6162732a0010004001ffffffff000008006d5f68696464656e05002a6162732a"
+        "081000400000000000000005006d5f76617205002a6162732affffffff010000"
+        "0000000001000000040064617461fcffffff0003006578740000008000000000"
+        "0000000004000000040074657874001000400000000004006461746100100040"
+        "080000000300627373101000400800000004006865617020100040ffffffff"
+    ),
+}
+
+
+class TestEncodingPins:
+    @pytest.mark.parametrize("name", sorted(PIN_OBJECTS))
+    def test_encoding_is_pinned(self, name):
+        assert PIN_OBJECTS[name]().to_bytes().hex() == PIN_HEX[name]
+
+    @pytest.mark.parametrize("name", sorted(PIN_OBJECTS))
+    def test_pin_round_trips(self, name):
+        data = bytes.fromhex(PIN_HEX[name])
+        obj = ObjectFile.from_bytes(data)
+        assert obj.to_bytes() == data
+        want = PIN_OBJECTS[name]()
+        assert (obj.name, obj.kind, obj.entry_symbol, obj.bss_size,
+                obj.heap_size) == (want.name, want.kind, want.entry_symbol,
+                                   want.bss_size, want.heap_size)
+        assert sorted(obj.symbols.values(), key=lambda s: s.name) == \
+            sorted(want.symbols.values(), key=lambda s: s.name)
+        assert obj.relocations == want.relocations
+        assert obj.link_info == want.link_info
+        assert obj.layout == want.layout
+
+
+class TestWideValues:
+    """A value that does not fit its unsigned 32-bit field is refused
+    by name, never written as its low 32 bits."""
+
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda o: setattr(o.symbols["main"], "value", 1 << 32), "main"),
+        (lambda o: setattr(o.symbols["table"], "size", -1), "table"),
+        (lambda o: setattr(o.relocations[0], "offset", 1 << 32), "table"),
+        (lambda o: setattr(o.layout[SEC_DATA], "base", 0x1_0100_0000),
+         "data"),
+        (lambda o: setattr(o.layout[SEC_BSS], "size", -4), "bss"),
+    ], ids=["symbol-value", "symbol-size", "reloc-offset", "layout-base",
+            "layout-size"])
+    def test_refused_by_name(self, mutate, named):
+        obj = pin_executable()
+        mutate(obj)
+        with pytest.raises(ObjectFormatError,
+                           match=f"'a.out'.*'{named}'"):
+            obj.to_bytes()
+
+    def test_addends_stay_signed(self):
+        obj = pin_template()
+        obj.relocations[0].addend = -0x80000000
+        clone = ObjectFile.from_bytes(obj.to_bytes())
+        assert clone.relocations[0].addend == -0x80000000
+
+    def test_wide_data_module_is_refused(self):
+        """A data-only public module above 4 GiB (sfs64 places one at
+        0x1_0100_0000) cannot describe its symbols in HOF's 32-bit
+        fields, so creating it is refused by name."""
+        from repro import boot
+        from repro.bench.workloads import make_shell
+        from repro.linker.segments import create_public_module
+
+        kernel = boot(wide_addresses=True).kernel
+        shell = make_shell(kernel)
+        kernel.vfs.makedirs("/shared/lib")
+        template = ObjectFile("wide.o")
+        template.data.extend(bytes(8))
+        template.add_symbol(Symbol("total", SEC_DATA, 4))
+        with pytest.raises(ObjectFormatError,
+                           match="'wide': symbol 'total'"):
+            create_public_module(kernel, shell, template, "/shared/lib/wide")
 
 
 def _mod3_bytes() -> bytes:

@@ -251,6 +251,52 @@ class TestMutatedRecordingBytes:
         with pytest.raises(RRError):
             Recording.from_bytes(mutant())
 
+    @pytest.mark.parametrize("state", [
+        ["machine", 5, 1, 1, [], [], 0, [], [], [], [7]],
+        ["machine", [0, [], 0, 1, []], 1, 1, [], [], 0, [], [], [], [7]],
+        ["machine", [1, 2], 1, 1, [], [], 0, [], [], [], []],
+    ], ids=["clock-int", "process-int", "two-field-clock"])
+    def test_malformed_machine_state_is_refused(self, state):
+        with pytest.raises(RRError):
+            materialize(state)
+
+    def test_seeded_machine_state_mutants(self):
+        """A captured machine state with one node replaced materializes
+        or is refused with a typed error."""
+        import copy
+        import random
+
+        from repro.kernel.kernel import Kernel
+        from repro.runtime.libshared import attach_runtime
+
+        kernel = Kernel()
+        attach_runtime(kernel)
+        proc = kernel.create_machine_process("loop", _loop_image())
+        while kernel.clock.cycles < 40_000 and proc.alive:
+            kernel.smp.run_round()
+        state = capture_machine(kernel)
+        paths = []
+
+        def walk(node, path):
+            paths.append(path)
+            if isinstance(node, list):
+                for index, child in enumerate(node):
+                    walk(child, path + (index,))
+        walk(state, ())
+        rng = random.Random(1993)
+        for _ in range(150):
+            mutant = copy.deepcopy(state)
+            path = rng.choice(paths[1:])
+            parent = mutant
+            for index in path[:-1]:
+                parent = parent[index]
+            parent[path[-1]] = rng.choice(
+                [5, -1, "x", None, [], [7], b"", [1, 2]])
+            try:
+                materialize(mutant)
+            except SimulationError:
+                pass
+
     def test_replay_of_a_malformed_file_is_a_usage_error(self, tmp_path):
         path = tmp_path / "bad.rrr"
         path.write_bytes(_replace((1,), 5))
