@@ -192,8 +192,9 @@ def run_cluster_rwho(cluster: Cluster, statuses: List[HostStatus],
         "bytes_sent": stats.bytes_sent,
         "bytes_delivered": stats.bytes_delivered,
         "by_kind": dict(stats.by_kind),
-        "net_cycles": cluster.net_cycles(),
-        "cycles": cluster.cycle_counts(),
+        "net_cycles": [m.kernel.clock.by_category.get("net", 0)
+                       for m in cluster.machines],
+        "cycles": [m.kernel.clock.cycles for m in cluster.machines],
         "coherence": cluster.coherence_stats(),
     }
 

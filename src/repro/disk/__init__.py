@@ -35,7 +35,7 @@ from repro.disk.crash import (
 )
 from repro.disk.fsck import FsckResult, fsck
 from repro.disk.journal import Journal, scan_journal
-from repro.disk.mount import CAMPAIGN, DiskStore, RecoveryStats, durable
+from repro.disk.mount import CAMPAIGN, DiskStore, durable
 
 __all__ = [
     "BLOCK_SIZE",
@@ -47,7 +47,6 @@ __all__ = [
     "DiskStore",
     "FsckResult",
     "Journal",
-    "RecoveryStats",
     "crash_points",
     "durable",
     "fsck",

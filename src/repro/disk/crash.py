@@ -19,7 +19,7 @@ executable for the A9 matrix (:func:`run_crash_matrix`) and for
    remounted: recovery must replay the committed prefix, and every
    public segment that survived must reopen *by address* through the
    real ``open_by_addr`` syscall with intact contents;
-4. each point's :class:`RecoveryStats.trail` is captured so a second
+4. each point's recovery ``trail`` is captured so a second
    identical run can assert bit-identical recovery, record for record.
 """
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.disk.fsck import fsck
-from repro.disk.mount import RecoveryStats, durable
+from repro.disk.mount import durable, recovery_stats
 from repro.errors import SimulationError
 from repro.inject import (
     FaultKind,
@@ -196,7 +196,7 @@ def _check_store(k: int, store) -> CrashPoint:
 
     survivor = store.device.reopen()
     findings = [str(item) for item in fsck(survivor).report]
-    recovery, seg_failures = RecoveryStats(), []
+    recovery, seg_failures = recovery_stats(), []
     if not findings:
         system = boot(disk=survivor)
         recovery = system.kernel.recovery

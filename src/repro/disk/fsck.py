@@ -7,7 +7,7 @@ checks, reported with stable ``DSK###`` codes from the shared
 :mod:`repro.analyze.report` catalogue. A healthy image — including one
 produced by a crash at any journal record boundary — yields an empty
 report: a torn journal tail is the *designed* crash outcome and shows
-in :class:`RecoveryStats`, not as a finding. Findings mean actual
+in the recovery stats, not as a finding. Findings mean actual
 damage: checksum failures, structural violations, or disagreement
 between the kernel's stored address map and the SFS inode table it
 was derived from (§3's boot-time rebuild exists precisely because the
@@ -31,11 +31,12 @@ check with its code):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from repro.analyze.report import Report, finding
 from repro.disk.blockdev import BlockDevice
-from repro.disk.mount import RecoveryStats, recover_volumes
+from repro.disk.mount import recover_volumes, recovery_stats
 from repro.errors import RecoveryError
 from repro.fs.filesystem import Filesystem
 from repro.vm.pages import PhysicalMemory
@@ -48,7 +49,7 @@ _STAGE_CODES = {"superblock": "DSK001", "checkpoint": "DSK003",
 @dataclass
 class FsckResult:
     report: Report
-    stats: RecoveryStats
+    stats: SimpleNamespace
 
 
 def _scratch_volume(kind: str, name: str) -> Filesystem:
@@ -67,7 +68,7 @@ def _scratch_volume(kind: str, name: str) -> Filesystem:
 def fsck(device: BlockDevice, subject: str = "") -> FsckResult:
     """Check *device* and return findings + stats. Read-only."""
     report = Report(subject or device.name)
-    stats = RecoveryStats()
+    stats = recovery_stats()
     volumes: Dict[str, Filesystem] = {}
 
     def scratch(key: str, kind: str) -> Filesystem:

@@ -34,9 +34,9 @@ volumes):
 
 A stage that refuses the image raises :class:`RecoveryError`. After a
 recovery the boot path checkpoints, leaving a freshly clean image.
-Every step lands in :class:`RecoveryStats.trail`, a compact record the
-crash matrix compares across runs: recovery is required to be
-bit-identical per seed.
+Every step lands in the ``trail`` of :func:`recovery_stats`, a compact
+record the crash matrix compares across runs: recovery is required to
+be bit-identical per seed.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from __future__ import annotations
 import struct
 import zlib
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.disk.blockdev import BlockDevice
@@ -214,29 +215,29 @@ def apply_journal_op(fs, op: str, args: list) -> None:
         fs.truncate_file(target, *rest)
 
 
-@dataclass
-class RecoveryStats:
-    """What one recovery did (a mount's is surfaced via
-    ``Kernel.stats()``; ``reprofsck --verbose`` prints fsck's)."""
-
-    generation: int = 0
-    applied_txid: int = 0
-    clean: bool = True
-    used_backup_superblock: bool = False
-    committed_txns: int = 0
-    replayed_txns: int = 0
-    discarded_records: int = 0
-    addrmap_segments: int = 0
-    #: Inodes per volume after recovery (filled in by fsck).
-    inodes: Dict[str, int] = field(default_factory=dict)
-    #: Compact deterministic log of every recovery step, compared
-    #: bit-for-bit across runs by the crash matrix.
-    trail: List[tuple] = field(default_factory=list)
+def recovery_stats(generation: int = 0) -> SimpleNamespace:
+    """What one recovery did (a mount's is ``kernel.recovery``, read
+    by ``Kernel.metrics()``; ``reprofsck --verbose`` prints fsck's)."""
+    return SimpleNamespace(
+        generation=generation,
+        applied_txid=0,
+        clean=True,
+        used_backup_superblock=False,
+        committed_txns=0,
+        replayed_txns=0,
+        discarded_records=0,
+        addrmap_segments=0,
+        # Inodes per volume after recovery (filled in by fsck).
+        inodes={},
+        # Compact deterministic log of every recovery step, compared
+        # bit-for-bit across runs by the crash matrix.
+        trail=[],
+    )
 
 
 def recover_volumes(device: BlockDevice,
                     volume_for: Callable[[str, str], object],
-                    stats: RecoveryStats,
+                    stats: SimpleNamespace,
                     inspect: Optional[Callable] = None
                     ) -> Tuple[int, int]:
     """Steps 1–5 of the module docstring, restoring each checkpointed
@@ -328,7 +329,7 @@ class DiskStore:
         self.active_slot = 0
         self.generation = 0
         self.journal: Optional[Journal] = None
-        self.recovery = RecoveryStats()
+        self.recovery = recovery_stats()
 
     # ------------------------------------------------------------------
 
@@ -362,8 +363,7 @@ class DiskStore:
         self.generation = 0
         self._arm_journal(generation=0, next_txid=1)
         self.checkpoint()
-        self.recovery = RecoveryStats(generation=self.generation,
-                                      applied_txid=0, clean=True)
+        self.recovery = recovery_stats(generation=self.generation)
         self.recovery.trail.append(("format", self.generation))
 
     def checkpoint(self) -> None:
@@ -412,7 +412,7 @@ class DiskStore:
     def recover(self) -> None:
         """Recover the image into the kernel's own volumes, then re-arm
         the journal and checkpoint."""
-        stats = RecoveryStats()
+        stats = recovery_stats()
         self.active_slot, next_txid = recover_volumes(
             self.device, lambda key, _kind: self.volumes[key], stats)
         self.generation = stats.generation

@@ -12,7 +12,6 @@ See DESIGN.md §8.
 from repro.inject.injector import (
     CAMPAIGN,
     Injector,
-    InjectStats,
     injecting,
     install_injector,
     remove_injector,
@@ -24,7 +23,6 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "Injector",
-    "InjectStats",
     "Plane",
     "injecting",
     "install_injector",

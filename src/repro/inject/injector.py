@@ -14,7 +14,7 @@ Design constraints, mirroring :mod:`repro.trace`:
    identical seed + plans => a bit-identical ``EventKind.INJECT`` stream.
 3. **Observable.** Every trigger emits one ``INJECT`` trace event
    (``name="plane:kind:site"``, ``value=`` running trigger count), and
-   :class:`InjectStats` counts checks/matches/triggers/containments.
+   ``Injector.stats`` counts checks/matches/triggers/containments.
 
 Arming, like tracing, is either explicit::
 
@@ -31,8 +31,8 @@ or ambient for every kernel booted inside the block (what the
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
+from types import SimpleNamespace
 from typing import (
     Dict,
     FrozenSet,
@@ -75,18 +75,6 @@ def _mix(seed: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-@dataclass
-class InjectStats:
-    """Counters the chaos campaigns and ``kernel.stats()`` report."""
-
-    checked: int = 0       # decision-point evaluations with plans armed
-    matched: int = 0       # predicate matches (eligible or not)
-    triggered: int = 0     # faults actually injected
-    contained: int = 0     # injected faults absorbed at a kernel boundary
-    retries: int = 0       # transient faults absorbed by retry/backoff
-    by_kind: Dict[str, int] = field(default_factory=dict)
-
-
 class _PlanState:
     """Mutable per-boot decision state for one installed plan."""
 
@@ -106,7 +94,15 @@ class Injector:
                  seed: int = 0) -> None:
         self.kernel = kernel
         self.seed = seed
-        self.stats = InjectStats()
+        # Counters the chaos campaigns and ``kernel.metrics()`` report.
+        self.stats = SimpleNamespace(
+            checked=0,       # decision-point evaluations with plans armed
+            matched=0,       # predicate matches (eligible or not)
+            triggered=0,     # faults actually injected
+            contained=0,     # injected faults absorbed at a kernel boundary
+            retries=0,       # transient faults absorbed by retry/backoff
+            by_kind={},
+        )
         self._installed = 0
         self._states: Dict[Plane, List[_PlanState]] = {
             plane: [] for plane in Plane

@@ -18,7 +18,8 @@ as an unhandled SIGSEGV would.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import (
     HardwareError,
@@ -57,6 +58,28 @@ from repro.vm.pages import PhysicalMemory
 DEFAULT_QUANTUM = 2000          # instructions per machine-process slice
 MAX_FAULT_RETRIES = 64          # same instruction faulting repeatedly
 SFS_MOUNT = "/shared"
+
+
+def flatten(groups: Iterable[Tuple[str, object]]) -> Dict[str, int]:
+    """One flat dump, sorted by key, of ``(prefix, counters)`` pairs.
+    *counters* is a dict, a namespace or None (a layer not armed): an
+    int (or bool) in it becomes ``prefix.name``, a dict of ints
+    ``prefix.name.key``; anything else, such as a recovery's trail, is
+    a log rather than a counter and is left out. A key that recurs is
+    summed, so repeating a prefix adds up per-process counters."""
+    flat: Counter = Counter()
+    for prefix, counters in groups:
+        if counters is None:
+            continue
+        if not isinstance(counters, dict):
+            counters = vars(counters)
+        for name, value in counters.items():
+            if isinstance(value, dict):
+                flat.update({f"{prefix}.{name}.{key}": count
+                             for key, count in value.items()})
+            elif isinstance(value, int):
+                flat[f"{prefix}.{name}"] += value
+    return dict(sorted(flat.items()))
 
 
 class Kernel:
@@ -549,24 +572,40 @@ class Kernel:
                 or getattr(error, "injected", False):
             injector.note_contained()
 
-    def stats(self) -> str:
-        alive = sum(1 for p in self.processes.values() if p.alive)
-        extra = ""
-        if self.injector is not None:
-            counts = self.injector.stats
-            extra = (f" injected={counts.triggered} "
-                     f"contained={counts.contained}")
-        if self.recovery is not None:
-            extra += (f" recovered_txns={self.recovery.replayed_txns} "
-                      f"discarded_records="
-                      f"{self.recovery.discarded_records} "
-                      f"segments={self.recovery.addrmap_segments}")
-        if self.sanitizer is not None:
-            counts = self.sanitizer.stats
-            extra += (f" san_races={counts.races} "
-                      f"san_heap={counts.heap_findings}")
-        return (
-            f"processes={len(self.processes)} (alive {alive}) "
-            f"frames={self.physmem.allocated} cycles={self.clock.cycles}"
-            f"{extra}"
-        )
+    def metrics(self) -> Dict[str, int]:
+        """Every counter of this boot as one flat, sorted dump: the
+        clock, the process and frame counts, the SMP coordinator, the
+        TLB, decode and linker counters summed over processes, and the
+        counters of each armed layer (DESIGN.md, "Counters")."""
+        clock = self.clock
+        groups = [
+            ("kernel", {"cycles": clock.cycles, "elapsed": clock.elapsed,
+                        "processes": len(self.processes),
+                        "alive": sum(proc.alive
+                                     for proc in self.processes.values()),
+                        "frames": self.physmem.allocated}),
+            ("kernel.cycles", clock.by_category),
+            ("kernel.core_cycles", clock.core_cycles),
+            ("smp", self.smp.stats()),
+            ("sfs.addrmap", {"comparisons": self.sfs.addrmap.comparisons}),
+            ("inject", getattr(self.injector, "stats", None)),
+            ("san", getattr(self.sanitizer, "stats", None)),
+            ("coherence", getattr(self.coherence, "stats", None)),
+            ("recovery", self.recovery),
+        ]
+        if self.disk is not None:
+            groups.append(("disk", {
+                "blocks_written": self.disk.device.writes,
+                "journal.records": self.disk.journal.records_written}))
+        for proc in self.processes.values():
+            space, cpu = proc.address_space, proc.cpu
+            if space is not None:
+                groups.append(("tlb", space.tlb_stats()))
+            if cpu is not None:
+                groups.append(("hw", {
+                    "instructions": cpu.instructions_executed,
+                    "decode_hits": cpu.decode_hits,
+                    "decode_misses": cpu.decode_misses}))
+            ldl = getattr(proc.runtime, "ldl", None)
+            groups.append(("linker", getattr(ldl, "stats", None)))
+        return flatten(groups)

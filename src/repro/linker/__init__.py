@@ -16,7 +16,7 @@ This package is the paper's contribution proper:
 """
 
 from repro.linker.classes import SharingClass
-from repro.linker.searchpath import SearchPath, find_module
+from repro.linker.searchpath import SearchPath
 from repro.linker.module import ModuleImage
 from repro.linker.lds import Lds, LinkRequest
 from repro.linker.ldl import Ldl, LoadedModule
@@ -30,7 +30,6 @@ from repro.linker.segments import (
 __all__ = [
     "SharingClass",
     "SearchPath",
-    "find_module",
     "ModuleImage",
     "Lds",
     "LinkRequest",

@@ -62,10 +62,10 @@ class SharingClass(enum.Enum):
     def parse(cls, text: str) -> "SharingClass":
         """Parse a class name as it appears on the lds command line."""
         normalized = text.strip().lower().replace("-", "_").replace(" ", "_")
-        for candidate in cls:
-            if candidate.value == normalized:
-                return candidate
-        raise LinkError(f"unknown sharing class {text!r}")
+        try:
+            return cls(normalized)
+        except ValueError:
+            raise LinkError(f"unknown sharing class {text!r}") from None
 
     @classmethod
     def table1(cls) -> List["SharingClass"]:

@@ -24,7 +24,7 @@ only then makes the pages accessible. Resolution may map further modules
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -63,20 +63,6 @@ from repro.vm.layout import PAGE_SIZE, PRIVATE_DYNAMIC_BASE
 # hit while locating/mapping modules. Each retry charges a doubling
 # backoff wait to the clock, so the recovery cost is deterministic.
 LDL_MAX_RETRIES = 4
-
-
-@dataclass
-class LdlStats:
-    """Counters the lazy-linking benchmarks report."""
-
-    modules_mapped: int = 0
-    modules_created: int = 0
-    modules_linked: int = 0
-    relocs_patched: int = 0
-    scope_lookups: int = 0
-    directory_scans: int = 0
-    faults_serviced: int = 0
-    transient_retries: int = 0
 
 
 class LoadedModule:
@@ -156,7 +142,17 @@ class Ldl:
 
             verify = lint_enabled_default()
         self.verify = verify
-        self.stats = LdlStats()
+        # Counters the lazy-linking benchmarks report.
+        self.stats = SimpleNamespace(
+            modules_mapped=0,
+            modules_created=0,
+            modules_linked=0,
+            relocs_patched=0,
+            scope_lookups=0,
+            directory_scans=0,
+            faults_serviced=0,
+            transient_retries=0,
+        )
         self.root: Optional[LoadedModule] = None
         self._by_path: Dict[str, LoadedModule] = {}
         self._modules: List[LoadedModule] = []

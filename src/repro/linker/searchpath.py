@@ -88,12 +88,6 @@ class SearchPath:
         return iter(self.directories)
 
 
-def find_module(vfs: Vfs, name: str, search: SearchPath, uid: int = 0,
-                cwd: str = "/") -> Optional[str]:
-    """Convenience wrapper around :meth:`SearchPath.find`."""
-    return search.find(vfs, name, uid, cwd)
-
-
 def _is_regular_file(vfs: Vfs, path: str, uid: int) -> bool:
     from repro.errors import FilesystemError
 

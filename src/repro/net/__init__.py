@@ -15,17 +15,15 @@ frame.
 """
 
 from repro.net.cluster import Cluster, Machine
-from repro.net.ha import HA_PORT, HaConfig, HaManager, HaStats
+from repro.net.ha import HA_PORT, HaConfig, HaManager
 from repro.net.coherence import (
     COHERENCE_PORT,
     CoherenceAgent,
-    CoherenceStats,
     SegmentDirectory,
     SegmentState,
 )
 from repro.net.link import (
     Fabric,
-    FabricStats,
     Frame,
     FrameKind,
     MAX_RETRANSMITS,
@@ -39,14 +37,11 @@ __all__ = [
     "HA_PORT",
     "HaConfig",
     "HaManager",
-    "HaStats",
     "COHERENCE_PORT",
     "CoherenceAgent",
-    "CoherenceStats",
     "SegmentDirectory",
     "SegmentState",
     "Fabric",
-    "FabricStats",
     "Frame",
     "FrameKind",
     "MAX_RETRANSMITS",

@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import NetError, SimulationError
+from repro.kernel.kernel import flatten
 from repro.kernel.process import ProcessState
 from repro.net.coherence import CoherenceAgent, SegmentDirectory
 from repro.net.ha import HaManager, _had_body
@@ -382,15 +383,18 @@ class Cluster:
         return self.machines[node].kernel.create_native_process(
             name, body)
 
-    def cycle_counts(self) -> List[int]:
-        """Per-node total simulated cycles (node order)."""
-        return [m.kernel.clock.cycles for m in self.machines]
-
-    def net_cycles(self) -> List[int]:
-        """Per-node cycles charged to the ``net`` category."""
-        return [m.kernel.clock.by_category.get("net", 0)
-                for m in self.machines]
-
     def coherence_stats(self) -> List[Dict[str, int]]:
         """Per-node protocol counters as plain dicts."""
         return [vars(m.agent.stats).copy() for m in self.machines]
+
+    def metrics(self) -> Dict[str, int]:
+        """The cluster's counters as one flat, sorted dump: the
+        fabric's under ``net.``, the HA plane's under ``ha.``, and each
+        member's :meth:`Kernel.metrics` under ``node<i>.``, its
+        coherence agent's ``coherence.*`` among them."""
+        return flatten(
+            [("net", self.fabric.stats),
+             ("net", {"rounds": self.round}),
+             ("ha", getattr(self.ha, "stats", None))]
+            + [(f"node{node}", machine.kernel.metrics())
+               for node, machine in enumerate(self.machines)])

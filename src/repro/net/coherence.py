@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from repro.errors import InjectedFaultError, NetError
@@ -89,20 +90,6 @@ class SegmentDirectory:
         return None
 
 
-@dataclass
-class CoherenceStats:
-    """Per-node protocol counters."""
-
-    publishes: int = 0
-    unpublishes: int = 0
-    fetches: int = 0          # replicas this node pulled in
-    upgrades: int = 0         # shared->exclusive promotions won
-    downgrades: int = 0       # exclusive->shared demotions suffered
-    invalidations: int = 0    # copies this node discarded on request
-    bytes_fetched: int = 0    # segment bytes shipped to this node
-    naks: int = 0             # refused requests (unknown segment)
-
-
 # LOOKUP / PUBLISH payloads carry the path; numeric fields go first.
 _U32 = struct.Struct("<I")
 _FETCH = struct.Struct("<IB")          # base, want_write
@@ -140,7 +127,17 @@ class CoherenceAgent:
         self.kernel = kernel
         self.nic = nic
         self.directory = directory
-        self.stats = CoherenceStats()
+        # Per-node protocol counters.
+        self.stats = SimpleNamespace(
+            publishes=0,
+            unpublishes=0,
+            fetches=0,          # replicas this node pulled in
+            upgrades=0,         # shared->exclusive promotions won
+            downgrades=0,       # exclusive->shared demotions suffered
+            invalidations=0,    # copies this node discarded on request
+            bytes_fetched=0,    # segment bytes shipped to this node
+            naks=0,             # refused requests (unknown segment)
+        )
         self.suspended = False
         #: local holding mode per base: "shared" | "exclusive"
         self.modes: Dict[int, str] = {}

@@ -39,7 +39,8 @@ None`` check — fault-free runs stay bit-identical to the pre-HA model.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import NetError, SimulationError
@@ -94,24 +95,6 @@ class HaConfig:
             raise NetError("lease_rounds must exceed suspicion_rounds")
 
 
-@dataclass
-class HaStats:
-    """Counters over the failure model and the recovery machinery."""
-
-    crashes: int = 0
-    wedges: int = 0
-    partitions: int = 0
-    heals: int = 0           # partition windows that expired
-    reboots: int = 0
-    heartbeats: int = 0      # processed by the home (frames + self)
-    suspects: int = 0
-    rejoins: int = 0
-    lease_reclaims: int = 0  # dead holders reaped from directory rows
-    stale_invalidated: int = 0  # re-join copies discarded
-    dir_persists: int = 0
-    dir_recovered: int = 0   # entries restored from the disk journal
-
-
 def _had_body(ha: "HaManager", node: int):
     """The heartbeat daemon: one datagram to the home every
     ``heartbeat_every`` rounds (a direct call on the home itself — no
@@ -152,7 +135,21 @@ class HaManager:
     def __init__(self, cluster) -> None:
         self.cluster = cluster
         self.config = HaConfig()
-        self.stats = HaStats()
+        # Counters over the failure model and the recovery machinery.
+        self.stats = SimpleNamespace(
+            crashes=0,
+            wedges=0,
+            partitions=0,
+            heals=0,            # partition windows that expired
+            reboots=0,
+            heartbeats=0,       # processed by the home (frames + self)
+            suspects=0,
+            rejoins=0,
+            lease_reclaims=0,   # dead holders reaped from directory rows
+            stale_invalidated=0,  # re-join copies discarded
+            dir_persists=0,
+            dir_recovered=0,    # entries restored from the disk journal
+        )
         self.crashed: Dict[int, int] = {}    # node -> round it died
         self.wedged: Dict[int, int] = {}     # node -> heal round
         #: active cuts: (side_a, side_b, heal_round)

@@ -32,7 +32,8 @@ import enum
 import struct
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import InjectedNetError, NetError
@@ -152,29 +153,6 @@ class Frame:
             raise NetError(f"unknown frame kind {kind}")
         return cls(_KINDS[kind], src_field & _NODE_MASK, dst, port, seq,
                    payload, gen=src_field >> _GEN_SHIFT)
-
-
-@dataclass
-class FabricStats:
-    """Exact counters over everything the fabric carried."""
-
-    frames_sent: int = 0
-    frames_delivered: int = 0
-    bytes_sent: int = 0
-    bytes_delivered: int = 0
-    dropped: int = 0         # lost to an injected DROP
-    duplicated: int = 0      # extra copies from injected DUP
-    delayed: int = 0         # frames held back by injected DELAY
-    corrupt_dropped: int = 0 # discarded at the NIC on checksum failure
-    dup_dropped: int = 0     # duplicate datagrams suppressed by seq
-    retransmits: int = 0     # synchronous-exchange resends
-    ha_dropped: int = 0      # frames lost to a dead node / partition cut
-    heartbeats_delivered: int = 0  # HEARTBEAT datagrams drained
-    by_kind: Dict[str, int] = field(default_factory=dict)
-
-    def count_kind(self, kind: FrameKind) -> None:
-        name = _KIND_NAMES[kind]
-        self.by_kind[name] = self.by_kind.get(name, 0) + 1
 
 
 class _Link:
@@ -372,7 +350,22 @@ class Fabric:
             raise NetError("a fabric needs at least one node")
         self.nnodes = nnodes
         self.seed = seed
-        self.stats = FabricStats()
+        # Exact counters over everything the fabric carried.
+        self.stats = SimpleNamespace(
+            frames_sent=0,
+            frames_delivered=0,
+            bytes_sent=0,
+            bytes_delivered=0,
+            dropped=0,          # lost to an injected DROP
+            duplicated=0,       # extra copies from injected DUP
+            delayed=0,          # frames held back by injected DELAY
+            corrupt_dropped=0,  # discarded at the NIC on checksum failure
+            dup_dropped=0,      # duplicate datagrams suppressed by seq
+            retransmits=0,      # synchronous-exchange resends
+            ha_dropped=0,       # frames lost to a dead node / partition cut
+            heartbeats_delivered=0,  # HEARTBEAT datagrams drained
+            by_kind={},
+        )
         self.round = 0
         #: the cluster's HA manager when armed (None = no failure model;
         #: the send/rpc paths then cost exactly one attribute check)
@@ -458,7 +451,8 @@ class Fabric:
         stats = self.stats
         stats.frames_sent += 1
         stats.bytes_sent += len(wire)
-        stats.count_kind(kind)
+        name = _KIND_NAMES[kind]
+        stats.by_kind[name] = stats.by_kind.get(name, 0) + 1
         tracer = _trace.TRACER
         if tracer.enabled:
             tracer.emit(EventKind.NET, name=f"tx:{kind.name.lower()}",
@@ -566,7 +560,8 @@ class Fabric:
                 src_clock.net(len(request_wire))
             stats.frames_sent += 1
             stats.bytes_sent += len(request_wire)
-            stats.count_kind(kind)
+            name = _KIND_NAMES[kind]
+            stats.by_kind[name] = stats.by_kind.get(name, 0) + 1
             wire = request_wire
             copies = 1
             if not direct:
@@ -674,7 +669,8 @@ class Fabric:
                 continue
             stats.frames_delivered += 1
             stats.bytes_delivered += len(reply_candidate)
-            stats.count_kind(reply.kind)
+            name = _KIND_NAMES[reply.kind]
+            stats.by_kind[name] = stats.by_kind.get(name, 0) + 1
             if tracer.enabled:
                 tracer.emit(EventKind.NET,
                             name=f"rx:{reply.kind.name.lower()}",

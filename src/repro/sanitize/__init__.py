@@ -29,7 +29,6 @@ from repro.sanitize.report import (
     SanReport,
 )
 from repro.sanitize.sanitizer import (
-    SanStats,
     Sanitizer,
     sanitizing,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "HeapFinding",
     "RaceFinding",
     "SanReport",
-    "SanStats",
     "Sanitizer",
     "ThreadState",
     "WordState",

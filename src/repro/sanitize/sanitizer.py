@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.kernel import arming
@@ -63,20 +64,6 @@ from repro.vm.layout import PAGE_SHIFT, PAGE_SIZE, is_public_address
 from repro.sfs.sharedfs import SEGMENT_SPAN
 
 
-class SanStats:
-    """Host-side counters (never charged to the simulated clock)."""
-
-    __slots__ = ("accesses", "words", "races", "heap_findings",
-                 "hb_edges")
-
-    def __init__(self) -> None:
-        self.accesses = 0
-        self.words = 0
-        self.races = 0
-        self.heap_findings = 0
-        self.hb_edges = 0
-
-
 def _lock_names(locks: FrozenSet) -> Tuple[str, ...]:
     return tuple(sorted(f"{kind}:{key}" for kind, key in locks))
 
@@ -88,7 +75,9 @@ class Sanitizer:
     def __init__(self, report_limit: int = 256) -> None:
         self.enabled = True
         self.report_limit = report_limit
-        self.stats = SanStats()
+        # Host-side counters (never charged to the simulated clock).
+        self.stats = SimpleNamespace(accesses=0, words=0, races=0,
+                                     heap_findings=0, hb_edges=0)
         self.report = SanReport()
 
         # -- identity ---------------------------------------------------

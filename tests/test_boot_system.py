@@ -118,11 +118,11 @@ class TestProcessPlumbing:
                  if p.ppid == parent.pid][0]
         assert child.exit_code == ord("X")
 
-    def test_stats_string(self, kernel):
+    def test_metrics_dump(self, kernel):
         make_shell(kernel)
-        text = kernel.stats()
-        assert "processes=1" in text
-        assert "cycles=" in text
+        metrics = kernel.metrics()
+        assert metrics["kernel.processes"] == 1
+        assert metrics["kernel.cycles"] == kernel.clock.cycles
 
     def test_runnable_excludes_zombies(self, kernel):
         proc = make_shell(kernel)

@@ -93,7 +93,8 @@ class TestInjectedCorruptionMatrix:
 
         assert injector.stats.triggered >= 1, \
             f"the {plane.value}:{kind.value} plane never fired"
-        assert "injected=" in kernel.stats()
+        assert kernel.metrics()["inject.triggered"] \
+            == injector.stats.triggered
         remove_injector(kernel)
 
         # The kernel survived: a clean successor works end-to-end.
@@ -195,7 +196,8 @@ class TestDiskPlaneContainment:
         fsck(survivor)  # must not raise
         try:
             again = repro.boot(disk=survivor.reopen())
-            assert "cycles=" in again.kernel.stats()
+            assert again.kernel.metrics()["kernel.cycles"] \
+                == again.kernel.clock.cycles
         except SimulationError:
             pass  # damaged beyond mounting: still the typed channel
 
@@ -216,9 +218,38 @@ class TestDiskPlaneContainment:
                            max_faults=5)], seed=7):
             try:
                 recovered = repro.boot(disk=survivor)
-                assert "cycles=" in recovered.kernel.stats()
+                assert recovered.kernel.metrics()["kernel.cycles"] \
+                    == recovered.kernel.clock.cycles
             except SimulationError:
                 pass  # rot in a structural block: typed refusal
+
+    def test_certain_read_bit_rot_during_recovery_is_typed(self):
+        """Every block read from the first corrupted one on (*after*
+        reads pass clean, so the rot reaches the superblocks, the
+        checkpoint or the journal): each boot recovers or refuses the
+        image through a SimulationError subclass."""
+        import repro
+        from repro.disk import BlockDevice
+        from repro.inject import injecting
+
+        device = BlockDevice(nblocks=2048, seed=22)
+        system = repro.boot(disk=device)
+        self._durable_workload(system)
+        system.kernel.crash()
+        survivor = device.reopen()
+        outcomes = set()
+        for seed in range(10):
+            for after in range(0, 140, 7):
+                with injecting(
+                        [FaultPlan(Plane.DISK, FaultKind.CORRUPT,
+                                   site="block-read", probability=1.0,
+                                   after=after)], seed=seed):
+                    try:
+                        repro.boot(disk=survivor.reopen())
+                        outcomes.add("booted")
+                    except SimulationError as error:
+                        outcomes.add(type(error).__name__)
+        assert outcomes == {"booted", "RecoveryError"}
 
 
 class TestAtRestCorruption:
@@ -240,7 +271,8 @@ class TestAtRestCorruption:
         # the kernel survives.
         with pytest.raises(SimulationError):
             kernel.create_machine_process("p1", exe)
-        assert kernel.stats()
+        assert kernel.metrics()["kernel.processes"] \
+            == len(kernel.processes)
 
 
 class TestUnlinkWhileMapped:

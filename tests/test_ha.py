@@ -289,8 +289,6 @@ class TestFaults:
         not a tracer is on. A reader cut off from the home and a reader
         that can reach it must leave every node's clock and every fabric
         counter the same traced and untraced."""
-        import dataclasses
-
         from repro.trace import tracer as _trace
 
         def run(traced):
@@ -306,7 +304,7 @@ class TestFaults:
                 cluster.spawn(1, "r1", reader_body(PROP_SEG, 1, views))
                 cluster.run()
             cluster.shutdown()
-            return views, dataclasses.asdict(cluster.fabric.stats), [
+            return views, vars(cluster.fabric.stats), [
                 (clock.cycles, clock.elapsed, list(clock.by_category.items()))
                 for clock in (machine.kernel.clock
                               for machine in cluster.machines)]

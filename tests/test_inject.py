@@ -202,7 +202,8 @@ class TestContainment:
         kernel.run_until_exit(proc)
         assert injector.stats.triggered >= 1
         assert injector.stats.contained >= 1
-        assert "injected=" in kernel.stats()
+        assert kernel.metrics()["inject.contained"] \
+            == injector.stats.contained
         # The kernel is fully functional for a clean successor.
         remove_injector(kernel)
         clean = kernel.create_machine_process("clean", exe)

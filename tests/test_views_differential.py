@@ -565,8 +565,7 @@ class TestArmedPlanes:
             with paths(reference), sanitizing() as sanitizer:
                 result = run_segment_case(texts, offset, reference)
                 stats = sanitizer.stats
-                return result, tuple(getattr(stats, name)
-                                     for name in stats.__slots__)
+                return result, tuple(vars(stats).values())
 
         fast = run(False)
         assert fast == run(True)
@@ -861,8 +860,7 @@ class TestSegmentScalars:
             with paths(reference), sanitizing() as sanitizer:
                 result = run_segment_scalar_case(ops, reference)
                 stats = sanitizer.stats
-                return result, tuple(getattr(stats, name)
-                                     for name in stats.__slots__)
+                return result, tuple(vars(stats).values())
 
         fast = run(False)
         assert fast == run(True)
@@ -1102,8 +1100,7 @@ def run_group_case(case, env, reference, plan=None):
             stats = (injector.stats.checked, injector.stats.matched,
                      injector.stats.triggered)
         if sanitizer is not None:
-            stats = tuple(getattr(sanitizer.stats, name)
-                          for name in sanitizer.stats.__slots__)
+            stats = tuple(vars(sanitizer.stats).values())
         return (results, ordered_clock_state(clock), tlb_state(space),
                 events, log.calls if log else None, stats)
 
