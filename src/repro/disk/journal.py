@@ -89,8 +89,13 @@ class JournalScan:
     #: Structural violations (op outside txn, double begin, ...).
     malformed: List[str] = field(default_factory=list)
     #: True when a valid same-generation record exists *after* the first
-    #: invalid one — mid-stream corruption, not a legitimate torn tail.
+    #: invalid one, and that one stayed invalid when read again —
+    #: mid-stream corruption, not a legitimate torn tail.
     mid_corruption: bool = False
+    #: The block of that still-invalid record (with mid_corruption).
+    stop_block: Optional[int] = None
+    #: Blocks whose record parsed only when read a second time.
+    reread_blocks: List[int] = field(default_factory=list)
 
 
 def scan_journal(device: BlockDevice, start: int, nblocks: int,
@@ -98,9 +103,12 @@ def scan_journal(device: BlockDevice, start: int, nblocks: int,
     """Walk the journal region, collecting the valid record prefix.
 
     The scan stops at the first invalid record (torn tail). With
-    ``deep=True`` (fsck) it keeps probing the region for a valid
-    same-generation record beyond the tear, which would indicate
-    mid-stream corruption rather than an honest crash.
+    ``deep=True`` the record there is read once more, and the scan
+    goes on if it now parses. If it is still bad, the rest of the
+    region is probed for a valid same-generation record with a higher
+    seq, which an honest crash cannot leave behind: if one is found,
+    :attr:`JournalScan.mid_corruption` is set and
+    :attr:`JournalScan.stop_block` names the bad block.
     """
     scan = JournalScan()
     end = start + nblocks
@@ -110,6 +118,15 @@ def scan_journal(device: BlockDevice, start: int, nblocks: int,
     open_ops: List[tuple] = []
     while block < end:
         record, span = _read_record(device, block, end, generation, seq)
+        if record is None and deep:
+            # a transient read fault usually does not repeat
+            record, span = _read_record(device, block, end, generation,
+                                        seq)
+            if record is not None:
+                scan.reread_blocks.append(block)
+            elif _valid_beyond(device, block + 1, end, generation, seq):
+                scan.mid_corruption = True
+                scan.stop_block = block
         if record is None:
             break
         scan.records.append(record)
@@ -152,16 +169,19 @@ def scan_journal(device: BlockDevice, start: int, nblocks: int,
         # records are discarded — the designed outcome, not damage.
         scan.discarded_records += 1 + len(open_ops)
         scan.uncommitted_txid = open_txid
-    if deep and block < end:
-        probe = block + 1
-        while probe < end:
-            record, _span = _read_record(device, probe, end, generation,
-                                         None)
-            if record is not None and record.seq > seq:
-                scan.mid_corruption = True
-                break
-            probe += 1
     return scan
+
+
+def _valid_beyond(device: BlockDevice, probe: int, end: int,
+                  generation: int, seq: int) -> bool:
+    """True when a valid record of *generation* with a seq above *seq*
+    starts at some block in ``probe..end-1``."""
+    while probe < end:
+        record, _span = _read_record(device, probe, end, generation, None)
+        if record is not None and record.seq > seq:
+            return True
+        probe += 1
+    return False
 
 
 def _read_record(device: BlockDevice, block: int, end: int,

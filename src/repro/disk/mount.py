@@ -24,7 +24,10 @@ volumes):
    only if its layout is :func:`compute_geometry`'s for the device;
 2. restore every volume from the active checkpoint slot, in place;
 3. scan the journal for this generation's valid record prefix,
-   discarding the torn tail;
+   discarding the torn tail. The record at the tear is read once more
+   (a transient read fault usually does not repeat); if it stays bad
+   and a valid record lies beyond it, that is damage, not a tear, and
+   the image is refused before anything is replayed or written;
 4. replay committed transactions beyond ``applied_txid`` through the
    ordinary file-system methods (:func:`apply_journal_op`; inode
    numbers forced from the records);
@@ -244,9 +247,12 @@ def recover_volumes(device: BlockDevice,
     volume into ``volume_for(key, kind)`` and filling *stats* as they
     run. Returns the active slot and the next free txid.
 
-    *inspect* is fsck's seam: given, the scan also probes past the tear
-    (``deep``), and ``inspect(volumes, stored_maps, scan)`` runs before
-    any replay; malformed records are then its to report, not refusals.
+    The journal scan is always ``deep``: a valid record beyond the
+    tear means the tear is damage, and a mount refuses it rather than
+    replay the prefix and lose the committed transactions past it.
+    *inspect* is fsck's seam: given, ``inspect(volumes, stored_maps,
+    scan)`` runs before any replay, and that damage and malformed
+    records are then its to report, not refusals.
     """
     geo = compute_geometry(device.nblocks)
     layout = _layout(device, geo).items()
@@ -279,9 +285,18 @@ def recover_volumes(device: BlockDevice,
     stats.trail.append(("checkpoint", generation, applied))
 
     scan = scan_journal(device, geo.journal_start, geo.journal_blocks,
-                        generation, deep=inspect is not None)
+                        generation, deep=True)
+    for block in scan.reread_blocks:
+        stats.trail.append(("reread", block))
     if inspect is not None:
         inspect(volumes, stored_maps, scan)
+    elif scan.mid_corruption:
+        # Replaying the prefix and checkpointing would drop every
+        # committed transaction beyond the bad block for good.
+        raise RecoveryError(
+            "journal",
+            f"journal block {scan.stop_block} is unreadable and valid "
+            f"records lie beyond it")
     elif scan.malformed:
         raise RecoveryError(
             "journal",
@@ -351,9 +366,14 @@ class DiskStore:
         return store
 
     def _is_blank(self) -> bool:
-        return (read_superblock(self.device, 0) is None
-                and read_superblock(self.device,
-                                    self.geometry.backup_super) is None)
+        """Never formatted: both superblock blocks hold only zeros. A
+        block with bytes but no valid superblock is damage, which
+        recovery refuses; formatting over it would erase the image."""
+        for index in (0, self.geometry.backup_super):
+            raw = self.device.read(index)
+            if raw.count(0) != len(raw):
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # format / checkpoint / recover

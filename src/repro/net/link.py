@@ -9,6 +9,10 @@ with bounded retransmission: a dropped or corrupted frame costs the
 caller a deterministic backoff and a resend, and a request that
 exhausts its budget surfaces as :class:`repro.errors.InjectedNetError`
 (the fabric itself is lossless; only the NET fault plane loses frames).
+An exchange hands its request and reply frames from NIC to NIC and
+builds their wire bytes only when an injector is installed, the one
+thing that can change a byte in transit; datagrams always travel as
+wire bytes, because the inbox holds them.
 
 Determinism: per-link jitter comes from a splitmix64-derived
 :class:`~repro.util.rng.DeterministicRng` per ordered node pair, frame
@@ -155,6 +159,32 @@ class Frame:
                    payload, gen=src_field >> _GEN_SHIFT)
 
 
+def _check_port(port) -> None:
+    """Refuse a port the 16-bit header field cannot carry."""
+    if not (isinstance(port, int) and 0 <= port <= 0xFFFF):
+        raise NetError(f"port {port!r} out of range 0..0xFFFF")
+
+
+def _wire_fields(port: int, kind, payload) -> Tuple[FrameKind, bytes]:
+    """*kind* and *payload* as a frame to *port* carries them: a kind
+    number becomes its :class:`FrameKind`, and a bytearray or
+    memoryview payload is copied to ``bytes``, as a parse of its wire
+    would. A bad port, a kind number with no :class:`FrameKind` or a
+    payload that is not bytes-like is refused with a :class:`NetError`
+    naming the port."""
+    _check_port(port)
+    if kind.__class__ is not FrameKind:
+        if not (isinstance(kind, int) and 0 <= kind < len(_KINDS)):
+            raise NetError(f"port {port}: unknown frame kind {kind!r}")
+        kind = _KINDS[kind]
+    if payload.__class__ is not bytes:
+        if not isinstance(payload, (bytes, bytearray, memoryview)):
+            raise NetError(f"port {port}: payload must be bytes-like, "
+                           f"not {type(payload).__name__}")
+        payload = bytes(payload)
+    return kind, payload
+
+
 class _Link:
     """One ordered node pair: the base delay plus seeded jitter."""
 
@@ -224,9 +254,9 @@ class Nic:
         self.inbox: List[bytes] = []
         self._seen: Dict[int, _SenderWindow] = {}
         self._handlers: Dict[int, object] = {}
-        # (src, src_gen, seq) -> (serving boot generation, reply wire)
+        # (src, src_gen, seq) -> (serving boot generation, reply frame)
         self._reply_cache: \
-            "OrderedDict[Tuple[int, int, int], Tuple[int, bytes]]" = \
+            "OrderedDict[Tuple[int, int, int], Tuple[int, Frame]]" = \
             OrderedDict()
 
     def bind(self, port: int, handler) -> None:
@@ -235,6 +265,7 @@ class Nic:
         The handler takes the request :class:`Frame` and returns
         ``(FrameKind, payload_bytes)``.
         """
+        _check_port(port)
         if port in self._handlers:
             raise NetError(f"port {port} already bound on node "
                            f"{self.node_id}")
@@ -314,32 +345,38 @@ class Nic:
         """One synchronous request/reply exchange with node *dst*."""
         return self.fabric.rpc(self, dst, kind, port, payload)
 
-    def _serve(self, frame: Frame) -> bytes:
+    def _serve(self, frame: Frame, cache: bool = True) -> Frame:
         """Execute (or replay) the handler for a request frame; returns
-        the packed reply wire. Retransmitted requests are answered from
-        the reply cache so every handler observes each seq once. Cache
-        entries are tagged with the boot generation that produced them:
-        a reply recorded before a crash must never be replayed by the
-        rebooted incarnation (its volatile state is gone)."""
-        key = (frame.src, frame.gen, frame.seq)
-        cached = self._reply_cache.get(key)
-        if cached is not None:
-            gen_at, wire = cached
-            if gen_at == self.gen:
-                return wire
-            del self._reply_cache[key]  # stale: pre-reboot reply
-        handler = self._handlers.get(frame.port)
+        the reply frame. With *cache*, retransmitted requests are
+        answered from the reply cache so every handler observes each
+        seq once; the fabric passes ``cache=False`` when the exchange
+        cannot be retransmitted. Cache entries are tagged with the boot
+        generation that produced them: a reply recorded before a crash
+        must never be replayed by the rebooted incarnation (its
+        volatile state is gone)."""
+        if cache:
+            key = (frame.src, frame.gen, frame.seq)
+            cached = self._reply_cache.get(key)
+            if cached is not None:
+                gen_at, reply = cached
+                if gen_at == self.gen:
+                    return reply
+                del self._reply_cache[key]  # stale: pre-reboot reply
+        port = frame.port
+        handler = self._handlers.get(port)
         if handler is None:
             reply_kind, reply_payload = FrameKind.NAK, b""
         else:
             reply_kind, reply_payload = handler(frame)
-        reply = Frame(reply_kind, self.node_id, frame.src, frame.port,
+        reply_kind, reply_payload = _wire_fields(port, reply_kind,
+                                                 reply_payload)
+        reply = Frame(reply_kind, self.node_id, frame.src, port,
                       frame.seq, reply_payload, gen=self.gen)
-        wire = reply.pack()
-        self._reply_cache[key] = (self.gen, wire)
-        while len(self._reply_cache) > REPLY_CACHE_LIMIT:
-            self._reply_cache.popitem(last=False)
-        return wire
+        if cache:
+            self._reply_cache[key] = (self.gen, reply)
+            while len(self._reply_cache) > REPLY_CACHE_LIMIT:
+                self._reply_cache.popitem(last=False)
+        return reply
 
 
 class Fabric:
@@ -442,6 +479,7 @@ class Fabric:
 
     def send_datagram(self, src_nic: Nic, proc, dst: int, port: int,
                       payload: bytes, kind: FrameKind) -> None:
+        kind, payload = _wire_fields(port, kind, payload)
         self._nic(dst)  # validate early, on the sender's side
         frame = Frame(kind, src_nic.node_id, dst, port,
                       self._allocate_seq(), payload, gen=src_nic.gen)
@@ -529,13 +567,20 @@ class Fabric:
         fabric itself never loses frames, so exhausting the budget can
         only happen under the NET fault plane — hence the typed
         :class:`InjectedNetError`.
+
+        The request and reply :class:`Frame` objects pass from NIC to
+        NIC. Only an installed injector can change a byte on the wire,
+        so only then is each frame packed, filtered and parsed again;
+        every charge and byte count is ``HEADER_SIZE + len(payload)``,
+        which is exactly the length of the packed frame.
         """
+        kind, payload = _wire_fields(port, kind, payload)
         dst_nic = self._nic(dst)
-        if dst is src_nic.node_id:
+        if dst == src_nic.node_id:
             raise NetError("synchronous exchange with self")
         request = Frame(kind, src_nic.node_id, dst, port,
                         self._allocate_seq(), payload, gen=src_nic.gen)
-        request_wire = request.pack()
+        request_size = HEADER_SIZE + len(payload)
         src_clock = src_nic.kernel.clock
         dst_clock = dst_nic.kernel.clock
         latency = src_clock.costs.net_latency  # one net_stall(1)
@@ -543,10 +588,13 @@ class Fabric:
         tracer = _trace.TRACER
         injector = src_nic.kernel.injector
         ha = self.ha
+        # Only the injector and HA lose frames, so only under them can
+        # a request be resent, and only then is its reply cached.
+        retry = injector is not None or ha is not None
         # With no trace event, HA filter or injector between them, the
         # request's charge and its propagation stall are adjacent on
         # the caller's clock, and are charged as one pair.
-        direct = injector is None and ha is None and not tracer.enabled
+        direct = not retry and not tracer.enabled
         ha_blocked: Optional[str] = None
         for attempt in range(1, MAX_RETRANSMITS + 1):
             if attempt > 1:
@@ -554,21 +602,22 @@ class Fabric:
                 src_clock.backoff(attempt - 1)
             if direct:
                 src_clock.charge_pair(
-                    "net", src_clock.net_cycles(len(request_wire)),
-                    latency)
+                    "net", src_clock.net_cycles(request_size), latency)
             else:
-                src_clock.net(len(request_wire))
+                src_clock.net(request_size)
             stats.frames_sent += 1
-            stats.bytes_sent += len(request_wire)
+            stats.bytes_sent += request_size
             name = _KIND_NAMES[kind]
             stats.by_kind[name] = stats.by_kind.get(name, 0) + 1
-            wire = request_wire
+            # the wire the responder parses; None: the frame itself
+            wire: Optional[bytes] = None
+            size = request_size
             copies = 1
             if not direct:
                 if tracer.enabled:
                     tracer.emit(EventKind.NET,
                                 name=f"tx:{kind.name.lower()}",
-                                addr=request.seq, value=len(request_wire))
+                                addr=request.seq, value=request_size)
                 if ha is not None:
                     verdict = ha.filter_send(request.src, dst)
                     if verdict is not None:
@@ -585,7 +634,9 @@ class Fabric:
                         continue
                 if injector is not None:
                     wire, action = injector.filter_frame(
-                        f"{request.src}->{dst}:{port}", wire, site="rpc")
+                        f"{request.src}->{dst}:{port}", request.pack(),
+                        site="rpc")
+                    size = len(wire)
                     if action == "drop":
                         stats.dropped += 1
                         if tracer.enabled:
@@ -601,34 +652,36 @@ class Fabric:
                         stats.delayed += 1
                         src_clock.net_stall(action[1])
                 src_clock.net_stall(1)  # request propagation
-            reply_wire: Optional[bytes] = None
+            reply: Optional[Frame] = None
             for _copy in range(copies):
-                dst_clock.net(len(wire))
-                try:
-                    seen = Frame.unpack(wire)
-                except NetError:
-                    stats.corrupt_dropped += 1
-                    if tracer.enabled:
-                        tracer.emit(EventKind.NET, name="rx-bad",
-                                    addr=request.seq)
-                    continue
+                dst_clock.net(size)
+                seen = request
+                if wire is not None:
+                    try:
+                        seen = Frame.unpack(wire)
+                    except NetError:
+                        stats.corrupt_dropped += 1
+                        if tracer.enabled:
+                            tracer.emit(EventKind.NET, name="rx-bad",
+                                        addr=request.seq)
+                        continue
                 stats.frames_delivered += 1
-                stats.bytes_delivered += len(wire)
+                stats.bytes_delivered += size
                 if tracer.enabled:
                     tracer.emit(EventKind.NET,
                                 name=f"rx:{seen.kind.name.lower()}",
-                                addr=seen.seq, value=len(wire))
-                served = dst_nic._serve(seen)
-                if reply_wire is None:
-                    reply_wire = served
-            if reply_wire is None:
+                                addr=seen.seq, value=size)
+                served = dst_nic._serve(seen, retry)
+                if reply is None:
+                    reply = served
+            if reply is None:
                 # the request never parsed: wait out the timeout, resend
                 src_clock.net_stall(1)
                 continue
-            dst_clock.net(len(reply_wire))
+            size = HEADER_SIZE + len(reply.payload)
+            dst_clock.net(size)
             stats.frames_sent += 1
-            stats.bytes_sent += len(reply_wire)
-            reply_candidate = reply_wire
+            stats.bytes_sent += size
             if ha is not None:
                 verdict = ha.filter_send(dst, request.src)
                 if verdict is not None:
@@ -641,10 +694,12 @@ class Fabric:
                                     addr=request.seq)
                     src_clock.net_stall(1)
                     continue
+            wire = None
             if injector is not None:
                 reply_subject = f"{dst}->{request.src}:{port}"
-                reply_candidate, action = injector.filter_frame(
-                    reply_subject, reply_candidate, site="rpc-reply")
+                wire, action = injector.filter_frame(
+                    reply_subject, reply.pack(), site="rpc-reply")
+                size = len(wire)
                 if action == "drop":
                     stats.dropped += 1
                     if tracer.enabled:
@@ -658,23 +713,24 @@ class Fabric:
             # the reply's propagation stall, then its charge through the
             # caller's NIC: adjacent, so always one pair
             src_clock.charge_pair("net", latency,
-                                  src_clock.net_cycles(len(reply_candidate)))
-            try:
-                reply = Frame.unpack(reply_candidate)
-            except NetError:
-                stats.corrupt_dropped += 1
-                if tracer.enabled:
-                    tracer.emit(EventKind.NET, name="rx-bad",
-                                addr=request.seq)
-                continue
+                                  src_clock.net_cycles(size))
+            if wire is not None:
+                try:
+                    reply = Frame.unpack(wire)
+                except NetError:
+                    stats.corrupt_dropped += 1
+                    if tracer.enabled:
+                        tracer.emit(EventKind.NET, name="rx-bad",
+                                    addr=request.seq)
+                    continue
             stats.frames_delivered += 1
-            stats.bytes_delivered += len(reply_candidate)
+            stats.bytes_delivered += size
             name = _KIND_NAMES[reply.kind]
             stats.by_kind[name] = stats.by_kind.get(name, 0) + 1
             if tracer.enabled:
                 tracer.emit(EventKind.NET,
                             name=f"rx:{reply.kind.name.lower()}",
-                            addr=reply.seq, value=len(reply_candidate))
+                            addr=reply.seq, value=size)
             return reply
         if ha_blocked is not None:
             # every failure was the failure model, not the fault plane:

@@ -42,8 +42,10 @@ from repro.errors import (
     DiskFullError,
     FileExistsSimError,
     FileNotFoundSimError,
+    RecoveryError,
     SimulationError,
 )
+from repro.inject import FaultKind, FaultPlan, Plane, injecting
 
 
 def mount(device):
@@ -901,6 +903,126 @@ class TestRecoveryProperties:
         recovered = mount(survivor)
         assert tree_digest(recovered.kernel) in snapshots
         assert verify_segments(recovered.kernel) == []
+
+
+# ---------------------------------------------------------------------------
+# recovery under read faults: committed transactions are never dropped
+# ---------------------------------------------------------------------------
+
+
+def _segments_workload(kernel) -> None:
+    """Twelve segments and a rename: 38 committed transactions."""
+    vfs = kernel.vfs
+    for index in range(12):
+        vfs.write_whole(f"/shared/seg{index}", bytes([index]) * 64)
+    vfs.mkdir("/shared/tmp")
+    vfs.rename("/shared/tmp", "/shared/dir")
+
+
+@functools.lru_cache(maxsize=None)
+def _crashed_at(record: int) -> BlockDevice:
+    """The survivor of :func:`_segments_workload` with power lost as
+    journal record *record* is written (0: after the whole workload)."""
+    device = BlockDevice(nblocks=2048, seed=1)
+    plans = [FaultPlan(Plane.DISK, FaultKind.CRASH, site="journal-*",
+                       after=record - 1, max_faults=1)] if record else []
+    with injecting(plans, seed=1):
+        system = mount(device)
+        _segments_workload(system.kernel)
+    system.kernel.crash()
+    return device.reopen()
+
+
+def _fault_free(survivor: BlockDevice) -> str:
+    system = mount(survivor.reopen())
+    digest = tree_digest(system.kernel)
+    system.kernel.shutdown()
+    return digest
+
+
+def _read_rot(after: int, probability: float = 1.0,
+              max_faults=None):
+    return FaultPlan(Plane.DISK, FaultKind.CORRUPT, site="block-read",
+                     probability=probability, after=after,
+                     max_faults=max_faults)
+
+
+class TestRecoveryUnderReadRot:
+    """A corrupted block *read* during recovery looks like a crash
+    tear. The mount's deep probe tells the two apart: valid records
+    beyond the bad block mean committed work lies past it."""
+
+    def test_persistent_rot_at_the_tear_is_refused_and_writes_nothing(
+            self):
+        survivor = _crashed_at(0)
+        check = fsck(survivor.reopen())
+        assert len(check.report) == 0
+        assert check.stats.committed_txns == 38
+        expected = _fault_free(survivor)
+        device = survivor.reopen()
+        before = device.to_bytes()
+        with injecting([_read_rot(after=60)], seed=1):
+            with pytest.raises(RecoveryError) as caught:
+                mount(device)
+        assert caught.value.stage == "journal"
+        assert "journal block" in str(caught.value)
+        assert device.to_bytes() == before
+        # nothing was lost: a clean boot still finds every segment
+        again = mount(device.reopen())
+        assert tree_digest(again.kernel) == expected
+        assert sorted(again.kernel.vfs.listdir("/shared")) == \
+            ["dir"] + sorted(f"seg{index}" for index in range(12))
+
+    def test_transient_rot_at_the_tear_is_read_again(self):
+        survivor = _crashed_at(0)
+        expected = _fault_free(survivor)
+        with injecting([_read_rot(after=64, max_faults=1)], seed=1):
+            system = mount(survivor.reopen())
+        recovery = system.kernel.recovery
+        assert recovery.replayed_txns == 38
+        assert any(step[0] == "reread" for step in recovery.trail)
+        assert tree_digest(system.kernel) == expected
+
+    def test_rot_on_both_superblock_reads_never_formats(self):
+        """The blank check reads both superblocks first. Rot on both
+        reads once made a written image look blank, and the mount
+        formatted over it."""
+        survivor = _crashed_at(0)
+        expected = _fault_free(survivor)
+        with injecting([_read_rot(after=0, max_faults=2)], seed=1):
+            system = mount(survivor.reopen())
+        assert tree_digest(system.kernel) == expected
+        device = survivor.reopen()
+        before = device.to_bytes()
+        with injecting([_read_rot(after=0)], seed=1):
+            with pytest.raises(RecoveryError):
+                mount(device)
+        assert device.to_bytes() == before
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(record=st.integers(min_value=0, max_value=120),
+           after=st.integers(min_value=0, max_value=200),
+           probability=st.sampled_from([1.0, 0.5, 0.1]),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_one_rotten_read_recovers_everything_or_refuses(
+            self, record, after, probability, seed):
+        """One corrupted block read anywhere in a recovery, at any
+        crash point: the boot gives exactly the tree of a fault-free
+        recovery, or refuses with RecoveryError and leaves the device
+        byte-identical."""
+        survivor = _crashed_at(record)
+        expected = _fault_free(survivor)
+        device = survivor.reopen()
+        before = device.to_bytes()
+        with injecting([_read_rot(after, probability, max_faults=1)],
+                       seed=seed):
+            try:
+                system = mount(device)
+            except RecoveryError:
+                assert device.to_bytes() == before
+                return
+        assert tree_digest(system.kernel) == expected
 
 
 # ---------------------------------------------------------------------------

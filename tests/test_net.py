@@ -23,6 +23,7 @@ from repro.errors import InjectedNetError, NetError
 from repro.inject import (
     FaultKind,
     FaultPlan,
+    Injector,
     Plane,
     injecting,
 )
@@ -299,6 +300,187 @@ class TestFabricDeterminism:
         frames = [Frame.unpack(wire) for wire in nics[1].inbox]
         seqs = [frame.seq for frame in frames]
         assert seqs == sorted(seqs)
+
+
+# ----------------------------------------------------------------------
+# synchronous exchanges: frames pass from NIC to NIC
+# ----------------------------------------------------------------------
+
+def _exchange_fabric(nnodes: int = 2, injector=None):
+    """A stub fabric whose node 1 counts and echoes CALLs on port 9."""
+    fabric = Fabric(nnodes, seed=11)
+    nics = [Nic(fabric, node, _StubKernel()) for node in range(nnodes)]
+    for node, nic in enumerate(nics):
+        fabric.attach(node, nic)
+    nics[0].kernel.injector = injector
+    served = []
+
+    def echo(frame):
+        served.append(frame.seq)
+        return FrameKind.REPLY, b"re:" + frame.payload
+
+    nics[1].bind(9, echo)
+    return fabric, nics, served
+
+
+def _rwho_run(impl: str, arm: str):
+    """The 3-node, 20-host scenario, unarmed, traced, or under a NET
+    plan that never fires; returns every clock, counter and output."""
+    from repro.apps.rwho.cluster import run_cluster_rwho, synth_statuses
+
+    if arm == "traced":
+        armed = _trace.tracing()
+    elif arm == "inert-net":
+        armed = injecting([FaultPlan(Plane.NET, FaultKind.DROP,
+                                     site="rpc*", after=10 ** 9)], seed=5)
+    else:
+        armed = contextlib.nullcontext()
+    with armed:
+        cluster = Cluster(3, seed=1993)
+        result = run_cluster_rwho(cluster, synth_statuses(20), impl,
+                                  readers=[1, 2])
+    cluster.shutdown()
+    clocks = [machine.kernel.clock for machine in cluster.machines]
+    return cluster, (
+        [(clock.cycles, clock.elapsed, list(clock.by_category.items()))
+         for clock in clocks],
+        list(vars(cluster.fabric.stats).items()),
+        result["outputs"])
+
+
+#: ``vars(fabric.stats)`` of the unarmed runs, when every exchange
+#: still packed and parsed both of its frames
+_RWHO_STATS = {
+    "file": [("frames_sent", 104), ("frames_delivered", 104),
+             ("bytes_sent", 8496), ("bytes_delivered", 8496),
+             ("dropped", 0), ("duplicated", 0), ("delayed", 0),
+             ("corrupt_dropped", 0), ("dup_dropped", 0),
+             ("retransmits", 0), ("ha_dropped", 0),
+             ("heartbeats_delivered", 0),
+             ("by_kind", {"DATA": 20, "CALL": 42, "REPLY": 42})],
+    "shm": [("frames_sent", 28), ("frames_delivered", 28),
+            ("bytes_sent", 8438), ("bytes_delivered", 8438),
+            ("dropped", 0), ("duplicated", 0), ("delayed", 0),
+            ("corrupt_dropped", 0), ("dup_dropped", 0),
+            ("retransmits", 0), ("ha_dropped", 0),
+            ("heartbeats_delivered", 0),
+            ("by_kind", {"DATA": 20, "LOOKUP": 2, "GRANT": 4,
+                         "FETCH": 2})],
+}
+
+
+class TestExchange:
+    @pytest.mark.parametrize("impl", ["file", "shm"])
+    def test_unarmed_traced_and_inert_injector_agree(self, impl):
+        """The unarmed run passes frames directly; the traced run
+        charges one by one; the armed one packs, filters and parses
+        every frame. All three charge and count the same."""
+        cluster, plain = _rwho_run(impl, "plain")
+        assert plain[1] == _RWHO_STATS[impl]
+        assert [list(machine.nic._reply_cache)
+                for machine in cluster.machines] == [[], [], []]
+        assert _rwho_run(impl, "traced")[1] == plain
+        inert_cluster, inert = _rwho_run(impl, "inert-net")
+        assert inert == plain
+        injector = inert_cluster.machines[1].kernel.injector
+        assert injector.stats.matched > 0 and not injector.stats.triggered
+
+    def test_handler_runs_once_per_seq_under_drops_and_dups(self):
+        """Dropped and duplicated requests and replies below the
+        retransmit budget: the reply cache answers every resend."""
+        plans = [FaultPlan(Plane.NET, kind, site=site, probability=0.3,
+                           max_faults=3)
+                 for kind in (FaultKind.DROP, FaultKind.DUP)
+                 for site in ("rpc", "rpc-reply")]
+        fabric, nics, served = _exchange_fabric(
+            injector=Injector(None, plans, seed=3))
+        for index in range(40):
+            reply = nics[0].call(1, FrameKind.CALL, 9, bytes([index]))
+            assert reply.kind is FrameKind.REPLY
+            assert reply.payload == b"re:" + bytes([index])
+        stats = fabric.stats
+        assert stats.dropped and stats.duplicated and stats.retransmits
+        assert sorted(served) == sorted(set(served)) and len(served) == 40
+        assert len(nics[1]._reply_cache) == 40
+
+    def test_corrupted_frames_are_parsed_and_resent(self):
+        """Under the injector each frame crosses as packed bytes, so a
+        flipped bit fails its parse at either end."""
+        plans = [FaultPlan(Plane.NET, FaultKind.CORRUPT, site=site,
+                           max_faults=2) for site in ("rpc", "rpc-reply")]
+        fabric, nics, served = _exchange_fabric(
+            injector=Injector(None, plans, seed=3))
+        reply = nics[0].call(1, FrameKind.CALL, 9, b"ping")
+        assert reply.payload == b"re:ping" and served == [reply.seq]
+        assert fabric.stats.corrupt_dropped == 4
+        assert fabric.stats.retransmits == 4
+
+    def test_fault_free_exchange_charges_the_wire_length(self):
+        fabric, nics, _served = _exchange_fabric()
+        nics[0].call(1, FrameKind.CALL, 9, b"x" * 13)
+        request, reply = HEADER_SIZE + 13, HEADER_SIZE + 16
+        clock0, clock1 = nics[0].kernel.clock, nics[1].kernel.clock
+        assert clock0.cycles == clock0.net_cycles(request) \
+            + clock0.net_cycles(reply) + 2 * clock0.costs.net_latency
+        assert clock1.cycles == clock1.net_cycles(request) \
+            + clock1.net_cycles(reply)
+        assert fabric.stats.bytes_sent == request + reply
+        assert fabric.stats.bytes_delivered == request + reply
+        assert not nics[1]._reply_cache
+
+    def test_self_exchange_is_refused_by_value(self):
+        """Node ids above 256 are distinct int objects in CPython; the
+        self check compares values."""
+        fabric, nics, _served = _exchange_fabric(300)
+        for node in (5, 299):
+            nics[node].bind(0x77, lambda frame: (FrameKind.REPLY, b""))
+            with pytest.raises(NetError, match="with self"):
+                nics[node].call(int(str(node)), FrameKind.CALL, 0x77, b"")
+        assert fabric.stats.frames_sent == 0
+
+    @pytest.mark.parametrize("port", [-1, 0x10000])
+    def test_port_outside_the_header_field_is_refused(self, port):
+        fabric, nics, _served = _exchange_fabric()
+        for attempt in (lambda: nics[1].bind(port, print),
+                        lambda: nics[0].call(1, FrameKind.CALL, port, b""),
+                        lambda: nics[0].send(None, 1, port, b"")):
+            with pytest.raises(NetError, match=f"port {port}"):
+                attempt()
+        assert nics[0].kernel.clock.cycles == 0
+        assert fabric.stats.frames_sent == 0 and fabric.pending() == 0
+
+    def test_payload_that_is_not_bytes_is_refused(self):
+        fabric, nics, _served = _exchange_fabric()
+        for attempt in (lambda: nics[0].call(1, FrameKind.CALL, 9, "str"),
+                        lambda: nics[0].send(None, 1, 9, "str")):
+            with pytest.raises(NetError, match="port 9"):
+                attempt()
+        assert nics[0].kernel.clock.cycles == 0
+        assert fabric.stats.frames_sent == 0 and fabric.pending() == 0
+
+    def test_bytearray_payloads_arrive_as_bytes(self):
+        fabric, nics, _served = _exchange_fabric()
+        seen = []
+        nics[1].bind(10, lambda frame: (seen.append(frame.payload)
+                                        or (FrameKind.REPLY,
+                                            bytearray(b"back"))))
+        reply = nics[0].call(1, FrameKind.CALL, 10, bytearray(b"req"))
+        assert type(seen[0]) is bytes and seen == [b"req"]
+        assert type(reply.payload) is bytes and reply.payload == b"back"
+
+    @pytest.mark.parametrize("reply", [(99, b""), (300, b""),
+                                       (FrameKind.REPLY, "str")],
+                             ids=["kind-99", "kind-300", "str-payload"])
+    def test_bad_handler_reply_is_refused_at_once(self, reply):
+        """Not a fault plane's doing: no retransmit, no backoff, and a
+        plain NetError that names the port."""
+        fabric, nics, _served = _exchange_fabric()
+        nics[1].bind(10, lambda frame: reply)
+        with pytest.raises(NetError, match="port 10") as caught:
+            nics[0].call(1, FrameKind.CALL, 10, b"")
+        assert not isinstance(caught.value, InjectedNetError)
+        assert fabric.stats.retransmits == 0
+        assert "backoff" not in nics[0].kernel.clock.by_category
 
 
 # ----------------------------------------------------------------------
