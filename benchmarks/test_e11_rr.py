@@ -3,19 +3,24 @@
 The reprorr subsystem's three promises, measured:
 
 1. **Pay for use.** With recording disarmed, the only residue is one
-   integer comparison per `Clock.charge`. The E2 fanout workload must
-   hit the A7/A8/A9/E10 cycle pin *exactly* — the clock's checkpoint
-   hook may not move the simulation by a single cycle.
+   is-None test per trap and per round; the clock knows nothing of
+   checkpoints. The E2 fanout workload must hit the A7/A8/A9/E10 cycle
+   pin *exactly* — recording may not move the simulation by a single
+   cycle.
 2. **Recording cost scales with the interval.** The same fanout
-   recorded at two checkpoint intervals: halving the interval roughly
-   doubles the checkpoints and grows the recording, while the simulated
-   cycle total stays bit-identical to the unrecorded pin (observing a
-   deterministic machine must not perturb it).
+   recorded at two checkpoint intervals: halving the interval adds
+   checkpoints and grows the recording, while the simulated cycle total
+   stays bit-identical to the unrecorded pin (observing a deterministic
+   machine must not perturb it). A stand-alone kernel checkpoints only
+   between operations, at the first trap return or round end past each
+   interval. A stretch that spans several intervals (the fanout's
+   build, or one of its lazy-link faults) yields one checkpoint at its
+   end, not one per interval, and every checkpoint is machine-pure.
 3. **Seek restores near the target.** `seek --cycle N` resumes from
    the nearest checkpoint at or before N, digest-verified, with the
    event suffix from N onward bit-identical — and a denser checkpoint
-   spacing shrinks the re-execution distance (the checkpoint-to-target
-   gap), which is the whole point of paying for checkpoints.
+   spacing never restores farther from the target (the
+   checkpoint-to-target gap, the re-execution distance).
 
 The host-time cost of recording is printed as a note.
 """
@@ -73,7 +78,7 @@ def test_e11_record_replay(report, benchmark):
         "a deterministic machine can be recorded (manifest + periodic "
         "checkpoints), replayed bit-identically, and seeked to any "
         "cycle from the nearest verified checkpoint — while a machine "
-        "nobody records pays one integer comparison per charge",
+        "nobody records pays one is-None test per trap and per round",
     )
     experiment.add("simulated cycles (recording off)", plain_cycles,
                    detail="must equal the A7/A8/A9/E10 pin exactly")

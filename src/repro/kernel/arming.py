@@ -16,8 +16,8 @@ callers armed them in:
    disk recovery emits events at boot.
 2. ``inject`` — ``DiskStore.attach`` copies ``kernel.injector`` onto
    the device, so the injector must exist before the disk mounts.
-3. ``rr`` — a :class:`~repro.rr.recorder.Recorder` schedules its first
-   checkpoint at ``clock.cycles + interval``; formatting a disk charges
+3. ``rr`` — a :class:`~repro.rr.recorder.Recorder` makes its first
+   checkpoint due at ``clock.cycles + interval``; formatting a disk charges
    journal cycles at boot, so recording must attach before the disk or
    every checkpoint moves.
 4. ``sanitize`` — joins the kernel to the shared sanitizer.

@@ -139,7 +139,8 @@ class Kernel:
         # pays one attribute check per public fault and nothing else.
         self.nic = None
         self.coherence = None
-        # The checkpoint recorder (repro.rr) when recording is armed.
+        # The checkpoint recorder (repro.rr) when recording is armed;
+        # the kernel offers it a cut at each trap return and round.
         self.recorder = None
         # The race/heap sanitizer (repro.sanitize). None keeps every
         # choke point at one attribute check.
@@ -441,6 +442,10 @@ class Kernel:
         reference resets it on every successful step), so a chunk
         boundary never lands mid-fault-retry, making chunked execution
         bit-identical to one uninterrupted quantum.
+
+        A trap that returns to user mode (a syscall that did not block,
+        a resolved fault) is a boundary between operations, where a
+        recorded kernel offers its recorder a checkpoint.
         """
         cpu = proc.cpu
         fault_streak = 0
@@ -459,10 +464,14 @@ class Kernel:
                 except WouldBlock:
                     self._block(proc, "syscall")
                     return False
+                if self.recorder is not None:
+                    self.recorder.cut()
             except PageFaultError as fault:
                 if cpu.instructions_executed != executed:
                     fault_streak = 0
                 if self.deliver_fault(proc, fault):
+                    if self.recorder is not None:
+                        self.recorder.cut()
                     fault_streak += 1
                     if fault_streak > MAX_FAULT_RETRIES:
                         self.terminate(

@@ -25,7 +25,9 @@ Every kernel has exactly one coordinator (``Kernel.smp``), whatever its
 core count, and it has two entry points: the run-to-completion loop
 behind ``Kernel.schedule``/``Kernel.run_until_exit``, and
 :meth:`SmpCoordinator.run_round`, one round that a cluster step gives
-each node. Both are one sanitizer scheduling phase.
+each node. Both are one sanitizer scheduling phase. The loop's round
+ends, like trap returns, are where a recorded kernel offers its
+recorder a checkpoint; a cluster member's ``run_round`` offers none.
 
 One core is the uniprocessor, byte-for-byte: the round plans the
 runnable processes in runqueue order and runs each for one full
@@ -222,6 +224,8 @@ class SmpCoordinator:
                     raise KernelError(f"deadlock: blocked forever: {names}")
                 return
             self._run_round(ready, budget, stop_proc)
+            if kernel.recorder is not None:
+                kernel.recorder.cut()
 
     def _run_round(self, ready: List[Process], budget: _SliceBudget,
                    stop_proc: Optional[Process]) -> None:

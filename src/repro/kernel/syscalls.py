@@ -134,11 +134,10 @@ class Syscalls:
         With *probe*, a path that cannot be opened and a template too
         short to hold the HOF magic (no ``pread`` is made) yield None.
 
-        When no tracer is enabled, no injector is armed, *path* is a
-        regular file the caller may read and the whole sequence cannot
-        reach the clock's checkpoint, nothing can observe the calls
+        When no tracer is enabled, no injector is armed and *path* is a
+        regular file the caller may read, nothing can observe the calls
         one by one: the file is read without an open-file description
-        and the calls' charges accrue merged per category, in the
+        and the calls' charges are merged into one per category, in the
         order they are first charged. The descriptor the ``open``
         would have taken is consumed all the same. Otherwise the calls
         are made one by one, which is the reference.
@@ -152,14 +151,8 @@ class Syscalls:
                 inode = None
             if inode is not None and inode.is_file \
                     and inode.check_access(proc.uid, "r"):
-                clock = kernel.clock
-                costs = clock.costs
-                size = inode.size
-                bound = 5 * costs.syscall + costs.disk_seek \
-                    + ((2 * size + 3) // 4) * costs.file_io_per_word
-                if clock.cycles + bound < clock.checkpoint_at:
-                    return self._read_module_merged(
-                        proc, path, segment, probe, fs, inode)
+                return self._read_module_merged(
+                    proc, path, segment, probe, fs, inode)
         return self._read_module_calls(proc, path, segment, probe)
 
     def _read_module_calls(self, proc: Process, path: str, segment: bool,
@@ -193,7 +186,7 @@ class Syscalls:
     def _read_module_merged(self, proc: Process, path: str, segment: bool,
                             probe: bool, fs, inode):
         """:meth:`_read_module_calls`' reads and charges, for a readable
-        regular file with nothing armed and no checkpoint in reach."""
+        regular file with nothing armed."""
         read = fs.read_file
         size = inode.size
         data = error = words = None     # words: file_io words, if read
@@ -219,13 +212,13 @@ class Syscalls:
                 calls, words = 5, words + (len(data) + 3) // 4
         clock = self.kernel.clock
         costs = clock.costs
-        clock.accrue("syscalls", calls * costs.syscall)
+        clock.charge("syscalls", calls * costs.syscall)
         key = (id(fs), inode.number)
         if key not in self._warm_inodes:
             self._warm_inodes.add(key)
-            clock.accrue("disk", costs.disk_seek)
+            clock.charge("disk", costs.disk_seek)
         if words is not None:
-            clock.accrue("file_io", words * costs.file_io_per_word)
+            clock.charge("file_io", words * costs.file_io_per_word)
         # The descriptor the open would have installed and the close
         # released: fds are never reused, so the next one moves on.
         proc._next_fd += 1

@@ -15,7 +15,7 @@ their relative magnitudes matter; benchmarks report ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 #: Largest exponent :meth:`Clock.backoff` applies. One wait therefore
 #: tops out at ``retry_backoff << MAX_BACKOFF_SHIFT`` cycles (~39.3M
@@ -23,11 +23,6 @@ from typing import Callable, Dict, Optional
 #: so a long retry storm costs linearly in attempts instead of
 #: doubling without bound and swamping every cycle comparison.
 MAX_BACKOFF_SHIFT = 16
-
-#: ``Clock.checkpoint_at`` value meaning "never": one comparison
-#: against this sentinel is the whole cost of the checkpoint hook
-#: when recording is off (pay-for-use).
-CHECKPOINT_NEVER = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -73,12 +68,6 @@ class Clock:
     costs: CostModel = field(default_factory=CostModel)
     cycles: int = 0
     by_category: Dict[str, int] = field(default_factory=dict)
-    #: cycle count at (or past) which :attr:`on_checkpoint` fires;
-    #: :data:`CHECKPOINT_NEVER` keeps the hook disarmed
-    checkpoint_at: int = CHECKPOINT_NEVER
-    #: called with this clock when :attr:`checkpoint_at` is crossed
-    #: (armed by :mod:`repro.rr`); must re-arm ``checkpoint_at``
-    on_checkpoint: Optional[Callable[["Clock"], None]] = None
     #: number of simulated CPUs this clock accounts for
     ncores: int = 1
     #: core currently executing (set by the SMP scheduler around each
@@ -101,53 +90,6 @@ class Clock:
         else:
             self.core_cycles[self.current_core] = \
                 self.core_cycles.get(self.current_core, 0) + cycles
-        if self.cycles >= self.checkpoint_at:
-            self._checkpoint_due()
-
-    def charge_many(self, category: str, cycles: int, count: int) -> None:
-        """Exactly *count* calls of ``charge(category, cycles)``.
-
-        Every total the calls touch is additive, and the checkpoint
-        hook is their only observer. So when the last of them stays
-        below :attr:`checkpoint_at` (no earlier one can reach it with
-        non-negative costs) one merged charge leaves the same state;
-        otherwise the calls are made one by one, and the hook fires at
-        the same call it would have.
-        """
-        total = cycles * count
-        if count <= 0 or cycles < 0 \
-                or self.cycles + total >= self.checkpoint_at:
-            for _ in range(count):
-                self.charge(category, cycles)
-            return
-        self.accrue(category, total)
-
-    def accrue(self, category: str, cycles: int) -> None:
-        """:meth:`charge` without the checkpoint test, for a merged
-        charge whose caller has shown that it ends below
-        :attr:`checkpoint_at` (see :meth:`charge_many`)."""
-        self.cycles += cycles
-        self.by_category[category] = \
-            self.by_category.get(category, 0) + cycles
-        if self.current_core is None:
-            self.elapsed += cycles
-        else:
-            self.core_cycles[self.current_core] = \
-                self.core_cycles.get(self.current_core, 0) + cycles
-
-    def charge_pair(self, category: str, first: int, second: int) -> None:
-        """Exactly ``charge(category, first)`` then ``charge(category,
-        second)``, merged into one :meth:`accrue` under
-        :meth:`charge_many`'s rule: when the sum stays below
-        :attr:`checkpoint_at`, neither call could have fired the hook
-        (a negative *second* could end below a checkpoint the first
-        call reached, so it never merges)."""
-        if second < 0 \
-                or self.cycles + first + second >= self.checkpoint_at:
-            self.charge(category, first)
-            self.charge(category, second)
-            return
-        self.accrue(category, first + second)
 
     def round_begin(self) -> None:
         """Mark the start of one SMP round (snapshot per-core totals)."""
@@ -163,14 +105,6 @@ class Clock:
                 longest = delta
         self.elapsed += longest
         self._round_marks = {}
-
-    def _checkpoint_due(self) -> None:
-        """Fire the checkpoint hook exactly once per arming: disarm
-        first so captures that re-enter :meth:`charge` cannot recurse;
-        the hook re-arms for the next interval."""
-        hook, self.checkpoint_at = self.on_checkpoint, CHECKPOINT_NEVER
-        if hook is not None:
-            hook(self)
 
     def instructions(self, count: int) -> None:
         self.charge("instructions", count * self.costs.instruction)

@@ -266,7 +266,12 @@ def patch_reloc_in_memory(space: AddressSpace, section_base: int,
 def _patched_word(word: int, reloc: Relocation, site: int, target: int,
                   module_name: str) -> int:
     if reloc.type is RelocType.WORD32:
-        return target & 0xFFFFFFFF
+        if not 0 <= target <= 0xFFFFFFFF:
+            raise RelocationError(
+                f"{module_name}: word at 0x{site:08x} cannot hold "
+                f"0x{target:x} (32-bit limit)"
+            )
+        return target
     if reloc.type is RelocType.HI16:
         return (word & 0xFFFF0000) | hi16(target)
     if reloc.type is RelocType.LO16:

@@ -593,7 +593,7 @@ class Fabric:
         retry = injector is not None or ha is not None
         # With no trace event, HA filter or injector between them, the
         # request's charge and its propagation stall are adjacent on
-        # the caller's clock, and are charged as one pair.
+        # the caller's clock, and are charged as one sum.
         direct = not retry and not tracer.enabled
         ha_blocked: Optional[str] = None
         for attempt in range(1, MAX_RETRANSMITS + 1):
@@ -601,8 +601,8 @@ class Fabric:
                 stats.retransmits += 1
                 src_clock.backoff(attempt - 1)
             if direct:
-                src_clock.charge_pair(
-                    "net", src_clock.net_cycles(request_size), latency)
+                src_clock.charge(
+                    "net", src_clock.net_cycles(request_size) + latency)
             else:
                 src_clock.net(request_size)
             stats.frames_sent += 1
@@ -711,9 +711,8 @@ class Fabric:
                     stats.delayed += 1
                     src_clock.net_stall(action[1])
             # the reply's propagation stall, then its charge through the
-            # caller's NIC: adjacent, so always one pair
-            src_clock.charge_pair("net", latency,
-                                  src_clock.net_cycles(size))
+            # caller's NIC: adjacent, so always one charge
+            src_clock.charge("net", latency + src_clock.net_cycles(size))
             if wire is not None:
                 try:
                     reply = Frame.unpack(wire)

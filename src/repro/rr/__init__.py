@@ -22,8 +22,10 @@ Layers:
   (:func:`repro.rr.recorder.recording`, the ``rr`` slot of
   :mod:`repro.kernel.arming`; not re-exported here, where
   ``recording`` names the container module) and the
-  :class:`~repro.rr.recorder.Recorder` whose round-boundary ``cut``
-  ``Cluster.step`` calls.
+  :class:`~repro.rr.recorder.Recorder` whose ``cut`` is the one place
+  a checkpoint is taken, between operations: after each
+  ``Cluster.step``, or at a stand-alone kernel's trap returns and
+  rounds.
 * :mod:`repro.rr.oracle` — record a run, replay it, and report the
   first divergent event with its cycle.
 """

@@ -2,20 +2,21 @@
 
 :func:`recording` arms the ``rr`` slot of :mod:`repro.kernel.arming`,
 so every kernel booted inside the block gets one :class:`Recorder`
-(collected in :data:`CAMPAIGN`, and set as ``kernel.recorder``). A
-stand-alone kernel checkpoints when its clock crosses the interval. A
-cluster member (its NIC attached) ignores clock crossings, which land
-mid-round: ``Cluster.step`` calls :meth:`Recorder.cut` on its lead
-recorder after every round, so the cluster checkpoints at round
-boundaries, a globally consistent cut. The lead is the recorder of the
-first member the cluster booted with recording armed (node 0's
-original boot), and it stays the lead across that node's reboot.
+(collected in :data:`CAMPAIGN`, and set as ``kernel.recorder``).
+Checkpoints are taken only between operations, through
+:meth:`Recorder.cut`; the clock knows nothing of them. A stand-alone
+kernel (no NIC) cuts when a trap returns to user mode and after each
+scheduler round. A cluster member never cuts itself: ``Cluster.step``
+calls :meth:`Recorder.cut` on its lead recorder after every round, so
+the cluster checkpoints at round boundaries, a globally consistent
+cut. The lead is the recorder of the first member the cluster booted
+with recording armed (node 0's original boot), and it stays the lead
+across that node's reboot.
 
 Pay-for-use: with nothing armed, the only costs are one empty slot per
-boot, one integer comparison per :meth:`Clock.charge
-<repro.kernel.timing.Clock.charge>`, and one is-None check per cluster
-round. A fault-free plain boot stays pinned at its recorded cycle
-total with recording off (the E11 benchmark asserts this).
+boot and one is-None test per trap and per round (stand-alone) or per
+cluster round. A fault-free plain boot stays pinned at its recorded
+cycle total with recording off (the E11 benchmark asserts this).
 """
 
 from __future__ import annotations
@@ -39,40 +40,30 @@ class Recorder:
         self.kernel = kernel
         self.interval = interval
         self.checkpoints: List[tuple] = []  # (state, cycle, cursor, boot)
+        #: the cycle at (or past) which the next cut captures; None
+        #: records the manifest and trace only
+        self.due = kernel.clock.cycles + interval if interval else None
         kernel.recorder = self
-        if interval:
-            kernel.clock.on_checkpoint = self._on_clock
-            kernel.clock.checkpoint_at = kernel.clock.cycles + interval
 
-    def _on_clock(self, clock) -> None:
-        # A cluster member checkpoints at round boundaries instead
-        # (cut); once its NIC is attached, leave the clock hook
-        # disarmed.
-        if self.kernel.nic is not None:
+    def cut(self, cluster=None) -> None:
+        """Checkpoint here once this machine's clock has reached
+        :attr:`due`, then make the next one due an interval on, so one
+        crossing yields one checkpoint. Every caller is between
+        operations: ``Cluster.step`` after every round, passing
+        *cluster* to capture, or this kernel when a trap returns to
+        user mode and after each round. A cluster member (its NIC
+        attached) ignores its own boundaries; a stand-alone kernel
+        captures the machine."""
+        if cluster is None and self.kernel.nic is not None:
             return
-        self.take_checkpoint()
-        clock.checkpoint_at = clock.cycles + self.interval
-
-    def take_checkpoint(self) -> None:
-        """Capture this machine now (also the explicit-sync entry)."""
-        from repro.rr.checkpoint import capture_machine
-
-        self._store(capture_machine(self.kernel),
-                    self.kernel.clock.cycles)
-
-    def cut(self, cluster) -> None:
-        """Called by ``Cluster.step`` on its lead recorder after every
-        round: capture the whole cluster once this machine's clock has
-        crossed the interval since the last checkpoint, so one crossing
-        yields one checkpoint, not N."""
-        if not self.interval:
+        cycles = self.kernel.clock.cycles
+        if self.due is None or cycles < self.due:
             return
-        last = self.checkpoints[-1][1] if self.checkpoints else 0
-        if self.kernel.clock.cycles >= last + self.interval:
-            from repro.rr.checkpoint import capture_cluster
+        from repro.rr.checkpoint import capture_cluster, capture_machine
 
-            self._store(capture_cluster(cluster),
-                        self.kernel.clock.cycles)
+        self._store(capture_machine(self.kernel) if cluster is None
+                    else capture_cluster(cluster), cycles)
+        self.due = cycles + self.interval
 
     def _store(self, state: list, cycle: int) -> None:
         from repro.trace import tracer as _trace

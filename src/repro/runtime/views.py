@@ -162,9 +162,8 @@ class Mem:
         The reference is one :meth:`load_u8` per byte, NUL included.
         A page :meth:`AddressSpace.readable_page
         <repro.vm.address_space.AddressSpace.readable_page>` clears is
-        scanned in one ``find`` and charged the same ``copy(1)`` per
-        byte through :meth:`Clock.charge_many
-        <repro.kernel.timing.Clock.charge_many>`; any other page takes
+        scanned in one ``find`` and charged the sum of its ``copy(1)``
+        per byte in one charge; any other page takes
         one reference step, which faults, fills the TLB or meets the
         injector or sanitizer at the same byte as the per-byte loop.
         """
@@ -187,10 +186,10 @@ class Mem:
             stop = min(PAGE_SIZE, start + max_length - index)
             nul = data.find(0, start, stop)
             if nul >= 0:
-                clock.charge_many("copies", byte_cost, nul - start + 1)
+                clock.charge("copies", byte_cost * (nul - start + 1))
                 out += data[start:nul]
                 break
-            clock.charge_many("copies", byte_cost, stop - start)
+            clock.charge("copies", byte_cost * (stop - start))
             out += data[start:stop]
             index += stop - start
         return out.decode("latin-1")
@@ -324,9 +323,7 @@ class _Record:
     or writes them with one pack per run of adjacent fields, counts one
     TLB hit per word field as ``load_u32``/``store_u32`` do, and charges
     each cost category once, in the order the categories first appear
-    among the fields, when the last of those charges stays below the
-    clock's ``checkpoint_at`` (the rule of ``Clock.charge_many``).
-    Anything else -- a checkpoint due, a value a field rejects, a page
+    among the fields. Anything else -- a value a field rejects, a page
     missing from the TLB or lacking the protection, a straddle -- runs
     the per-field ``get``/``set`` path from the first field, and the
     fast path has had no side effect by then.
@@ -398,22 +395,16 @@ class _Record:
         self.converters = tuple(struct_def.packing[name][1]
                                 for name in names)
 
-    def _charge(self, mem: Mem, space: AddressSpace, copies: int) -> bool:
+    def _charge(self, mem: Mem, space: AddressSpace, copies: int) -> None:
         """Charge the group, *copies* copy units and its word fields, as
-        merged charges and count its TLB hits; False, with nothing
-        done, when a checkpoint falls due inside the group."""
+        one charge per category and count its TLB hits."""
         clock = mem.kernel.clock
-        per_copy = clock.costs.copy_per_word
         scalar = self.words * mem.SCALAR_ACCESS_CYCLES
-        copies *= per_copy
-        if per_copy < 0 \
-                or clock.cycles + scalar + copies >= clock.checkpoint_at:
-            return False
+        copies *= clock.costs.copy_per_word
         space.tlb_hits += self.words
         for category in self.categories:
-            clock.accrue(category,
+            clock.charge(category,
                          scalar if category == "user_memory" else copies)
-        return True
 
     def read(self, view: StructView) -> List[Any]:
         mem, address = view.mem, view.address
@@ -438,8 +429,8 @@ class _Record:
                         copies += nul + 1
                         raw = raw[:nul]
                     out[position] = raw.decode("latin-1")
-                if self._charge(mem, space, copies):
-                    return out
+                self._charge(mem, space, copies)
+                return out
         return [view.get(name) for name in self.names]
 
     def write(self, view: StructView, values: List[Any]) -> None:
@@ -455,8 +446,8 @@ class _Record:
                               in zip(self.converters, values)]
                 except SimulationError:
                     packed = None
-                if packed is not None \
-                        and self._charge(mem, space, self.write_copies):
+                if packed is not None:
+                    self._charge(mem, space, self.write_copies)
                     data, at = frame.data, start & _PAGE_MASK
                     for offset, packer, positions in self.runs:
                         packer.pack_into(

@@ -38,7 +38,8 @@ class TestAttachOrder:
             kernel = boot().kernel
             tracer = tracer_state.TRACER
         assert kernel.clock.cycles == 2520
-        assert kernel.clock.checkpoint_at == 1_000_000
+        assert [(r.interval, r.due) for r in recorders] \
+            == [(1_000_000, 1_000_000)]
         assert kernel.disk.device.injector is kernel.injector
         assert tracer._clock is kernel.clock
         assert [(event.kind.name, event.name, event.cycle)

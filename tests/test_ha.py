@@ -415,9 +415,10 @@ class TestEndToEnd:
         """The consistent cut stays owned by node 0's *original*
         recorder across a node-0 reboot. Golden (cycle, boot) pairs
         from the boot-time lead: boot 1 is the single-kernel oracle
-        (clock checkpoints), the cluster cuts carry node 0's original
-        clock, which stops at the crash — a lead that moved to the
-        rebooted kernel would add cuts after the reboot."""
+        (one checkpoint, at its first trap return or round end past the
+        interval), the cluster cuts carry node 0's original clock,
+        which stops at the crash — a lead that moved to the rebooted
+        kernel would add cuts after the reboot."""
         from repro.rr import record_call, replay_call
 
         def workload():
@@ -436,7 +437,7 @@ class TestEndToEnd:
         recording = record_call(workload, interval=20_000, plans=plans,
                                 inject_seed=5)
         assert [(cp.cycle, cp.boot) for cp in recording.checkpoints] \
-            == [(30400, 1), (50400, 1), (46760, 4), (69420, 4)]
+            == [(54440, 1), (46760, 4), (69420, 4)]
         report = replay_call(recording, workload)
         assert report.ok, report.render()
 

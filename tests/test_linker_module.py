@@ -119,6 +119,15 @@ class TestRelocation:
         with pytest.raises(RelocationError):
             image.apply_relocations(lambda _name: 0x30400000)
 
+    def test_word32_target_past_4gib_rejected(self):
+        """A WORD32 cannot hold a target above 4 GiB: refused, not cut
+        to its low 32 bits."""
+        obj = assemble(".data\n.word far_var\n", "m.o")
+        image = ModuleImage(obj)
+        image.layout_contiguous(0x30100000)
+        with pytest.raises(RelocationError, match="32-bit limit"):
+            image.apply_relocations(lambda _name: 5 << 30)
+
     def test_image_bytes_contains_sections(self):
         image = ModuleImage(assemble(MODULE_SOURCE, "m.o"))
         image.layout_contiguous(0x30100000)

@@ -7,10 +7,10 @@ service; on its twin, the same file is read by the open/fstat/pread/
 close sequence those functions made themselves (spelled out below).
 The twins must agree on the result or the error, and on every piece
 of kernel state the sequence touches: the clock (total, categories in
-insertion order, makespan, per-core totals, checkpoint firings), the
-process's next descriptor, the warm-inode set and the export table.
-Armed with a tracer or an injector, they must also emit the same
-events and consult the injector at the same sites.
+insertion order, makespan, per-core totals), the process's next
+descriptor, the warm-inode set and the export table. Armed with a
+tracer or an injector, they must also emit the same events and consult
+the injector at the same sites.
 """
 
 from types import MappingProxyType
@@ -21,7 +21,6 @@ from repro import boot
 from repro.errors import ObjectFormatError, SimulationError
 from repro.fs.vfs import O_RDONLY
 from repro.inject import FaultKind, FaultPlan, Plane, install_injector
-from repro.kernel.timing import CostModel
 from repro.linker.lds import load_template
 from repro.linker.scoped import _decode_exports, peek_exports
 from repro.linker.segments import read_segment_meta, segment_base
@@ -151,8 +150,7 @@ def _body(_kernel, _proc):
 
 
 def twin(case):
-    """A machine set up as *case* says, the process, and its record of
-    checkpoint firings."""
+    """A machine set up as *case* says, and the process."""
     kernel = boot(ncores=case["ncores"]).kernel
     vfs = kernel.vfs
     vfs.makedirs("/shared/lib")
@@ -181,14 +179,8 @@ def twin(case):
             return decide(plane, site, subject, pid, *args, **kwargs)
         injector._decide = logged
         injector.sites = sites
-    clock = kernel.clock
-    clock.current_core = case["core"]
-    fired = []
-    clock.on_checkpoint = lambda c: fired.append(
-        (c.cycles, list(c.by_category.items())))
-    if case["offset"] is not None:
-        clock.checkpoint_at = clock.cycles + case["offset"]
-    return kernel, proc, fired
+    kernel.clock.current_core = case["core"]
+    return kernel, proc
 
 
 def outcome(kernel, op, read, proc, path):
@@ -204,7 +196,7 @@ def outcome(kernel, op, read, proc, path):
     return result.to_bytes()
 
 
-def state(kernel, proc, fired):
+def state(kernel, proc):
     volumes = {id(kernel.rootfs): "root", id(kernel.sfs): "sfs"}
     clock = kernel.clock
     table = {}
@@ -218,8 +210,6 @@ def state(kernel, proc, fired):
         "by_category": list(clock.by_category.items()),
         "elapsed": clock.elapsed,
         "core_cycles": list(clock.core_cycles.items()),
-        "checkpoint_at": clock.checkpoint_at,
-        "fired": fired,
         "next_fd": proc._next_fd,
         "fds": sorted(proc.fds),
         "warm": sorted((volumes[fs], ino)
@@ -229,7 +219,7 @@ def state(kernel, proc, fired):
 
 
 def run(case, reads):
-    kernel, proc, fired = twin(case)
+    kernel, proc = twin(case)
     sys = kernel.syscalls
     opens = []
     raw_open = sys.open
@@ -245,7 +235,7 @@ def run(case, reads):
     else:
         result = outcome(kernel, case["op"], reads[case["op"]], proc,
                          case["path"])
-    snapshot = state(kernel, proc, fired)
+    snapshot = state(kernel, proc)
     snapshot["events"] = events
     if case["armed"] == "inject":
         stats = kernel.injector.stats
@@ -253,20 +243,6 @@ def run(case, reads):
                               stats.matched, stats.triggered,
                               dict(stats.by_kind))
     return result, snapshot, opens
-
-
-def _bound(case):
-    """The service's merge bound for *case*'s file, when it has one."""
-    entry = FILES.get(case["path"])
-    if case["path"] == "/shared/lib/small.o":
-        size = len(case["small"])
-    elif entry is not None and entry[0] is not None:
-        size = len(entry[0])
-    else:
-        return 0
-    costs = CostModel()
-    return 5 * costs.syscall + costs.disk_seek \
-        + ((2 * size + 3) // 4) * costs.file_io_per_word
 
 
 PLANS = st.lists(st.sampled_from([
@@ -294,10 +270,6 @@ def cases(draw):
     }
     case["core"] = draw(st.sampled_from([None, 1])) \
         if case["ncores"] == 2 else None
-    bound = _bound(case)
-    case["offset"] = draw(st.one_of(
-        st.none(), st.integers(0, bound + 1),
-        st.sampled_from([0, 1, max(bound - 1, 0), bound, bound + 1])))
     return case
 
 
@@ -314,9 +286,7 @@ class TestReadModule:
         readable = path != "/shared/lib/missing.o" \
             and path != "/shared/lib/gone" and data is not None \
             and (case["uid"] == 0 or mode & 0o004)
-        if case["armed"] is None and readable \
-                and (case["offset"] is None
-                     or case["offset"] > _bound(case)):
+        if case["armed"] is None and readable:
             assert opens == [], "the merged branch should have run"
 
     def test_merged_branch_consumes_one_descriptor(self, kernel, shell,

@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from repro.disk.codec import decode_fields, encode_fields
 from repro.errors import RRError, SimulationError, TraceCursorError
 from repro.inject import FaultKind, FaultPlan, Plane
-from repro.kernel.timing import CHECKPOINT_NEVER, Clock
 from repro.rr import (
     Checkpoint,
     Recording,
@@ -305,44 +304,6 @@ class TestMutatedRecordingBytes:
 
 
 # ---------------------------------------------------------------------------
-# the clock's checkpoint hook
-# ---------------------------------------------------------------------------
-
-class TestClockCheckpointHook:
-    def test_disarmed_clock_never_fires(self):
-        clock = Clock()
-        fired = []
-        clock.on_checkpoint = fired.append
-        clock.charge("syscalls", 10_000)
-        assert not fired
-        assert clock.checkpoint_at == CHECKPOINT_NEVER
-
-    def test_fires_once_then_disarms(self):
-        clock = Clock()
-        fired = []
-        clock.on_checkpoint = fired.append
-        clock.checkpoint_at = 100
-        clock.charge("syscalls", 150)
-        clock.charge("syscalls", 150)
-        assert len(fired) == 1
-        assert clock.checkpoint_at == CHECKPOINT_NEVER
-
-    def test_hook_may_rearm(self):
-        clock = Clock()
-        fired = []
-
-        def hook(c):
-            fired.append(c.cycles)
-            c.checkpoint_at = c.cycles + 100
-
-        clock.on_checkpoint = hook
-        clock.checkpoint_at = 100
-        for _ in range(10):
-            clock.charge("syscalls", 60)
-        assert fired == [120, 240, 360, 480, 600]
-
-
-# ---------------------------------------------------------------------------
 # oracle: replay and deliberate divergence
 # ---------------------------------------------------------------------------
 
@@ -504,6 +465,70 @@ class TestMaterialize:
             clones = [materialize(state), materialize(state)]
         assert [clone.injector for clone in clones] == [None, None]
         assert injectors == []
+
+
+# ---------------------------------------------------------------------------
+# checkpoints are quiescent: taken only between operations
+# ---------------------------------------------------------------------------
+
+def _fanout_workload():
+    """The E11 fanout on a plain boot."""
+    from repro import boot
+    from repro.bench.workloads import run_fanout
+
+    run_fanout(boot())
+
+
+def _presto_workload(ncores, nworkers, nitems, compute_iters):
+    """One Presto instance on *ncores* cores, as a recordable callable."""
+    from repro import boot
+    from repro.apps.presto import PrestoApp
+    from repro.bench.workloads import make_shell
+
+    def run():
+        kernel = boot(ncores=ncores).kernel
+        app = PrestoApp(kernel, make_shell(kernel, "parent"),
+                        nitems=nitems, compute_iters=compute_iters)
+        result = app.run_instance(nworkers=nworkers)
+        assert result.total == app.expected_total()
+    return run
+
+
+class TestQuiescentCheckpoints:
+    """A stand-alone kernel checkpoints at trap returns and round ends,
+    never inside an operation, so the fanout's main process is always
+    captured between instructions with nothing in flight."""
+
+    @pytest.mark.parametrize("interval", [1_000_000, 500_000])
+    def test_fanout_checkpoints_materialize(self, interval):
+        recording = record_call(_fanout_workload, interval=interval)
+        assert len(recording.checkpoints) >= 2
+        for checkpoint in recording.checkpoints:
+            clone = materialize(checkpoint.state)
+            assert state_digest(capture_machine(clone)) \
+                == checkpoint.digest
+        report = replay_call(recording, _fanout_workload)
+        assert report.ok, report.render()
+        result = seek_call(recording, 1_700_000, _fanout_workload)
+        assert result.digest_ok and result.suffix_identical, \
+            result.render()
+
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ncores=st.integers(min_value=1, max_value=4),
+           nworkers=st.integers(min_value=1, max_value=4),
+           nitems=st.integers(min_value=4, max_value=16),
+           compute_iters=st.sampled_from([0, 10, 40]),
+           interval=st.integers(min_value=5_000, max_value=100_000))
+    def test_presto_record_replays(self, ncores, nworkers, nitems,
+                                   compute_iters, interval):
+        workload = _presto_workload(ncores, nworkers, nitems,
+                                    compute_iters)
+        recording = record_call(workload, interval=interval)
+        assert recording.outcome == "clean", recording.detail
+        assert recording.checkpoints
+        report = replay_call(recording, workload)
+        assert report.ok, report.render()
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,13 @@ access straight out of or into the TLB'd frame, ``Mem`` calls the
 address space directly and enters the kernel's fault loop only after a
 fault, aligned ``Mem.load_u32``/``store_u32`` run the TLB-hit branch of
 ``load_word``/``store_word`` inline, ``Mem.load_cstring`` scans a TLB'd
-page with one ``find``, ``Clock.charge_many`` merges equal charges,
-``StructDef`` compiles each field once, and ``StructView.get_many``/
+page with one ``find`` and charges it in one sum, ``StructDef``
+compiles each field once, and ``StructView.get_many``/
 ``update``/``as_dict`` access a group of fields with one page check
 and one merged charge per cost category. All of them must leave the
 simulation exactly as the reference paths do: the page walk, every
 access through ``Kernel.run_with_faults`` and a fresh lambda, one
-``load_u8`` per string byte, one ``charge`` per byte, the per-access
+``load_u8`` and one ``charge`` per string byte, the per-access
 string dispatch of field types and one ``get``/``set`` per field.
 
 Each scenario runs twice on identically booted machines. The reference
@@ -23,7 +23,7 @@ of the fast ones, and reads struct fields through :func:`ref_get` (or,
 for the whole-record accessors, ``get``/``set`` one field at a time).
 The two runs must agree on every value and exception, every clock total
 (``cycles``, ``by_category``, ``elapsed``, ``core_cycles``), every TLB
-counter, every trace event and the cycle of every checkpoint-hook call.
+counter and every trace event.
 """
 
 from __future__ import annotations
@@ -217,21 +217,6 @@ def attempt(operation):
         return ("fault", fault.address, fault.access, fault.present)
 
 
-class CheckpointLog:
-    """A checkpoint hook that records the cycle of every call and
-    re-arms *every* cycles later, like rr's recorder."""
-
-    def __init__(self, clock: Clock, first: int, every: int) -> None:
-        self.every = every
-        self.calls = []
-        clock.on_checkpoint = self
-        clock.checkpoint_at = clock.cycles + first
-
-    def __call__(self, clock: Clock) -> None:
-        self.calls.append(clock.cycles)
-        clock.checkpoint_at = clock.cycles + self.every
-
-
 def clock_state(clock: Clock):
     return (clock.cycles, dict(clock.by_category), clock.elapsed,
             dict(clock.core_cycles))
@@ -276,7 +261,7 @@ def value_for(field_type: str):
 
 
 # ----------------------------------------------------------------------
-# one kernel: layouts, contents, page ends, cut-offs, checkpoints
+# one kernel: layouts, contents, page ends, cut-offs
 # ----------------------------------------------------------------------
 
 @st.composite
@@ -295,14 +280,11 @@ def record_case(draw):
     strings = draw(st.lists(
         st.tuples(st.integers(-24, 24), st.integers(0, 40)), max_size=4))
     flush = draw(st.booleans())
-    checkpoint = draw(st.none() | st.tuples(st.integers(0, 60),
-                                            st.integers(1, 9)))
-    return (fields, before, bytes(raw), order, writes, strings, flush,
-            checkpoint)
+    return fields, before, bytes(raw), order, writes, strings, flush
 
 
 def run_record_case(case, reference):
-    fields, before, raw, order, writes, strings, flush, checkpoint = case
+    fields, before, raw, order, writes, strings, flush = case
     with paths(reference):
         kernel = boot().kernel
         shell = make_shell(kernel)
@@ -314,8 +296,6 @@ def run_record_case(case, reference):
             mem.store_bytes(address - 4, raw)
             if flush:
                 space.tlb_flush("test")
-            log = CheckpointLog(kernel.clock, *checkpoint) \
-                if checkpoint else None
             view = StructDef("rec", fields).view(mem, address)
             results = [get(view, name, reference) for name in order]
             for name, value in writes:
@@ -326,7 +306,7 @@ def run_record_case(case, reference):
                     BASE + PAGE_SIZE + delta, max_length))
             events = tracer.events()
         return (results, clock_state(kernel.clock), tlb_state(space),
-                events, log.calls if log else None)
+                events)
 
 
 class TestStructLayouts:
@@ -344,26 +324,6 @@ class TestStructLayouts:
         assert struct_def.size == size
         assert {name: struct_def.layout[name][:2] for name, _ in fields} \
             == {name: (offsets[name], ref_field(t)[0]) for name, t in fields}
-
-    def test_checkpoint_at_every_offset_of_a_string(self):
-        """A checkpoint armed at each cycle a 30-byte string read spans
-        fires at the same cycle on both paths."""
-        for first in range(0, 40):
-            results = []
-            for reference in (False, True):
-                with paths(reference):
-                    kernel = boot().kernel
-                    shell = make_shell(kernel)
-                    shell.address_space.map(BASE, PAGE_SIZE, prot=PROT_RW)
-                    mem = Mem(kernel, shell)
-                    mem.store_cstring(BASE, "x" * 30)
-                    log = CheckpointLog(kernel.clock, first, 1000)
-                    text = mem.load_cstring(BASE)
-                    results.append((text, log.calls,
-                                    clock_state(kernel.clock)))
-            assert results[0] == results[1]
-            assert results[0][0] == "x" * 30
-
 
 # ----------------------------------------------------------------------
 # faults: a segment the handler maps, a PROT_NONE page
@@ -611,7 +571,7 @@ def run_op(mem, op, boundary):
     return attempt(lambda: method(boundary + op[1], *op[2:]))
 
 
-def run_scalar_case(ops, checkpoint, reference, plan=None, tlb=None):
+def run_scalar_case(ops, reference, plan=None, tlb=None):
     """*ops* on a two-page private mapping; *plan* (seed, probability)
     arms a spurious-VMFAULT injector first, and *tlb* overrides
     ``REPRO_TLB``."""
@@ -630,8 +590,6 @@ def run_scalar_case(ops, checkpoint, reference, plan=None, tlb=None):
                 Plane.VMFAULT, FaultKind.SPURIOUS,
                 probability=plan[1])], seed=plan[0])
         with tracing(kernel) as tracer:
-            log = CheckpointLog(kernel.clock, *checkpoint) \
-                if checkpoint else None
             results = [run_op(mem, op, BASE + PAGE_SIZE) for op in ops]
             results.append(attempt(
                 lambda: mem.load_bytes(BASE + PAGE_SIZE - 16, 32)))
@@ -641,24 +599,23 @@ def run_scalar_case(ops, checkpoint, reference, plan=None, tlb=None):
             stats = (injector.stats.checked, injector.stats.matched,
                      injector.stats.triggered)
         return (results, clock_state(kernel.clock), tlb_state(space),
-                events, log.calls if log else None, stats)
+                events, stats)
 
 
 class TestScalarAccess:
     @settings(max_examples=80, **SETTINGS)
-    @given(SCALAR_OPS, st.none() | st.tuples(st.integers(0, 80),
-                                              st.integers(1, 9)))
-    def test_words_and_spans_match_reference(self, ops, checkpoint):
-        fast = run_scalar_case(ops, checkpoint, False)
-        assert fast == run_scalar_case(ops, checkpoint, True)
+    @given(SCALAR_OPS)
+    def test_words_and_spans_match_reference(self, ops):
+        fast = run_scalar_case(ops, False)
+        assert fast == run_scalar_case(ops, True)
 
     def test_aligned_hits_count_in_the_tlb(self):
         """Aligned TLB-hit words count one hit each on both paths; an
         unaligned word walks and counts nothing."""
         ops = [("store_u32", 0, 7), ("load_u32", 0), ("store_i32", 4, -2),
                ("load_i32", 4), ("load_u32", -2), ("store_u32", 2, 9)]
-        fast = run_scalar_case(ops, None, False, tlb=True)
-        assert fast == run_scalar_case(ops, None, True, tlb=True)
+        fast = run_scalar_case(ops, False, tlb=True)
+        assert fast == run_scalar_case(ops, True, tlb=True)
         assert [r[1] for r in fast[0][1:5:2]] == [7, -2]
         assert fast[2][0] == 4  # tlb_hits
 
@@ -666,8 +623,8 @@ class TestScalarAccess:
     @given(SCALAR_OPS, st.integers(0, 2**16), st.floats(0.0, 0.3))
     def test_injector_sees_the_same_sites(self, ops, seed, probability):
         plan = (seed, probability)
-        fast = run_scalar_case(ops, None, False, plan)
-        assert fast == run_scalar_case(ops, None, True, plan)
+        fast = run_scalar_case(ops, False, plan)
+        assert fast == run_scalar_case(ops, True, plan)
 
 
 def run_cow_scalar_case(ops, reference):
@@ -996,9 +953,7 @@ def group_case(draw):
     ops = draw(st.lists(group_op(fields), min_size=1, max_size=6))
     fresh = draw(st.booleans())
     core = draw(st.none() | st.integers(0, 3))
-    checkpoint = draw(st.none() | st.tuples(
-        st.integers(0, 120), st.sampled_from([1, 7, 40, 200, 10**6])))
-    return fields, before, bytes(raw), ops, fresh, core, checkpoint
+    return fields, before, bytes(raw), ops, fresh, core
 
 
 def outcome(operation):
@@ -1050,7 +1005,7 @@ def run_group_case(case, env, reference, plan=None):
     ``segment`` (a reader whose first touch faults and is mapped by
     the handler), ``sanitizer`` (the same, sanitized) or ``cow`` (a
     child whose private pages are COW twins of its parent's)."""
-    fields, before, raw, ops, fresh, core, checkpoint = case
+    fields, before, raw, ops, fresh, core = case
     size = ref_offsets(fields)[1]
     planes = sanitizing() if env == "sanitizer" else nullcontext()
     with paths(reference), planes as sanitizer:
@@ -1086,7 +1041,6 @@ def run_group_case(case, env, reference, plan=None):
         with tracing(kernel) as tracer:
             if fresh:
                 clock.by_category.clear()
-            log = CheckpointLog(clock, *checkpoint) if checkpoint else None
             clock.current_core = core
             try:
                 results = [run_group_op(view, op, reference) for op in ops]
@@ -1102,7 +1056,7 @@ def run_group_case(case, env, reference, plan=None):
         if sanitizer is not None:
             stats = tuple(vars(sanitizer.stats).values())
         return (results, ordered_clock_state(clock), tlb_state(space),
-                events, log.calls if log else None, stats)
+                events, stats)
 
 
 def same_group_run(case, env, plan=None):
@@ -1154,22 +1108,6 @@ class TestRecordAccess:
     def test_cow_pages_after_fork(self, case):
         same_group_run(case, "cow")
 
-    def test_checkpoint_at_every_offset_of_a_group(self):
-        """A checkpoint armed at each cycle a whole-record update and
-        read span fires at the same cycle on both paths, with the
-        categories charged fresh in the same order."""
-        fields = MIXED.fields
-        ops = [("write", tuple(MIXED_VALUES.items())),
-               ("read", list(MIXED.names)),
-               ("read", ["next", "tty", "load", "name"])]
-        for first in range(-1, 90):
-            for every in (1, 4, 1000):
-                for before in (0, 8, PAGE_SIZE // 2):
-                    case = (fields, before, bytes(MIXED.size + 16), ops,
-                            True, None, (first, every))
-                    fast = same_group_run(case, "plain")
-                    assert fast[0][1][1] == list(MIXED_VALUES.values())
-
     def test_fast_path_runs_and_counts_one_hit_per_word(self):
         """An eligible group takes the fast path (no per-field ``get``)
         and counts the TLB hits of its word fields only; the copies
@@ -1213,70 +1151,6 @@ class TestRecordAccess:
             assert view.as_dict() == dict(
                 MIXED_VALUES, port=0, load=0, blob=bytes(5), tty="",
                 next=0)
-
-
-# ----------------------------------------------------------------------
-# Clock.charge_many and Clock.charge_pair are their single charges
-# ----------------------------------------------------------------------
-
-class TestChargeMany:
-    @settings(max_examples=60, **SETTINGS)
-    @given(cost=st.integers(0, 7), count=st.integers(0, 12),
-           start=st.integers(0, 50), every=st.integers(1, 9),
-           core=st.none() | st.integers(0, 3))
-    def test_matches_single_charges_at_every_checkpoint(
-            self, cost, count, start, every, core):
-        for offset in range(-1, cost * count + 2):
-            clocks = []
-            for merged in (True, False):
-                clock = Clock(ncores=4)
-                clock.charge("copies", start)
-                clock.current_core = core
-                log = CheckpointLog(clock, offset, every)
-                if merged:
-                    clock.charge_many("copies", cost, count)
-                else:
-                    for _ in range(count):
-                        clock.charge("copies", cost)
-                clocks.append((clock_state(clock), log.calls,
-                               clock.checkpoint_at))
-            assert clocks[0] == clocks[1]
-
-    def test_zero_count_creates_no_category(self):
-        clock = Clock()
-        clock.charge_many("copies", 4, 0)
-        assert clock.by_category == {} and clock.cycles == 0
-
-
-class TestChargePair:
-    """``charge_pair`` merges the two net charges of a synchronous
-    exchange; a checkpoint due at any offset fires at the same charge
-    as with two single charges, a negative second charge included."""
-
-    @settings(max_examples=60, **SETTINGS)
-    @given(first=st.integers(0, 9), second=st.integers(-3, 9),
-           start=st.integers(0, 50), every=st.integers(1, 9),
-           core=st.none() | st.integers(0, 3), fresh=st.booleans())
-    def test_matches_two_single_charges_at_every_checkpoint(
-            self, first, second, start, every, core, fresh):
-        for offset in range(-1, first + abs(second) + 2):
-            clocks = []
-            for merged in (True, False):
-                clock = Clock(ncores=4)
-                if not fresh:
-                    clock.charge("net", start)
-                clock.charge("copies", start)
-                clock.current_core = core
-                log = CheckpointLog(clock, offset, every)
-                if merged:
-                    clock.charge_pair("net", first, second)
-                else:
-                    clock.charge("net", first)
-                    clock.charge("net", second)
-                clocks.append((clock_state(clock),
-                               list(clock.by_category), log.calls,
-                               clock.checkpoint_at))
-            assert clocks[0] == clocks[1]
 
 
 # ----------------------------------------------------------------------
