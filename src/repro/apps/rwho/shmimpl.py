@@ -12,8 +12,17 @@ Layout::
     db:       [magic u32][nhosts u32]  then nhosts host records
     host:     [hostname cstr:32][boot u32][update u32]
               [load1 i32][load5 i32][load15 i32][nusers u32]
-              4 inline user records
+              4 inline user slots
     user:     [name cstr:12][tty cstr:8][idle u32]
+
+Each side touches a host row with one compiled record access
+(:meth:`StructDef.record`): the daemon writes the host fields, nusers
+and the kept users at once, and a reader, after loading nusers, reads
+those users and the host fields at once. Where the compiled access
+cannot run (a row straddling a page, a page missing from the TLB, an
+armed injector or sanitizer, a value a field refuses) it falls back to
+one ``get``/``set`` per field in the same order, so the simulation ends
+exactly where the per-record sequence it replaces left it.
 """
 
 from __future__ import annotations
@@ -46,6 +55,12 @@ USER_STRUCT = StructDef("rwho_user", [
     ("idle", "u32"),
 ])
 
+#: a host's own fields, in the order of the record and of HostStatus
+HOST_FIELDS = ("hostname", "boot_time", "update_time",
+               "load_1", "load_5", "load_15")
+
+#: the inline user slots are USER_STRUCT's fields, slot i named
+#: ``user{i}_<field>``, so one compiled record covers a whole host row
 HOST_STRUCT = StructDef("rwho_host", [
     ("hostname", f"cstr:{HOSTNAME_LEN}"),
     ("boot_time", "u32"),
@@ -54,8 +69,29 @@ HOST_STRUCT = StructDef("rwho_host", [
     ("load_5", "i32"),
     ("load_15", "i32"),
     ("nusers", "u32"),
-    ("users", f"bytes:{USER_STRUCT.size * MAX_USERS_PER_HOST}"),
+    *[(f"user{slot}_{name}", kind)
+      for slot in range(MAX_USERS_PER_HOST)
+      for name, kind in USER_STRUCT.fields],
 ])
+
+
+def _user_fields(count: int) -> tuple:
+    """The fields of the first *count* user slots, slot by slot."""
+    return tuple(f"user{slot}_{name}" for slot in range(count)
+                 for name in USER_STRUCT.names)
+
+
+# The compiled row accessors for 0..MAX_USERS_PER_HOST users, in the
+# order the per-record sequence accessed them: the writer set the host
+# fields and nusers, then each user; the reader read each user, then
+# the host fields (after its own nusers load).
+_ROW_WRITES = tuple(HOST_STRUCT.record(HOST_FIELDS + ("nusers",)
+                                       + _user_fields(count))
+                    for count in range(MAX_USERS_PER_HOST + 1))
+_ROW_READS = tuple(HOST_STRUCT.record(_user_fields(count) + HOST_FIELDS)
+                   for count in range(MAX_USERS_PER_HOST + 1))
+#: values per user in a row read
+_USER_WIDTH = len(USER_STRUCT.names)
 
 DB_HEADER_SIZE = 8
 
@@ -86,6 +122,11 @@ class ShmRwhod:
 
     def _load_index(self) -> None:
         count = self.mem.load_u32(self.base + 4)
+        capacity = _checked_capacity(self.proc, self.base, self.segment,
+                                     count)
+        #: the slots new hosts may take: *nhosts*, but never past the
+        #: segment an attached database already has
+        self.slots = min(self.nhosts, capacity)
         for slot in range(count):
             view = self._record(slot)
             self._index[view.get("hostname")] = slot
@@ -101,23 +142,17 @@ class ShmRwhod:
         slot = self._index.get(key)
         if slot is None:
             slot = self.mem.load_u32(self.base + 4)
-            if slot >= self.nhosts:
+            if slot >= self.slots:
                 raise SimulationError("rwho database full")
             self.mem.store_u32(self.base + 4, slot + 1)
             self._index[key] = slot
-        view = self._record(slot)
-        view.update(hostname=key,
-                    boot_time=status.boot_time,
-                    update_time=status.update_time,
-                    load_1=status.load_1, load_5=status.load_5,
-                    load_15=status.load_15,
-                    nusers=min(len(status.users), MAX_USERS_PER_HOST))
-        users_base = view.field_address("users")
-        for index, user in enumerate(status.users[:MAX_USERS_PER_HOST]):
-            entry = USER_STRUCT.view(self.mem,
-                                     users_base + index * USER_STRUCT.size)
-            entry.update(name=user.name, tty=user.tty,
-                         idle=user.idle_seconds)
+        users = status.users[:MAX_USERS_PER_HOST]
+        values = [key, status.boot_time, status.update_time,
+                  status.load_1, status.load_5, status.load_15,
+                  len(users)]
+        for user in users:
+            values += (user.name, user.tty, user.idle_seconds)
+        _ROW_WRITES[len(users)].write(self._record(slot), values)
 
 
 def _capacity(proc: Process, base: int, segment: str) -> int:
@@ -130,6 +165,18 @@ def _capacity(proc: Process, base: int, segment: str) -> int:
     size = mapping.memobj.size - mapping.obj_page * PAGE_SIZE \
         - (base - mapping.start)
     return max(size - DB_HEADER_SIZE, 0) // HOST_STRUCT.size
+
+
+def _checked_capacity(proc: Process, base: int, segment: str,
+                      count: int) -> int:
+    """:func:`_capacity`, or a :class:`WhodFormatError` when the
+    header's host *count* claims more records than that."""
+    capacity = _capacity(proc, base, segment)
+    if count > capacity:
+        raise WhodFormatError(
+            f"{segment!r} claims {count} host(s), more than its "
+            f"{capacity} record slots")
+    return capacity
 
 
 def read_database(kernel: Kernel, proc: Process,
@@ -145,11 +192,7 @@ def read_database(kernel: Kernel, proc: Process,
     if mem.load_u32(base) != DB_MAGIC:
         raise SimulationError(f"{segment!r} is not an rwho database")
     count = mem.load_u32(base + 4)
-    capacity = _capacity(proc, base, segment)
-    if count > capacity:
-        raise WhodFormatError(
-            f"{segment!r} claims {count} host(s), more than its "
-            f"{capacity} record slots")
+    _checked_capacity(proc, base, segment, count)
     statuses = []
     for slot in range(count):
         view = HOST_STRUCT.view(
@@ -160,18 +203,11 @@ def read_database(kernel: Kernel, proc: Process,
             raise WhodFormatError(
                 f"{segment!r} record {slot} claims {nusers} user(s), "
                 f"more than its {MAX_USERS_PER_HOST} slots")
-        users_base = view.field_address("users")
-        users = [
-            UserEntry(*USER_STRUCT.view(
-                mem, users_base + index * USER_STRUCT.size
-            ).get_many("name", "tty", "idle"))
-            for index in range(nusers)
-        ]
-        statuses.append(HostStatus(
-            *view.get_many("hostname", "boot_time", "update_time",
-                           "load_1", "load_5", "load_15"),
-            users,
-        ))
+        row = _ROW_READS[nusers].read(view)
+        cut = _USER_WIDTH * nusers
+        users = [UserEntry(*row[at:at + _USER_WIDTH])
+                 for at in range(0, cut, _USER_WIDTH)]
+        statuses.append(HostStatus(*row[cut:], users))
     return statuses
 
 

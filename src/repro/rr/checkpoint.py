@@ -356,9 +356,14 @@ def materialize(state: list):
     Only machine-pure states qualify (see the module docstring): a
     live native process, a blocked process, or undrained message
     queues raise :class:`~repro.errors.RRError` and the caller should
-    replay from boot instead. The returned kernel re-executes forward
-    bit-identically to the original run — the Hypothesis round-trip
-    property in ``tests/test_rr.py`` pins exactly that.
+    replay from boot instead. Capturing the returned kernel gives the
+    state back (``tests/test_rr.py`` pins the fixed point). Running it
+    forward matches the original run only for processes that need
+    nothing the capture leaves out, which ``tests/test_rr.py`` pins
+    for a program that makes no lazy-link fault: a process keeps only
+    the length of each signal-handler chain and none of the lazy
+    linker's per-process state, so its next lazy-link fault is an
+    unhandled SIGSEGV.
     """
     from repro.fs.vfs import OpenFile
     from repro.hw.cpu import Cpu

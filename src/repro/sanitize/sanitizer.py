@@ -585,15 +585,17 @@ def sanitizing(report_limit: int = 256) -> Iterator[Sanitizer]:
     kernel booted while armed joins ONE shared sanitizer: a cluster is
     one shared-memory machine from the paper's point of view, and races
     cross node boundaries. The sanitizer and its report survive the
-    block; kernels already armed stay armed.
+    block; kernels already armed stay armed, and the sanitizer active
+    before the block (``REPRO_SAN``'s, say) is active again after it.
     """
     sanitizer = Sanitizer(report_limit=report_limit)
+    previous = _state.ACTIVE
     _state.ACTIVE = sanitizer
     try:
         with arming.armed("sanitize", sanitizer.register_kernel):
             yield sanitizer
     finally:
-        _state.ACTIVE = None
+        _state.ACTIVE = previous
 
 
 if os.environ.get("REPRO_SAN"):

@@ -2,11 +2,15 @@
 and the shared version must be cheaper."""
 
 import dataclasses
+import hashlib
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import boot
 from repro.apps.rwho import (
     FileRwhod,
     ShmRwhod,
@@ -20,6 +24,7 @@ from repro.apps.rwho.common import (
     MAX_USERS_PER_HOST,
     HostStatus,
     UserEntry,
+    stored_hostname,
     updated_status,
 )
 from repro.apps.rwho.fileimpl import (
@@ -29,13 +34,33 @@ from repro.apps.rwho.fileimpl import (
 )
 from repro.apps.rwho.shmimpl import (
     DB_HEADER_SIZE,
+    DB_MAGIC,
     DB_SEGMENT,
     HOST_STRUCT,
+    USER_STRUCT,
+    _capacity,
+    db_size,
     read_database,
 )
+from repro.bench.workloads import make_shell
 from repro.errors import SimulationError
-from repro.runtime.views import Mem
+from repro.inject import FaultKind, FaultPlan, Plane, install_injector
+from repro.inject.injector import Injector
+from repro.kernel import arming
+from repro.net import Cluster
+from repro.runtime.libshared import runtime_for
+from repro.runtime.views import Mem, StructView
+from repro.sanitize import sanitizing
+from repro.sanitize import state as san_state
+from repro.trace import tracer as _trace
+from repro.trace.tracer import tracing
 from repro.util.rng import DeterministicRng
+from repro.vm.address_space import (
+    default_tlb_enabled, set_default_tlb_enabled,
+)
+from tests.test_views_differential import (
+    SETTINGS, ordered_clock_state, outcome, tlb_state,
+)
 
 
 @pytest.fixture
@@ -278,6 +303,44 @@ class TestEquivalence:
         assert [record.hostname for record in records] == ["h" * 31]
         assert records[0].update_time == refreshed.update_time
 
+    def test_restart_with_more_hosts_stays_in_the_segment(self, kernel,
+                                                          shell, network):
+        """A restarted daemon given a larger *nhosts* than the segment
+        it attaches to has room for refuses a new host once the
+        segment is full, before the header counts it, so the database
+        stays readable."""
+        daemon = ShmRwhod(kernel, shell, nhosts=4)
+        for status in network[:4]:
+            daemon.receive(status)
+        restarted = ShmRwhod(kernel, shell, nhosts=40)
+        restarted.receive(updated_status(network[0], 60,
+                                         DeterministicRng(4)))
+        for status in network[4:]:
+            with pytest.raises(SimulationError,
+                               match="rwho database full"):
+                restarted.receive(status)
+        records = read_database(kernel, shell)
+        assert [record.hostname for record in records] == \
+            [status.hostname for status in network[:4]]
+        assert len(kernel.vfs.read_whole(DB_SEGMENT)) == db_size(4)
+
+    @pytest.mark.parametrize("count", [5, 28, 1000])
+    def test_attach_refuses_a_host_count_past_the_segment(self, kernel,
+                                                          shell, network,
+                                                          count):
+        """A restarted daemon reads the header the reader checks, and
+        refuses a count its segment has no slots for with the reader's
+        error instead of indexing the bytes past the last slot."""
+        daemon = ShmRwhod(kernel, shell, nhosts=4)
+        for status in network[:4]:
+            daemon.receive(status)
+        Mem(kernel, shell).store_u32(daemon.base + 4, count)
+        message = f"claims {count} host\\(s\\), more than its 4 record"
+        with pytest.raises(WhodFormatError, match=message):
+            read_database(kernel, shell)
+        with pytest.raises(WhodFormatError, match=message):
+            ShmRwhod(kernel, shell, nhosts=40)
+
     def test_reader_in_other_process(self, kernel, shell, network):
         from repro.bench.workloads import make_shell
 
@@ -373,3 +436,346 @@ class TestDaemonProcesses:
 def _noop_body(_kernel, _proc):
     return
     yield
+
+
+# ----------------------------------------------------------------------
+# the on-segment format: the compiled rows keep every byte in place
+# ----------------------------------------------------------------------
+
+class TestLayout:
+    def test_host_record_offsets(self):
+        offsets = {"hostname": 0, "boot_time": 32, "update_time": 36,
+                   "load_1": 40, "load_5": 44, "load_15": 48,
+                   "nusers": 52}
+        for slot in range(MAX_USERS_PER_HOST):
+            for name, delta in (("name", 0), ("tty", 12), ("idle", 20)):
+                offsets[f"user{slot}_{name}"] = 56 + 24 * slot + delta
+        assert HOST_STRUCT.size == 152
+        assert HOST_STRUCT.offsets == offsets
+        assert USER_STRUCT.size == 24
+
+    def test_segment_bytes_of_a_received_network(self, kernel, shell,
+                                                 network):
+        daemon = ShmRwhod(kernel, shell, nhosts=len(network))
+        for status in network:
+            daemon.receive(status)
+        data = kernel.vfs.read_whole(DB_SEGMENT)
+        assert len(data) == db_size(12) == 1832
+        assert hashlib.sha256(data).hexdigest() == (
+            "a98e98bb07be311872e198ce3098378e"
+            "4495d427a55a16abecd55e16bf46e27b")
+
+
+# ----------------------------------------------------------------------
+# the compiled host rows against the per-record sequence
+# ----------------------------------------------------------------------
+
+#: the first inline user slot of a host record
+USERS_AT = HOST_STRUCT.offsets["user0_name"]
+
+
+def per_record_receive(daemon, status):
+    """``ShmRwhod.receive`` as the per-record sequence: one update of
+    the host fields and nusers, then one ``USER_STRUCT`` update per
+    kept user."""
+    key = stored_hostname(status.hostname)
+    slot = daemon._index.get(key)
+    if slot is None:
+        slot = daemon.mem.load_u32(daemon.base + 4)
+        if slot >= daemon.slots:
+            raise SimulationError("rwho database full")
+        daemon.mem.store_u32(daemon.base + 4, slot + 1)
+        daemon._index[key] = slot
+    view = daemon._record(slot)
+    view.update(hostname=key, boot_time=status.boot_time,
+                update_time=status.update_time, load_1=status.load_1,
+                load_5=status.load_5, load_15=status.load_15,
+                nusers=min(len(status.users), MAX_USERS_PER_HOST))
+    for index, user in enumerate(status.users[:MAX_USERS_PER_HOST]):
+        USER_STRUCT.view(
+            daemon.mem, view.address + USERS_AT + index * USER_STRUCT.size
+        ).update(name=user.name, tty=user.tty, idle=user.idle_seconds)
+
+
+def per_record_read(kernel, proc):
+    """``read_database`` as the per-record sequence: per host, the
+    nusers load, one ``get_many`` per user, then the host's."""
+    mem = Mem(kernel, proc)
+    base = runtime_for(kernel, proc).segment_base(DB_SEGMENT)
+    if mem.load_u32(base) != DB_MAGIC:
+        raise SimulationError(f"{DB_SEGMENT!r} is not an rwho database")
+    count = mem.load_u32(base + 4)
+    capacity = _capacity(proc, base, DB_SEGMENT)
+    if count > capacity:
+        raise WhodFormatError(
+            f"{DB_SEGMENT!r} claims {count} host(s), more than its "
+            f"{capacity} record slots")
+    statuses = []
+    for slot in range(count):
+        view = HOST_STRUCT.view(
+            mem, base + DB_HEADER_SIZE + slot * HOST_STRUCT.size)
+        nusers = view.get("nusers")
+        if nusers > MAX_USERS_PER_HOST:
+            raise WhodFormatError(
+                f"{DB_SEGMENT!r} record {slot} claims {nusers} user(s), "
+                f"more than its {MAX_USERS_PER_HOST} slots")
+        users = [
+            UserEntry(*USER_STRUCT.view(
+                mem, view.address + USERS_AT + index * USER_STRUCT.size
+            ).get_many("name", "tty", "idle"))
+            for index in range(nusers)
+        ]
+        statuses.append(HostStatus(
+            *view.get_many("hostname", "boot_time", "update_time",
+                           "load_1", "load_5", "load_15"),
+            users))
+    return statuses
+
+
+def sides(reference):
+    """(receive, read) of the per-record sequence or of the code."""
+    if reference:
+        return per_record_receive, per_record_read
+    return ShmRwhod.receive, read_database
+
+
+def filler(index):
+    """A host that takes slot *index* ahead of the drawn ones."""
+    return HostStatus(f"filler{index}", 1, 2, 3, 4, 5,
+                      [UserEntry("f", "tty", index)])
+
+
+#: slot 26 (bytes 3960-4111 of the segment) straddles its first page
+ROW_SLOTS = st.sampled_from([0, 25, 26, 27])
+ROW_NHOSTS = 32
+U32 = st.integers(0, 2**32 - 1)
+I32 = st.integers(-2**31, 2**31 - 1)
+#: "€" is not latin-1: the write refuses it mid-row
+USER = st.builds(UserEntry,
+                 st.sampled_from(["alice", "bob", "carol" * 3, "€"]),
+                 st.sampled_from(["tty0", "console", "pts/10"]), U32)
+#: two letters, so that names of 32 and 40 bytes share a stored name
+HOSTNAME = st.builds(lambda letter, length: letter * length,
+                     st.sampled_from("pq"), st.sampled_from([0, 31, 32, 40]))
+STATUS = st.builds(HostStatus, HOSTNAME, U32, U32, I32, I32, I32,
+                   st.lists(USER, max_size=6))
+STATUSES = st.lists(STATUS, min_size=1, max_size=4)
+#: a full row in the straddling slot, its third user refused mid-row
+FULL_ROW = [HostStatus("q" * 40, 1, 2, -3, 4, 5,
+                       [UserEntry("alice", "tty0", 1),
+                        UserEntry("bob", "tty1", 2),
+                        UserEntry("€", "tty2", 3),
+                        UserEntry("carol", "tty3", 4)]),
+            HostStatus("p" * 31, 6, 7, 8, 9, 10,
+                       [UserEntry(f"u{index}", "tty", index)
+                        for index in range(5)])]
+
+
+def logged_decisions(decisions):
+    """``Injector._decide`` that also logs each decision site."""
+    decide = Injector._decide
+
+    def logged(self, plane, site, subject, pid, kinds=None, addr=0):
+        state = decide(self, plane, site, subject, pid, kinds, addr)
+        decisions.append((plane.value, site, subject, pid, addr,
+                          state is not None))
+        return state
+
+    return logged
+
+
+def own_sanitizer(env):
+    """A fresh sanitizer for one twin under the ``sanitizer`` env, or
+    under one armed process-wide (``REPRO_SAN=1``), which would number
+    and track the twins' kernels as one machine; else nothing."""
+    if env == "sanitizer" or san_state.ACTIVE is not None:
+        return sanitizing()
+    return nullcontext()
+
+
+def run_rows(statuses, slot, env, reference, plan=(0, 0.0), core=None):
+    """A daemon receives *statuses* after *slot* fillers, so that the
+    first new host lands in that slot, and a reader in another process
+    reads the database twice; then the same again. *env* is ``plain``,
+    ``tlb_off`` (``REPRO_TLB=0``), ``injector`` (a spurious-VMFAULT
+    plan, *plan* its (seed, probability)), ``sanitizer`` or ``smp``
+    (four cores, the clock charging *core*)."""
+    receive, read = sides(reference)
+    decisions = []
+    tlb = default_tlb_enabled()
+    set_default_tlb_enabled(env != "tlb_off")
+    try:
+        with own_sanitizer(env) as sanitizer, tracing(), mock.patch.object(
+                Injector, "_decide", logged_decisions(decisions)):
+            kernel = boot(ncores=4 if env == "smp" else None).kernel
+            owner = make_shell(kernel, "rwhod")
+            daemon = ShmRwhod(kernel, owner, nhosts=ROW_NHOSTS)
+            for index in range(slot):
+                receive(daemon, filler(index))
+            reader = make_shell(kernel, "reader")
+            if env == "injector":
+                install_injector(kernel, [FaultPlan(
+                    Plane.VMFAULT, FaultKind.SPURIOUS,
+                    probability=plan[1])], seed=plan[0])
+            clock = kernel.clock
+            results = []
+            clock.current_core = core
+            try:
+                for _ in range(2):
+                    for status in statuses:
+                        results.append(outcome(
+                            lambda: receive(daemon, status)))
+                    for _ in range(2):
+                        results.append(outcome(
+                            lambda: read(kernel, reader)))
+            finally:
+                clock.current_core = None
+            events = _trace.TRACER.events()
+    finally:
+        set_default_tlb_enabled(tlb)
+    checked = None if env != "sanitizer" \
+        else tuple(vars(sanitizer.stats).values())
+    state = (results, ordered_clock_state(clock),
+             tlb_state(owner.address_space),
+             tlb_state(reader.address_space), events, decisions, checked)
+    return state + (kernel.vfs.read_whole(DB_SEGMENT),)
+
+
+def run_cluster_rows(statuses, slot, reference):
+    """The daemon on node 0 of a two-node cluster, the reader on node
+    1, whose copies of the segment's pages the daemon's next round
+    invalidates; each round's daemon attaches to the database."""
+    receive, read = sides(reference)
+    results = []
+
+    def serve(kernel, proc):
+        first = not kernel.vfs.exists(DB_SEGMENT, proc.uid)
+        daemon = ShmRwhod(kernel, proc, nhosts=ROW_NHOSTS)
+        if first:
+            for index in range(slot):
+                receive(daemon, filler(index))
+        for status in statuses:
+            results.append(outcome(lambda: receive(daemon, status)))
+        results.append(tlb_state(proc.address_space))
+        yield
+        return 0
+
+    def look(kernel, proc):
+        for _ in range(2):
+            results.append(outcome(lambda: read(kernel, proc)))
+        results.append(tlb_state(proc.address_space))
+        yield
+        return 0
+
+    with own_sanitizer("cluster"), tracing():
+        cluster = Cluster(2, seed=7)
+        for _ in range(2):
+            cluster.spawn(0, "rwhod", serve)
+            cluster.run()
+            cluster.spawn(1, "reader", look)
+            cluster.run()
+        events = _trace.TRACER.events()
+    state = (results,
+             [ordered_clock_state(machine.kernel.clock)
+              for machine in cluster.machines],
+             cluster.coherence_stats(), events,
+             cluster.machines[0].kernel.vfs.read_whole(DB_SEGMENT))
+    cluster.shutdown()
+    return state
+
+
+def same_rows(statuses, slot, env, **options):
+    fast = run_rows(statuses, slot, env, False, **options)
+    assert fast == run_rows(statuses, slot, env, True, **options)
+    return fast
+
+
+class TestRowAccess:
+    """``ShmRwhod.receive`` and ``read_database`` access a host row
+    through one compiled record; they must leave the simulation exactly
+    as the per-record sequence does: every value and error, the
+    segment's bytes, the clock (category order included), the TLB
+    counters, the trace events and the injector's decision sites."""
+
+    @settings(max_examples=30, **SETTINGS)
+    @given(STATUSES, ROW_SLOTS)
+    @example(FULL_ROW, 26)
+    def test_plain(self, statuses, slot):
+        same_rows(statuses, slot, "plain")
+
+    @settings(max_examples=10, **SETTINGS)
+    @given(STATUSES, ROW_SLOTS)
+    def test_with_the_tlb_off(self, statuses, slot):
+        same_rows(statuses, slot, "tlb_off")
+
+    @settings(max_examples=10, **SETTINGS)
+    @given(STATUSES, ROW_SLOTS, st.integers(0, 2**16),
+           st.floats(0.0, 0.3))
+    @example(FULL_ROW, 26, 0, 0.0)
+    def test_injector_sees_the_same_sites(self, statuses, slot, seed,
+                                          probability):
+        fast = same_rows(statuses, slot, "injector",
+                         plan=(seed, probability))
+        assert fast[5]  # the injector decided at every access
+
+    @settings(max_examples=8, **SETTINGS)
+    @given(STATUSES, ROW_SLOTS)
+    def test_sanitizer_sees_every_access(self, statuses, slot):
+        fast = same_rows(statuses, slot, "sanitizer")
+        assert fast[6][0] > 0  # the sanitizer checked accesses
+
+    @settings(max_examples=10, **SETTINGS)
+    @given(STATUSES, ROW_SLOTS, st.integers(0, 3))
+    def test_on_a_core_of_four(self, statuses, slot, core):
+        same_rows(statuses, slot, "smp", core=core)
+
+    @settings(max_examples=5, **SETTINGS)
+    @given(STATUSES, ROW_SLOTS)
+    def test_reader_on_another_node(self, statuses, slot):
+        fast = run_cluster_rows(statuses, slot, False)
+        assert fast == run_cluster_rows(statuses, slot, True)
+
+    @pytest.mark.parametrize("slot", [0, 26])
+    def test_a_refused_user_name_leaves_the_users_before_it(self, slot):
+        """A name that is not latin-1 is refused mid-row: the host and
+        the users before it are written and charged, and the read
+        sees them and the empty slots after them."""
+        status = HostStatus("p" * 31, 7, 8, 9, 10, 11,
+                            [UserEntry("alice", "tty0", 1),
+                             UserEntry("€", "tty1", 2),
+                             UserEntry("bob", "tty2", 3)])
+        fast = same_rows([status], slot, "plain")
+        assert fast[0][0] == ("error", "SimulationError",
+                              "'€' is not latin-1 text: ordinal "
+                              "not in range(256)")
+        record = fast[0][1][1][slot]
+        assert record.users == [UserEntry("alice", "tty0", 1),
+                                UserEntry("", "", 0), UserEntry("", "", 0)]
+
+    def test_a_warm_row_is_one_compiled_access(self, network):
+        """With the TLB on and no plane armed, a row takes no per-field
+        ``set`` on the daemon's side and only the nusers ``get`` on the
+        reader's."""
+        tlb = default_tlb_enabled()
+        set_default_tlb_enabled(True)
+        try:
+            with arming.suspended():
+                kernel = boot().kernel
+            shell = make_shell(kernel)
+            daemon = ShmRwhod(kernel, shell, nhosts=len(network))
+            for status in network:  # maps the segment, fills the TLB
+                daemon.receive(status)
+            with mock.patch.object(StructView, "set",
+                                   side_effect=AssertionError("set")):
+                for status in network:
+                    daemon.receive(status)
+            read_database(kernel, shell)
+            with mock.patch.object(StructView, "get", autospec=True,
+                                   side_effect=StructView.get) as get:
+                records = read_database(kernel, shell)
+        finally:
+            set_default_tlb_enabled(tlb)
+        assert [call.args[1] for call in get.call_args_list] == \
+            ["nusers"] * len(network)
+        assert [record.hostname for record in records] == \
+            [status.hostname for status in network]

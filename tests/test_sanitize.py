@@ -35,6 +35,7 @@ from repro.analyze.pipeline import analyze_object
 from repro.runtime.libshared import runtime_for
 from repro.runtime.views import Mem
 from repro.sanitize import sanitizing
+from repro.sanitize import state as san_state
 from repro.sanitize.corpus import SEG, san_cases, case_named
 from repro.tools.cli import UsageError, reprosan_main
 from repro.vm.address_space import PROT_READ, PROT_RW
@@ -160,6 +161,19 @@ class TestDeterminism:
             armed = _store_loop_cycles()
         assert armed == disarmed
         assert sanitizer.stats.accesses > 0
+
+    def test_a_block_restores_the_sanitizer_before_it(self):
+        """Leaving a ``sanitizing()`` block inside another (or under
+        ``REPRO_SAN=1``) leaves the outer sanitizer active, so
+        ``shmalloc`` still reports to it."""
+        before = san_state.ACTIVE
+        with sanitizing() as outer:
+            with sanitizing() as inner:
+                assert san_state.ACTIVE is inner
+            assert san_state.ACTIVE is outer
+            boot()  # boots still join the outer sanitizer
+            assert len(outer.kernels) == 1 and not inner.kernels
+        assert san_state.ACTIVE is before
 
 
 # ---------------------------------------------------------------------------
