@@ -34,30 +34,65 @@ from repro.fs.vfs import O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 
-_HEADER = struct.Struct(f"<{HOSTNAME_LEN}sIIiiiI")
-_USER = struct.Struct(f"<{USERNAME_LEN}s{TTY_LEN}sI")
+_HEADER_FIELDS = (("hostname", f"{HOSTNAME_LEN}s"), ("boot_time", "I"),
+                  ("update_time", "I"), ("load_1", "i"), ("load_5", "i"),
+                  ("load_15", "i"), ("nusers", "I"))
+_USER_FIELDS = (("name", f"{USERNAME_LEN}s"), ("tty", f"{TTY_LEN}s"),
+                ("idle_seconds", "I"))
+_HEADER = struct.Struct("<" + "".join(code for _, code in _HEADER_FIELDS))
+_USER = struct.Struct("<" + "".join(code for _, code in _USER_FIELDS))
 
 RWHO_DIR = "/var/rwho"
 
 
 def pack_status(status: HostStatus) -> bytes:
-    """Linearize a status record into the on-disk whod format."""
-    blob = _HEADER.pack(
-        stored_hostname(status.hostname).encode("latin-1"),
-        status.boot_time,
-        status.update_time,
-        status.load_1,
-        status.load_5,
-        status.load_15,
-        min(len(status.users), MAX_USERS_PER_HOST),
-    )
-    for user in status.users[:MAX_USERS_PER_HOST]:
-        blob += _USER.pack(
-            user.name.encode("latin-1"),
-            user.tty.encode("latin-1"),
-            user.idle_seconds,
+    """Linearize a status record into the on-disk whod format. A field
+    the format cannot hold is a :class:`WhodFormatError` naming it."""
+    host = stored_hostname(status.hostname)
+    try:
+        blob = _HEADER.pack(
+            host.encode("latin-1"),
+            status.boot_time,
+            status.update_time,
+            status.load_1,
+            status.load_5,
+            status.load_15,
+            min(len(status.users), MAX_USERS_PER_HOST),
         )
+        for user in status.users[:MAX_USERS_PER_HOST]:
+            blob += _USER.pack(
+                user.name.encode("latin-1"),
+                user.tty.encode("latin-1"),
+                user.idle_seconds,
+            )
+    except (struct.error, UnicodeEncodeError):
+        raise _refusal(host, status) from None
     return blob
+
+
+def _refusal(host: str, status: HostStatus) -> WhodFormatError:
+    """The error naming the first field of *status*, in packing order,
+    that the whod format cannot hold."""
+    numbers = (status.boot_time, status.update_time, status.load_1,
+               status.load_5, status.load_15)
+    fields = [(f"host {host!r} {name}", code, value)
+              for (name, code), value in zip(_HEADER_FIELDS[1:], numbers)]
+    for user in status.users[:MAX_USERS_PER_HOST]:
+        fields += [(f"host {host!r} user {user.name!r} {name}", code, value)
+                   for (name, code), value in zip(
+                       _USER_FIELDS, (user.name, user.tty,
+                                      user.idle_seconds))]
+    for what, code, value in fields:
+        try:
+            struct.pack("<" + code, value.encode("latin-1")
+                        if isinstance(value, str) else value)
+        except UnicodeEncodeError as error:
+            return WhodFormatError(f"{what} {value!r} is not latin-1 "
+                                   f"text: {error.reason}")
+        except struct.error as error:
+            return WhodFormatError(f"{what} {value!r} does not fit the "
+                                   f"whod record: {error}")
+    return WhodFormatError(f"host {host!r} does not fit the whod record")
 
 
 def unpack_status(blob: bytes) -> HostStatus:
@@ -107,12 +142,14 @@ class FileRwhod:
         kernel.vfs.makedirs(directory, proc.uid)
 
     def receive(self, status: HostStatus) -> None:
-        """Handle one broadcast: linearize and rewrite whod.<host>."""
+        """Handle one broadcast: linearize and rewrite whod.<host>. A
+        record :func:`pack_status` refuses leaves the file as it was."""
         sys = self.kernel.syscalls
         path = f"{self.directory}/whod.{stored_hostname(status.hostname)}"
+        blob = pack_status(status)
         fd = sys.open(self.proc, path, O_WRONLY | O_CREAT | O_TRUNC)
         try:
-            sys.write(self.proc, fd, pack_status(status))
+            sys.write(self.proc, fd, blob)
         finally:
             sys.close(self.proc, fd)
 

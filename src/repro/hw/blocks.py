@@ -36,7 +36,18 @@ single-step reference:
   :meth:`AddressSpace.load_word` / :meth:`AddressSpace.store_word` and
   fall back to those methods; byte and half accesses call the same
   methods ``step`` does. Sanitized (exec-only) and COW pages therefore
-  take the same slow paths.
+  take the same slow paths. A ``lw``/``sw`` whose base register holds
+  its block-entry value plus a constant (through ``addi`` chains, as in
+  ``addi sp, sp, -8; sw v0, 4(sp)``) is *guarded*: the block entry
+  looks that register's page up once and checks that every such access
+  through it is aligned and on that page, that the entry allows each
+  of them and that the frame holds no decoded code. While the guard
+  holds, the access is the fast path's own ``unpack_from``/``pack_into``
+  on that entry's bytes, and a store needs neither ``drop_code`` nor the
+  self-modification check. Only a call into ``space`` can change a TLB
+  entry or a frame, so every one clears every guard for the rest of the
+  block; an access whose guard failed or was cleared runs the unguarded
+  code.
 * **Self-modifying text.** After each store that is not the block's
   last instruction, the block checks that its frame's decode cache is
   non-empty and that ``space.tlb`` still holds the entry it started
@@ -49,7 +60,8 @@ single-step reference:
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import AlignmentError
 from repro.hw import isa
@@ -225,16 +237,28 @@ def _signed(expr: str) -> str:
 
 
 class _Emitter:
-    """Python source for one block, instruction by instruction."""
+    """Python source for one block, instruction by instruction.
 
-    def __init__(self, length: int) -> None:
+    *guards* are the guarded base registers (see :func:`_guards`)."""
+
+    def __init__(self, length: int,
+                 guards: Optional[Dict[int, Tuple[int, int, int]]] = None
+                 ) -> None:
         self.length = length
+        self.guards = guards or {}
         self.body: List[str] = []
+        self.indent = ""
         self.used = set()
         self.written = set()
         self.memory = False
         #: some store is followed by a self-modification check
         self.stores = False
+        #: register -> (base register, constant) while the register
+        #: holds the base's block-entry value plus the constant
+        self.tracked = {r: (r, 0) for r in range(32)}
+        #: (op, base register, constant) of each lw/sw through a
+        #: tracked register
+        self.accesses: List[Tuple[int, int, int]] = []
 
     def reg(self, index: int) -> str:
         """The local holding register *index*, loaded at block entry."""
@@ -245,10 +269,24 @@ class _Emitter:
         if index != isa.REG_ZERO:
             self.used.add(index)
             self.written.add(index)
-            self.body.append(f"r{index} = {expr}")
+            self.tracked.pop(index, None)
+            self.line(f"r{index} = {expr}")
 
     def line(self, text: str) -> None:
-        self.body.append(text)
+        self.body.append(self.indent + text)
+
+    @contextmanager
+    def nested(self) -> Iterator[None]:
+        """Lines emitted inside are one level deeper."""
+        self.indent += "    "
+        yield
+        self.indent = self.indent[:-4]
+
+    def unguard(self, indent: str = "") -> None:
+        """After a call into ``space``: no guard holds any more."""
+        if self.guards:
+            self.line(indent + " = ".join(f"p{r}" for r in
+                                          sorted(self.guards)) + " = None")
 
     def writeback(self, indent: str) -> List[str]:
         return [f"{indent}regs[{r}] = r{r}" for r in sorted(self.written)]
@@ -301,7 +339,10 @@ def _emit(out: _Emitter, i: int, word: int) -> None:
     imm = word & 0xFFFF
     simm = _sext16(word)
     if op == isa.OP_ADDI:
+        tracked = out.tracked.get(rs)
         out.set(rt, f"({out.reg(rs)} + {simm}) & {_MASK}")
+        if tracked is not None and rt != isa.REG_ZERO:
+            out.tracked[rt] = (tracked[0], tracked[1] + simm)
     elif op == isa.OP_SLTI:
         out.set(rt, f"1 if {_signed(out.reg(rs))} < {simm} else 0")
     elif op == isa.OP_SLTIU:
@@ -377,6 +418,33 @@ def _emit_special(out: _Emitter, i: int, word: int, here: str,
 def _emit_memory(out: _Emitter, i: int, op: int, rs: int, rt: int,
                  simm: int, last: bool) -> None:
     out.memory = True
+    guard = None
+    if (op == isa.OP_LW or op == isa.OP_SW) and rs in out.tracked:
+        base, constant = out.tracked[rs]
+        constant += simm
+        out.accesses.append((op, base, constant))
+        guard = out.guards.get(base)
+    if guard is None:
+        _emit_unguarded(out, i, op, rs, rt, simm, last)
+        return
+    # While p{base} is set, this word is aligned and on its page, the
+    # entry allows the access and the frame holds no code.
+    low = guard[0]
+    offset = f"o{base} + {constant - low}" if constant != low else f"o{base}"
+    out.line(f"if p{base} is not None:")
+    with out.nested():
+        out.line("h += 1")
+        if op == isa.OP_LW:
+            out.set(rt, f"unpack_from(p{base}, {offset})[0]")
+        else:
+            out.line(f"pack_into(p{base}, {offset}, {out.reg(rt)})")
+    out.line("else:")
+    with out.nested():
+        _emit_unguarded(out, i, op, rs, rt, simm, last)
+
+
+def _emit_unguarded(out: _Emitter, i: int, op: int, rs: int, rt: int,
+                    simm: int, last: bool) -> None:
     out.line(f"i = {i}")
     out.line(f"a = ({out.reg(rs)} + {simm}) & {_MASK}")
     if op == isa.OP_LW or op == isa.OP_SW:
@@ -390,15 +458,18 @@ def _emit_memory(out: _Emitter, i: int, op: int, rs: int, rt: int,
         out.line(f"    v = unpack_from(e[0], a & {_PAGE_MASK})[0]")
         out.line("else:")
         out.line("    v = space.load_word(a)")
+        out.unguard("    ")
         out.set(rt, "v")
         return
     if op in (isa.OP_LH, isa.OP_LHU):
         out.line("v = space.load_half(a)")
+        out.unguard()
         out.set(rt, "((v ^ 0x8000) - 0x8000) & 0xFFFFFFFF"
                 if op == isa.OP_LH else "v")
         return
     if op in (isa.OP_LB, isa.OP_LBU):
         out.line("v = space.load_byte(a)")
+        out.unguard()
         out.set(rt, "((v ^ 0x80) - 0x80) & 0xFFFFFFFF"
                 if op == isa.OP_LB else "v")
         return
@@ -411,26 +482,61 @@ def _emit_memory(out: _Emitter, i: int, op: int, rs: int, rt: int,
         out.line(f"    pack_into(e[0], a & {_PAGE_MASK}, {value})")
         out.line("else:")
         out.line(f"    space.store_word(a, {value})")
+        out.unguard("    ")
     elif op == isa.OP_SH:
         out.line(f"space.write_bytes(a, ({value} & 0xFFFF)"
                  ".to_bytes(2, 'little'))")
+        out.unguard()
     else:
         out.line(f"space.write_bytes(a, bytes(({value} & 0xFF,)))")
+        out.unguard()
     if not last:
         # The store may have rewritten or remapped this very page.
         out.stores = True
         out.line("if not decode or tlb_get(vpn) is not entry:")
-        out.body.extend(out.retire("    ", i + 1, f"pc + {4 * i + 4}"))
+        for text in out.retire("    ", i + 1, f"pc + {4 * i + 4}"):
+            out.line(text)
         out.line("    return")
+
+
+def _guards(accesses: List[Tuple[int, int, int]]
+            ) -> Dict[int, Tuple[int, int, int]]:
+    """``base -> (lowest constant, span, protections)`` for each base
+    register whose tracked *accesses* can share one guard: their
+    constants agree modulo 4 and span less than a page. The protections
+    are those every access through the base needs."""
+    uses: Dict[int, List[Tuple[int, int]]] = {}
+    for op, base, constant in accesses:
+        uses.setdefault(base, []).append((op, constant))
+    guards = {}
+    for base, accesses_of in uses.items():
+        constants = [constant for _op, constant in accesses_of]
+        low = min(constants)
+        span = max(constants) - low
+        if span > PAGE_SIZE - 4 or any((c - low) & 3 for c in constants):
+            continue
+        ops = {op for op, _constant in accesses_of}
+        guards[base] = (low, span,
+                        (PROT_READ if isa.OP_LW in ops else 0)
+                        | (PROT_WRITE if isa.OP_SW in ops else 0))
+    return guards
 
 
 def _compile(words: Tuple[int, ...]) -> BlockFunction:
     from repro.hw.cpu import ArithmeticTrap, BreakTrap, SyscallTrap
 
     length = len(words)
+    # The first pass finds the tracked accesses, the second emits the
+    # block with a guard for each base register that can have one.
     out = _Emitter(length)
     for i, word in enumerate(words):
         _emit(out, i, word)
+    guards = _guards(out.accesses)
+    if guards:
+        out = _Emitter(length, guards)
+        for i, word in enumerate(words):
+            _emit(out, i, word)
+        out.used.update(guards)
     if not _ends_block(words[-1]):
         out.line(f"npc = (pc + {4 * length}) & {_MASK}")
     head = ["def block(cpu, space, entry, pc):", "    regs = cpu.regs"]
@@ -440,6 +546,15 @@ def _compile(words: Tuple[int, ...]) -> BlockFunction:
         head += ["    decode = entry[2].decode",
                  f"    vpn = pc >> {PAGE_SHIFT}"]
     head += [f"    r{r} = regs[{r}]" for r in sorted(out.used)]
+    for r, (low, span, prot) in sorted(guards.items()):
+        head += [
+            f"    a = (r{r} + {low}) & {_MASK}",
+            f"    e = tlb_get(a >> {PAGE_SHIFT}) if not a & 3 and "
+            f"a & {_PAGE_MASK} <= {PAGE_SIZE - 4 - span} else None",
+            f"    p{r} = e[0] if e is not None and e[1] & {prot} == {prot} "
+            "and not e[2].decode else None",
+            f"    o{r} = a & {_PAGE_MASK}",
+        ]
     head += ["    i = 0", "    try:"]
     body = [f"        {line}" for line in out.body]
     fail = ["    except BaseException:"]

@@ -121,6 +121,47 @@ class TestWireFormat:
             unpack_status(blob)
 
 
+_UNPACKABLE = [
+    ("name", HostStatus("h", 1, 2, 3, 4, 5, [UserEntry("\u20ac", "tty", 1)])),
+    ("tty", HostStatus("h", 1, 2, 3, 4, 5, [UserEntry("bob", "tty\u20ac", 1)])),
+    ("boot_time", HostStatus("h", -1, 2, 3, 4, 5, [])),
+    ("idle_seconds", HostStatus("h", 1, 2, 3, 4, 5,
+                                [UserEntry("bob", "tty", -1)])),
+    ("load_5", HostStatus("h", 1, 2, 3, 1 << 31, 5, [])),
+]
+
+
+class TestUnpackableRecords:
+    """A status the whod format cannot hold is refused with a
+    WhodFormatError naming the field, before the file daemon touches
+    ``whod.<host>``."""
+
+    @pytest.mark.parametrize("field,status", _UNPACKABLE,
+                             ids=[field for field, _ in _UNPACKABLE])
+    def test_pack_names_the_field(self, field, status):
+        with pytest.raises(WhodFormatError, match=f"host 'h'.* {field} "):
+            pack_status(status)
+
+    @pytest.mark.parametrize("field,status", _UNPACKABLE,
+                             ids=[field for field, _ in _UNPACKABLE])
+    def test_refused_record_leaves_the_file_as_it_was(self, kernel, shell,
+                                                      field, status):
+        daemon = FileRwhod(kernel, shell)
+        with pytest.raises(WhodFormatError):
+            daemon.receive(status)
+        assert kernel.vfs.listdir("/var/rwho") == []
+        good = HostStatus("h", 1, 2, 3, 4, 5, [UserEntry("bob", "tty", 1)])
+        daemon.receive(good)
+        before = (kernel.vfs.read_whole("/var/rwho/whod.h"),
+                  file_rwho(kernel, shell), file_ruptime(kernel, shell))
+        with pytest.raises(WhodFormatError):
+            daemon.receive(status)
+        assert (kernel.vfs.read_whole("/var/rwho/whod.h"),
+                file_rwho(kernel, shell),
+                file_ruptime(kernel, shell)) == before
+        assert "bob" in before[1]
+
+
 def _round_trips_or_rejects(blob: bytes) -> None:
     """*blob* parses to a status that packs back to exactly *blob*, or
     is refused with a SimulationError subclass."""

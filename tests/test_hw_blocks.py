@@ -49,6 +49,8 @@ S_DATA, S_TEXT, S_UNMAPPED, S_COUNT = 16, 17, 18, 19
 # a scratch page above it before; (S_COUNT << 12) + S_FIRST is the text
 # page on the first iteration and a scratch page below it after.
 S_LAST, S_FIRST = 20, 21
+# a stack pointer that only addi-stepped pushes and pops move
+S_SP = 22
 
 _R_FUNCTS = [isa.FN_ADD, isa.FN_SUB, isa.FN_AND, isa.FN_OR, isa.FN_XOR,
              isa.FN_NOR, isa.FN_SLT, isa.FN_SLTU, isa.FN_MUL, isa.FN_DIV,
@@ -93,16 +95,37 @@ _control = st.one_of(
 # an indirect forward jump through T6, sometimes misaligned
 _jr = st.tuples(st.just("jr"), st.sampled_from([isa.FN_JR, isa.FN_JALR]),
                 st.sampled_from([0, 0, 0, 2]), st.integers(0, 4))
-_spec = st.one_of(_alu, _alu, _alu, _mem, _mem, _control, _text_store, _jr)
+# a push of 1-6 words through S_SP, word and byte accesses around the
+# new top (some below it, some above, a few misaligned), and the pop, so
+# the accesses share one addi-stepped base register
+_stack = st.tuples(st.just("stack"), st.integers(1, 6),
+                   st.lists(st.tuples(
+                       st.sampled_from([isa.OP_LW, isa.OP_SW] * 3
+                                       + [isa.OP_LB, isa.OP_SB]),
+                       _reg, st.integers(-2, 8),
+                       st.sampled_from([0] * 7 + [1, 2])),
+                       min_size=1, max_size=5))
+_spec = st.one_of(_alu, _alu, _alu, _mem, _mem, _control, _text_store, _jr,
+                  _stack, _stack)
+#: where S_SP starts: mid-page, at either side of the data pages'
+#: boundary, misaligned, and in the text page past the program
+_SP_STARTS = [DATA + 0x800, DATA + PAGE_SIZE + 8, DATA + PAGE_SIZE - 4,
+              DATA + 0x802, TEXT + 0xC00]
+
+
+def _size(spec) -> int:
+    """The instruction words of one spec."""
+    if spec[0] == "stack":
+        return 2 + len(spec[2])
+    return {"text": 3, "jr": 2}.get(spec[0], 1)
 
 
 def _encode(body):
     """The instruction words of *body* specs. Branches and ``jal`` skip
     forward over whole specs, at most to the end of the body."""
-    size = {"text": 3, "jr": 2}
     starts = [0]
     for spec in body:
-        starts.append(starts[-1] + size.get(spec[0], 1))
+        starts.append(starts[-1] + _size(spec))
     words = []
     for number, spec in enumerate(body):
         kind = spec[0]
@@ -128,6 +151,15 @@ def _encode(body):
                                       shamt=12))
             words.append(isa.encode_r(isa.FN_ADD, rd=T6, rs=T6, rt=base))
             words.append(isa.encode_i(op, rs=T6, rt=rt, imm=offset))
+        elif kind == "stack":
+            _, pushed, accesses = spec
+            words.append(isa.encode_i(isa.OP_ADDI, rs=S_SP, rt=S_SP,
+                                      imm=-4 * pushed))
+            for op, rt, slot, misalign in accesses:
+                words.append(isa.encode_i(op, rs=S_SP, rt=rt,
+                                          imm=4 * slot + misalign))
+            words.append(isa.encode_i(isa.OP_ADDI, rs=S_SP, rt=S_SP,
+                                      imm=4 * pushed))
         elif kind == "branch":
             _, op, rs, rt, which, _skip = spec
             if op == isa.OP_REGIMM:
@@ -160,13 +192,14 @@ def _loop(body_words):
     return words, end
 
 
-def _registers(loops, values=()):
+def _registers(loops, values=(), sp=DATA + 0x800):
     regs = [0] * 32
     regs[8:8 + len(values)] = values
     regs[S_DATA], regs[S_TEXT] = DATA, TEXT
     regs[S_UNMAPPED], regs[S_COUNT] = UNMAPPED, loops
     regs[S_LAST] = TEXT - PAGE_SIZE
     regs[S_FIRST] = TEXT - loops * PAGE_SIZE
+    regs[S_SP] = sp
     return regs
 
 
@@ -312,12 +345,13 @@ class TestDifferential:
            st.integers(2, SCRATCH_PAGES - 1),
            st.binary(min_size=64, max_size=64),
            st.booleans(),
+           st.sampled_from(_SP_STARTS),
            st.randoms(use_true_random=False))
     def test_execute_matches_step(self, body, values, loops, data, smp,
-                                  rng):
+                                  sp, rng):
         words, end = _loop(_encode(body))
-        _differential(words, end, _registers(loops, values), data * 64, rng,
-                      smp=smp)
+        _differential(words, end, _registers(loops, values, sp),
+                      data * 64, rng, smp=smp)
 
 
 _EDGE_VALUES = [0, 1, 2, 7, 0x7FFFFFFF, 0x80000000, 0xFFFFFFF9,
@@ -489,6 +523,151 @@ class TestBlocks:
         with pytest.raises(ExecutionBudgetExceeded):
             machine.cpu.run(100)
         assert machine.cpu.instructions_executed == 100
+
+
+def _lw(rt, offset, base=S_SP):
+    return isa.encode_i(isa.OP_LW, rs=base, rt=rt, imm=offset)
+
+
+def _sw(rt, offset, base=S_SP):
+    return isa.encode_i(isa.OP_SW, rs=base, rt=rt, imm=offset)
+
+
+def _addi(rt, rs, imm):
+    return isa.encode_i(isa.OP_ADDI, rs=rs, rt=rt, imm=imm)
+
+
+#: push t0, t1 and t2 through an addi-stepped S_SP (at S_SP - 4, - 12
+#: and - 8), read them back into t3, t5 and t4, pop, and add t1 to t0
+#: and the old t0 to t1
+_PUSH_POP = [_addi(S_SP, S_SP, -8), _sw(8, 4), _addi(S_SP, S_SP, -4),
+             _sw(9, 0), _sw(10, 4), _lw(11, 8), _lw(12, 4), _lw(13, 0),
+             _addi(S_SP, S_SP, 12),
+             isa.encode_r(isa.FN_ADD, rd=8, rs=8, rt=13),
+             isa.encode_r(isa.FN_ADD, rd=9, rs=9, rt=11)]
+
+
+class _CountingTlb(dict):
+    """A TLB that counts its lookups."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+class TestGuardedAccess:
+    """Word accesses through a base register that holds its block-entry
+    value plus a constant share one guard per block run."""
+
+    @pytest.mark.parametrize("smp", [False, True])
+    def test_push_pop_through_a_stepped_base(self, smp):
+        words, end = _loop(_PUSH_POP)
+        fast = _differential(words, end, _registers(5, [1, 2, 3]),
+                             bytes(64), random.Random(3), smp=smp)
+        assert fast.cpu.pc == end and fast.block_retired
+        assert fast.cpu.regs[S_SP] == DATA + 0x800
+        # (1, 2) -> (3, 3) -> (6, 6) -> ... -> (48, 48)
+        assert fast.cpu.regs[8:13] == [48, 48, 3, 24, 3]
+
+    @pytest.mark.parametrize("sp", [
+        DATA + PAGE_SIZE + 4,      # the pushed words straddle two pages
+        DATA + PAGE_SIZE + 8,      # ... on one page, the top on the next
+        DATA + PAGE_SIZE + 12,     # all on the second page
+        DATA + 0x802,              # misaligned: every access traps
+        DATA + 2 * PAGE_SIZE + 4,  # the low words fault on first touch
+    ])
+    def test_bases_at_a_page_boundary_or_misaligned(self, sp):
+        words, end = _loop(_PUSH_POP)
+        for budgets in ([10 ** 6], None):
+            fast = _differential(words, end, _registers(4, [1, 2, 3], sp),
+                                 bytes(64), random.Random(sp),
+                                 budgets=budgets)
+            assert fast.cpu.pc == end and fast.block_retired
+        if sp & 3:
+            assert fast.calls[0][2] == (AlignmentError, sp - 4, 4)
+
+    def test_misaligned_offset_of_an_aligned_base(self):
+        # The second load is misaligned whatever S_SP holds, so the base
+        # gets no guard and the load traps from inside the block.
+        body = [_lw(8, 0), _lw(9, 2), _lw(10, 4)]
+        words, end = _loop(body)
+        fast = _differential(words, end, _registers(3), bytes(64), None,
+                             budgets=[10 ** 6])
+        trap = (AlignmentError, DATA + 0x802, 4)
+        assert fast.calls == [(10 ** 6, 1, trap), (10 ** 6, 4, trap),
+                              (10 ** 6, 4, trap),
+                              (10 ** 6, 3, (SyscallTrap, end))]
+
+    def test_tracked_store_into_the_executing_text_page(self):
+        # Three stores through S_TEXT: past the program, then over the
+        # two increments after them, which become addi t1, t1, 100. The
+        # text frame holds code, so no store is guarded: the first one
+        # drops the code and the block leaves right after it.
+        patched = isa.encode_i(isa.OP_ADDI, rs=9, rt=9, imm=100)
+        body = [_sw(10, 0x800, base=S_TEXT), _sw(10, 12, base=S_TEXT),
+                _sw(10, 16, base=S_TEXT), _addi(9, 9, 1), _addi(9, 9, 1)]
+        words, end = _loop(body)
+        for smp in (False, True):
+            fast = _differential(words, end, _registers(4, [0, 0, patched]),
+                                 bytes(64), None, smp=smp,
+                                 budgets=[10 ** 6])
+            assert fast.cpu.pc == end and fast.block_retired
+            assert fast.cpu.regs[9] == 4 * 200
+
+    def test_tlb_miss_between_guarded_accesses(self):
+        # Each iteration loads from a scratch page not touched before,
+        # so a TLB miss and fill fall between the guarded accesses.
+        body = [_lw(8, 0, base=S_DATA), _lw(9, 0, base=13),
+                _addi(13, 13, PAGE_SIZE), _lw(10, 4, base=S_DATA),
+                _sw(9, 8, base=S_DATA), _lw(11, 8, base=S_DATA)]
+        words, end = _loop(body)
+        regs = _registers(SCRATCH_PAGES - 1)
+        regs[13] = TEXT + PAGE_SIZE
+        for budgets in ([10 ** 6], None):
+            fast = _differential(words, end, regs, bytes(range(64)),
+                                 random.Random(5), budgets=budgets)
+            assert fast.cpu.pc == end and fast.block_retired
+            assert fast.space.tlb_misses >= SCRATCH_PAGES - 1
+
+    def test_cow_break_inside_the_block_clears_the_guard(self):
+        # After each fork the data page is COW. The first block reads it
+        # (a read-only TLB entry); in the second the guarded load from
+        # the old frame is followed by a byte store that breaks COW, so
+        # the load after it must read the new frame.
+        body = [_addi(9, 9, 7), _lw(12, 8, base=S_DATA),
+                isa.encode_i(isa.OP_BEQ, rs=0, rt=0, imm=0),
+                _lw(8, 0, base=S_DATA),
+                isa.encode_i(isa.OP_SB, rs=S_DATA, rt=9, imm=4),
+                _lw(10, 4, base=S_DATA),
+                isa.encode_r(isa.FN_ADD, rd=11, rs=11, rt=10),
+                isa.encode_r(isa.FN_BREAK)]
+        words, end = _loop(body)
+        for budgets in ([10 ** 6], None):
+            fast = _differential(words, end, _registers(4), bytes(64),
+                                 random.Random(6), budgets=budgets)
+            assert len(fast.children) == 3 and fast.block_retired
+            assert fast.cpu.regs[11] == 7 + 14 + 21 + 28
+            assert fast.children[0].load_word(DATA + 4) == 7
+
+    def test_one_lookup_per_guarded_base(self):
+        # After the first visit the loop runs as one block: one lookup
+        # for its PC and one for S_SP's guard, where each access used
+        # to look up its own page.
+        words, _end = _loop(_PUSH_POP)
+        ref = _Machine(words, _registers(4, [1, 2, 3]), bytes(64))
+        fast = _Machine(words, _registers(4, [1, 2, 3]), bytes(64))
+        length = len(words) - 1
+        for _ in range(2):
+            fast.cpu.execute(length)
+        fast.space.tlb = _CountingTlb(fast.space.tlb)
+        fast.cpu.execute(length)
+        assert fast.space.tlb.gets == 2
+        assert fast.cpu.instructions_executed == 3 * length
+        for _ in range(3 * length):
+            ref.cpu.step()
+        assert fast.state() == ref.state()
 
 
 class TestFaultStreak:
