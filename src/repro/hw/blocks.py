@@ -3,11 +3,15 @@
 A *block* is the maximal run of consecutive instructions on one page,
 up to :data:`BLOCK_CAP`. It ends at a branch, jump, ``jr``/``jalr``,
 ``syscall`` or ``break`` (that instruction included), before an invalid
-word, or at the page end. :func:`build` is the one scan that finds it.
-It reads decoded instructions from the frame's cache
-(:attr:`repro.vm.pages.Frame.decode`) and decodes the offsets missing
-there from the frame's bytes into the block's ``fresh`` list, so code
-runs as a block from its first visit. :meth:`Cpu.execute
+word, or at the page end. A *loop block* goes on past conditional
+branches that may fall through and ends in a conditional branch back
+to its own start; the branches inside it are *side exits*. :func:`build`
+is the one scan that finds a block. It reads decoded instructions from
+the frame's cache (:attr:`repro.vm.pages.Frame.decode`) and decodes the
+offsets missing there from the frame's bytes into the block's ``fresh``
+list, so code runs as a block from its first visit. The scan itself
+depends only on the bytes, so it is shared process-wide (:data:`_scans`)
+by every frame whose decode cache agrees with them. :meth:`Cpu.execute
 <repro.hw.cpu.Cpu.execute>` chains blocks until its budget is spent; a
 block longer than the budget left runs as its :meth:`Block.prefix`.
 
@@ -22,8 +26,8 @@ dropped with the decode cache by :meth:`Frame.drop_code
 decoded enter it. A :class:`Block` is compiled (or fetched from the
 memo) the first time it runs.
 
-A block function ``block(cpu, space, entry, pc)`` is exact against the
-single-step reference:
+A block function ``block(cpu, space, entry, pc, left=0)`` is exact
+against the single-step reference:
 
 * **Counters.** A completed block adds its length to
   ``instructions_executed``, to ``tlb_hits`` and to ``decode_hits``.
@@ -55,6 +59,15 @@ single-step reference:
   check catches a store into its own page (through any mapping), the
   second a COW break or remap of the text page, which leaves the old
   frame's decode cache intact.
+* **Loops.** A loop block's function runs another pass while the back
+  edge is taken, ``left`` (the budget left, including this pass) covers
+  another whole pass, the frame still holds decoded code and
+  ``space.tlb`` still holds the entry the block started from: exactly
+  what ``execute`` checks before it dispatches the same cached block
+  again. Each pass guards its base registers afresh. Every exit (side
+  exit, self-modification exit, exception or loop end) retires the
+  passes before it too and writes back every register the body writes.
+  ``first_visit`` and prefixes pass no budget, so they run one pass.
 """
 
 from __future__ import annotations
@@ -79,8 +92,9 @@ _WORD = struct.Struct("<I")
 _MASK = 0xFFFFFFFF
 _PAGE_MASK = PAGE_SIZE - 1
 
-_BRANCH_OPS = frozenset({isa.OP_REGIMM, isa.OP_J, isa.OP_JAL, isa.OP_BEQ,
-                         isa.OP_BNE, isa.OP_BLEZ, isa.OP_BGTZ})
+_CONDITIONAL_OPS = frozenset({isa.OP_REGIMM, isa.OP_BEQ, isa.OP_BNE,
+                              isa.OP_BLEZ, isa.OP_BGTZ})
+_BRANCH_OPS = _CONDITIONAL_OPS | {isa.OP_J, isa.OP_JAL}
 _END_FUNCTS = frozenset({isa.FN_JR, isa.FN_JALR, isa.FN_SYSCALL,
                          isa.FN_BREAK})
 _FUNCTS = frozenset({isa.FN_ADD, isa.FN_SUB, isa.FN_AND, isa.FN_OR,
@@ -95,6 +109,10 @@ _OPS = frozenset({isa.OP_ADDI, isa.OP_SLTI, isa.OP_SLTIU, isa.OP_ANDI,
                   isa.OP_SW, isa.OP_SH, isa.OP_SB}) | _BRANCH_OPS
 
 _memo: Dict[Tuple[int, ...], BlockFunction] = {}
+#: page bytes from a block's start -> :func:`_scan` of them with an empty
+#: decode cache (oldest evicted past :data:`MEMO_CAP`)
+_scans: Dict[bytes, Tuple[Tuple[int, ...], Tuple[Tuple[int, tuple], ...],
+                          Tuple[int, ...]]] = {}
 
 
 def _ends_block(word: int) -> bool:
@@ -104,10 +122,16 @@ def _ends_block(word: int) -> bool:
     return op in _BRANCH_OPS
 
 
+def _loops(word: int, index: int) -> bool:
+    """Whether *word*, at block index *index*, is a conditional branch
+    back to the block's start."""
+    return word >> 26 in _CONDITIONAL_OPS and index + 1 + _sext16(word) == 0
+
+
 class Block:
     """One block of a frame: its words and, once it first runs, its
-    compiled function. ``run(cpu, space, entry, pc)`` translates on the
-    first call, so a block that never runs is never compiled.
+    compiled function. ``run(cpu, space, entry, pc, left=0)`` translates
+    on the first call, so a block that never runs is never compiled.
 
     ``fresh`` lists ``(index, decoded)`` for the instructions whose
     offsets were not in the frame's decode cache when :func:`build`
@@ -126,13 +150,14 @@ class Block:
         self.fresh = fresh
         self.prefixes: Optional[Dict[int, "Block"]] = None
 
-    def _translate(self, cpu, space, entry, pc: int) -> None:
+    def _translate(self, cpu, space, entry, pc: int, left: int = 0) -> None:
         self.run = translate(self.words)
-        self.run(cpu, space, entry, pc)
+        self.run(cpu, space, entry, pc, left)
 
     def prefix(self, length: int) -> "Block":
         """The block of this block's first *length* words (cached). It
-        ends without a branch, so it falls through to ``pc + 4 * length``."""
+        runs once and never loops: it leaves at the first branch that is
+        taken, or else falls through to ``pc + 4 * length``."""
         prefixes = self.prefixes
         if prefixes is None:
             prefixes = self.prefixes = {}
@@ -189,10 +214,47 @@ def build(decode: Dict[int, tuple], data, offset: int) -> Optional[Block]:
     there is invalid. An offset missing from *decode* is decoded from
     *data* into the block's ``fresh`` list, as :meth:`Cpu.step
     <repro.hw.cpu.Cpu.step>` would decode it, and *decode* is left
-    unchanged."""
+    unchanged.
+
+    The scan of the bytes is shared through :data:`_scans`, keyed by
+    the bytes from *offset* to :data:`BLOCK_CAP` words or the page end.
+    It holds when *decode* agrees with those bytes at every offset the
+    scan read (an absent offset agrees); otherwise the block comes from
+    a scan of *decode* and *data* together."""
+    key = bytes(data[offset:offset + 4 * BLOCK_CAP])
+    scan = _scans.get(key)
+    if scan is None:
+        if len(_scans) >= MEMO_CAP:
+            del _scans[next(iter(_scans))]
+        scan = _scans[key] = _scan({}, key, 0)
+    words, fresh, seen = scan
+    if decode:
+        for j, word in enumerate(seen):
+            decoded = decode.get(offset + 4 * j)
+            if decoded is not None and decoded[0] != word:
+                words, fresh, _seen = _scan(decode, data, offset)
+                break
+        else:
+            fresh = tuple(item for item in fresh
+                          if offset + 4 * item[0] not in decode)
+    return Block(words, fresh) if words else None
+
+
+def _scan(decode: Dict[int, tuple], data, offset: int
+          ) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, tuple], ...],
+                     Tuple[int, ...]]:
+    """``(words, fresh, seen)`` of the block at *offset* of *data* (see
+    :func:`build`), where *seen* lists every word the scan read.
+
+    The scan goes on past a conditional branch that may fall through,
+    tentatively: it keeps the longer run only if that ends in a
+    conditional branch back to *offset*, and otherwise cuts the block
+    at the first branch."""
     words: List[int] = []
     fresh: List[Tuple[int, tuple]] = []
-    while offset < PAGE_SIZE and len(words) < BLOCK_CAP:
+    seen: List[int] = []
+    cut = 0
+    while offset < len(data) and len(words) < BLOCK_CAP:
         decoded = decode.get(offset)
         cold = decoded is None
         if cold:
@@ -201,6 +263,7 @@ def build(decode: Dict[int, tuple], data, offset: int) -> Optional[Block]:
                        (word >> 16) & 31)
         word = decoded[0]
         op = decoded[1]
+        seen.append(word)
         if op == isa.OP_SPECIAL:
             if word & 0x3F not in _FUNCTS:
                 break
@@ -212,10 +275,20 @@ def build(decode: Dict[int, tuple], data, offset: int) -> Optional[Block]:
         if cold:
             fresh.append((len(words), decoded))
         words.append(word)
-        if ends:
-            break
         offset += 4
-    return Block(tuple(words), tuple(fresh)) if words else None
+        if ends:
+            if op not in _CONDITIONAL_OPS:
+                break
+            if _loops(word, len(words) - 1):
+                cut = 0
+                break
+            cut = cut or len(words)
+            if op == isa.OP_BEQ and decoded[2] == decoded[3]:
+                break    # always taken
+    if cut:
+        del words[cut:]
+        fresh = [item for item in fresh if item[0] < cut]
+    return tuple(words), tuple(fresh), tuple(seen)
 
 
 def translate(words: Tuple[int, ...]) -> BlockFunction:
@@ -239,18 +312,25 @@ def _signed(expr: str) -> str:
 class _Emitter:
     """Python source for one block, instruction by instruction.
 
-    *guards* are the guarded base registers (see :func:`_guards`)."""
+    *loop* says the block ends in a branch back to its start (see
+    :func:`_compile`), and *guards* are the guarded base registers (see
+    :func:`_guards`). *first* is a loop's first emission: every exit of
+    a pass also writes back the registers and adds the hits of the
+    passes before it."""
 
-    def __init__(self, length: int,
-                 guards: Optional[Dict[int, Tuple[int, int, int]]] = None
-                 ) -> None:
+    def __init__(self, length: int, loop: bool = False,
+                 guards: Optional[Dict[int, Tuple[int, int, int]]] = None,
+                 first: Optional["_Emitter"] = None) -> None:
         self.length = length
+        self.loop = loop
         self.guards = guards or {}
         self.body: List[str] = []
         self.indent = ""
         self.used = set()
         self.written = set()
-        self.memory = False
+        #: registers written anywhere in the loop, by an earlier pass
+        self.passed = first.written if first is not None else set()
+        self.memory = first is not None and first.memory
         #: some store is followed by a self-modification check
         self.stores = False
         #: register -> (base register, constant) while the register
@@ -289,16 +369,26 @@ class _Emitter:
                                           sorted(self.guards)) + " = None")
 
     def writeback(self, indent: str) -> List[str]:
-        return [f"{indent}regs[{r}] = r{r}" for r in sorted(self.written)]
+        return [f"{indent}regs[{r}] = r{r}"
+                for r in sorted(self.written | self.passed)]
+
+    def count(self, index: int) -> str:
+        """The instructions retired by *index* instructions of this
+        pass: in a loop, ``n`` counts the passes before it."""
+        if not self.loop:
+            return str(index)
+        return f"n + {index}" if index else "n"
 
     def retire(self, indent: str, count: int, next_pc: str) -> List[str]:
-        """Lines that retire *count* instructions and set the PC."""
+        """Lines that retire *count* instructions of this pass and set
+        the PC."""
+        total = self.count(count)
         return self.writeback(indent) + [
             f"{indent}cpu.pc = {next_pc}",
-            f"{indent}cpu.instructions_executed += {count}",
-            f"{indent}space.tlb_hits += {count}"
+            f"{indent}cpu.instructions_executed += {total}",
+            f"{indent}space.tlb_hits += {total}"
             + (" + h" if self.memory else ""),
-            f"{indent}cpu.decode_hits += {count}",
+            f"{indent}cpu.decode_hits += {total}",
         ]
 
 
@@ -328,7 +418,28 @@ def _emit(out: _Emitter, i: int, word: int) -> None:
         else:
             cond = f"{_signed(out.reg(rs))} > 0"
         target = f"(pc + {4 * i + 4 + (simm << 2)}) & {_MASK}"
-        out.line(f"npc = {target} if {cond} else {after}")
+        if not last:
+            # a side exit of a loop block (or of a prefix of one)
+            out.line(f"if {cond}:")
+            for text in out.retire("    ", i + 1, target):
+                out.line(text)
+            out.line("    return")
+        elif out.loop:
+            # The back edge: run another pass where Cpu.execute would
+            # dispatch this block again, while the budget left covers a
+            # pass and the page still maps this frame with its code.
+            out.line(f"n += {out.length}")
+            out.line(f"if {cond}:")
+            out.line(f"    left -= {out.length}")
+            out.line(f"    if left >= {out.length} and decode and "
+                     "tlb_get(vpn) is entry:")
+            out.line("        continue")
+            out.line("    npc = pc")
+            out.line("else:")
+            out.line(f"    npc = {after}")
+            out.line("break")
+        else:
+            out.line(f"npc = {target} if {cond} else {after}")
         return
     if op in (isa.OP_J, isa.OP_JAL):
         if op == isa.OP_JAL:
@@ -523,50 +634,67 @@ def _guards(accesses: List[Tuple[int, int, int]]
 
 
 def _compile(words: Tuple[int, ...]) -> BlockFunction:
+    """The block function of *words*. A block whose last word is a
+    conditional branch back to its start is a loop: its function runs
+    passes while ``left``, the budget it is given, covers another one."""
     from repro.hw.cpu import ArithmeticTrap, BreakTrap, SyscallTrap
 
     length = len(words)
-    # The first pass finds the tracked accesses, the second emits the
-    # block with a guard for each base register that can have one.
-    out = _Emitter(length)
+    loop = _loops(words[-1], length - 1)
+    # The first pass finds the tracked accesses and the registers the
+    # block writes; the second emits the block with a guard for each
+    # base register that can have one and, in a loop, exits that cover
+    # the passes before them.
+    out = _Emitter(length, loop)
     for i, word in enumerate(words):
         _emit(out, i, word)
     guards = _guards(out.accesses)
-    if guards:
-        out = _Emitter(length, guards)
+    if guards or loop:
+        out = _Emitter(length, loop, guards, out if loop else None)
         for i, word in enumerate(words):
             _emit(out, i, word)
         out.used.update(guards)
     if not _ends_block(words[-1]):
         out.line(f"npc = (pc + {4 * length}) & {_MASK}")
-    head = ["def block(cpu, space, entry, pc):", "    regs = cpu.regs"]
+    head = ["def block(cpu, space, entry, pc, left=0):", "    regs = cpu.regs"]
+    if out.memory or loop:
+        head.append("    tlb_get = space.tlb.get")
     if out.memory:
-        head += ["    tlb_get = space.tlb.get", "    h = 0"]
-    if out.stores:
+        head.append("    h = 0")
+    if out.stores or loop:
         head += ["    decode = entry[2].decode",
                  f"    vpn = pc >> {PAGE_SHIFT}"]
     head += [f"    r{r} = regs[{r}]" for r in sorted(out.used)]
+    prologue = []
     for r, (low, span, prot) in sorted(guards.items()):
-        head += [
-            f"    a = (r{r} + {low}) & {_MASK}",
-            f"    e = tlb_get(a >> {PAGE_SHIFT}) if not a & 3 and "
+        prologue += [
+            f"a = (r{r} + {low}) & {_MASK}",
+            f"e = tlb_get(a >> {PAGE_SHIFT}) if not a & 3 and "
             f"a & {_PAGE_MASK} <= {PAGE_SIZE - 4 - span} else None",
-            f"    p{r} = e[0] if e is not None and e[1] & {prot} == {prot} "
+            f"p{r} = e[0] if e is not None and e[1] & {prot} == {prot} "
             "and not e[2].decode else None",
-            f"    o{r} = a & {_PAGE_MASK}",
+            f"o{r} = a & {_PAGE_MASK}",
         ]
-    head += ["    i = 0", "    try:"]
-    body = [f"        {line}" for line in out.body]
+    if loop:
+        # Every pass guards afresh: the base registers have moved.
+        head += ["    n = 0", "    i = 0", "    try:", "        while True:"]
+        body = [f"            {line}" for line in prologue + out.body]
+    else:
+        head += [f"    {line}" for line in prologue]
+        head += ["    i = 0", "    try:"]
+        body = [f"        {line}" for line in out.body]
+    fetched = out.count(0) + " + i" if loop else "i"
     fail = ["    except BaseException:"]
     fail += out.writeback("        ")
     fail += [
         "        cpu.pc = pc + 4 * i",
-        "        cpu.instructions_executed += i",
-        "        space.tlb_hits += i + 1" + (" + h" if out.memory else ""),
-        "        cpu.decode_hits += i + 1",
+        f"        cpu.instructions_executed += {fetched}",
+        f"        space.tlb_hits += {fetched} + 1"
+        + (" + h" if out.memory else ""),
+        f"        cpu.decode_hits += {fetched} + 1",
         "        raise",
     ]
-    tail = out.retire("    ", length, "npc")
+    tail = out.retire("    ", 0 if loop else length, "npc")
     source = "\n".join(head + body + fail + tail) + "\n"
     namespace = {
         "AlignmentError": AlignmentError,

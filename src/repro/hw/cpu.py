@@ -336,7 +336,7 @@ class Cpu:
                 if block.fresh:
                     block.first_visit(self, space, entry, pc, left)
                 elif block.length <= left:
-                    block.run(self, space, entry, pc)
+                    block.run(self, space, entry, pc, left)
                 else:
                     block.prefix(left).run(self, space, entry, pc)
                 left = end - self.instructions_executed

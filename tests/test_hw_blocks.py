@@ -7,7 +7,9 @@ spaces: once as a ``Cpu.step()`` loop (the reference) and once as a
 ``execute`` call and every exception the two must agree on the PC,
 registers, memory, exception, retired instructions, TLB hits/misses,
 decode hits/misses, the text frames' decoded offsets and decode cores,
-and, on twins with a stub SMP shadow, every shootdown.
+and, on twins with a stub SMP shadow, every shootdown. A body wrapped
+in :func:`_loop` with no jump or trap in it runs as one loop block whose
+forward branches are side exits (``TestLoopBlocks``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import (
     AlignmentError,
@@ -51,6 +53,8 @@ S_DATA, S_TEXT, S_UNMAPPED, S_COUNT = 16, 17, 18, 19
 S_LAST, S_FIRST = 20, 21
 # a stack pointer that only addi-stepped pushes and pops move
 S_SP = 22
+# a base register that loop bodies step every pass
+S_WALK = 23
 
 _R_FUNCTS = [isa.FN_ADD, isa.FN_SUB, isa.FN_AND, isa.FN_OR, isa.FN_XOR,
              isa.FN_NOR, isa.FN_SLT, isa.FN_SLTU, isa.FN_MUL, isa.FN_DIV,
@@ -107,6 +111,29 @@ _stack = st.tuples(st.just("stack"), st.integers(1, 6),
                        min_size=1, max_size=5))
 _spec = st.one_of(_alu, _alu, _alu, _mem, _mem, _control, _text_store, _jr,
                   _stack, _stack)
+# Loop bodies hold no jump or trap, so a body and its countdown are one
+# loop block and every branch in it is a side exit: forward branches,
+# some on a bit of S_COUNT (so they go another way on another pass), and
+# word and byte accesses through S_WALK, which a "step" moves every pass.
+_forward = st.tuples(st.just("branch"), st.sampled_from(_BRANCH_OPS),
+                     _any_reg, _any_reg, st.integers(0, 1),
+                     st.integers(0, 4)).filter(
+    lambda spec: spec[1] != isa.OP_BEQ or spec[2] != spec[3])
+_parity = st.tuples(st.just("parity"), st.sampled_from([isa.OP_BEQ,
+                                                        isa.OP_BNE]),
+                    st.integers(0, 2), st.integers(0, 4))
+_walk = st.tuples(st.just("walk"),
+                  st.sampled_from([isa.OP_LW, isa.OP_SW] * 3
+                                  + [isa.OP_LBU, isa.OP_SB]),
+                  _reg, st.integers(-2, 8), st.sampled_from([0] * 7 + [1]))
+_step = st.tuples(st.just("step"), st.sampled_from([4, 8, 12, 64, 256, -4,
+                                                    2]))
+_loop_spec = st.one_of(_alu, _alu, _mem, _stack, _forward, _parity, _walk,
+                       _walk, _step)
+#: where S_WALK starts: mid-page, short of the data pages' boundary and
+#: their end, misaligned, and in the text page past the program
+_WALK_STARTS = [DATA + 0x100, DATA + PAGE_SIZE - 48,
+                DATA + 2 * PAGE_SIZE - 32, DATA + 0x102, TEXT + 0xC00]
 #: where S_SP starts: mid-page, at either side of the data pages'
 #: boundary, misaligned, and in the text page past the program
 _SP_STARTS = [DATA + 0x800, DATA + PAGE_SIZE + 8, DATA + PAGE_SIZE - 4,
@@ -117,7 +144,7 @@ def _size(spec) -> int:
     """The instruction words of one spec."""
     if spec[0] == "stack":
         return 2 + len(spec[2])
-    return {"text": 3, "jr": 2}.get(spec[0], 1)
+    return {"text": 3, "jr": 2, "parity": 2}.get(spec[0], 1)
 
 
 def _encode(body):
@@ -131,7 +158,7 @@ def _encode(body):
         kind = spec[0]
         index = len(words)
         target = starts[min(number + 1 + spec[-1], len(body))] \
-            if kind in ("branch", "jal", "jr") else None
+            if kind in ("branch", "jal", "jr", "parity") else None
         if kind == "r":
             _, funct, rd, rs, rt, shamt = spec
             words.append(isa.encode_r(funct, rd=rd, rs=rs, rt=rt,
@@ -166,6 +193,19 @@ def _encode(body):
                 rt = isa.RT_BGEZ if which else isa.RT_BLTZ
             words.append(isa.encode_i(op, rs=rs, rt=rt,
                                       imm=target - index - 1))
+        elif kind == "parity":
+            _, op, bit, _skip = spec
+            words.append(isa.encode_i(isa.OP_ANDI, rs=S_COUNT, rt=T6,
+                                      imm=1 << bit))
+            words.append(isa.encode_i(op, rs=T6, rt=0,
+                                      imm=target - index - 2))
+        elif kind == "walk":
+            _, op, rt, slot, misalign = spec
+            words.append(isa.encode_i(op, rs=S_WALK, rt=rt,
+                                      imm=4 * slot + misalign))
+        elif kind == "step":
+            words.append(isa.encode_i(isa.OP_ADDI, rs=S_WALK, rt=S_WALK,
+                                      imm=spec[1]))
         elif kind == "jal":
             words.append(isa.encode_j(isa.OP_JAL,
                                       isa.jump_field(TEXT + 4 * target)))
@@ -192,7 +232,7 @@ def _loop(body_words):
     return words, end
 
 
-def _registers(loops, values=(), sp=DATA + 0x800):
+def _registers(loops, values=(), sp=DATA + 0x800, walk=DATA + 0x100):
     regs = [0] * 32
     regs[8:8 + len(values)] = values
     regs[S_DATA], regs[S_TEXT] = DATA, TEXT
@@ -200,6 +240,7 @@ def _registers(loops, values=(), sp=DATA + 0x800):
     regs[S_LAST] = TEXT - PAGE_SIZE
     regs[S_FIRST] = TEXT - loops * PAGE_SIZE
     regs[S_SP] = sp
+    regs[S_WALK] = walk
     return regs
 
 
@@ -284,13 +325,17 @@ _HANDLED = (SyscallTrap, BreakTrap, ArithmeticTrap, AlignmentError,
 
 
 def _differential(words, end, regs, data, rng, max_retired=1500,
-                  smp=False, budgets=None):
+                  smp=False, budgets=None, prepare=None):
     """Run the program on twins (reference steps vs budgeted execute),
     comparing after every execute call. The budgets cycle through
     *budgets* when given, else *rng* draws them from ``_BUDGETS``.
-    Returns the block twin."""
+    *prepare*, when given, is called on each new twin. Returns the block
+    twin."""
     ref = _Machine(words, regs, data, smp)
     fast = _Machine(words, regs, data, smp)
+    if prepare is not None:
+        prepare(ref)
+        prepare(fast)
     budgets = itertools.cycle(budgets) if budgets else None
     extra_pages = 0
     for _ in range(6000):
@@ -668,6 +713,236 @@ class TestGuardedAccess:
         for _ in range(3 * length):
             ref.cpu.step()
         assert fast.state() == ref.state()
+
+
+def _b(op, rs, rt, offset):
+    """A conditional branch *offset* words past the next instruction."""
+    return isa.encode_i(op, rs=rs, rt=rt, imm=offset)
+
+
+#: strlen of the string at t0 into t1: a loop block whose side exit (at
+#: the NUL) comes before the two registers it writes
+_STRLEN = [isa.encode_i(isa.OP_LBU, rs=8, rt=10, imm=0),
+           _b(isa.OP_BEQ, 10, 0, 3),
+           _addi(8, 8, 1), _addi(9, 9, 1),
+           _b(isa.OP_BEQ, 0, 0, -5),
+           isa.encode_r(isa.FN_SYSCALL)]
+#: the words from t0 on, summed into t2 up to a zero word or S_COUNT
+#: words: the guarded load's base moves one word every pass
+_WORD_SUM = [_lw(9, 0, base=8), _b(isa.OP_BEQ, 9, 0, 4),
+             isa.encode_r(isa.FN_ADD, rd=10, rs=10, rt=9),
+             _addi(8, 8, 4), _addi(S_COUNT, S_COUNT, -1),
+             _b(isa.OP_BGTZ, S_COUNT, 0, -6),
+             isa.encode_r(isa.FN_SYSCALL)]
+
+
+def _loop_block(machine):
+    """The loop block cached at the start of the text page."""
+    block = machine.space.tlb[TEXT >> 12][2].blocks[0]
+    assert blocks._loops(block.words[-1], block.length - 1)
+    return block
+
+
+class TestLoopBlocks:
+    """A run through forward branches that ends in a branch back to its
+    start is one block, which runs passes while the budget covers one."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(_loop_spec, min_size=2, max_size=14),
+           st.lists(st.integers(0, 0xFFFFFFFF), min_size=6, max_size=6),
+           st.integers(2, 40),
+           st.binary(min_size=64, max_size=64),
+           st.booleans(),
+           st.sampled_from(_SP_STARTS),
+           st.sampled_from(_WALK_STARTS),
+           st.randoms(use_true_random=False))
+    def test_loop_blocks_match_step(self, body, values, loops, data, smp,
+                                    sp, walk, rng):
+        words, end = _loop(_encode(body))
+        assume(len(words) - 1 <= blocks.BLOCK_CAP)
+        _differential(words, end, _registers(loops, values, sp, walk),
+                      data * 64, rng, max_retired=3000, smp=smp)
+
+    @pytest.mark.parametrize("text", [b"", b"a", b"hello, world"])
+    def test_strlen(self, text):
+        # Every exit writes back t0 and t1, which the passes before it
+        # wrote, though this pass has not.
+        end = TEXT + 4 * (len(_STRLEN) - 1)
+        regs = _registers(1, [DATA])
+        for budgets in (None, [10 ** 6]):
+            fast = _differential(_STRLEN, end, regs, text + bytes(64),
+                                 random.Random(len(text)), budgets=budgets)
+            assert fast.cpu.pc == end
+            assert fast.cpu.regs[9] == len(text)
+        assert fast.calls == [(10 ** 6, 5 * len(text) + 2,
+                               (SyscallTrap, end))]
+
+    @pytest.mark.parametrize("program", ["strlen", "word_sum"])
+    def test_every_budget_up_to_two_passes(self, program):
+        if program == "strlen":
+            words, data = _STRLEN, b"loop blocks" * 3 + bytes(64)
+        else:
+            words = _WORD_SUM
+            data = b"".join(n.to_bytes(4, "little") for n in range(1, 9)) \
+                + bytes(64)
+        end = TEXT + 4 * (len(words) - 1)
+        regs = _registers(30, [DATA])
+        length = len(words) - 1
+        for budget in range(1, 2 * length + 1):
+            fast = _differential(words, end, regs, data, None,
+                                 budgets=[budget])
+            assert fast.cpu.pc == end
+            assert all(retired == budget for _budget, retired, outcome
+                       in fast.calls if outcome is None)
+        assert fast.cpu.regs[9:11] == ([33, 0] if program == "strlen"
+                                       else [0, 36])
+
+    def test_word_sum_guards_every_pass(self):
+        # The load's base moves a word each pass, and then off the first
+        # data page: each pass guards afresh.
+        end = TEXT + 4 * (len(_WORD_SUM) - 1)
+        start = DATA + PAGE_SIZE - 16
+        data = bytes(PAGE_SIZE - 16) + b"".join(
+            n.to_bytes(4, "little") for n in range(1, 12))
+        fast = _differential(_WORD_SUM, end, _registers(40, [start]), data,
+                             None, budgets=[10 ** 6])
+        assert fast.calls == [(10 ** 6, 11 * 6 + 2, (SyscallTrap, end))]
+        assert fast.cpu.regs[10] == sum(range(1, 12))
+        _loop_block(fast)
+
+    def test_side_exit_on_the_first_visit(self):
+        # The side exit is taken on the first pass only (t3 == S_COUNT):
+        # the first visit fetches one instruction, the code at the exit
+        # moves t3 out of reach and jumps back, and the second visit
+        # decodes and caches the rest.
+        words = [_b(isa.OP_BEQ, 11, S_COUNT, 4),
+                 _addi(8, 8, 3), _addi(S_COUNT, S_COUNT, -1),
+                 _b(isa.OP_BGTZ, S_COUNT, 0, -4),
+                 isa.encode_r(isa.FN_SYSCALL),
+                 _addi(11, 0, -1),
+                 isa.encode_j(isa.OP_J, isa.jump_field(TEXT))]
+        end = TEXT + 16
+        for budgets in ([10 ** 6], [1, 2, 3, 4, 5]):
+            fast = _differential(words, end, _registers(6, [0, 0, 0, 6]),
+                                 bytes(64), None, budgets=budgets)
+            assert fast.cpu.regs[8] == 18 and fast.cpu.pc == end
+        assert _loop_block(fast).length == 4
+
+    @pytest.mark.parametrize("smp", [False, True])
+    def test_loop_stores_into_its_own_text_page(self, smp):
+        # Every pass stores past the program, which drops the code, and
+        # the last pass turns its own addi t1, t1, 1 into addi t1, t1,
+        # 100 before reaching it.
+        patched = _addi(9, 9, 100)
+        words, end = _loop([
+            isa.encode_r(isa.FN_SLL, rd=T6, rt=S_COUNT, shamt=12),
+            isa.encode_r(isa.FN_ADD, rd=T6, rs=T6, rt=S_LAST),
+            _sw(10, 24, base=T6),
+            _b(isa.OP_BEQ, 11, S_COUNT, 2),
+            _sw(8, 0x800, base=S_TEXT),
+            _addi(8, 8, 1),
+            _addi(9, 9, 1)])
+        for budgets in ([10 ** 6], None):
+            fast = _differential(words, end,
+                                 _registers(5, [0, 0, patched, 3]),
+                                 bytes(64), random.Random(7), smp=smp,
+                                 budgets=budgets)
+            assert fast.cpu.pc == end
+            assert fast.cpu.regs[8:10] == [4, 4 + 100]
+
+    def test_loop_over_a_cow_data_page_after_break(self):
+        # The loop increments a data word; after each break (a fork) the
+        # data page is copy-on-write, so the first store of the next
+        # round breaks it, and the guard of the passes after that holds
+        # the new frame.
+        words = [_lw(8, 0, base=S_DATA), _addi(8, 8, 1),
+                 _sw(8, 0, base=S_DATA), _lw(9, 0, base=S_DATA),
+                 _addi(S_COUNT, S_COUNT, -1),
+                 _b(isa.OP_BGTZ, S_COUNT, 0, -6),
+                 isa.encode_r(isa.FN_BREAK),
+                 _addi(S_COUNT, 0, 5), _addi(11, 11, -1),
+                 _b(isa.OP_BGTZ, 11, 0, -10),
+                 isa.encode_r(isa.FN_SYSCALL)]
+        end = TEXT + 4 * (len(words) - 1)
+        for budgets in ([10 ** 6], None):
+            fast = _differential(words, end, _registers(5, [0, 0, 0, 4]),
+                                 bytes(64), random.Random(8),
+                                 budgets=budgets)
+            assert fast.cpu.pc == end and len(fast.children) == 3
+            assert fast.cpu.regs[9] == 20
+            assert [child.load_word(DATA) for child in fast.children] \
+                == [5, 10, 15]
+        _loop_block(fast)
+
+
+class TestFastPaths:
+    """The loop and the shared scan are taken where they apply."""
+
+    def test_cached_loop_is_one_block_call_per_execute(self):
+        words, end = _loop([_addi(8, 8, 3), _lw(9, 0, base=S_DATA),
+                            isa.encode_r(isa.FN_ADD, rd=9, rs=9, rt=8),
+                            _sw(9, 0, base=S_DATA)])
+        length = len(words) - 1
+        ref = _Machine(words, _registers(50), bytes(64))
+        fast = _Machine(words, _registers(50), bytes(64))
+        fast.cpu.execute(length)    # the first visit caches the block
+        block = _loop_block(fast)
+        run = block.run
+        calls = []
+
+        def counted(*args):
+            calls.append(args[4])
+            return run(*args)
+
+        block.run = counted
+        with pytest.raises(SyscallTrap):
+            fast.cpu.execute(10 ** 6)
+        assert calls == [10 ** 6]
+        assert fast.cpu.instructions_executed == 50 * length
+        assert fast.cpu.pc == end
+        for _ in range(50 * length):
+            ref.cpu.step()
+        with pytest.raises(SyscallTrap):
+            ref.cpu.step()
+        assert fast.state() == ref.state()
+
+    def test_a_second_frame_with_the_same_text_scans_nothing(
+            self, monkeypatch):
+        words, end = _loop(_PUSH_POP)
+        regs = _registers(5, [1, 2, 3])
+        _differential(words, end, regs, bytes(64), None, budgets=[10 ** 6])
+        scan = blocks._scan
+        scans = []
+        monkeypatch.setattr(blocks, "_scan",
+                            lambda *args: scans.append(args) or scan(*args))
+        fast = _differential(words, end, regs, bytes(64), None,
+                             budgets=[10 ** 6])
+        assert scans == [] and fast.cpu.pc == end
+        assert _loop_block(fast).fresh == ()
+
+    def test_a_planted_decode_entry_falls_back_to_the_full_scan(
+            self, monkeypatch):
+        # The frame's decode cache holds addi t1, t1, 100 where the bytes
+        # hold addi t1, t1, 2; the cache is what runs.
+        words, end = _loop([_addi(8, 8, 1), _addi(9, 9, 2)])
+        planted = _addi(9, 9, 100)
+        decoded = (planted, planted >> 26, (planted >> 21) & 31,
+                   (planted >> 16) & 31)
+
+        def plant(twin):
+            twin.space._pages[TEXT >> 12].frame.decode[4] = decoded
+
+        regs = _registers(4)
+        _differential(words, end, regs, bytes(64), None, budgets=[10 ** 6])
+        scan = blocks._scan
+        scans = []
+        monkeypatch.setattr(blocks, "_scan",
+                            lambda *args: scans.append(args) or scan(*args))
+        fast = _differential(words, end, regs, bytes(64), None,
+                             budgets=[10 ** 6], prepare=plant)
+        assert len(scans) == 1 and scans[0][2] == 0
+        assert fast.cpu.regs[8:10] == [4, 400]
+        assert _loop_block(fast).words[1] == planted
 
 
 class TestFaultStreak:
