@@ -424,15 +424,14 @@ class Kernel:
         return self.smp.run_until_exit(proc, max_slices)
 
     def _run_machine_chunk(self, proc: Process, start: int,
-                           target: int) -> bool:
+                           target: int) -> None:
         """Run *proc* until it has executed *target* instructions past
-        *start*, leaves READY, or hits a slice-ending trap.
+        *start*, leaves READY (blocked in a syscall, or killed by a
+        fault or trap), or hits a slice-ending trap.
 
-        Returns False when the quantum ended on a path that does not
-        charge executed instructions (blocked in a syscall, or killed by
-        a fault/trap); True otherwise — the caller charges the executed
-        count when the whole quantum is done. The scheduler calls this
-        with sub-quantum targets. Each ``Cpu.execute`` gets the
+        The caller charges the executed count when the whole quantum is
+        done, however it ended. The scheduler calls this with
+        sub-quantum targets. Each ``Cpu.execute`` gets the
         instructions left in the chunk as its budget, so ``execute``
         never crosses the target, and the blocks it chains never change
         ``proc.state``, so checking the state between calls is exact.
@@ -463,7 +462,7 @@ class Kernel:
                     self.syscalls.dispatch_machine(proc)
                 except WouldBlock:
                     self._block(proc, "syscall")
-                    return False
+                    return
                 if self.recorder is not None:
                     self.recorder.cut()
             except PageFaultError as fault:
@@ -478,7 +477,7 @@ class Kernel:
                             proc, -1,
                             reason=f"fault loop at 0x{fault.address:08x}",
                         )
-                        return False
+                        return
                     continue  # restart the faulting instruction
                 if getattr(fault, "injected", False):
                     self.note_contained(fault)
@@ -493,17 +492,16 @@ class Kernel:
                            f"({fault.access.value}, pc=0x{cpu.pc:08x})"
                            f"{detail}",
                 )
-                return False
+                return
             except BreakTrap:
                 self.terminate(proc, -1, reason="break instruction")
-                return False
+                return
             except ArithmeticTrap:
                 self.terminate(proc, -1, reason="SIGFPE: divide by zero")
-                return False
+                return
             except HardwareError as error:
                 self.terminate(proc, -1, reason=f"SIGILL: {error}")
-                return False
-        return True
+                return
 
     def _run_native_slice(self, proc: Process) -> None:
         ctx = proc.native

@@ -309,31 +309,29 @@ class SmpCoordinator:
                 # Native bodies run to their next yield — one atomic
                 # sub-slice that ends the quantum.
                 kernel._run_native_slice(proc)
-                self._finish_quantum(run, charge=False)
+                self._finish_quantum(run)
                 return True
             cpu = proc.cpu
             consumed = cpu.instructions_executed - run.start
             target = min(consumed + self.subquantum, kernel.quantum)
-            charged = kernel._run_machine_chunk(proc, run.start, target)
-            if not charged:
-                # Blocked or killed on a trap path: the quantum ends
-                # without charging its instructions.
-                self._finish_quantum(run, charge=False)
-                return True
+            kernel._run_machine_chunk(proc, run.start, target)
+            # Blocked, killed or out of quantum: the quantum is over and
+            # every instruction it retired is charged.
             if proc.state is not ProcessState.READY \
                     or cpu.instructions_executed - run.start \
                     >= kernel.quantum:
-                self._finish_quantum(run, charge=True)
+                self._finish_quantum(run)
                 return True
             return False
         finally:
             clock.current_core = None
 
-    def _finish_quantum(self, run: _Quantum, charge: bool) -> None:
-        """Close out a completed quantum (caller holds current_core)."""
+    def _finish_quantum(self, run: _Quantum) -> None:
+        """Close out a completed quantum (caller holds current_core),
+        charging the instructions it retired."""
         kernel = self.kernel
-        if charge:
-            cpu = run.proc.cpu
+        cpu = run.proc.cpu
+        if cpu is not None:
             kernel.clock.instructions(cpu.instructions_executed - run.start)
         if run.span is not None:
             run.span.__exit__(None, None, None)

@@ -27,7 +27,9 @@ import hashlib
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck, example, given, settings, strategies as st,
+)
 
 from repro import boot
 from repro.apps.presto import PrestoApp
@@ -304,6 +306,43 @@ class TestMultiCore:
         first = _run_presto(ncores, nworkers, nitems)
         second = _run_presto(ncores, nworkers, nitems)
         assert first == second
+
+
+class TestInstructionCharge:
+    """Every instruction a quantum retires is charged to the clock's
+    ``instructions`` category, whether the quantum ran out, blocked in a
+    syscall or ended with its process."""
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ncores=st.integers(min_value=1, max_value=4),
+           nworkers=st.integers(min_value=1, max_value=8),
+           nitems=st.sampled_from([8, 12, 64]),
+           compute_iters=st.sampled_from([0, 1, 8, 20, 30]))
+    @example(ncores=4, nworkers=8, nitems=64, compute_iters=30)
+    @example(ncores=1, nworkers=4, nitems=64, compute_iters=8)
+    @example(ncores=3, nworkers=4, nitems=64, compute_iters=8)
+    def test_charged_instructions_equal_retired(self, ncores, nworkers,
+                                                nitems, compute_iters):
+        kernel = boot(ncores=ncores).kernel
+        shell = make_shell(kernel)
+        app = PrestoApp(kernel, shell, nitems=nitems,
+                        compute_iters=compute_iters)
+        workers = []
+        create = kernel.create_machine_process
+
+        def created(*args, **kwargs):
+            workers.append(create(*args, **kwargs))
+            return workers[-1]
+
+        kernel.create_machine_process = created
+        before = kernel.clock.by_category.get("instructions", 0)
+        result = app.run_instance(nworkers=nworkers)
+        assert result.total == app.expected_total()
+        assert len(workers) == nworkers
+        charged = kernel.clock.by_category["instructions"] - before
+        assert charged == sum(worker.cpu.instructions_executed
+                              for worker in workers)
 
 
 # ---------------------------------------------------------------------------
