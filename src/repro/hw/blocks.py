@@ -221,22 +221,25 @@ def build(decode: Dict[int, tuple], data, offset: int) -> Optional[Block]:
     It holds when *decode* agrees with those bytes at every offset the
     scan read (an absent offset agrees); otherwise the block comes from
     a scan of *decode* and *data* together."""
-    key = bytes(data[offset:offset + 4 * BLOCK_CAP])
-    scan = _scans.get(key)
-    if scan is None:
-        if len(_scans) >= MEMO_CAP:
-            del _scans[next(iter(_scans))]
-        scan = _scans[key] = _scan({}, key, 0)
-    words, fresh, seen = scan
+    words, fresh, seen = _remember(
+        _scans, bytes(data[offset:offset + 4 * BLOCK_CAP]),
+        lambda key: _scan({}, key, 0))
     if decode:
+        # A scan of bytes alone found every word of the block fresh, so
+        # fresh[j] is word j's; keep those the frame has not decoded.
+        length = len(words)
+        kept = []
+        get = decode.get
         for j, word in enumerate(seen):
-            decoded = decode.get(offset + 4 * j)
-            if decoded is not None and decoded[0] != word:
+            decoded = get(offset + 4 * j)
+            if decoded is None:
+                if j < length:
+                    kept.append(fresh[j])
+            elif decoded[0] != word:
                 words, fresh, _seen = _scan(decode, data, offset)
                 break
         else:
-            fresh = tuple(item for item in fresh
-                          if offset + 4 * item[0] not in decode)
+            fresh = tuple(kept)
     return Block(words, fresh) if words else None
 
 
@@ -293,12 +296,18 @@ def _scan(decode: Dict[int, tuple], data, offset: int
 
 def translate(words: Tuple[int, ...]) -> BlockFunction:
     """The compiled block function for *words* (memoized)."""
-    run = _memo.get(words)
-    if run is None:
-        if len(_memo) >= MEMO_CAP:
-            del _memo[next(iter(_memo))]
-        run = _memo[words] = _compile(words)
-    return run
+    return _remember(_memo, words, _compile)
+
+
+def _remember(memo: dict, key, make: Callable):
+    """``memo[key]``, made by ``make(key)`` when missing; past
+    :data:`MEMO_CAP` entries the oldest is evicted."""
+    value = memo.get(key)
+    if value is None:
+        if len(memo) >= MEMO_CAP:
+            del memo[next(iter(memo))]
+        value = memo[key] = make(key)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +692,7 @@ def _compile(words: Tuple[int, ...]) -> BlockFunction:
         head += [f"    {line}" for line in prologue]
         head += ["    i = 0", "    try:"]
         body = [f"        {line}" for line in out.body]
-    fetched = out.count(0) + " + i" if loop else "i"
+    fetched = "n + i" if loop else "i"
     fail = ["    except BaseException:"]
     fail += out.writeback("        ")
     fail += [
